@@ -29,7 +29,6 @@ from .fields import (
     ScalarField,
     inner_l2,
     inner_pair_l2,
-    norm_pair,
     sum_field,
     zero_field,
 )

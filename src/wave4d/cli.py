@@ -174,9 +174,8 @@ def finish(outdir: Path, suite: str, cfg: dict, results: dict,
 
 def run_states(cfg: dict, outdir: Path) -> int:
     from .fitting import check_decay
-    from .states import (GENERATOR_IDS, ground_state, kelvin,
-                         radial_residual_norm, surrogate_excited_state,
-                         symmetry_generator)
+    from .states import (ground_state, kelvin, radial_residual_norm,
+                         surrogate_excited_state, symmetry_generator)
 
     W = ground_state()
     rng = np.random.default_rng(cfg["seed"])
@@ -253,7 +252,7 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
 def _interaction_config(profile: str, speeds):
     from .interactions import two_soliton_config
     from .states import ground_state, surrogate_excited_state, \
-        symmetric_generator_ids, symmetry_generator
+        symmetry_generator
 
     if profile == "surrogate":
         Q = surrogate_excited_state()
@@ -295,18 +294,15 @@ def run_modulate(cfg: dict, outdir: Path) -> int:
     from .fields import load_pair
     from .modulation import decompose, exp_direction_family
     from .quadrature import QuadratureSpec
-    from .spectrum import assemble_radial, negative_spectrum
-    from .states import ground_state
+    from .spectrum import ground_eigenpair
 
-    mcfg = _interaction_config(cfg["profile"], cfg["speeds"])
-    spec = QuadratureSpec(scheme="fixed", nodes=cfg["nodes"],
-                          r_max=cfg["r_max"])
-    op = assemble_radial(ground_state(), r_max=25.0, n=1500)
-    res = negative_spectrum(op, k=1)
-    dirs = exp_direction_family(mcfg, [(res.lams[0], res.fields[0])])
     if not cfg["pair_file"]:
         raise ConfigError("modulate needs pair_file (field container with "
                           "first/second components)")
+    mcfg = _interaction_config(cfg["profile"], cfg["speeds"])
+    spec = QuadratureSpec(scheme="fixed", nodes=cfg["nodes"],
+                          r_max=cfg["r_max"])
+    dirs = exp_direction_family(mcfg, [ground_eigenpair()])
     u = load_pair(cfg["pair_file"])
     state = decompose(u, mcfg, cfg["time"], spec, directions=dirs)
     results = dict(t=state.t, a=state.a.tolist(), b=state.b.tolist(),
@@ -322,16 +318,13 @@ def run_modulate(cfg: dict, outdir: Path) -> int:
 
 def run_energy(cfg: dict, outdir: Path) -> int:
     from .boosts import build_exp_directions
-    from .energy import CutoffChiN, WeightZeta, coercivity_probe, \
-        zeta_smallness
+    from .energy import CutoffChiN, coercivity_probe, zeta_smallness
     from .quadrature import QuadratureSpec
-    from .spectrum import assemble_radial, negative_spectrum
+    from .spectrum import ground_eigenpair
     from .states import ground_state, symmetry_generator
 
     W = ground_state()
-    op = assemble_radial(W, r_max=25.0, n=1500)
-    res = negative_spectrum(op, k=1)
-    lam, Y = res.lams[0], res.fields[0]
+    lam, Y = ground_eigenpair()
     dirs = build_exp_directions(Y, lam, cfg["ell"])
     kf = [symmetry_generator(W, "scaling"),
           symmetry_generator(W, "translation_1")]
@@ -368,24 +361,15 @@ def run_energy(cfg: dict, outdir: Path) -> int:
 def run_evolve(cfg: dict, outdir: Path) -> int:
     from .boosts import pair_vector
     from .evolver import (GridBasis, bootstrap_margins, default_grid_for,
-                          evolve, soliton_background)
-    from .interactions import MultiSolitonConfig
-    from .spectrum import assemble_radial, negative_spectrum
-    from .states import ground_state, symmetry_generator
+                          evolve, single_soliton_config, soliton_background)
+    from .spectrum import ground_eigenpair
 
-    W = ground_state()
-    op = assemble_radial(W, r_max=25.0, n=1500)
-    res = negative_spectrum(op, k=1)
     ell = cfg["ell"]
-    mcfg = MultiSolitonConfig(
-        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
+    mcfg = single_soliton_config(ell)
     grid = default_grid_for(ell, cfg["t1"], margin=10.0, h=cfg["h"])
-    basis = GridBasis(mcfg, grid, [(res.lams[0], res.fields[0])])
-    series = evolve(pair_vector(W, ell, 1), 0.0, cfg["t1"], grid,
-                    basis=basis, cadence=cfg["cadence"],
+    basis = GridBasis(mcfg, grid, [ground_eigenpair()])
+    series = evolve(pair_vector(mcfg.profiles[0], ell, 1), 0.0, cfg["t1"],
+                    grid, basis=basis, cadence=cfg["cadence"],
                     background=soliton_background(mcfg, grid))
     margins = bootstrap_margins(series, cfg["c0"])
     speed = float(np.polyfit(series.times, series.centers, 1)[0])

@@ -17,21 +17,23 @@ directions (L2 pairing), both in the plain and the <x>^-gamma weighted form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boosts import boost_profile, pair_vector, traveling_pair
 from .fields import (
+    _H_D1,
+    _H_SECOND,
     FieldPair,
     FormulaField,
     ScalarField,
-    pairing_block,
-    sum_field,
+    _pairing_features,
     zero_field,
 )
 from .interactions import GAssembly, MultiSolitonConfig
-from .quadrature import QuadratureSpec, integrate_callable, join_symmetry
+from .quadrature import (QuadratureSpec, integrate_callable, join_symmetry,
+                         node_set)
 
 
 @dataclass
@@ -187,12 +189,10 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
                         * (cfg.speeds[nn] - chi) * dpsi)
         return np.stack(cols, axis=1)
 
-    lo = min(cfg.centers(t)) - (sp.r_max or 60.0)
-    hi = max(cfg.centers(t)) + (sp.r_max or 60.0)
-    vals = np.asarray(integrate_callable(fn, sym, sp,
-                                         x1_range=(lo, hi)).value)
+    window = cfg.x1_window(t, sp)
+    vals = np.asarray(integrate_callable(fn, sym, sp, x1_range=window).value)
     omega, omega_c = localized_norms(phi, cutoff, t, spec=sp,
-                                     x1_domain=(lo, hi))
+                                     x1_domain=window)
     return EnergyReport(t=t, energy=float(vals[0]), momentum=float(vals[1]),
                         coupling=float(vals[2]),
                         ramp=[float(v) for v in vals[3:3 + n]],
@@ -284,34 +284,6 @@ def zeta_smallness(cutoff: CutoffChiN, gamma: float, t: float,
 # coercivity probes
 # ---------------------------------------------------------------------------
 
-def _h_form_columns(u: FieldPair, others, ell, Ql, weight):
-    """Columns shared by the probe: the H_ell bilinear form and the plain
-    energy pairing of u against itself and each field in others."""
-    def fn(X):
-        gu = u.first.gradient(X)
-        u1 = u.first.evaluate(X)
-        u2 = u.second.evaluate(X)
-        q2 = 3.0 * Ql.evaluate(X) ** 2
-        z2 = weight.evaluate(X) ** 2 if weight is not None else np.ones(len(u1))
-        cols = []
-        gv, v1, v2 = gu, u1, u2
-        cols.append((np.einsum("ij,ij->i", gu, gv) + u2 * v2
-                     + ell * (u2 * gv[:, 0] + v2 * gu[:, 0])) * z2
-                    - q2 * u1 * v1)
-        cols.append((np.einsum("ij,ij->i", gu, gu) + u2 * u2) * z2)
-        for o in others:
-            go = o.first.gradient(X)
-            o1 = o.first.evaluate(X)
-            o2 = o.second.evaluate(X)
-            cols.append((np.einsum("ij,ij->i", gu, go) + u2 * o2
-                         + ell * (u2 * go[:, 0] + o2 * gu[:, 0])) * z2
-                        - q2 * u1 * o1)
-            cols.append((np.einsum("ij,ij->i", gu, go) + u2 * o2) * z2)
-        return np.stack(cols, axis=1)
-
-    return fn
-
-
 def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     """Seeded smooth localized cylindrical pair."""
     def bump():
@@ -342,6 +314,13 @@ def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     return FieldPair(bump(), bump())
 
 
+def _sample(pairs, X) -> tuple:
+    """Energy-pairing features (N, n, 5) of the pairs at X and the values
+    (N, n) of their first components, which the potential term needs."""
+    return (_pairing_features(pairs, X, "h"),
+            np.stack([p.first.evaluate(X) for p in pairs], axis=1))
+
+
 class _ProjectedForm:
     """H_ell form and norm of a pair after projecting out the correctors.
 
@@ -349,57 +328,66 @@ class _ProjectedForm:
     directions.  For a pair v the coefficients s solve M s = cons(v), with
     rows pairing against the kernel pairs (energy pairing) and the Z
     partners (L2); the form and norm of v - sum_k s_k c_k then follow from
-    the corrector blocks B and Nrm plus one vector quadrature pass over v.
+    the corrector blocks B and Nrm and v's pairings with the correctors.
+    Everything is sampled once on the fixed node set of spec, so every
+    pairing is a weighted product of feature stacks and the cost of a
+    sample does not grow with the number of pairings.
     """
 
     def __init__(self, ell: float, Q: ScalarField, kernel_fields,
                  directions, gamma: float | None, spec: QuadratureSpec):
-        self.ell, self.spec = ell, spec
-        self.Ql = boost_profile(Q, ell)
-        self.weight = WeightZeta(gamma).field() if gamma is not None else None
+        self.ell = ell
         self.kernel_pairs = [pair_vector(g, ell, 1) for g in kernel_fields]
-        self.zpm = [directions["+"].z_pair, directions["-"].z_pair]
         self.correctors = self.kernel_pairs + [directions["+"].pair,
                                                directions["-"].pair]
-        self.M = np.vstack([
-            pairing_block(self.kernel_pairs, self.correctors, "h", spec),
-            pairing_block(self.zpm, self.correctors, "l2", spec),
-        ])
-        # row i pairs corrector i with itself (vals[0:2]) and with each
-        # later corrector j = i+1+k (vals[2+2k], vals[3+2k])
-        m = len(self.correctors)
-        self.B = np.zeros((m, m))
-        self.Nrm = np.zeros((m, m))
-        for i in range(m):
-            vals = self._columns(self.correctors[i], self.correctors[i + 1:])
-            self.B[i, i], self.Nrm[i, i] = vals[0], vals[1]
-            for k, j in enumerate(range(i + 1, m)):
-                self.B[i, j] = self.B[j, i] = vals[2 + 2 * k]
-                self.Nrm[i, j] = self.Nrm[j, i] = vals[3 + 2 * k]
+        self.X, w = node_set("cylindrical", spec)
+        z2 = (WeightZeta(gamma).field().evaluate(self.X) ** 2
+              if gamma is not None else 1.0)
+        self.w_zeta = w * z2
+        self.w_pot = w * 3.0 * boost_profile(Q, ell).evaluate(self.X) ** 2
+        self.Sc = _sample(self.correctors, self.X)
+        self.B, self.Nrm = self._blocks(self.Sc, self.Sc)
+        # constraint rows: energy pairing with the kernel pairs, L2 pairing
+        # with the Z partners
+        self.kern_rows = w[:, None, None] * self.Sc[0][:, :len(kernel_fields)]
+        self.z_rows = w[:, None, None] * _pairing_features(
+            [directions["+"].z_pair, directions["-"].z_pair], self.X, "l2")
+        self.M = self._constraints(self.Sc[0], self.correctors)
 
-    def _columns(self, u: FieldPair, others) -> np.ndarray:
-        fn = _h_form_columns(u, others, self.ell, self.Ql, self.weight)
-        return np.asarray(integrate_callable(fn, "cylindrical",
-                                             self.spec).value)
+    def _constraints(self, H, pairs) -> np.ndarray:
+        """Constraint pairings (rows, n) with pairs whose energy-pairing
+        features are H."""
+        L = _pairing_features(pairs, self.X, "l2")
+        return np.concatenate([np.einsum("pik,pjk->ij", self.kern_rows, H),
+                               np.einsum("pik,pjk->ij", self.z_rows, L)])
+
+    def _blocks(self, a, b) -> tuple:
+        """(H_ell form, norm) matrices between the samples a and b of two
+        pair lists; both carry the weight when one is set."""
+        (Ha, Fa), (Hb, Fb) = a, b
+        Hz = Ha * self.w_zeta[:, None, None]
+        norm = np.einsum("pik,pjk->ij", Hz, Hb)
+        cross = (np.einsum("pi,pj->ij", Hz[..., _H_SECOND], Hb[..., _H_D1])
+                 + np.einsum("pi,pj->ij", Hz[..., _H_D1], Hb[..., _H_SECOND]))
+        pot = np.einsum("pi,pj->ij", Fa * self.w_pot[:, None], Fb)
+        return norm + self.ell * cross - pot, norm
 
     def form_and_norm(self, u: FieldPair) -> tuple:
         """(H_ell form, squared norm) of u itself, unprojected; both carry
         the weight when one is set."""
-        vals = self._columns(u, [])
-        return float(vals[0]), float(vals[1])
+        S = _sample([u], self.X)
+        form, norm = self._blocks(S, S)
+        return float(form[0, 0]), float(norm[0, 0])
 
     def __call__(self, v: FieldPair) -> tuple:
         """(projected form, projected norm, coefficients s, constraints)."""
-        vals = self._columns(v, self.correctors)
-        Fv, Nv = vals[0], vals[1]
-        Bv, Nv_cross = vals[2::2], vals[3::2]
-        cons = np.concatenate([
-            pairing_block([v], self.kernel_pairs, "h", self.spec)[0],
-            pairing_block([v], self.zpm, "l2", self.spec)[0],
-        ])
+        Sv = _sample([v], self.X)
+        F, N = self._blocks(Sv, Sv)
+        Bv, Nv = self._blocks(Sv, self.Sc)
+        cons = self._constraints(Sv[0], [v])[:, 0]
         s = np.linalg.solve(self.M, cons)
-        Fp = Fv - 2.0 * s @ Bv + s @ self.B @ s
-        Np = Nv - 2.0 * s @ Nv_cross + s @ self.Nrm @ s
+        Fp = F[0, 0] - 2.0 * s @ Bv[0] + s @ self.B @ s
+        Np = N[0, 0] - 2.0 * s @ Nv[0] + s @ self.Nrm @ s
         return float(Fp), float(Np), s, cons
 
 
@@ -423,9 +411,10 @@ def coercivity_probe(ell: float, Q: ScalarField, kernel_fields,
 
     Random localized pairs are projected against the kernel pairs (energy
     pairing) and the exponential-direction partners (L2 pairing); the form
-    is then evaluated through precomputed bilinear blocks, so each sample
-    costs one vector quadrature pass.  gamma switches to the weighted form
-    with the same projection penalty structure.
+    is then evaluated through precomputed bilinear blocks on the fixed node
+    set of spec (an adaptive spec raises ValueError), so each sample costs
+    one evaluation of the pair.  gamma switches to the weighted form with
+    the same projection penalty structure.
     """
     spec = spec or QuadratureSpec(scheme="fixed", nodes=10, r_max=30.0)
     proj = _ProjectedForm(ell, Q, kernel_fields, directions, gamma, spec)

@@ -25,33 +25,28 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boosts import boost_profile, build_exp_directions, component_derivative, \
-    pair_vector, traveling_pair
-from .fields import FieldPair, Grid2DCyl, SampledField, ScalarField
-from .fitting import fit_loglog
+from .boosts import pair_vector, traveling_pair
+from .fields import _H_SECOND, FieldPair, Grid2DCyl, ScalarField, \
+    _h_features, _pairing_features, cylinder_points
 from .interactions import MultiSolitonConfig, localization_factor, sigma_rate
-from .modulation import ModulationState, shift_pair
+from .modulation import ModulationState, basis_pairs, exp_direction_family, \
+    shift_pair
+from .spectrum import ground_eigenpair
 from .states import ground_state, symmetry_generator
 
 BLOWUP_FACTOR = 1e3
 
 
 def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
-    X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    return f.evaluate(P).reshape(X1.shape)
+    return f.evaluate(cylinder_points(grid.x1, grid.r)).reshape(grid.n1,
+                                                                 grid.nr)
 
 
 def grad_on_grid(f: ScalarField, grid: Grid2DCyl):
     """(d/dx1, d/drbar) arrays of an exact-gradient field on the grid."""
-    X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    g = f.gradient(P)
-    return (g[:, 0].reshape(X1.shape), g[:, 1].reshape(X1.shape))
+    g = f.gradient(cylinder_points(grid.x1, grid.r))
+    return (g[:, 0].reshape(grid.n1, grid.nr),
+            g[:, 1].reshape(grid.n1, grid.nr))
 
 
 def grid_weights(grid: Grid2DCyl) -> np.ndarray:
@@ -200,22 +195,6 @@ def grid_energy_momentum(u: np.ndarray, v: np.ndarray, grid: Grid2DCyl,
     return float(np.sum(e * w)), float(np.sum(p * w))
 
 
-def grid_pair_h(du, dv, f_pair, grid) -> float:
-    """Energy pairing of grid arrays (du, dv) with an exact-gradient pair."""
-    w = grid_weights(grid)
-    d1, dr = grid_gradient(du, grid)
-    g1, gr = grad_on_grid(f_pair.first, grid)
-    f2 = eval_on_grid(f_pair.second, grid)
-    return float(np.sum((d1 * g1 + dr * gr + dv * f2) * w))
-
-
-def grid_pair_l2(du, dv, f_pair, grid) -> float:
-    w = grid_weights(grid)
-    f1 = eval_on_grid(f_pair.first, grid)
-    f2 = eval_on_grid(f_pair.second, grid)
-    return float(np.sum((du * f1 + dv * f2) * w))
-
-
 def grid_h_norm_sq(du, dv, grid) -> float:
     w = grid_weights(grid)
     d1, dr = grid_gradient(du, grid)
@@ -224,91 +203,88 @@ def grid_h_norm_sq(du, dv, grid) -> float:
 
 @dataclass
 class GridBasis:
-    """Grid samples of every field needed by the in-loop decomposition."""
+    """Grid samples of every field needed by the in-loop decomposition.
+
+    The exponential directions of each speed are built once here; at_time
+    only moves them with their soliton.
+    """
 
     cfg: MultiSolitonConfig
     grid: Grid2DCyl
     rates_fields: list
     sigma: float | None = None
 
+    def __post_init__(self):
+        self.directions = exp_direction_family(self.cfg, self.rates_fields)
+
     def at_time(self, t: float) -> dict:
-        cfg, grid = self.cfg, self.grid
+        cfg = self.cfg
         qpairs = [traveling_pair(p, ell, t, tau) for p, ell, tau
                   in zip(cfg.profiles, cfg.speeds, cfg.signs)]
-        slow = [traveling_pair(s, ell, t, 1)
-                for s, ell in zip(cfg.slow, cfg.speeds)]
-        kern = [traveling_pair(pk, ell, t, 1)
-                for row, ell in zip(cfg.kernels, cfg.speeds) for pk in row]
-        basis = slow + kern
-        zcols = []
-        for n, ell in enumerate(cfg.speeds):
-            dirs = [build_exp_directions(Y, lam, ell, j=j + 1)
-                    for j, (lam, Y) in enumerate(self.rates_fields)]
-            for d in dirs:
-                zcols.append((shift_pair(d["+"].z_pair, ell * t),
-                              shift_pair(d["-"].z_pair, ell * t)))
-        return dict(qpairs=qpairs, basis=basis, zcols=zcols, slow=slow)
+        slow, kern = basis_pairs(cfg, t)
+        zcols = [(shift_pair(d["+"].z_pair, ell * t),
+                  shift_pair(d["-"].z_pair, ell * t))
+                 for ell, dirs in zip(cfg.speeds, self.directions)
+                 for d in dirs]
+        return dict(qpairs=qpairs, zcols=zcols,
+                    basis=slow + [p for row in kern for p in row])
+
+
+def _soliton_sum(data: dict, grid: Grid2DCyl) -> tuple:
+    """Grid samples (u, v) of the traveling soliton sum in at_time data."""
+    return (sum(eval_on_grid(p.first, grid) for p in data["qpairs"]),
+            sum(eval_on_grid(p.second, grid) for p in data["qpairs"]))
 
 
 def grid_modulation(u, v, grid: Grid2DCyl, basis: GridBasis,
                     t: float) -> ModulationState:
     """Same decomposition as modulation.decompose, on grid quadrature."""
-    cfg = basis.cfg
     data = basis.at_time(t)
-    du = u - sum(eval_on_grid(p.first, grid) for p in data["qpairs"])
-    dv = v - sum(eval_on_grid(p.second, grid) for p in data["qpairs"])
-    fields = data["basis"]
-    m = len(fields)
-    samples = []
+    q1, q2 = _soliton_sum(data, grid)
+    return _decompose_on_grid(u - q1, v - q2, grid, basis, data, t)
+
+
+def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
+                       data: dict, t: float) -> ModulationState:
+    """grid_modulation of the deviation (du, dv) from the soliton sum of
+    the at_time data."""
+    cfg = basis.cfg
+    P = cylinder_points(grid.x1, grid.r)
     w = grid_weights(grid)
-    d1_du, dr_du = grid_gradient(du, grid)
-    for f in fields:
-        g1, gr = grad_on_grid(f.first, grid)
-        f2 = eval_on_grid(f.second, grid)
-        samples.append((g1, gr, f2))
-    G = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for i in range(m):
-        gi = samples[i]
-        rhs[i] = float(np.sum((d1_du * gi[0] + dr_du * gi[1] + dv * gi[2]) * w))
-        for j in range(i, m):
-            gj = samples[j]
-            G[i, j] = G[j, i] = float(np.sum(
-                (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * w))
-    coef = np.linalg.solve(G, rhs) if m else np.zeros(0)
+    H = _pairing_features(data["basis"], P, "h")
+    G = np.einsum("p,pik,pjk->ij", w.ravel(), H, H)
+    # at the grid points (x1, rbar, 0, 0) the gradient is (d1, dr, 0, 0)
+    grad = np.zeros((P.shape[0], 4))
+    grad[:, 0], grad[:, 1] = (d.ravel() for d in grid_gradient(du, grid))
+    coef = np.linalg.solve(G, np.einsum("p,pik,pk->i", w.ravel(), H,
+                                        _h_features(grad, dv.ravel())))
+    first = np.stack([eval_on_grid(p.first, grid) for p in data["basis"]],
+                     axis=-1)
+    phi1 = du - first @ coef
+    phi2 = dv - (H[..., _H_SECOND] @ coef).reshape(dv.shape)
 
-    phi1, phi2 = du.copy(), dv.copy()
-    for c, f in zip(coef, fields):
-        phi1 -= c * eval_on_grid(f.first, grid)
-        phi2 -= c * eval_on_grid(f.second, grid)
-
-    a = coef[:cfg.n].copy() if m else np.zeros(cfg.n)
+    a = coef[:cfg.n].copy()
     b = (coef[cfg.n:].reshape(cfg.n, cfg.n_kernel) if cfg.n_kernel
          else np.zeros((cfg.n, 0)))
     J = len(basis.rates_fields)
-    zp = np.zeros((cfg.n, J))
-    zm = np.zeros((cfg.n, J))
-    for idx, (zplus, zminus) in enumerate(data["zcols"]):
-        n, j = divmod(idx, J)
-        zp[n, j] = grid_pair_l2(phi1, phi2, zplus, grid)
-        zm[n, j] = grid_pair_l2(phi1, phi2, zminus, grid)
+    Z = _pairing_features([z for col in data["zcols"] for z in col], P, "l2")
+    zpm = np.einsum("p,pik,pk->i", w.ravel(), Z,
+                    np.stack([phi1.ravel(), phi2.ravel()], axis=1))
+    zp = zpm[0::2].reshape(cfg.n, J)
+    zm = zpm[1::2].reshape(cfg.n, J)
 
     cs = np.zeros(cfg.n)
     if basis.sigma is not None and t > 1.0:
-        X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-        P = np.zeros((X1.size, 4))
-        P[:, 0] = X1.ravel()
-        P[:, 1] = RB.ravel()
         for n, ell in enumerate(cfg.speeds):
-            loc = localization_factor(ell, basis.sigma, t)(P).reshape(X1.shape)
-            psi1 = eval_on_grid(data["slow"][n].first, grid)
-            cs[n] = (float(np.sum(phi1 * psi1 * loc * w))
+            loc = localization_factor(ell, basis.sigma, t)(P).reshape(w.shape)
+            # the first basis pairs are the slow directions, one per soliton
+            cs[n] = (float(np.sum(phi1 * first[..., n] * loc * w))
                      / (sigma_rate(ell) * math.log(t)))
 
     return ModulationState(
         t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm, c=cs,
         remainder_norm=math.sqrt(max(grid_h_norm_sq(phi1, phi2, grid), 0.0)),
-        gram_cond=float(np.linalg.cond(G)) if m else 1.0)
+        gram_cond=float(np.linalg.cond(G)))
 
 
 @dataclass
@@ -322,9 +298,6 @@ class MonitorSeries:
     states: list = dc_field(default_factory=list)
     centers: list = dc_field(default_factory=list)
     status: str = "running"
-
-    def a_sq_series(self):
-        return [float(np.sum(s.z_plus**2)) for s in self.states]
 
     def drift(self, which: str = "energy") -> float:
         """Relative conservation drift, background-corrected when a
@@ -400,15 +373,14 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
         series.momentum.append(P)
         series.centers.append(soliton_center(e.u, e.grid))
         if basis is not None:
-            st = grid_modulation(e.u, v, e.grid, basis, e.t)
-            series.states.append(st)
             data = basis.at_time(e.t)
-            q1 = sum(eval_on_grid(p.first, e.grid) for p in data["qpairs"])
-            q2 = sum(eval_on_grid(p.second, e.grid) for p in data["qpairs"])
+            q1, q2 = _soliton_sum(data, e.grid)
+            du, dv = e.u - q1, v - q2
+            series.states.append(
+                _decompose_on_grid(du, dv, e.grid, basis, data, e.t))
             Er, Pr = grid_energy_momentum(q1, q2, e.grid)
             series.energy_ref.append(Er)
             series.momentum_ref.append(Pr)
-            du, dv = e.u - q1, v - q2
             series.deviation.append(
                 math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
             if gamma0 is not None and series.deviation[-1] > gamma0:
@@ -420,13 +392,19 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
 
 
 def bootstrap_margins(series: MonitorSeries, c0: float) -> dict:
-    """Margins of the five bootstrap inequalities per monitored time."""
+    """Margins of the five bootstrap inequalities per monitored time.
+
+    The inequalities involve log t, so they are defined for t > 1 only;
+    earlier monitors get no row.
+    """
     rows = []
     first_violation = None
     for t, st in zip(series.times, series.states):
-        lt = max(math.log(t), 1e-9) if t > 1 else 1e-9
+        if t <= 1.0:
+            continue
         checks = dict(
-            a=c0**2 * t**-2 / math.sqrt(lt) - float(np.linalg.norm(st.a)),
+            a=c0**2 * t**-2 / math.sqrt(math.log(t))
+            - float(np.linalg.norm(st.a)),
             b=c0**2 * t**-2 - float(np.linalg.norm(st.b)),
             phi=c0 * t**-3 - st.remainder_norm,
             z_minus=t**-6 - float(np.sum(st.z_minus**2)),
@@ -437,6 +415,17 @@ def bootstrap_margins(series: MonitorSeries, c0: float) -> dict:
             first_violation = t
     return dict(rows=rows, first_violation=first_violation,
                 all_hold=first_violation is None)
+
+
+def single_soliton_config(ell: float) -> MultiSolitonConfig:
+    """W traveling at speed ell, with the scaling generator as its slow
+    direction and translation_1 as its one kernel direction."""
+    W = ground_state()
+    return MultiSolitonConfig(
+        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
+        b=np.zeros((1, 1)),
+        slow=[symmetry_generator(W, "scaling")],
+        kernels=[[symmetry_generator(W, "translation_1")]])
 
 
 def default_grid_for(ell: float, t_span: float, margin: float = 12.0,
@@ -463,20 +452,15 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
     one grows at +rate, rate = lam sqrt(1 - ell^2); the seeded direction
     excites exactly the pairing of the opposite sign.
     """
-    W = ground_state()
     rate = lam * math.sqrt(1.0 - ell**2)
     if t_max is None:
         t_max = 4.2 / rate
     grid = default_grid_for(ell, t_max, margin=10.0, h=h)
-    cfg = MultiSolitonConfig(
-        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
+    cfg = single_soliton_config(ell)
     basis = GridBasis(cfg, grid, [(lam, Y)])
     bg = soliton_background(cfg, grid)
-    dirs = build_exp_directions(Y, lam, ell)
-    wpair = pair_vector(W, ell, 1)
+    dirs = basis.directions[0][0]
+    wpair = pair_vector(cfg.profiles[0], ell, 1)
     w_u = eval_on_grid(wpair.first, grid)
     w_v = eval_on_grid(wpair.second, grid)
 
@@ -543,20 +527,9 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     """
     from .modulation import build_initial_data
 
-    W = ground_state()
-    if lam_Y is None:
-        from .spectrum import assemble_radial, negative_spectrum
-        op = assemble_radial(W, r_max=25.0, n=1500)
-        res = negative_spectrum(op, k=1)
-        lam, Y = res.lams[0], res.fields[0]
-    else:
-        lam, Y = lam_Y
-    cfg = MultiSolitonConfig(
-        profiles=[W], speeds=[0.0], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
-    dirs = [[build_exp_directions(Y, lam, 0.0)]]
+    lam, Y = ground_eigenpair() if lam_Y is None else lam_Y
+    cfg = single_soliton_config(0.0)
+    dirs = exp_direction_family(cfg, [(lam, Y)])
 
     from .quadrature import QuadratureSpec
     spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
@@ -565,12 +538,13 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                                enforce_ball=False)
     tau_max = T - t_end
     grid = default_grid_for(0.0, tau_max, margin=10.0, h=h)
-    w_arr = eval_on_grid(W, grid)
+    w = grid_weights(grid)
+    w_arr = eval_on_grid(cfg.profiles[0], grid)
     phi1 = eval_on_grid(built["phi"].first, grid)
     phi2 = eval_on_grid(built["phi"].second, grid)
-    basis = GridBasis(cfg, grid, [(lam, Y)])
-    zminus_pair = dirs[0][0]["-"].z_pair
-
+    z_pair = dirs[0][0]["-"].z_pair
+    z1 = eval_on_grid(z_pair.first, grid)
+    z2 = eval_on_grid(z_pair.second, grid)
     bg = soliton_background(cfg, grid)
 
     def run(s: float) -> dict:
@@ -586,7 +560,7 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                 v = ev.v_sync()
                 du = ev.u - w_arr
                 dev = math.sqrt(max(grid_h_norm_sq(du, v, grid), 0.0))
-                zr = grid_pair_l2(du, v, zminus_pair, grid)
+                zr = float(np.sum((du * z1 + v * z2) * w))
                 rec["a_exit"] = zr * zr
                 rec["exit_sign"] = math.copysign(1.0, zr) if zr else 0.0
                 if dev > tube_radius:
@@ -597,10 +571,16 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
         rec.pop("_last", None)
         return rec
 
+    runs = {}  # amplitude -> record: no amplitude runs twice
+
+    def record(s: float) -> dict:
+        if s not in runs:
+            runs[s] = run(s)
+        return runs[s]
+
     lo, hi = bracket
-    sweep_s = np.linspace(lo, hi, n_sweep)
-    sweep = [run(float(s)) for s in sweep_s]
-    r_lo, r_hi = run(lo), run(hi)
+    sweep = [record(float(s)) for s in np.linspace(lo, hi, n_sweep)]
+    r_lo, r_hi = record(lo), record(hi)
     if r_lo["exit_tau"] >= tau_max and r_hi["exit_tau"] >= tau_max:
         raise RuntimeError("both bracket ends persist to the end; "
                            "widen the amplitude bracket")
@@ -611,7 +591,7 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     best = max([r_lo, r_hi], key=lambda r: r["exit_tau"])
     for _ in range(n_bisect):
         mid = 0.5 * (a + b)
-        rm = run(mid)
+        rm = record(mid)
         if rm["exit_tau"] > best["exit_tau"]:
             best = rm
         if rm["exit_sign"] == sa or rm["exit_sign"] == 0.0:

@@ -12,16 +12,16 @@ needs:
   the angular variables, which is what makes the kernel-generator identities
   testable to near machine precision.
 
-Sampled fields live on the cylindrical grids :class:`Grid2DCyl` /
-:class:`Grid3DCyl` with piecewise-cubic interpolation and are serialized in a
-self-describing .npz container (see README for the exact layout).
+Sampled fields live on the cylindrical grid :class:`Grid2DCyl` with
+piecewise-cubic interpolation and are serialized in a self-describing .npz
+container (layout in :func:`save_field`).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,8 +34,6 @@ from .quadrature import (
     SYM_RADIAL,
     QuadratureResult,
     QuadratureSpec,
-    gauss_panels,
-    geometric_breaks,
     integrate_callable,
     join_symmetry,
     moment,
@@ -218,19 +216,6 @@ def _rp_product(a: RadialPart, b: RadialPart) -> RadialPart:
     return RadialPart(lambda r: a.f(r) * b.f(r), df)
 
 
-def _rp_combo(parts_coeffs) -> RadialPart:
-    """Linear combination sum c_i * S_i of radial parts."""
-    parts_coeffs = list(parts_coeffs)
-
-    def f(r):
-        return sum(c * p.f(r) for c, p in parts_coeffs)
-
-    def df(r):
-        return sum(c * p.require_df()(r) for c, p in parts_coeffs)
-
-    return RadialPart(f, df)
-
-
 class PolyRadialField(ScalarField):
     """Sum of terms x^m * S(|x|) with integer exponent vectors m.
 
@@ -365,15 +350,6 @@ def _safe_div(num, r):
     return num / np.where(r > 0, r, 1.0)
 
 
-def poly_radial(parts, decay=None, asymptote=None, name="") -> PolyRadialField:
-    """Build a PolyRadialField from (exponents, f, df[, d2f]) tuples."""
-    terms = []
-    for entry in parts:
-        m, fns = entry[0], entry[1:]
-        terms.append((m, RadialPart(*fns)))
-    return PolyRadialField(terms, decay=decay, asymptote=asymptote, name=name)
-
-
 # ---------------------------------------------------------------------------
 # sampled fields on cylindrical grids
 # ---------------------------------------------------------------------------
@@ -411,35 +387,13 @@ class Grid2DCyl:
         return self.r_max / (self.nr - 1)
 
 
-@dataclass(frozen=True)
-class Grid3DCyl:
-    """Uniform grid in (x1, x4, rho) for fields of (x1, x4, |(x2,x3)|)."""
-
-    x1_min: float
-    x1_max: float
-    n1: int
-    x4_min: float
-    x4_max: float
-    n4: int
-    r_max: float
-    nr: int
-
-    def __post_init__(self):
-        if (self.x1_max <= self.x1_min or self.x4_max <= self.x4_min
-                or self.r_max <= 0):
-            raise ValueError("empty grid ranges")
-
-    @property
-    def x1(self):
-        return np.linspace(self.x1_min, self.x1_max, self.n1)
-
-    @property
-    def x4(self):
-        return np.linspace(self.x4_min, self.x4_max, self.n4)
-
-    @property
-    def r(self):
-        return np.linspace(0.0, self.r_max, self.nr)
+def cylinder_points(x1, r) -> np.ndarray:
+    """Points (x1_i, r_j, 0, 0) of the (x1, rbar) tensor grid, i-major."""
+    X1, R = np.meshgrid(x1, r, indexing="ij")
+    P = np.zeros((X1.size, 4))
+    P[:, 0] = X1.ravel()
+    P[:, 1] = R.ravel()
+    return P
 
 
 def _stencil_derivative(values, h, axis):
@@ -461,33 +415,29 @@ class SampledField(ScalarField):
     ``meta['boundary_stencil']``).
     """
 
+    symmetry = SYM_CYL
+
     def __init__(self, grid, values, gradient_values=None, decay=None,
                  meta=None):
+        if not isinstance(grid, Grid2DCyl):
+            raise TypeError("unsupported grid type")
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         self.gradient_values = gradient_values
         self.decay = decay
         self.asymptote = None
         self.meta = dict(meta or {})
-        if isinstance(grid, Grid2DCyl):
-            self.symmetry = SYM_CYL
-            axes = (grid.x1, grid.r)
-        elif isinstance(grid, Grid3DCyl):
-            self.symmetry = SYM_BICYL
-            axes = (grid.x1, grid.x4, grid.r)
-        else:
-            raise TypeError("unsupported grid type")
-        method = "cubic" if min(len(a) for a in axes) >= 4 else "linear"
-        self._interp = RegularGridInterpolator(
-            axes, self.values, method=method, bounds_error=False, fill_value=0.0)
+        self._interp = self._interpolator(self.values)
         self._grad_interp = None
 
-    def _coords(self, X):
-        if self.symmetry == SYM_CYL:
-            rbar = np.linalg.norm(X[:, 1:], axis=1)
-            return np.stack([X[:, 0], rbar], axis=1)
-        rho = np.linalg.norm(X[:, 1:3], axis=1)
-        return np.stack([X[:, 0], X[:, 3], rho], axis=1)
+    def _interpolator(self, values):
+        return RegularGridInterpolator((self.grid.x1, self.grid.r), values,
+                                       method="cubic", bounds_error=False,
+                                       fill_value=0.0)
+
+    @staticmethod
+    def _coords(X):
+        return np.stack([X[:, 0], np.linalg.norm(X[:, 1:], axis=1)], axis=1)
 
     def evaluate(self, x):
         return self._interp(self._coords(_as_points(x)))
@@ -495,74 +445,39 @@ class SampledField(ScalarField):
     def _ensure_grad(self):
         if self._grad_interp is not None:
             return
-        g = self.grid
         if self.gradient_values is None:
-            if self.symmetry == SYM_CYL:
-                d1 = _stencil_derivative(self.values, g.h1, 0)
-                dr = _stencil_derivative(self.values, g.hr, 1)
-                self.gradient_values = (d1, dr)
-            else:
-                h1 = (g.x1_max - g.x1_min) / (g.n1 - 1)
-                h4 = (g.x4_max - g.x4_min) / (g.n4 - 1)
-                hr = g.r_max / (g.nr - 1)
-                self.gradient_values = (
-                    _stencil_derivative(self.values, h1, 0),
-                    _stencil_derivative(self.values, h4, 1),
-                    _stencil_derivative(self.values, hr, 2),
-                )
+            g = self.grid
+            self.gradient_values = (_stencil_derivative(self.values, g.h1, 0),
+                                    _stencil_derivative(self.values, g.hr, 1))
             self.meta.setdefault("boundary_stencil", "one-sided")
-        axes = ((self.grid.x1, self.grid.r) if self.symmetry == SYM_CYL
-                else (self.grid.x1, self.grid.x4, self.grid.r))
-        method = "cubic" if min(len(a) for a in axes) >= 4 else "linear"
-        self._grad_interp = [
-            RegularGridInterpolator(axes, gv, method=method,
-                                    bounds_error=False, fill_value=0.0)
-            for gv in self.gradient_values
-        ]
+        self._grad_interp = [self._interpolator(gv)
+                             for gv in self.gradient_values]
 
     def gradient(self, x):
         X = _as_points(x)
         self._ensure_grad()
         C = self._coords(X)
+        d1 = self._grad_interp[0](C)
+        dr = self._grad_interp[1](C)
+        rbar = C[:, 1]
+        unit = np.zeros((X.shape[0], 3))
+        mask = rbar > 0
+        unit[mask] = X[mask, 1:] / rbar[mask, None]
         out = np.zeros_like(X)
-        if self.symmetry == SYM_CYL:
-            d1 = self._grad_interp[0](C)
-            dr = self._grad_interp[1](C)
-            rbar = C[:, 1]
-            unit = np.zeros((X.shape[0], 3))
-            mask = rbar > 0
-            unit[mask] = X[mask, 1:] / rbar[mask, None]
-            out[:, 0] = d1
-            out[:, 1:] = dr[:, None] * unit
-        else:
-            d1 = self._grad_interp[0](C)
-            d4 = self._grad_interp[1](C)
-            dr = self._grad_interp[2](C)
-            rho = C[:, 2]
-            unit = np.zeros((X.shape[0], 2))
-            mask = rho > 0
-            unit[mask] = X[mask, 1:3] / rho[mask, None]
-            out[:, 0] = d1
-            out[:, 3] = d4
-            out[:, 1:3] = dr[:, None] * unit
+        out[:, 0] = d1
+        out[:, 1:] = dr[:, None] * unit
         return out
 
 
 def save_field(path, f: SampledField):
-    """Write the self-describing .npz container (layout documented in README)."""
+    """Write the self-describing .npz container: kind "cyl2d", the grid
+    axes (x1_min, x1_max, n1, r_max, nr), the samples, the decay exponent
+    (NaN when unknown) and any stored gradient grids grad_0, grad_1."""
     g = f.grid
-    meta = dict(f.meta)
-    meta["decay"] = f.decay if f.decay is not None else np.nan
-    if isinstance(g, Grid2DCyl):
-        kind = "cyl2d"
-        axes = dict(x1_min=g.x1_min, x1_max=g.x1_max, n1=g.n1,
-                    r_max=g.r_max, nr=g.nr)
-    else:
-        kind = "cyl3d"
-        axes = dict(x1_min=g.x1_min, x1_max=g.x1_max, n1=g.n1,
-                    x4_min=g.x4_min, x4_max=g.x4_max, n4=g.n4,
-                    r_max=g.r_max, nr=g.nr)
-    payload = dict(kind=kind, samples=f.values, decay=meta["decay"], **axes)
+    decay = f.decay if f.decay is not None else np.nan
+    payload = dict(kind="cyl2d", samples=f.values, decay=decay,
+                   x1_min=g.x1_min, x1_max=g.x1_max, n1=g.n1,
+                   r_max=g.r_max, nr=g.nr)
     if f.gradient_values is not None:
         for i, gv in enumerate(f.gradient_values):
             payload[f"grad_{i}"] = gv
@@ -572,15 +487,10 @@ def save_field(path, f: SampledField):
 def load_field(path) -> SampledField:
     with np.load(path, allow_pickle=False) as z:
         kind = str(z["kind"])
-        if kind == "cyl2d":
-            grid = Grid2DCyl(float(z["x1_min"]), float(z["x1_max"]), int(z["n1"]),
-                             float(z["r_max"]), int(z["nr"]))
-        elif kind == "cyl3d":
-            grid = Grid3DCyl(float(z["x1_min"]), float(z["x1_max"]), int(z["n1"]),
-                             float(z["x4_min"]), float(z["x4_max"]), int(z["n4"]),
-                             float(z["r_max"]), int(z["nr"]))
-        else:
+        if kind != "cyl2d":
             raise ValueError(f"unknown container kind {kind!r}")
+        grid = Grid2DCyl(float(z["x1_min"]), float(z["x1_max"]), int(z["n1"]),
+                         float(z["r_max"]), int(z["nr"]))
         grads = []
         i = 0
         while f"grad_{i}" in z:
@@ -617,11 +527,8 @@ def load_pair(path) -> "FieldPair":
 
 
 def _sample_on(f: ScalarField, grid) -> SampledField:
-    X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    return SampledField(grid, f.evaluate(P).reshape(X1.shape), decay=f.decay)
+    values = f.evaluate(cylinder_points(grid.x1, grid.r))
+    return SampledField(grid, values.reshape(grid.n1, grid.nr), decay=f.decay)
 
 
 def load_field_csv(path) -> SampledField:
@@ -742,55 +649,55 @@ def norm_pair(p: FieldPair, spec: QuadratureSpec | None = None) -> float:
     return math.sqrt(max(inner_pair_h(p, p, spec), 0.0))
 
 
+# columns of a kind "h" feature row: d/dx1 of the first component (the
+# gradient fills columns 0-3) and the second component
+_H_D1, _H_SECOND = 0, 4
+
+
+def _h_features(grad, second) -> np.ndarray:
+    """Kind "h" feature rows (N, 5) from the (N, 4) gradient samples of a
+    first component and the (N,) samples of a second component."""
+    return np.column_stack([grad, second])
+
+
+def _pairing_features(pairs, X, kind: str) -> np.ndarray:
+    """(N, n, k) stack of the pairs' features at X: _h_features (k = 5) for
+    kind "h", the first and the second component (k = 2) for kind "l2"."""
+    if kind == "h":
+        cols = [_h_features(p.first.gradient(X), p.second.evaluate(X))
+                for p in pairs]
+    else:
+        cols = [np.column_stack([p.first.evaluate(X), p.second.evaluate(X)])
+                for p in pairs]
+    return np.stack(cols, axis=1)
+
+
 def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
                   x1_range=None) -> np.ndarray:
     """Matrix of pairings (rows_i, cols_j) in one shared quadrature pass.
 
     kind "l2" pairs componentwise in L2, kind "h" uses the energy pairing
-    (Hdot1 on first components, L2 on second).  Every field is evaluated
-    once per quadrature chunk, so the cost is linear in the basis size.
-    Symmetric square blocks can be requested with rows is cols.
+    (Hdot1 on first components, L2 on second).  Every field is sampled
+    once per quadrature slab and the block is one product of the feature
+    stacks, so the cost is linear in the basis size.  Passing rows is cols
+    samples a square block once.
     """
     spec = spec or QuadratureSpec()
     if kind not in ("l2", "h"):
         raise ValueError("kind must be 'l2' or 'h'")
-    same = rows is cols
-    nr, nc = len(rows), len(cols)
-    if nr == 0 or nc == 0:
-        return np.zeros((nr, nc))
-    every = list(rows) + ([] if same else list(cols))
+    if len(rows) == 0 or len(cols) == 0:
+        return np.zeros((len(rows), len(cols)))
+    every = list(rows) + list(cols)
     _check_compatible(*[p.first for p in every])
     sym = join_symmetry(*[p.symmetry for p in every])
 
-    index = [(i, j) for i in range(nr)
-             for j in range((i if same else 0), nc)]
-
     def fn(X):
-        if kind == "h":
-            r1 = [p.first.gradient(X) for p in rows]
-            c1 = r1 if same else [p.first.gradient(X) for p in cols]
-        else:
-            r1 = [p.first.evaluate(X) for p in rows]
-            c1 = r1 if same else [p.first.evaluate(X) for p in cols]
-        r2 = [p.second.evaluate(X) for p in rows]
-        c2 = r2 if same else [p.second.evaluate(X) for p in cols]
-        out = np.empty((X.shape[0], len(index)))
-        for col_id, (i, j) in enumerate(index):
-            if kind == "h":
-                out[:, col_id] = (np.einsum("ij,ij->i", r1[i], c1[j])
-                                  + r2[i] * c2[j])
-            else:
-                out[:, col_id] = r1[i] * c1[j] + r2[i] * c2[j]
-        return out
+        R = _pairing_features(rows, X, kind)
+        C = R if cols is rows else _pairing_features(cols, X, kind)
+        return np.einsum("pik,pjk->pij", R, C)
 
-    vals = np.asarray(integrate_callable(fn, sym, spec,
+    return np.asarray(integrate_callable(fn, sym, spec,
                                          x1_range=x1_range).value)
-    M = np.zeros((nr, nc))
-    for col_id, (i, j) in enumerate(index):
-        M[i, j] = vals[col_id]
-        if same:
-            M[j, i] = vals[col_id]
-    return M
 
 
 def norm_l4(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
@@ -818,9 +725,3 @@ def hardy_sobolev_check(f: ScalarField,
     hardy = math.sqrt(max(integrate_callable(over_x2, f.symmetry, spec,
                                              decay=dec).value, 0.0))
     return (l4 / gnorm, hardy / gnorm)
-
-
-def radial_profile_quadrature(fn, r_max: float, nodes: int = 24) -> float:
-    """2 pi^2 * int_0^R fn(r) r^3 dr on geometric panels (radial fields)."""
-    r, w = gauss_panels(geometric_breaks(r_max), nodes)
-    return 2.0 * math.pi**2 * float(np.sum(fn(r) * r**3 * w))

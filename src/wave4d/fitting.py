@@ -17,9 +17,6 @@ class DecayFit:
     window: tuple
     model: str = "loglog"
 
-    def matches(self, expected_slope: float, tol: float) -> bool:
-        return abs(self.slope - expected_slope) <= tol
-
 
 def _r2(y, yhat):
     ss_res = float(np.sum((y - yhat) ** 2))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boosts import traveling_pair, traveling_profile
-from .fields import FieldPair, FormulaField, ScalarField
+from .boosts import traveling_profile
+from .fields import FormulaField, ScalarField
 from .fitting import DecayFit, fit_log_linear, fit_loglog
 from .quadrature import QuadratureSpec, integrate_callable, join_symmetry
 
@@ -107,6 +107,11 @@ class MultiSolitonConfig:
                   ) -> QuadratureSpec:
         base = base or QuadratureSpec()
         return base.with_centers(self.centers(t))
+
+    def x1_window(self, t: float, spec: QuadratureSpec) -> tuple:
+        """x1 range reaching spec.r_max (60 when unset) past every center."""
+        reach = spec.r_max or 60.0
+        return min(self.centers(t)) - reach, max(self.centers(t)) + reach
 
 
 def two_soliton_config(profile: ScalarField, slow: ScalarField, kernels,
@@ -239,25 +244,13 @@ def decompose_G(cfg: MultiSolitonConfig, t: float) -> GTerms:
                   total=asm.field("G"))
 
 
-def field_l2_norm(f: ScalarField, cfg: MultiSolitonConfig, t: float,
-                  spec: QuadratureSpec | None = None) -> float:
-    spec = cfg.quad_spec(t, spec)
-    lo = min(cfg.centers(t)) - (spec.r_max or 60.0)
-    hi = max(cfg.centers(t)) + (spec.r_max or 60.0)
-    val = integrate_callable(lambda X: f.evaluate(X) ** 2, f.symmetry, spec,
-                             decay=None, x1_range=(lo, hi)).value
-    return math.sqrt(max(val, 0.0))
-
-
 def g_part_norms(cfg: MultiSolitonConfig, t: float,
                  spec: QuadratureSpec | None = None) -> dict:
     """All part norms in one vector quadrature pass at time t."""
     asm = GAssembly(cfg, t)
     sp = cfg.quad_spec(t, spec)
-    lo = min(cfg.centers(t)) - (sp.r_max or 60.0)
-    hi = max(cfg.centers(t)) + (sp.r_max or 60.0)
     vals = integrate_callable(asm.squared_stack, asm.symmetry, sp,
-                              x1_range=(lo, hi)).value
+                              x1_range=cfg.x1_window(t, sp)).value
     vals = np.sqrt(np.maximum(np.asarray(vals), 0.0))
     n = cfg.n
     return dict(t=t, g1=float(vals[0]),
@@ -310,8 +303,7 @@ def pairwise_q_norm(cfg: MultiSolitonConfig, t: float,
 
             sp = cfg.quad_spec(t, spec)
             ln, lm = cfg.speeds[n], cfg.speeds[m]
-            lo = min(cfg.centers(t)) - (sp.r_max or 60.0)
-            hi = max(cfg.centers(t)) + (sp.r_max or 60.0)
+            lo, hi = cfg.x1_window(t, sp)
             sym = join_symmetry(Qn.symmetry, Qm.symmetry)
             if not split:
                 total += math.sqrt(max(integrate_callable(

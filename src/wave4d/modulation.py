@@ -17,22 +17,18 @@ up to linear-solver precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boosts import ExpDirection, build_exp_directions, traveling_pair
+from .boosts import build_exp_directions, traveling_pair
 from .fields import (
     AffineField,
     FieldPair,
     ScalarField,
-    inner_l2,
-    inner_pair_h,
-    inner_pair_l2,
     norm_pair,
     pairing_block,
     sum_field,
-    zero_field,
 )
 from .interactions import MultiSolitonConfig, localization_factor, sigma_rate
 from .quadrature import QuadratureSpec, integrate_callable, join_symmetry

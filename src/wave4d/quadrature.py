@@ -13,16 +13,18 @@ the origin/centers, doubling outward) with a fixed Gauss-Legendre rule per
 panel.  Adaptive mode doubles the per-panel node count until the difference
 between successive levels meets the requested tolerance.
 
-Integrands with angular content that is a polynomial of degree <= 3 in the
-transverse coordinates are handled exactly by averaging over signed axis
-embeddings of the transverse sphere (exact for parity reasons); arbitrary
-even monomial weights use the closed-form sphere moments in :func:`moment`.
+Every level is built by one routine as slabs of (points, weights), one slab
+per x1 node (the radial reduction is a single slab).
+:func:`integrate_callable` sums an integrand over the slabs one call at a
+time, and :func:`node_set` concatenates the slabs of a fixed spec, so fields
+can be sampled once and paired by weighted matrix products.  Exact angular integrals of monomial
+weights use the closed-form sphere moments in :func:`moment`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -188,103 +190,84 @@ def gauss_panels(breaks: np.ndarray, n: int):
     return x, w
 
 
-# transverse axis sets for the degree<=3 angular rule: (axis index, sign)
-_TRANSVERSE_AXES = {
-    SYM_RADIAL: (0, 1, 2, 3),
-    SYM_CYL: (1, 2, 3),
-    SYM_BICYL: (1, 2),
-}
-
-
-def _embeddings(symmetry: str, degree: int):
-    """Signed-axis embeddings of the transverse sphere, exact for angular
-    polynomials of degree <= 3 (odd parts cancel, quadratic moments exact)."""
-    if degree == 0:
-        if symmetry == SYM_RADIAL:
-            return [((0, 1), 1.0)]
-        return [((1, 1), 1.0)]
-    if degree > 3:
-        raise ValueError("angular rule supports transverse degree <= 3")
-    axes = _TRANSVERSE_AXES[symmetry]
-    emb = []
-    w = 1.0 / (2 * len(axes))
-    for ax in axes:
-        emb.append(((ax, 1), w))
-        emb.append(((ax, -1), w))
-    return emb
-
-
 def _wsum(vals, w):
-    """Weighted sum over the point axis; supports (N,) and (N, m) values."""
+    """Weighted sum over the leading point axis of (N,) or (N, ...) values."""
     vals = np.asarray(vals)
     if vals.ndim == 1:
         return float(np.dot(vals, w))
     return np.tensordot(w, vals, axes=(0, 0))
 
 
-def _eval_radial(fn, spec, nodes, r_max, extra_power, degree):
-    r, wr = gauss_panels(geometric_breaks(r_max), nodes)
-    total = 0.0
-    jac = sphere_area(4) * wr * r ** (3 + extra_power)
-    for (ax, sg), ew in _embeddings(SYM_RADIAL, degree):
+def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
+    """(r_max, x1_range) of a pass: explicit values, else from the spec."""
+    r_max = spec.r_max
+    if r_max is None:
+        r_max = default_r_max(decay, spec.abs_tol)
+    if x1_range is None:
+        span = max((abs(c) for c in spec.x1_centers), default=0.0)
+        x1_range = (-r_max - span, r_max + span)
+    return r_max, x1_range
+
+
+def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
+           x1_range: tuple):
+    """(points, weights) of one level, one slab per x1 node in x1 order.
+
+    The radial reduction is a single slab of points on the x1 axis.  The
+    others tensor each x1 node with the transverse nodes: rbar on the x2
+    axis (cylindrical), (rho, x4) on the x2 and x4 axes (bicylindrical), or
+    a tensor box in (x2, x3, x4) (full).  Weights carry the Jacobian of the
+    reduction, so a slab's integral is its weighted sum.
+    """
+    if symmetry == SYM_RADIAL:
+        r, wr = gauss_panels(geometric_breaks(r_max), nodes)
         X = np.zeros((r.size, 4))
-        X[:, ax] = sg * r
-        total = total + ew * _wsum(fn(X), jac)
-    return total
+        X[:, 0] = r
+        yield X, sphere_area(4) * wr * r**3
+        return
+    x1, w1 = gauss_panels(axis_breaks(*x1_range, spec.x1_centers), nodes)
+    if symmetry == SYM_CYL:
+        rb, wr = gauss_panels(geometric_breaks(r_max), nodes)
+        base = np.zeros((rb.size, 4))
+        base[:, 1] = rb
+        wt = 4.0 * math.pi * wr * rb**2
+    elif symmetry == SYM_BICYL:
+        x4, w4 = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
+        rho, wp = gauss_panels(geometric_breaks(r_max), nodes)
+        P, X4 = np.meshgrid(rho, x4, indexing="ij")
+        base = np.zeros((P.size, 4))
+        base[:, 1] = P.ravel()
+        base[:, 3] = X4.ravel()
+        wt = np.outer(wp * rho * 2.0 * math.pi, w4).ravel()
+    else:
+        xt, wx = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
+        base = np.zeros((xt.size**3, 4))
+        base[:, 1:] = np.stack(np.meshgrid(xt, xt, xt, indexing="ij"),
+                               axis=-1).reshape(-1, 3)
+        wt = (wx[:, None, None] * wx[None, :, None]
+              * wx[None, None, :]).ravel()
+    for x, w in zip(x1, w1):
+        X = base.copy()
+        X[:, 0] = x
+        yield X, w * wt
 
 
-def _eval_cyl(fn, spec, nodes, r_max, extra_power, degree, x1_range):
-    lo, hi = x1_range
-    x1, w1 = gauss_panels(axis_breaks(lo, hi, spec.x1_centers), nodes)
-    rb, wr = gauss_panels(geometric_breaks(r_max), nodes)
-    jac = 4.0 * math.pi * wr * rb ** (2 + extra_power)
-    total = 0.0
-    for (ax, sg), ew in _embeddings(SYM_CYL, degree):
-        acc = 0.0
-        for i in range(x1.size):  # chunk over x1 nodes; fixed order
-            X = np.zeros((rb.size, 4))
-            X[:, 0] = x1[i]
-            X[:, ax] = sg * rb
-            acc = acc + w1[i] * _wsum(fn(X), jac)
-        total = total + ew * acc
-    return total
+def node_set(symmetry: str, spec: QuadratureSpec) -> tuple:
+    """All (points, weights) of a fixed spec, slabs concatenated in order.
 
-
-def _eval_bicyl(fn, spec, nodes, r_max, extra_power, degree, x1_range):
-    lo, hi = x1_range
-    x1, w1 = gauss_panels(axis_breaks(lo, hi, spec.x1_centers), nodes)
-    x4, w4 = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
-    rho, wp = gauss_panels(geometric_breaks(r_max), nodes)
-    P, X4 = np.meshgrid(rho, x4, indexing="ij")
-    WW = np.outer(wp * rho ** (1 + extra_power) * 2.0 * math.pi, w4).ravel()
-    total = 0.0
-    for (ax, sg), ew in _embeddings(SYM_BICYL, degree):
-        acc = 0.0
-        X = np.zeros((rho.size * x4.size, 4))
-        X[:, 3] = X4.ravel()
-        X[:, ax] = sg * P.ravel()
-        for i in range(x1.size):
-            X[:, 0] = x1[i]
-            acc = acc + w1[i] * _wsum(fn(X), WW)
-        total = total + ew * acc
-    return total
-
-
-def _eval_full(fn, spec, nodes, r_max, x1_range):
-    lo, hi = x1_range
-    x1, w1 = gauss_panels(axis_breaks(lo, hi, spec.x1_centers), nodes)
-    xt, wt = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
-    X2, X3, X4 = np.meshgrid(xt, xt, xt, indexing="ij")
-    WT = (wt[:, None, None] * wt[None, :, None] * wt[None, None, :]).ravel()
-    total = 0.0
-    X = np.zeros((xt.size**3, 4))
-    X[:, 1] = X2.ravel()
-    X[:, 2] = X3.ravel()
-    X[:, 3] = X4.ravel()
-    for i in range(x1.size):
-        X[:, 0] = x1[i]
-        total = total + w1[i] * _wsum(fn(X), WT)
-    return total
+    A field sampled once on these points integrates (or pairs with another)
+    as a weighted sum, giving the values integrate_callable gives on the
+    same spec with no decay and no x1_range, up to round-off.  A spec with
+    r_max unset takes the truncation radius of decay None, so a pass given
+    a decay agrees with the node set only when the spec sets r_max.
+    """
+    if symmetry not in _SYM_ORDER:
+        raise ValueError(f"unknown symmetry tag {symmetry!r}")
+    if spec.scheme != "fixed":
+        raise ValueError("a node set needs a fixed spec")
+    r_max, x1_range = _resolve(spec, None, None)
+    pts, wts = zip(*_slabs(symmetry, spec, spec.nodes, r_max, x1_range))
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 def integrate_callable(
@@ -292,40 +275,25 @@ def integrate_callable(
     symmetry: str,
     spec: QuadratureSpec,
     decay: float | None = None,
-    transverse_degree: int = 0,
-    extra_radial_power: float = 0,
     x1_range: tuple | None = None,
 ) -> QuadratureResult:
     """Integrate fn over R^4.
 
-    fn maps an (N, 4) array of points to N values (or an (N, m) stack of m
-    integrands evaluated together, in which case value/error are vectors)
-    and must honor the declared symmetry; ``transverse_degree`` declares
-    polynomial angular content in the transverse coordinates (degree <= 3),
-    handled exactly by embedding averages.  ``extra_radial_power`` adds r^k
-    to the reduced Jacobian (used for even monomial weights folded in by the
-    caller).
+    fn maps an (N, 4) array of points to N values (or an (N, ...) stack of
+    integrands evaluated together, in which case value/error are arrays of
+    the trailing shape) and must honor the declared symmetry.  It is called
+    once per x1 node (once in all for the radial reduction), so each call
+    sees one slab of transverse nodes.
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
-    r_max = spec.r_max if spec.r_max is not None else default_r_max(decay, spec.abs_tol)
-    if x1_range is None:
-        span = max((abs(c) for c in spec.x1_centers), default=0.0)
-        x1_range = (-r_max - span, r_max + span)
+    r_max, x1_range = _resolve(spec, decay, x1_range)
 
     def level(nodes):
-        if symmetry == SYM_RADIAL:
-            return _eval_radial(fn, spec, nodes, r_max, extra_radial_power,
-                                transverse_degree)
-        if symmetry == SYM_CYL:
-            return _eval_cyl(fn, spec, nodes, r_max, extra_radial_power,
-                             transverse_degree, x1_range)
-        if symmetry == SYM_BICYL:
-            return _eval_bicyl(fn, spec, nodes, r_max, extra_radial_power,
-                               transverse_degree, x1_range)
-        if transverse_degree:
-            raise ValueError("full tensor quadrature takes no angular rule")
-        return _eval_full(fn, spec, nodes, r_max, x1_range)
+        total = 0.0
+        for X, w in _slabs(symmetry, spec, nodes, r_max, x1_range):
+            total = total + _wsum(fn(X), w)
+        return total
 
     tail = tail_bound(decay, r_max)
     val = level(spec.nodes)

@@ -16,6 +16,7 @@ two routes share nothing but the profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +28,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from .fields import FormulaField, ScalarField, inner_l2
+from .fields import FormulaField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
 from .quadrature import SYM_CYL, SYM_RADIAL, QuadratureSpec, symmetry_rank
+from .states import ground_state
 
 
 @dataclass
@@ -106,11 +108,7 @@ def assemble_cylindrical(q: ScalarField, length: float = 24.0,
                     np.full(n1 - 1, -1.0 / h1**2),
                     np.full(n1 - 1, -1.0 / h1**2)], [0, -1, 1], format="csr")
 
-    X1, RB = np.meshgrid(x1, rb, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    pot = sp.diags(-3.0 * q.evaluate(P) ** 2)
+    pot = sp.diags(-3.0 * q.evaluate(cylinder_points(x1, rb)) ** 2)
     M = sp.kron(A_1, sp.eye(nr)) + sp.kron(sp.eye(n1), A_r) + pot
     return CylOperator(matrix=M.tocsr(), x1=x1, r=rb, r_max=r_max,
                        length=length)
@@ -178,6 +176,15 @@ def radial_eigenfield(r: np.ndarray, values: np.ndarray,
     f.trusted_radius = r_t
     f.radial_parts = (val_r, d1_r, d2_r)
     return f
+
+
+@functools.lru_cache(maxsize=None)
+def ground_eigenpair() -> tuple:
+    """(lam_1, Y_1) of -Delta - 3 W^2 on the radial grid r_max = 25,
+    n = 1500 that the suites share; solved once per process."""
+    res = negative_spectrum(assemble_radial(ground_state(), r_max=25.0,
+                                            n=1500), k=1)
+    return res.lams[0], res.fields[0]
 
 
 @dataclass
@@ -311,13 +318,10 @@ def kernel_count(op, near_zero_fields=None, eps: float | None = None,
                "eigenvalues": [float(v) for v in vals[sel]],
                "alignments": []}
         if near_zero_fields:
-            X1, RB = np.meshgrid(op.x1, op.r, indexing="ij")
-            P = np.zeros((X1.size, 4))
-            P[:, 0] = X1.ravel()
-            P[:, 1] = RB.ravel()
+            P = cylinder_points(op.x1, op.r)
             window = (np.abs(P[:, 0]) <= trusted_fraction * op.length) & \
                      (P[:, 1] <= trusted_fraction * op.r_max)
-            wgt = RB.ravel()  # symmetrization weight rbar
+            wgt = P[:, 1]  # symmetrization weight rbar
             for f in near_zero_fields:
                 target = (f.evaluate(P) * wgt)[window]
                 t = target / np.linalg.norm(target)

@@ -24,12 +24,12 @@ from scipy.linalg import expm
 
 from .fields import (
     AffineField,
-    FieldPair,
     FormulaField,
     PolyRadialField,
     RadialPart,
     SampledField,
     ScalarField,
+    cylinder_points,
     load_field,
     load_field_csv,
 )
@@ -115,16 +115,6 @@ class RationalRadial:
         for k, c in other.terms.items():
             out[k] = out.get(k, 0.0) + c
         return RationalRadial(self.kappa if self.terms else other.kappa, out)
-
-    def mul(self, other: "RationalRadial") -> "RationalRadial":
-        if other.kappa != self.kappa and other.terms and self.terms:
-            raise ValueError("cannot mix bubble scales")
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return RationalRadial(self.kappa, out)
 
     @property
     def is_zero(self) -> bool:
@@ -471,10 +461,6 @@ def symmetry_generator(f: ScalarField, gid: str) -> ScalarField:
     return _generator_generic(f, gid)
 
 
-def generator_fields(f: ScalarField) -> dict:
-    return {gid: symmetry_generator(f, gid) for gid in GENERATOR_IDS}
-
-
 @dataclass
 class KernelBasis:
     """Slow direction (conformal_4 field) plus a rank-filtered spanning set."""
@@ -581,11 +567,7 @@ def cylindrical_residual_norm(f: ScalarField, x1_range, r_max: float,
     rb = (np.arange(1, nr) * hr)
 
     def sample(xs, rs):
-        X1, Rb = np.meshgrid(xs, rs, indexing="ij")
-        P = np.zeros((X1.size, 4))
-        P[:, 0] = X1.ravel()
-        P[:, 1] = np.abs(Rb.ravel())
-        return f.evaluate(P).reshape(X1.shape)
+        return f.evaluate(cylinder_points(xs, rs)).reshape(xs.size, rs.size)
 
     S = sample(x1, rb)
     lap = np.zeros_like(S)

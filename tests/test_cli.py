@@ -101,6 +101,13 @@ def test_interactions_suite(tmp_path):
     assert summary["all_passed"]
 
 
+@pytest.mark.parametrize("suite", ["evolve", "energy", "spectrum"])
+def test_suite_runs_with_defaults(tmp_path, suite):
+    assert main(["--out", str(tmp_path), suite]) == 0
+    summary = json.loads((tmp_path / f"{suite}_summary.json").read_text())
+    assert summary["all_passed"]
+
+
 def test_modulate_requires_pair_file(tmp_path):
     assert main(["--out", str(tmp_path), "modulate"]) == 2
 

@@ -215,6 +215,14 @@ def test_projected_form_blocks_match_explicit_projection(W, ground_eigen,
             assert F >= 0.0
 
 
+def test_projected_form_needs_fixed_spec(W, ground_eigen):
+    lam, Y = ground_eigen
+    kf = [symmetry_generator(W, "scaling")]
+    with pytest.raises(ValueError):
+        _ProjectedForm(0.0, W, kf, build_exp_directions(Y, lam, 0.0), None,
+                       QuadratureSpec(nodes=8, r_max=25.0))
+
+
 def test_weighted_coercivity_gamma_sweep(W, ground_eigen):
     """c_est(gamma) is reported per weight exponent; positivity holds for
     the smallest exponent and degrades as the weight strengthens (the

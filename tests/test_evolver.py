@@ -168,6 +168,26 @@ def test_bootstrap_margins_tables():
     assert all(r["phi"] < 0 for r in out2["rows"])
 
 
+def test_bootstrap_margins_start_after_t_one():
+    """A series monitored from t = 0 gets finite margins at every t > 1
+    and no row where log t <= 0 leaves them undefined."""
+    from wave4d.evolver import MonitorSeries
+
+    s = MonitorSeries()
+    s.times = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    s.states = [ModulationState(t=t, a=np.zeros(1), b=np.zeros((1, 1)),
+                                remainder=None, z_plus=np.zeros((1, 1)),
+                                z_minus=np.zeros((1, 1)), c=np.zeros(1),
+                                remainder_norm=0.0, gram_cond=1.0)
+                for t in s.times]
+    out = bootstrap_margins(s, c0=40.0)
+    assert [r["t"] for r in out["rows"]] == [1.5, 2.0, 3.0]
+    for row in out["rows"]:
+        assert all(math.isfinite(row[k])
+                   for k in ("a", "b", "phi", "z_minus", "z_plus"))
+    assert out["all_hold"]
+
+
 def test_bootstrap_margins_on_evolved_run(W, ground_eigen):
     ell = 0.0
     cfg = _single_cfg(W, ell)

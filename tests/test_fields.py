@@ -202,6 +202,18 @@ def test_pair_container_roundtrip(tmp_path, W):
     assert q.second(pt) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_l2_pairing_block_takes_no_gradient(W, fast_spec):
+    def no_gradient(X):
+        raise AssertionError("an L2 pairing asked for a gradient")
+
+    f = FormulaField(W.evaluate, no_gradient, symmetry="radial")
+    pairs = [FieldPair(f, zero_field()), FieldPair(zero_field(), f)]
+    M = pairing_block(pairs, pairs, "l2", fast_spec)
+    assert M[0, 0] == pytest.approx(inner_l2(W, W, fast_spec), rel=1e-10)
+    assert M[0, 1] == 0.0 and M[1, 0] == 0.0
+    assert M[1, 1] == pytest.approx(M[0, 0], rel=1e-14)
+
+
 def test_pairing_block_matches_entrywise(W, fast_spec):
     lw = symmetry_generator(W, "scaling")
     pairs = [FieldPair(W, zero_field()), FieldPair(lw, W)]

@@ -10,7 +10,7 @@ from wave4d.quadrature import (QuadratureSpec, ToleranceNotReached,
                                abs_moment, axis_breaks, default_r_max,
                                gauss_panels, geometric_breaks,
                                integrate_callable, join_symmetry, moment,
-                               sphere_area, tail_bound)
+                               node_set, sphere_area, tail_bound)
 
 TARGET_W4 = 32.0 * math.pi**2 / 3.0
 
@@ -97,6 +97,37 @@ def test_adaptive_reports_failure_and_require_raises():
     assert not res.converged
     with pytest.raises(ToleranceNotReached):
         res.require()
+
+
+@pytest.mark.parametrize("symmetry", ["radial", "cylindrical",
+                                      "bicylindrical", "full"])
+def test_node_set_sums_like_integrate_callable(symmetry):
+    """The concatenated node set gives the pass's value as a weighted sum,
+    and integrate_callable calls the integrand once per x1 slab."""
+    spec = QuadratureSpec(scheme="fixed", nodes=3, r_max=6.0,
+                          x1_centers=(1.5,))
+
+    def fn(X):
+        return np.exp(-np.sum(X * X, axis=1))
+
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return fn(X)
+
+    X, w = node_set(symmetry, spec)
+    value = integrate_callable(counted, symmetry, spec).value
+    assert float(fn(X) @ w) == pytest.approx(value, rel=1e-12)
+    assert sum(calls) == len(w)
+    assert len(set(calls)) == 1
+    if symmetry == "radial":
+        assert len(calls) == 1
+
+
+def test_node_set_rejects_adaptive_spec():
+    with pytest.raises(ValueError):
+        node_set("cylindrical", QuadratureSpec())
 
 
 def test_axis_breaks_cover_centers():
