@@ -25,12 +25,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .boosts import pair_vector, traveling_pair
+from .boosts import pair_vector
 from .fields import _H_SECOND, FieldPair, Grid2DCyl, ScalarField, \
     _h_features, _pairing_features, cylinder_points
 from .interactions import MultiSolitonConfig, localization_factor, sigma_rate
-from .modulation import ModulationState, basis_pairs, exp_direction_family, \
-    shift_pair
+from .modulation import ModulationState, _flatten_basis, _soliton_pairs, \
+    _split_z, _z_columns, basis_pairs, exp_direction_family
 from .spectrum import ground_eigenpair
 from .states import ground_state, symmetry_generator
 
@@ -218,16 +218,9 @@ class GridBasis:
         self.directions = exp_direction_family(self.cfg, self.rates_fields)
 
     def at_time(self, t: float) -> dict:
-        cfg = self.cfg
-        qpairs = [traveling_pair(p, ell, t, tau) for p, ell, tau
-                  in zip(cfg.profiles, cfg.speeds, cfg.signs)]
-        slow, kern = basis_pairs(cfg, t)
-        zcols = [(shift_pair(d["+"].z_pair, ell * t),
-                  shift_pair(d["-"].z_pair, ell * t))
-                 for ell, dirs in zip(cfg.speeds, self.directions)
-                 for d in dirs]
-        return dict(qpairs=qpairs, zcols=zcols,
-                    basis=slow + [p for row in kern for p in row])
+        return dict(qpairs=_soliton_pairs(self.cfg, t),
+                    zcols=_z_columns(self.cfg, self.directions, t),
+                    basis=_flatten_basis(*basis_pairs(self.cfg, t))[0])
 
 
 def _soliton_sum(data: dict, grid: Grid2DCyl) -> tuple:
@@ -266,12 +259,9 @@ def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
     a = coef[:cfg.n].copy()
     b = (coef[cfg.n:].reshape(cfg.n, cfg.n_kernel) if cfg.n_kernel
          else np.zeros((cfg.n, 0)))
-    J = len(basis.rates_fields)
-    Z = _pairing_features([z for col in data["zcols"] for z in col], P, "l2")
-    zpm = np.einsum("p,pik,pk->i", w.ravel(), Z,
-                    np.stack([phi1.ravel(), phi2.ravel()], axis=1))
-    zp = zpm[0::2].reshape(cfg.n, J)
-    zm = zpm[1::2].reshape(cfg.n, J)
+    Z = _pairing_features(data["zcols"], P, "l2")
+    phi = np.stack([phi1.ravel(), phi2.ravel()], axis=1)
+    zp, zm = _split_z(np.einsum("p,pik,pk->i", w.ravel(), Z, phi), cfg.n)
 
     cs = np.zeros(cfg.n)
     if basis.sigma is not None and t > 1.0:

@@ -606,8 +606,12 @@ def inner_l2(f: ScalarField, g: ScalarField,
         return f.product(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)
-    return integrate_callable(lambda X: f.evaluate(X) * g.evaluate(X), sym,
-                              spec, decay=_pair_decay(f, g),
+
+    def fn(X):
+        v = f.evaluate(X)
+        return v * (v if g is f else g.evaluate(X))
+
+    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g),
                               x1_range=x1_range).value
 
 
@@ -619,9 +623,13 @@ def inner_hdot1(f: ScalarField, g: ScalarField,
         return f.grad_dot(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)
-    return integrate_callable(
-        lambda X: np.einsum("ij,ij->i", f.gradient(X), g.gradient(X)), sym,
-        spec, decay=_pair_decay(f, g, 2.0), x1_range=x1_range).value
+
+    def fn(X):
+        G = f.gradient(X)
+        return np.einsum("ij,ij->i", G, G if g is f else g.gradient(X))
+
+    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g, 2.0),
+                              x1_range=x1_range).value
 
 
 def norm_l2(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
@@ -649,9 +657,12 @@ def norm_pair(p: FieldPair, spec: QuadratureSpec | None = None) -> float:
     return math.sqrt(max(inner_pair_h(p, p, spec), 0.0))
 
 
-# columns of a kind "h" feature row: d/dx1 of the first component (the
-# gradient fills columns 0-3) and the second component
+# feature layout of kind "both": the first component, its gradient, the
+# second component.  Kind "h" drops column 0 (so d/dx1 of the first
+# component sits at _H_D1 and the second at _H_SECOND); kind "l2" keeps
+# columns _L2_COLS only, and neither samples what its pairing does not use.
 _H_D1, _H_SECOND = 0, 4
+_L2_COLS = [0, 5]
 
 
 def _h_features(grad, second) -> np.ndarray:
@@ -661,15 +672,16 @@ def _h_features(grad, second) -> np.ndarray:
 
 
 def _pairing_features(pairs, X, kind: str) -> np.ndarray:
-    """(N, n, k) stack of the pairs' features at X: _h_features (k = 5) for
-    kind "h", the first and the second component (k = 2) for kind "l2"."""
-    if kind == "h":
-        cols = [_h_features(p.first.gradient(X), p.second.evaluate(X))
-                for p in pairs]
-    else:
-        cols = [np.column_stack([p.first.evaluate(X), p.second.evaluate(X)])
-                for p in pairs]
-    return np.stack(cols, axis=1)
+    """(N, n, k) stack of the pairs' features at X in the layout above:
+    k = 6 for kind "both", 5 for "h" and 2 for "l2"."""
+    def row(p):
+        second = p.second.evaluate(X)
+        if kind == "l2":
+            return np.column_stack([p.first.evaluate(X), second])
+        h = _h_features(p.first.gradient(X), second)
+        return h if kind == "h" else np.column_stack([p.first.evaluate(X), h])
+
+    return np.stack([row(p) for p in pairs], axis=1)
 
 
 def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
@@ -677,16 +689,18 @@ def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
     """Matrix of pairings (rows_i, cols_j) in one shared quadrature pass.
 
     kind "l2" pairs componentwise in L2, kind "h" uses the energy pairing
-    (Hdot1 on first components, L2 on second).  Every field is sampled
-    once per quadrature slab and the block is one product of the feature
-    stacks, so the cost is linear in the basis size.  Passing rows is cols
-    samples a square block once.
+    (Hdot1 on first components, L2 on second), and kind "both" returns the
+    stacked [h, l2] blocks, shape (2, len(rows), len(cols)), from one pass.
+    Every field is sampled once per quadrature slab and each block is one
+    product of the feature stacks, so the cost is linear in the basis size.
+    Passing rows is cols samples a square block once.
     """
     spec = spec or QuadratureSpec()
-    if kind not in ("l2", "h"):
-        raise ValueError("kind must be 'l2' or 'h'")
-    if len(rows) == 0 or len(cols) == 0:
-        return np.zeros((len(rows), len(cols)))
+    if kind not in ("l2", "h", "both"):
+        raise ValueError("kind must be 'l2', 'h' or 'both'")
+    shape = (len(rows), len(cols))
+    if 0 in shape:
+        return np.zeros((2,) + shape if kind == "both" else shape)
     every = list(rows) + list(cols)
     _check_compatible(*[p.first for p in every])
     sym = join_symmetry(*[p.symmetry for p in every])
@@ -694,7 +708,14 @@ def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
     def fn(X):
         R = _pairing_features(rows, X, kind)
         C = R if cols is rows else _pairing_features(cols, X, kind)
-        return np.einsum("pik,pjk->pij", R, C)
+        if kind != "both":
+            return np.einsum("pik,pjk->pij", R, C)
+        # in place: this (N, 2, n, m) result is a slab's largest array
+        out = np.empty((X.shape[0], 2) + shape)
+        np.einsum("pik,pjk->pij", R[..., 1:], C[..., 1:], out=out[:, 0])
+        np.einsum("pik,pjk->pij", R[..., _L2_COLS], C[..., _L2_COLS],
+                  out=out[:, 1])
+        return out
 
     return np.asarray(integrate_callable(fn, sym, spec,
                                          x1_range=x1_range).value)

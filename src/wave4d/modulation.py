@@ -12,12 +12,22 @@ too small).  The same machinery builds well-prepared initial data with
 prescribed pairings against the outgoing exponential directions and zero
 kernel-direction coefficients, and both directions compose to the identity
 up to linear-solver precision.
+
+A round trip costs five quadrature passes, each sampling every field once
+per slab: ``build_initial_data`` takes its L2 and energy rows from one
+"both" block; ``decompose`` gets ||dev||^2, the Gram matrix and the
+right-hand side from one energy block of [dev] + basis, then ||phi||^2 and
+(phi, Z+-)_L2 from one "both" block of [phi] + Z+-; ``compute_c`` takes one
+localized pass per soliton.  The passes stream slab by slab through
+``integrate_callable`` instead of stacking features on a ``node_set``: the
+surrogate is bicylindrical, so one pass has about 3e5 nodes, and six feature
+columns per pair on all of them would hold about 14 MB a pair at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +36,6 @@ from .fields import (
     AffineField,
     FieldPair,
     ScalarField,
-    norm_pair,
     pairing_block,
     sum_field,
 )
@@ -51,6 +60,18 @@ def shift_pair(p: FieldPair, c: float) -> FieldPair:
     return FieldPair(shift_field(p.first, c), shift_field(p.second, c))
 
 
+def _pair_sum(pairs, coeffs=None) -> FieldPair:
+    """Componentwise sum_i coeffs_i * pairs_i (all ones by default)."""
+    return FieldPair(sum_field([p.first for p in pairs], coeffs),
+                     sum_field([p.second for p in pairs], coeffs))
+
+
+def _soliton_pairs(cfg: MultiSolitonConfig, t: float) -> list:
+    """The traveling soliton pairs Q_n at time t."""
+    return [traveling_pair(p, ell, t, tau) for p, ell, tau
+            in zip(cfg.profiles, cfg.speeds, cfg.signs)]
+
+
 @dataclass
 class ModulationState:
     """Parameters and remainder of one decomposition."""
@@ -72,6 +93,12 @@ class GramSystem:
     labels: list
     cond: float
 
+    @classmethod
+    def of(cls, matrix: np.ndarray, labels: list) -> "GramSystem":
+        """The system of matrix, with its condition number (1 when empty)."""
+        return cls(matrix, labels,
+                   float(np.linalg.cond(matrix)) if labels else 1.0)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.matrix, rhs)
 
@@ -86,26 +113,20 @@ def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
 
 
 def _flatten_basis(slow, kern):
-    fields, labels = [], []
-    for n, p in enumerate(slow):
-        fields.append(p)
-        labels.append(("a", n))
-    for n, row in enumerate(kern):
-        for k, p in enumerate(row):
-            fields.append(p)
-            labels.append(("b", n, k))
+    """(fields, labels): the slow pairs ("a", n), then the kernel pairs
+    ("b", n, k) row by row."""
+    fields = list(slow) + [p for row in kern for p in row]
+    labels = [("a", n) for n in range(len(slow))] + [
+        ("b", n, k) for n, row in enumerate(kern) for k in range(len(row))]
     return fields, labels
 
 
 def gram_system(cfg: MultiSolitonConfig, t: float,
                 spec: QuadratureSpec | None = None) -> GramSystem:
     """Energy-pairing Gram matrix of the kernel-direction basis pairs."""
-    spec = cfg.quad_spec(t, spec)
-    slow, kern = basis_pairs(cfg, t)
-    fields, labels = _flatten_basis(slow, kern)
-    G = pairing_block(fields, fields, "h", spec)
-    cond = float(np.linalg.cond(G)) if len(fields) else 1.0
-    return GramSystem(matrix=G, labels=labels, cond=cond)
+    fields, labels = _flatten_basis(*basis_pairs(cfg, t))
+    return GramSystem.of(pairing_block(fields, fields, "h",
+                                       cfg.quad_spec(t, spec)), labels)
 
 
 def exp_direction_family(cfg: MultiSolitonConfig, rates_fields,
@@ -123,24 +144,26 @@ def exp_direction_family(cfg: MultiSolitonConfig, rates_fields,
     return fam
 
 
+def _z_columns(cfg: MultiSolitonConfig, directions, t: float,
+               signs=("+", "-")) -> list:
+    """Partners Z_nj of the given signs, shifted to the soliton centers at
+    time t; ordered by soliton n, then direction j, then sign."""
+    return [shift_pair(dirs[s].z_pair, ell * t)
+            for ell, per in zip(cfg.speeds, directions)
+            for dirs in per for s in signs]
+
+
+def _split_z(row: np.ndarray, n_sol: int) -> tuple:
+    """(z_plus, z_minus) of shape (N, J) from a row paired with _z_columns."""
+    return row[0::2].reshape(n_sol, -1), row[1::2].reshape(n_sol, -1)
+
+
 def compute_z(phi: FieldPair, cfg: MultiSolitonConfig, directions, t: float,
               spec: QuadratureSpec | None = None) -> tuple:
     """Pairings (phi, Z+-_nj)_L2; returns (z_plus, z_minus) of shape (N, J)."""
-    spec = cfg.quad_spec(t, spec)
-    n_sol = cfg.n
-    J = len(directions[0]) if n_sol else 0
-    cols = []
-    for n in range(n_sol):
-        c = cfg.speeds[n] * t
-        for j, dirs in enumerate(directions[n]):
-            cols.append(shift_pair(dirs["+"].z_pair, c))
-            cols.append(shift_pair(dirs["-"].z_pair, c))
-    if not cols:
-        return np.zeros((n_sol, 0)), np.zeros((n_sol, 0))
-    row = pairing_block([phi], cols, "l2", spec)[0]
-    zp = row[0::2].reshape(n_sol, J)
-    zm = row[1::2].reshape(n_sol, J)
-    return zp, zm
+    row = pairing_block([phi], _z_columns(cfg, directions, t), "l2",
+                        cfg.quad_spec(t, spec))[0]
+    return _split_z(row, cfg.n)
 
 
 def compute_c(phi_first: ScalarField, cfg: MultiSolitonConfig, n: int,
@@ -162,7 +185,6 @@ def compute_c(phi_first: ScalarField, cfg: MultiSolitonConfig, n: int,
 
     sp = cfg.quad_spec(t, spec)
     reach = 2.0 * sigma * t + 1.0
-    from dataclasses import replace
     sp = replace(sp, r_max=max(sp.r_max or 0.0, reach))
     sym = join_symmetry(phi_first.symmetry, psi_n.symmetry)
     lo, hi = ell * t - reach, ell * t + reach
@@ -182,68 +204,49 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
               spec: QuadratureSpec | None = None,
               directions=None, sigma: float | None = None,
               gamma0: float = 0.1, cond_threshold: float = 1e9,
-              gram: GramSystem | None = None) -> ModulationState:
+              ) -> ModulationState:
     """Orthogonal decomposition around the soliton sum at time t.
 
     Raises when the deviation exceeds gamma0 (outside the tube) or the Gram
     matrix is ill-conditioned (solitons too close / t too small).
     """
     spec_c = cfg.quad_spec(t, spec)
-    qpairs = [traveling_pair(p, ell, t, tau) for p, ell, tau
-              in zip(cfg.profiles, cfg.speeds, cfg.signs)]
-    dev_first = sum_field([u.first] + [qp.first for qp in qpairs],
-                          [1.0] + [-1.0] * len(qpairs))
-    dev_second = sum_field([u.second] + [qp.second for qp in qpairs],
-                           [1.0] + [-1.0] * len(qpairs))
-    dev = FieldPair(dev_first, dev_second)
-    dev_norm = norm_pair(dev, spec_c)
+    qpairs = _soliton_pairs(cfg, t)
+    dev = _pair_sum([u] + qpairs, [1.0] + [-1.0] * len(qpairs))
+    fields, labels = _flatten_basis(*basis_pairs(cfg, t))
+
+    # pass 1: ||dev||^2, the Gram matrix and the right-hand side
+    P = [dev] + fields
+    H = pairing_block(P, P, "h", spec_c)
+    dev_norm = math.sqrt(max(H[0, 0], 0.0))
     if dev_norm >= gamma0:
         raise ValueError(f"deviation {dev_norm:.3g} outside the gamma0 = "
                          f"{gamma0} tube; decomposition not attempted")
-
-    slow, kern = basis_pairs(cfg, t)
-    fields, labels = _flatten_basis(slow, kern)
-    if gram is None:
-        gram = gram_system(cfg, t, spec)
+    gram = GramSystem.of(H[1:, 1:], labels)
     if gram.cond > cond_threshold:
         raise GramIllConditioned(
             f"Gram condition {gram.cond:.3g} exceeds {cond_threshold:.3g}; "
             "solitons too close or t too small")
-    rhs = (pairing_block([dev], fields, "h", spec_c)[0]
-           if fields else np.zeros(0))
-    coef = gram.solve(rhs) if len(fields) else np.zeros(0)
+    coef = gram.solve(H[0, 1:]) if fields else np.zeros(0)
 
-    a = np.zeros(cfg.n)
-    b = np.zeros((cfg.n, cfg.n_kernel))
-    for c_val, lab in zip(coef, labels):
-        if lab[0] == "a":
-            a[lab[1]] = c_val
-        else:
-            b[lab[1], lab[2]] = c_val
+    # labels list the slow directions, then the kernel rows (_flatten_basis)
+    a, b = coef[:cfg.n], coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
+    phi = _pair_sum([dev] + fields, [1.0] + [-float(c) for c in coef])
 
-    phi_first = sum_field([dev.first] + [f.first for f in fields],
-                          [1.0] + [-float(c) for c in coef])
-    phi_second = sum_field([dev.second] + [f.second for f in fields],
-                           [1.0] + [-float(c) for c in coef])
-    phi = FieldPair(phi_first, phi_second)
+    # pass 2: ||phi||^2 and the pairings (phi, Z+-)_L2
+    P = [phi] + (_z_columns(cfg, directions, t) if directions is not None
+                 else [])
+    H, L = pairing_block(P, P, "both", spec_c)
+    zp, zm = _split_z(L[0, 1:], cfg.n)
 
-    if directions is not None:
-        zp, zm = compute_z(phi, cfg, directions, t, spec)
-    else:
-        J = 0
-        zp = np.zeros((cfg.n, 0))
-        zm = np.zeros((cfg.n, 0))
-
-    cs = np.zeros(cfg.n)
     if sigma is None and cfg.n >= 2:
         sigma = default_sigma(cfg)
-    if sigma is not None:
-        for n in range(cfg.n):
-            cs[n] = compute_c(phi.first, cfg, n, t, sigma, spec)
+    cs = np.zeros(cfg.n) if sigma is None else np.array(
+        [compute_c(phi.first, cfg, n, t, sigma, spec) for n in range(cfg.n)])
 
     return ModulationState(t=t, a=a, b=b, remainder=phi, z_plus=zp,
                            z_minus=zm, c=cs,
-                           remainder_norm=norm_pair(phi, spec_c),
+                           remainder_norm=math.sqrt(max(H[0, 0], 0.0)),
                            gram_cond=gram.cond)
 
 
@@ -267,40 +270,22 @@ def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,
                          f"T^-7/2 = {budget:.3g} ball")
     spec_c = cfg.quad_spec(T, spec)
 
-    slow, kern = basis_pairs(cfg, T)
-    fields, labels = _flatten_basis(slow, kern)
-    zplus_pairs, zplus_labels = [], []
-    for n in range(cfg.n):
-        c = cfg.speeds[n] * T
-        for j in range(J):
-            zplus_pairs.append(shift_pair(directions[n][j]["+"].z_pair, c))
-            zplus_labels.append(("z", n, j))
-    columns = zplus_pairs + fields
-    col_labels = zplus_labels + labels
+    fields, labels = _flatten_basis(*basis_pairs(cfg, T))
+    columns = _z_columns(cfg, directions, T, signs=("+",)) + fields
+    col_labels = [("z", n, j) for n in range(cfg.n) for j in range(J)] + labels
 
-    m = len(columns)
-    A_z = pairing_block(zplus_pairs, columns, "l2", spec_c)
-    A_h = pairing_block(fields, columns, "h", spec_c)
-    A = np.vstack([A_z, A_h])
-    rhs = np.zeros(m)
-    for i, (_, n, j) in enumerate(zplus_labels):
-        rhs[i] = z[n, j]
-    coef = np.linalg.solve(A, rhs)
+    # one pass: L2 rows of the Z+ partners, energy rows of the basis
+    H, L = pairing_block(columns, columns, "both", spec_c)
+    A = np.vstack([L[:z.size], H[z.size:]])
+    coef = np.linalg.solve(A, np.concatenate([z.ravel(),
+                                              np.zeros(len(fields))]))
 
-    phi_first = sum_field([c.first for c in columns], list(coef))
-    phi_second = sum_field([c.second for c in columns], list(coef))
-    phi = FieldPair(phi_first, phi_second)
-    qpairs = [traveling_pair(p, ell, T, tau) for p, ell, tau
-              in zip(cfg.profiles, cfg.speeds, cfg.signs)]
-    u_first = sum_field([qp.first for qp in qpairs] + [phi.first])
-    u_second = sum_field([qp.second for qp in qpairs] + [phi.second])
-
+    phi = _pair_sum(columns, list(coef))
     coeff_l1 = float(np.sum(np.abs(coef)))
-    return dict(u=FieldPair(u_first, u_second), phi=phi,
+    return dict(u=_pair_sum(_soliton_pairs(cfg, T) + [phi]), phi=phi,
                 coefficients=dict(zip([str(l) for l in col_labels],
                                       coef.tolist())),
-                coeff_l1=coeff_l1,
-                bound_ratio=coeff_l1 / budget,
+                coeff_l1=coeff_l1, bound_ratio=coeff_l1 / budget,
                 matrix_cond=float(np.linalg.cond(A)))
 
 

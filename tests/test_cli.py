@@ -101,7 +101,8 @@ def test_interactions_suite(tmp_path):
     assert summary["all_passed"]
 
 
-@pytest.mark.parametrize("suite", ["evolve", "energy", "spectrum"])
+@pytest.mark.parametrize("suite", ["states", "interactions", "shoot", "evolve",
+                                   "energy", "spectrum"])
 def test_suite_runs_with_defaults(tmp_path, suite):
     assert main(["--out", str(tmp_path), suite]) == 0
     summary = json.loads((tmp_path / f"{suite}_summary.json").read_text())

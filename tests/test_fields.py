@@ -13,7 +13,7 @@ from wave4d.fields import (FieldPair, FormulaField, Grid2DCyl, SampledField,
                            load_pair, norm_hdot1, norm_l2, norm_pair,
                            pairing_block, save_field, save_pair, zero_field,
                            zero_pair)
-from wave4d.quadrature import QuadratureSpec
+from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import dilate, ground_state, symmetry_generator
 
 # oracle: closed-form radial integral by adaptive 1D quadrature
@@ -223,3 +223,48 @@ def test_pairing_block_matches_entrywise(W, fast_spec):
             assert M[i, j] == pytest.approx(
                 inner_pair_h(pairs[i], pairs[j], fast_spec), rel=1e-6)
     assert np.allclose(M, M.T)
+
+
+@pytest.mark.parametrize("profile, symmetry", [("W", "cylindrical"),
+                                               ("Qs", "bicylindrical")])
+def test_both_kinds_block_equals_single_kind_blocks(profile, symmetry,
+                                                    request, fast_spec):
+    q = request.getfixturevalue(profile)
+    lq, tq = (symmetry_generator(q, g) for g in ("scaling", "translation_1"))
+    rows = [FieldPair(q, lq), FieldPair(tq, q)]
+    cols = rows + [FieldPair(lq, tq)]
+    assert join_symmetry(*[p.symmetry for p in cols]) == symmetry
+    for r in (rows, cols):
+        both = pairing_block(r, cols, "both", fast_spec)
+        assert both.shape == (2, len(r), len(cols))
+        for block, kind in zip(both, ("h", "l2")):
+            single = pairing_block(r, cols, kind, fast_spec)
+            np.testing.assert_allclose(block, single, rtol=1e-13,
+                                       atol=1e-15 * np.abs(single).max())
+    assert pairing_block([], cols, "both", fast_spec).shape == (2, 0, 3)
+
+
+def test_self_pairings_sample_once_per_slab(W, fast_spec):
+    calls = {"value": 0, "gradient": 0}
+
+    def counted(kind, fn):
+        def wrapped(X):
+            calls[kind] += 1
+            return fn(X)
+        return wrapped
+
+    f = FormulaField(counted("value", W.evaluate),
+                     counted("gradient", W.gradient), symmetry="cylindrical")
+    slabs = []
+    integrate_callable(lambda X: slabs.append(X) or X[:, 0], "cylindrical",
+                       fast_spec)
+    l2 = inner_l2(f, f, fast_spec)
+    hd = inner_hdot1(f, f, fast_spec)
+    assert calls == {"value": len(slabs), "gradient": len(slabs)}
+    # the same value as sampling each side apart
+    assert l2 == integrate_callable(
+        lambda X: W.evaluate(X) * W.evaluate(X), "cylindrical",
+        fast_spec).value
+    assert hd == integrate_callable(
+        lambda X: np.einsum("ij,ij->i", W.gradient(X), W.gradient(X)),
+        "cylindrical", fast_spec).value

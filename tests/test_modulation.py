@@ -223,6 +223,55 @@ def test_build_initial_data_roundtrip(cfg, dirs):
     assert np.max(np.abs(st_.z_plus - z)) / np.max(np.abs(z)) < 1e-8
 
 
+@pytest.mark.parametrize("data", ["slow_direction", "round_trip"])
+def test_decompose_matches_separate_pairings(cfg, dirs, data):
+    """The fused passes of decompose give what the separate public
+    pairings give on its remainder."""
+    t = 20.0
+    if data == "slow_direction":
+        base = _soliton_sum_pair(cfg, t)
+        psi1 = traveling_pair(cfg.slow[0], cfg.speeds[0], t, 1)
+        u = FieldPair(sum_field([base.first, psi1.first], [1.0, 0.01]),
+                      sum_field([base.second, psi1.second], [1.0, 0.01]))
+    else:
+        z = 0.4 * t**-3.5 * np.array([[1.0], [-0.6]])
+        u = build_initial_data(cfg, t, z, dirs, SPEC)["u"]
+    st_ = decompose(u, cfg, t, SPEC, directions=dirs)
+    if data == "slow_direction":
+        assert st_.a[0] == pytest.approx(0.01, rel=1e-9)
+    assert st_.remainder_norm == pytest.approx(
+        norm_pair(st_.remainder, cfg.quad_spec(t, SPEC)), rel=1e-12)
+    zp, zm = compute_z(st_.remainder, cfg, dirs, t, SPEC)
+    np.testing.assert_allclose(st_.z_plus, zp, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(st_.z_minus, zm, rtol=1e-12, atol=0.0)
+    assert st_.gram_cond == pytest.approx(gram_system(cfg, t, SPEC).cond,
+                                          rel=1e-12)
+
+
+def test_build_initial_data_matrix_is_the_single_kind_blocks(cfg, dirs):
+    """One both-kinds pass gives the system that the L2 rows of the Z+
+    partners and the energy rows of the basis give as separate blocks."""
+    from wave4d.modulation import _flatten_basis, basis_pairs
+
+    T = 20.0
+    z = 0.4 * T**-3.5 * np.array([[1.0], [-0.6]])
+    built = build_initial_data(cfg, T, z, dirs, SPEC)
+    spec_c = cfg.quad_spec(T, SPEC)
+    zplus = [shift_pair(dirs[n][0]["+"].z_pair, ell * T)
+             for n, ell in enumerate(cfg.speeds)]
+    fields, _ = _flatten_basis(*basis_pairs(cfg, T))
+    columns = zplus + fields
+    A = np.vstack([pairing_block(zplus, columns, "l2", spec_c),
+                   pairing_block(fields, columns, "h", spec_c)])
+    coef = np.linalg.solve(A, np.concatenate([z.ravel(),
+                                              np.zeros(len(fields))]))
+    assert built["matrix_cond"] == pytest.approx(np.linalg.cond(A),
+                                                 rel=1e-12)
+    got = np.array(list(built["coefficients"].values()))
+    np.testing.assert_allclose(got, coef, rtol=1e-12,
+                               atol=1e-12 * np.abs(coef).max())
+
+
 def test_build_initial_data_zero_and_linearity(cfg, dirs):
     T = 20.0
     built0 = build_initial_data(cfg, T, np.zeros((2, 1)), dirs, SPEC)
