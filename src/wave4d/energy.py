@@ -169,13 +169,7 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
         p1 = phi.first.evaluate(X)
         p2 = phi.second.evaluate(X)
         parts = asm.parts(X)
-        ruv = np.zeros(X.shape[0])
-        for f in asm.Q:
-            ruv += f.evaluate(X)
-        for nn in range(n):
-            ruv += cfg.a[nn] * asm.Psi[nn].evaluate(X)
-            for k in range(cfg.n_kernel):
-                ruv += cfg.b[nn, k] * asm.Phi[nn][k].evaluate(X)
+        ruv = parts["RUV"]
         chi = cutoff(t, X[:, 0])
         grad2 = np.einsum("ij,ij->i", g1, g1)
         cols = [grad2 + p2 * p2 - 0.5 * (ruv + p1) ** 4 + 0.5 * ruv**4

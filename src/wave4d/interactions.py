@@ -108,6 +108,11 @@ class MultiSolitonConfig:
         base = base or QuadratureSpec()
         return base.with_centers(self.centers(t))
 
+    def traveling_profiles(self, t: float) -> list:
+        """The signed traveling profiles Q_n at time t."""
+        return [traveling_profile(p, ell, t, tau) for p, ell, tau
+                in zip(self.profiles, self.speeds, self.signs)]
+
     def x1_window(self, t: float, spec: QuadratureSpec) -> tuple:
         """x1 range reaching spec.r_max (60 when unset) past every center."""
         reach = spec.r_max or 60.0
@@ -134,8 +139,7 @@ class GAssembly:
             raise ValueError("interaction assembly needs t > 0")
         self.cfg = cfg
         self.t = float(t)
-        self.Q = [traveling_profile(p, ell, t, tau) for p, ell, tau
-                  in zip(cfg.profiles, cfg.speeds, cfg.signs)]
+        self.Q = cfg.traveling_profiles(t)
         self.Psi = [traveling_profile(s, ell, t, 1) for s, ell
                     in zip(cfg.slow, cfg.speeds)]
         self.Phi = [[traveling_profile(pk, ell, t, 1) for pk in row]
@@ -145,39 +149,39 @@ class GAssembly:
               + [p for row in self.Phi for p in row]])
 
     def _componentwise(self, X):
+        """(q, w): the profiles Q_n and the per-soliton corrections
+        w_n = a_n Psi_n + sum_k b_nk Phi_nk at X.  A field whose
+        coefficient is zero is not sampled."""
         cfg = self.cfg
         q = np.stack([f.evaluate(X) for f in self.Q])
-        psi = np.stack([f.evaluate(X) for f in self.Psi])
-        if cfg.n_kernel:
-            phi = np.stack([np.stack([f.evaluate(X) for f in row])
-                            for row in self.Phi])
-        else:
-            phi = np.zeros((cfg.n, 0, X.shape[0]))
-        # w[n] = a_n Psi_n + sum_k b_nk Phi_nk (the per-soliton correction)
-        w = cfg.a[:, None] * psi
-        if cfg.n_kernel:
-            w = w + np.einsum("nk,nkp->np", cfg.b, phi)
-        return q, psi, phi, w
+        w = np.zeros_like(q)
+        for n in range(cfg.n):
+            if cfg.a[n]:
+                w[n] += cfg.a[n] * self.Psi[n].evaluate(X)
+            for k, f in enumerate(self.Phi[n]):
+                if cfg.b[n, k]:
+                    w[n] += cfg.b[n, k] * f.evaluate(X)
+        return q, w
 
     def parts(self, X) -> dict:
+        """G, G1, G2 (per soliton), G3 (four mixed parts) and the sum
+        R + U + V ("RUV") at X, from one sampling of every field."""
         cfg = self.cfg
-        q, psi, phi, w = self._componentwise(X)
+        q, w = self._componentwise(X)
+        q2 = q * q
         R = q.sum(axis=0)
-        U = (cfg.a[:, None] * psi).sum(axis=0)
-        V = np.einsum("nk,nkp->p", cfg.b, phi) if cfg.n_kernel else 0.0 * R
-        UV = U + V
-        total = ((R + UV) ** 3 - (q**3).sum(axis=0)
-                 - 3.0 * (cfg.a[:, None] * q**2 * psi).sum(axis=0))
-        if cfg.n_kernel:
-            total = total - 3.0 * np.einsum("nk,np,nkp->p", cfg.b, q**2, phi)
+        UV = w.sum(axis=0)
+        RUV = R + UV
+        q3_sum = (q2 * q).sum(axis=0)
+        total = RUV * RUV * RUV - q3_sum - 3.0 * (q2 * w).sum(axis=0)
 
-        qsum2 = R**2 - (q**2).sum(axis=0)  # sum_{n != n'} Q_n Q_n'
+        qsum2 = R * R - q2.sum(axis=0)  # sum_{n != n'} Q_n Q_n'
         g1 = np.zeros_like(R)
         for n in range(cfg.n):
-            g1 += 3.0 * q[n] ** 2 * (R - q[n])
+            g1 += 3.0 * q2[n] * (R - q[n])
         if cfg.n >= 3:
             # 6 sum_{n1<n2<n3} Q Q Q = R^3 - sum Q^3 - 3 sum_{n!=n'} Q^2 Q'
-            g1 += R**3 - (q**3).sum(axis=0) - g1
+            g1 += R * R * R - q3_sum - g1
         g2 = [3.0 * q[n] * w[n] ** 2 for n in range(cfg.n)]
         g31 = np.zeros_like(R)
         g33 = np.zeros_like(R)
@@ -186,11 +190,12 @@ class GAssembly:
             others_w2 = sum(w[m] ** 2 for m in range(cfg.n) if m != n)
             others_w = sum(w[m] for m in range(cfg.n) if m != n)
             g31 += 3.0 * q[n] * others_w2
-            g33 += 3.0 * q[n] ** 2 * others_w
+            g33 += 3.0 * q2[n] * others_w
             g34 += 3.0 * R * w[n] * others_w
         g33 += 3.0 * qsum2 * UV
-        g32 = UV**3
-        return {"G": total, "G1": g1, "G2": g2, "G3": [g31, g32, g33, g34]}
+        g32 = UV * UV * UV
+        return {"G": total, "G1": g1, "G2": g2, "G3": [g31, g32, g33, g34],
+                "RUV": RUV}
 
     def squared_stack(self, X) -> np.ndarray:
         """Columns [G1^2, G2_1^2..G2_N^2, G3_1^2..G3_4^2, G^2] at X."""
@@ -289,17 +294,18 @@ def pairwise_q_norm(cfg: MultiSolitonConfig, t: float,
     split of each squared integral (inner/outer in the n-frame)."""
     if cfg.n < 2:
         return (0.0, []) if split else 0.0
+    Q = cfg.traveling_profiles(t)
     total = 0.0
     details = []
     for n in range(cfg.n):
         for m in range(cfg.n):
             if m == n:
                 continue
-            asm = GAssembly(cfg, t)
-            Qn, Qm = asm.Q[n], asm.Q[m]
+            Qn, Qm = Q[n], Q[m]
 
             def fn(X):
-                return Qn.evaluate(X) ** 4 * Qm.evaluate(X) ** 2
+                qn2 = Qn.evaluate(X) ** 2
+                return qn2 * qn2 * Qm.evaluate(X) ** 2
 
             sp = cfg.quad_spec(t, spec)
             ln, lm = cfg.speeds[n], cfg.speeds[m]

@@ -11,7 +11,10 @@ start vector.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
-two routes share nothing but the profile.
+two routes share nothing but the profile.  The oracle integrates with the
+eighth-order Dormand-Prince pair (DOP853), which at its rtol of 1e-11 needs
+about a third of the steps of the fifth-order pair; each step samples the
+profile point by point, so the step count sets its cost.
 """
 
 from __future__ import annotations
@@ -362,24 +365,31 @@ def shooting_rate(q: ScalarField, bracket=(0.2, 2.5), r_far: float = 25.0,
     """Independent oracle for the ground rate lam_1 of -Delta - 3 q^2.
 
     Integrates the radial ODE outward from a series start and bisects on the
-    sign of the far-field value; returns lam with eigenvalue -lam^2.
+    sign of the far-field value; returns lam with eigenvalue -lam^2.  The
+    integrator is the eighth-order Dormand-Prince pair (DOP853): at rtol
+    1e-11 it takes about a third of the steps of the fifth-order pair, and
+    every step samples q point by point.
     """
+    X = np.zeros((1, 4))  # one point (r, 0, 0, 0), refilled per sample
+
     def qsq(r):
-        X = np.zeros((np.size(r), 4))
-        X[:, 0] = np.atleast_1d(r)
-        return q.evaluate(X) ** 2
+        X[0, 0] = r
+        v = float(q.evaluate(X)[0])
+        return v * v
+
+    q0sq = qsq(0.0)
 
     def miss(lam):
         lam2 = lam * lam
 
         def rhs(r, y):
             Y, dY = y
-            return [dY, -(3.0 / r) * dY + (lam2 - 3.0 * float(qsq(r)[0])) * Y]
+            return [dY, -(3.0 / r) * dY + (lam2 - 3.0 * qsq(r)) * Y]
 
-        c = (lam2 - 3.0 * float(qsq(0.0)[0])) / 8.0
+        c = (lam2 - 3.0 * q0sq) / 8.0
         r0 = 1e-3
         sol = solve_ivp(rhs, (r0, r_far), [1.0 + c * r0 * r0, 2 * c * r0],
-                        rtol=rtol, atol=1e-13)
+                        method="DOP853", rtol=rtol, atol=1e-13)
         return sol.y[0, -1]
 
     lo, hi = bracket

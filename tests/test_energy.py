@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wave4d.boosts import build_exp_directions, pair_vector
+from wave4d.boosts import build_exp_directions, pair_vector, traveling_pair
 from wave4d.energy import (CutoffChiN, WeightZeta, _ProjectedForm,
                            _random_bump_pair, coercivity_probe, conserved_energy_momentum,
                            energy_functionals, localized_norms,
@@ -13,8 +13,8 @@ from wave4d.energy import (CutoffChiN, WeightZeta, _ProjectedForm,
                            zeta_smallness)
 from wave4d.fields import FieldPair, FormulaField, zero_field
 from wave4d.fitting import fit_loglog
-from wave4d.interactions import two_soliton_config
-from wave4d.quadrature import QuadratureSpec, integrate_callable
+from wave4d.interactions import GAssembly, two_soliton_config
+from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import symmetry_generator
 
 W4 = 32.0 * math.pi**2 / 3.0
@@ -103,6 +103,51 @@ def test_functionals_trivial_cases(wcfg):
     assert r1.momentum == pytest.approx(-r2.momentum, rel=1e-10)
     assert r1.total == pytest.approx(sum([r1.energy, r1.momentum,
                                           r1.coupling, *r1.ramp]))
+
+
+def test_functionals_match_raw_field_formula(wcfg):
+    """With nonzero a and b, the functionals equal their integrand written
+    out on the raw fields Q_n, Psi_n, Phi_nk (R + U + V and G2 included)."""
+    cfg = two_soliton_config(wcfg.profiles[0], wcfg.slow[0], wcfg.kernels[0],
+                             speeds=(-0.4, 0.4), a=(0.02, -0.01),
+                             b=((0.01,), (-0.02,)))
+    t = 10.0
+    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=20.0)
+    bump = FormulaField(lambda X: np.exp(-0.1 * np.sum(X * X, axis=1)),
+                        symmetry="cylindrical")
+    phi = FieldPair(bump, bump * 0.5)
+    rep = energy_functionals(phi, cfg, t, spec=spec)
+
+    asm = GAssembly(cfg, t)
+    chi = CutoffChiN(tuple(cfg.speeds))
+    slow = [traveling_pair(s, ell, t, 1)
+            for s, ell in zip(cfg.slow, cfg.speeds)]
+
+    def fn(X):
+        g1 = phi.first.gradient(X)
+        p1, p2 = phi.first.evaluate(X), phi.second.evaluate(X)
+        q = [f.evaluate(X) for f in asm.Q]
+        w = [cfg.a[n] * asm.Psi[n].evaluate(X)
+             + sum(cfg.b[n, k] * f.evaluate(X)
+                   for k, f in enumerate(asm.Phi[n]))
+             for n in range(cfg.n)]
+        ruv = sum(q) + sum(w)
+        c = chi(t, X[:, 0])
+        cols = [np.einsum("ij,ij->i", g1, g1) + p2 * p2
+                - 0.5 * (ruv + p1) ** 4 + 0.5 * ruv**4 + 2.0 * ruv**3 * p1,
+                2.0 * c * g1[:, 0] * p2,
+                -2.0 * p1 * sum(3.0 * qn * wn**2 for qn, wn in zip(q, w))]
+        for n, ell in enumerate(cfg.speeds):
+            cols.append(2.0 * cfg.a[n] * (ell * g1[:, 0] - p2) * (ell - c)
+                        * slow[n].first.gradient(X)[:, 0])
+        return np.stack(cols, axis=1)
+
+    sp = cfg.quad_spec(t, spec)
+    ref = integrate_callable(fn, join_symmetry(phi.symmetry, asm.symmetry),
+                             sp, x1_range=cfg.x1_window(t, sp)).value
+    got = [rep.energy, rep.momentum, rep.coupling, *rep.ramp]
+    assert all(v != 0.0 for v in got)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_localized_norms_partition_and_bound(wcfg, rng):

@@ -77,6 +77,48 @@ def test_reconstruction_identity(surrogate_cfg, rng):
     assert terms.reconstruction_gap(pts) < 1e-12
 
 
+def test_direct_total_matches_raw_fields(surrogate_cfg, rng):
+    """G = (R+U+V)^3 - sum Q^3 - 3 sum a Q^2 Psi - 3 sum b Q^2 Phi, with
+    every field sampled on its own (nonzero a and b)."""
+    cfg = surrogate_cfg
+    asm = GAssembly(cfg, 12.0)
+    pts = rng.normal(scale=4.0, size=(80, 4))
+    pts[:, 0] += rng.choice([-6.0, 6.0], size=80)
+    Q = [f.evaluate(pts) for f in asm.Q]
+    Psi = [f.evaluate(pts) for f in asm.Psi]
+    Phi = [[f.evaluate(pts) for f in row] for row in asm.Phi]
+    R = sum(Q)
+    U = sum(cfg.a[n] * Psi[n] for n in range(cfg.n))
+    V = sum(cfg.b[n, k] * Phi[n][k]
+            for n in range(cfg.n) for k in range(cfg.n_kernel))
+    G = ((R + U + V) ** 3 - sum(q**3 for q in Q)
+         - 3.0 * sum(cfg.a[n] * Q[n] ** 2 * Psi[n] for n in range(cfg.n))
+         - 3.0 * sum(cfg.b[n, k] * Q[n] ** 2 * Phi[n][k]
+                     for n in range(cfg.n) for k in range(cfg.n_kernel)))
+    got = asm.parts(pts)
+    assert np.max(np.abs(got["G"] - G)) <= 1e-12 * np.max(np.abs(G))
+    assert np.max(np.abs(got["RUV"] - (R + U + V))) \
+        <= 1e-12 * np.max(np.abs(R + U + V))
+
+
+def test_zero_coefficient_corrections_are_not_sampled(Qs, rng):
+    """With a = b = 0 the assembly never samples Psi or Phi."""
+    cfg = two_soliton_config(Qs, symmetry_generator(Qs, "conformal_4"),
+                             [symmetry_generator(Qs, g)
+                              for g in ("scaling", "translation_1")])
+
+    def refuse(X):
+        raise AssertionError("a zero-coefficient field was sampled")
+
+    asm = GAssembly(cfg, 12.0)
+    asm.Psi = [FormulaField(refuse)] * cfg.n
+    asm.Phi = [[FormulaField(refuse)] * cfg.n_kernel] * cfg.n
+    pts = rng.normal(scale=4.0, size=(40, 4))
+    parts = asm.parts(pts)
+    assert all(np.all(v == 0.0) for v in parts["G2"] + parts["G3"])
+    assert np.any(parts["G1"] != 0.0)
+
+
 def test_decomposition_displays(Qs, rng):
     slow = symmetry_generator(Qs, "conformal_4")
     kern = [symmetry_generator(Qs, "scaling")]

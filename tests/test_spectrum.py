@@ -39,6 +39,18 @@ def test_grid_rate_matches_shooting_oracle(W, ground_eigen):
     assert abs(lam1 - lam_shoot) / lam_shoot < 0.01
 
 
+def test_shooting_oracle_matches_extrapolated_grid_rate(W):
+    """The oracle agrees with the second-order Richardson limit of the
+    radial grid rates far inside the grid's own error."""
+    lams = [negative_spectrum(assemble_radial(W, r_max=30.0, n=n), k=1).lams[0]
+            for n in (1000, 2000, 4000)]
+    order = math.log2((lams[1] - lams[0]) / (lams[2] - lams[1]))
+    assert order == pytest.approx(2.0, abs=0.05)
+    limit = (4.0 * lams[2] - lams[1]) / 3.0
+    lam_shoot = shooting_rate(W)
+    assert abs(limit - lam_shoot) / lam_shoot < 1e-9
+
+
 def test_rate_self_convergence(W):
     lams = []
     for n in (1000, 2000, 4000):
