@@ -29,7 +29,6 @@ from .fields import (
     ScalarField,
     inner_l2,
     inner_pair_l2,
-    sum_field,
     zero_field,
 )
 from .quadrature import SYM_CYL, QuadratureSpec, integrate_callable, join_symmetry
@@ -202,26 +201,13 @@ def _safe_exp_product(vals, s):
 
 def _direction_fields(Yj, lam, ell, sign):
     """(first, second) fields of one exponential direction, with exact
-    gradients when the eigenfield exposes its radial derivative data."""
+    gradients from the eigenfield's radial derivative data."""
+    parts = getattr(Yj, "radial_parts", None)
+    if parts is None:
+        raise TypeError("exponential directions need a radial eigenfield "
+                        "with radial_parts (spectrum.radial_eigenfield)")
     gamma = 1.0 / math.sqrt(1.0 - ell**2)
     kexp = -sign * ell * lam * gamma  # exponent slope along x1
-    parts = getattr(Yj, "radial_parts", None)
-
-    if parts is None:
-        Yl = boost_profile(Yj, ell)
-        d1Yl = component_derivative(Yl, 0)
-        core = sum_field([d1Yl, Yl], [-ell, sign * lam * gamma])
-
-        def first_fn(X):
-            return _safe_exp_product(Yl.evaluate(X), kexp * X[:, 0])
-
-        def second_fn(X):
-            return _safe_exp_product(core.evaluate(X), kexp * X[:, 0])
-
-        sym = Yl.symmetry
-        return (FormulaField(first_fn, symmetry=sym, name=f"ups{sign:+d},1"),
-                FormulaField(second_fn, symmetry=sym, name=f"ups{sign:+d},2"))
-
     val_r, d1_r, d2_r = parts
     gvec = np.array([gamma, 1.0, 1.0, 1.0])
 
@@ -275,7 +261,9 @@ def build_exp_directions(Yj: ScalarField, lam: float, ell: float,
                          j: int = 1) -> dict:
     """Both exponential directions for one eigenpair of the static operator.
 
-    Returns {'+': ExpDirection, '-': ExpDirection} with rate
+    Yj must be a radial eigenfield carrying ``radial_parts`` (as
+    :func:`spectrum.radial_eigenfield` builds them); anything else raises
+    TypeError.  Returns {'+': ExpDirection, '-': ExpDirection} with rate
     lam * sqrt(1 - ell^2); z_pair holds the closed-form J-identity partner
     -sign * rate * J(pair).  Consistency with H_ell applied directly is
     checked by :func:`z_identity_residual`.

@@ -1,12 +1,20 @@
 """Command-line orchestration of the verification suites.
 
 One JSON config file holds per-suite sections; flags override file values
-(flag > file > default).  Every run echoes its fully resolved configuration
-into the artifact directory, writes machine-readable results (JSON, plus
-CSV where there are series), and exits nonzero iff an asserted criterion
-failed.  ``report`` renders previously written summaries without
-recomputation.  The output root comes from --out, then the WAVE4D_OUT
-environment variable, then ./wave4d_out.
+(flag > file > default).  ``DEFAULTS`` is the one table of suite values: the
+config schema and each suite's flags are read off it, a value's JSON type
+being that of its default.  Every run exits nonzero iff an asserted
+criterion failed, and writes into the output directory
+
+- ``<suite>_resolved_config.json``: the fully resolved configuration;
+- ``<suite>_results.json``: the machine-readable results;
+- ``<suite>_summary.json``: the criteria and their verdicts;
+- one CSV series for three suites: ``states_residuals.csv``,
+  ``interactions_g1.csv`` and ``evolve_monitors.csv``.
+
+``report`` renders the summaries already written, without recomputation, to
+standard output and ``report.txt``.  The output root comes from --out, then
+the WAVE4D_OUT environment variable, then ./wave4d_out.
 """
 
 from __future__ import annotations
@@ -22,78 +30,47 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft202012Validator
 
-SUITES = ("states", "spectrum", "interactions", "modulate", "energy",
-          "evolve", "shoot")
-
-_SUITE_PROPERTIES = {
-    "states": {
-        "r_max": {"type": "number"}, "grid_sizes": {
-            "type": "array", "items": {"type": "integer"}},
-        "kelvin_points": {"type": "integer"},
-        "seed": {"type": "integer"},
-    },
-    "spectrum": {
-        "r_max": {"type": "number"}, "n": {"type": "integer"},
-        "k": {"type": "integer"}, "profile": {"type": "string"},
-        "seed": {"type": "integer"},
-    },
-    "interactions": {
-        "profile": {"enum": ["surrogate", "ground"]},
-        "speeds": {"type": "array", "items": {"type": "number"}},
-        "times": {"type": "array", "items": {"type": "number"}},
-        "nodes": {"type": "integer"}, "r_max": {"type": "number"},
-        "seed": {"type": "integer"},
-    },
-    "modulate": {
-        "pair_file": {"type": "string"},
-        "profile": {"enum": ["surrogate", "ground"]},
-        "speeds": {"type": "array", "items": {"type": "number"}},
-        "time": {"type": "number"}, "nodes": {"type": "integer"},
-        "r_max": {"type": "number"},
-        "seed": {"type": "integer"},
-    },
-    "energy": {
-        "speeds": {"type": "array", "items": {"type": "number"}},
-        "gamma": {"type": "number"}, "samples": {"type": "integer"},
-        "seed": {"type": "integer"}, "ell": {"type": "number"},
-    },
-    "evolve": {
-        "ell": {"type": "number"}, "t1": {"type": "number"},
-        "h": {"type": "number"}, "cadence": {"type": "number"},
-        "c0": {"type": "number"},
-        "seed": {"type": "integer"},
-    },
-    "shoot": {
-        "T": {"type": "number"}, "t_end": {"type": "number"},
-        "bracket": {"type": "array", "items": {"type": "number"}},
-        "h": {"type": "number"},
-        "seed": {"type": "integer"},
-    },
+DEFAULTS = {
+    "states": dict(r_max=20.0, grid_sizes=[200, 400, 800],
+                   kelvin_points=1000, seed=7),
+    "spectrum": dict(r_max=30.0, n=3000, k=3),
+    "interactions": dict(profile="surrogate", speeds=[-0.5, 0.5],
+                         times=[10.0, 20.0, 40.0, 80.0], nodes=8,
+                         r_max=40.0),
+    "modulate": dict(pair_file="", profile="surrogate", speeds=[-0.5, 0.5],
+                     time=20.0, nodes=8, r_max=30.0),
+    "energy": dict(speeds=[-0.5, 0.5], gamma=0.05, samples=40, seed=12345,
+                   ell=0.0),
+    "evolve": dict(ell=0.4, t1=5.0, h=0.1, cadence=0.5, c0=40.0),
+    "shoot": dict(T=20.0, t_end=6.0, bracket=[-6e-3, 6e-3], h=0.12),
 }
+SUITES = tuple(DEFAULTS)
+
+# keys whose string value is one of a fixed set, wherever they appear
+_CHOICES = {"profile": ["surrogate", "ground"]}
+
+_JSON_TYPES = {float: "number", int: "integer", str: "string"}
+
+
+def _key_schema(key: str, default) -> dict:
+    """JSON schema of one suite value, read off its default."""
+    if key in _CHOICES:
+        return {"enum": _CHOICES[key]}
+    if isinstance(default, list):
+        return {"type": "array",
+                "items": {"type": _JSON_TYPES[type(default[0])]}}
+    return {"type": _JSON_TYPES[type(default)]}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         suite: {"type": "object", "additionalProperties": False,
-                "properties": props}
-        for suite, props in _SUITE_PROPERTIES.items()
+                "properties": {k: _key_schema(k, v)
+                               for k, v in defaults.items()}}
+        for suite, defaults in DEFAULTS.items()
     },
-}
-
-DEFAULTS = {
-    "states": dict(r_max=20.0, grid_sizes=[200, 400, 800],
-                   kelvin_points=1000, seed=7),
-    "spectrum": dict(r_max=30.0, n=3000, k=3, profile="ground", seed=7),
-    "interactions": dict(profile="surrogate", speeds=[-0.5, 0.5],
-                         times=[10.0, 20.0, 40.0, 80.0], nodes=8,
-                         r_max=40.0, seed=7),
-    "modulate": dict(pair_file="", profile="surrogate", speeds=[-0.5, 0.5],
-                     time=20.0, nodes=8, r_max=30.0, seed=7),
-    "energy": dict(speeds=[-0.5, 0.5], gamma=0.05, samples=40, seed=12345,
-                   ell=0.0),
-    "evolve": dict(ell=0.4, t1=5.0, h=0.1, cadence=0.5, c0=40.0, seed=7),
-    "shoot": dict(T=20.0, t_end=6.0, bracket=[-6e-3, 6e-3], h=0.12, seed=7),
 }
 
 
@@ -224,9 +201,6 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
                            shooting_rate, verify_exponential_decay)
     from .states import ground_state, symmetry_generator
 
-    if cfg["profile"] != "ground":
-        raise ConfigError("the radial sector accepts the ground state only; "
-                          "the surrogate is not radially symmetric")
     W = ground_state()
     op = assemble_radial(W, r_max=cfg["r_max"], n=cfg["n"])
     res = negative_spectrum(op, k=cfg["k"])
@@ -310,7 +284,6 @@ def run_modulate(cfg: dict, outdir: Path) -> int:
                    z_minus=state.z_minus.tolist(), c=state.c.tolist(),
                    remainder_norm=state.remainder_norm,
                    gram_cond=state.gram_cond)
-    write_json(outdir / "modulation_state.json", results)
     crit = [criterion("gram condition below guard", state.gram_cond,
                       1e9, "le")]
     return finish(outdir, "modulate", cfg, results, crit)
@@ -346,7 +319,6 @@ def run_energy(cfg: dict, outdir: Path) -> int:
                     negative_control=rep.negative_control,
                     sup_omega=z["sup_omega"], sup_mismatch=z["sup_mismatch"])
                for t, z in zs.items()]
-    write_json(outdir / "energy_reports.json", reports)
     results = dict(c_min=rep.c_min, weighted_c_min=rep_w.c_min,
                    negative_control=rep.negative_control,
                    delta=chi.delta, reports=reports)
@@ -398,7 +370,6 @@ def run_shoot(cfg: dict, outdir: Path) -> int:
 
     rep = shooting_experiment(T=cfg["T"], t_end=cfg["t_end"],
                               bracket=tuple(cfg["bracket"]), h=cfg["h"])
-    write_json(outdir / "shoot_report.json", rep)
     crit = [
         criterion("optimum persists >= 2x bracket ends", rep["gain"], 2.0,
                   "ge"),
@@ -431,6 +402,14 @@ RUNNERS = dict(states=run_states, spectrum=run_spectrum,
                energy=run_energy, evolve=run_evolve, shoot=run_shoot)
 
 
+def _list_of(item: type):
+    """argparse type of a list flag: comma-separated values of type item."""
+    def parse(text: str) -> list:
+        return [item(v) for v in text.split(",") if v]
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wave4d",
@@ -440,17 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="suite", required=True)
     for s in SUITES:
         sp = sub.add_parser(s)
-        for key, schema in _SUITE_PROPERTIES[s].items():
-            kind = schema.get("type", "")
-            if kind == "number":
-                sp.add_argument(f"--{key}", type=float)
-            elif kind == "integer":
-                sp.add_argument(f"--{key}", type=int)
-            elif kind == "array":
-                sp.add_argument(f"--{key}", type=str,
+        for key, default in DEFAULTS[s].items():
+            if isinstance(default, list):
+                sp.add_argument(f"--{key}", type=_list_of(type(default[0])),
                                 help="comma-separated values")
             else:
-                sp.add_argument(f"--{key}", type=str)
+                sp.add_argument(f"--{key}", type=type(default),
+                                choices=_CHOICES.get(key))
     sub.add_parser("report")
     return p
 
@@ -465,16 +440,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    overrides = {}
-    for key, schema in _SUITE_PROPERTIES[args.suite].items():
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if schema.get("type") == "array":
-            item = schema["items"]["type"]
-            cast = float if item == "number" else int
-            val = [cast(v) for v in str(val).split(",") if v]
-        overrides[key] = val
+    overrides = {key: getattr(args, key) for key in DEFAULTS[args.suite]}
     cfg = resolve(args.suite, file_cfg, overrides)
     try:
         return RUNNERS[args.suite](cfg, outdir)

@@ -28,7 +28,7 @@ import numpy as np
 from .boosts import pair_vector
 from .fields import _H_SECOND, FieldPair, Grid2DCyl, ScalarField, \
     _h_features, _pairing_features, cylinder_points
-from .interactions import MultiSolitonConfig, localization_factor, sigma_rate
+from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _flatten_basis, _soliton_pairs, \
     _split_z, _z_columns, basis_pairs, exp_direction_family
 from .spectrum import ground_eigenpair
@@ -95,7 +95,8 @@ class CylWaveEvolver:
         self.dt = cfl * min(grid.h1, grid.hr)
         self.t = float(t0)
         self.u = np.array(u0, dtype=float)
-        self.v_half = np.array(v0, dtype=float) + 0.5 * self.dt * self.rhs(self.u)
+        self.force = self.rhs(self.u)  # rhs(u), kept from the last kick
+        self.v_half = np.array(v0, dtype=float) + 0.5 * self.dt * self.force
         self.blowup_threshold = blowup_threshold
         self.background = background
         self.status = "running"
@@ -130,7 +131,8 @@ class CylWaveEvolver:
             u_new[0, :] = u[0, :] + dt * (u[1, :] - u[0, :]) / g.h1
             u_new[-1, :] = u[-1, :] - dt * (u[-1, :] - u[-2, :]) / g.h1
             u_new[:, -1] = u[:, -1] - dt * (u[:, -1] - u[:, -2]) / g.hr
-        self.v_half += dt * self.rhs(u_new)
+        self.force = self.rhs(u_new)
+        self.v_half += dt * self.force
         self.v_half[0, :] = (u_new[0, :] - u[0, :]) / dt
         self.v_half[-1, :] = (u_new[-1, :] - u[-1, :]) / dt
         self.v_half[:, -1] = (u_new[:, -1] - u[:, -1]) / dt
@@ -142,7 +144,7 @@ class CylWaveEvolver:
         return self.status
 
     def v_sync(self) -> np.ndarray:
-        return self.v_half - 0.5 * self.dt * self.rhs(self.u)
+        return self.v_half - 0.5 * self.dt * self.force
 
     def state(self) -> EvolutionState:
         return EvolutionState(grid=self.grid, u=self.u.copy(),
@@ -155,7 +157,8 @@ class CylWaveEvolver:
         out.dt = self.dt
         out.t = self.t
         out.u = self.u.copy()
-        out.v_half = -(self.v_half - self.dt * self.rhs(self.u))
+        out.force = self.force
+        out.v_half = -(self.v_half - self.dt * self.force)
         out.blowup_threshold = self.blowup_threshold
         out.background = self.background  # valid for static backgrounds
         out.status = self.status
@@ -212,7 +215,6 @@ class GridBasis:
     cfg: MultiSolitonConfig
     grid: Grid2DCyl
     rates_fields: list
-    sigma: float | None = None
 
     def __post_init__(self):
         self.directions = exp_direction_family(self.cfg, self.rates_fields)
@@ -240,7 +242,8 @@ def grid_modulation(u, v, grid: Grid2DCyl, basis: GridBasis,
 def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
                        data: dict, t: float) -> ModulationState:
     """grid_modulation of the deviation (du, dv) from the soliton sum of
-    the at_time data."""
+    the at_time data.  The localized slow parameter c is not measured on
+    the grid; it reads zero."""
     cfg = basis.cfg
     P = cylinder_points(grid.x1, grid.r)
     w = grid_weights(grid)
@@ -263,16 +266,9 @@ def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
     phi = np.stack([phi1.ravel(), phi2.ravel()], axis=1)
     zp, zm = _split_z(np.einsum("p,pik,pk->i", w.ravel(), Z, phi), cfg.n)
 
-    cs = np.zeros(cfg.n)
-    if basis.sigma is not None and t > 1.0:
-        for n, ell in enumerate(cfg.speeds):
-            loc = localization_factor(ell, basis.sigma, t)(P).reshape(w.shape)
-            # the first basis pairs are the slow directions, one per soliton
-            cs[n] = (float(np.sum(phi1 * first[..., n] * loc * w))
-                     / (sigma_rate(ell) * math.log(t)))
-
     return ModulationState(
-        t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm, c=cs,
+        t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm,
+        c=np.zeros(cfg.n),
         remainder_norm=math.sqrt(max(grid_h_norm_sq(phi1, phi2, grid), 0.0)),
         gram_cond=float(np.linalg.cond(G)))
 
@@ -301,26 +297,13 @@ class MonitorSeries:
 
 def soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
     """Edge-value callback pinning the boundary to the soliton sum."""
-    edge_pts = []
-    for pts in ((np.full(grid.nr, grid.x1_min), grid.r),
-                (np.full(grid.nr, grid.x1_max), grid.r),
-                (grid.x1, np.full(grid.n1, grid.r_max))):
-        P = np.zeros((pts[0].size, 4))
-        P[:, 0] = pts[0]
-        P[:, 1] = pts[1]
-        edge_pts.append(P)
+    edge_pts = (cylinder_points([grid.x1_min], grid.r),
+                cylinder_points([grid.x1_max], grid.r),
+                cylinder_points(grid.x1, [grid.r_max]))
 
     def edges(t: float):
-        out = []
-        for P in edge_pts:
-            val = np.zeros(P.shape[0])
-            for p, ell, tau in zip(cfg.profiles, cfg.speeds, cfg.signs):
-                g = 1.0 / math.sqrt(1.0 - ell * ell)
-                Y = P.copy()
-                Y[:, 0] = (P[:, 0] - ell * t) * g
-                val += tau * p.evaluate(Y)
-            out.append(val)
-        return tuple(out)
+        Q = cfg.traveling_profiles(t)
+        return tuple(sum(q.evaluate(P) for q in Q) for P in edge_pts)
 
     return edges
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -165,23 +166,30 @@ class GAssembly:
 
     def parts(self, X) -> dict:
         """G, G1, G2 (per soliton), G3 (four mixed parts) and the sum
-        R + U + V ("RUV") at X, from one sampling of every field."""
+        R + U + V ("RUV") at X, from one sampling of every field.
+
+        The total is formed as G1 + 3 sum_n w_n S_n (R + Q_n)
+        + 3 R (U+V)^2 + (U+V)^3 with S_n = sum_{m != n} Q_m summed
+        directly, and G1 from S_n and the triple products: no O(1) cube is
+        cancelled, so G and G1 keep their relative precision where they are
+        much smaller than the profiles."""
         cfg = self.cfg
         q, w = self._componentwise(X)
         q2 = q * q
         R = q.sum(axis=0)
         UV = w.sum(axis=0)
-        RUV = R + UV
-        q3_sum = (q2 * q).sum(axis=0)
-        total = RUV * RUV * RUV - q3_sum - 3.0 * (q2 * w).sum(axis=0)
-
-        qsum2 = R * R - q2.sum(axis=0)  # sum_{n != n'} Q_n Q_n'
+        S = [sum((q[m] for m in range(cfg.n) if m != n), np.zeros_like(R))
+             for n in range(cfg.n)]
         g1 = np.zeros_like(R)
+        qsum2 = np.zeros_like(R)  # sum_{n != n'} Q_n Q_n'
+        cross = np.zeros_like(R)  # sum_n w_n S_n (R + Q_n)
         for n in range(cfg.n):
-            g1 += 3.0 * q2[n] * (R - q[n])
-        if cfg.n >= 3:
-            # 6 sum_{n1<n2<n3} Q Q Q = R^3 - sum Q^3 - 3 sum_{n!=n'} Q^2 Q'
-            g1 += R * R * R - q3_sum - g1
+            g1 += 3.0 * q2[n] * S[n]
+            qsum2 += q[n] * S[n]
+            cross += w[n] * S[n] * (R + q[n])
+        for i, j, k in combinations(range(cfg.n), 3):
+            g1 += 6.0 * q[i] * q[j] * q[k]
+        total = g1 + 3.0 * cross + 3.0 * R * UV * UV + UV * UV * UV
         g2 = [3.0 * q[n] * w[n] ** 2 for n in range(cfg.n)]
         g31 = np.zeros_like(R)
         g33 = np.zeros_like(R)
@@ -195,7 +203,7 @@ class GAssembly:
         g33 += 3.0 * qsum2 * UV
         g32 = UV * UV * UV
         return {"G": total, "G1": g1, "G2": g2, "G3": [g31, g32, g33, g34],
-                "RUV": RUV}
+                "RUV": R + UV}
 
     def squared_stack(self, X) -> np.ndarray:
         """Columns [G1^2, G2_1^2..G2_N^2, G3_1^2..G3_4^2, G^2] at X."""

@@ -289,7 +289,7 @@ def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,
                 matrix_cond=float(np.linalg.cond(A)))
 
 
-def modulation_residuals(states: list, majorant_logs: bool = True) -> dict:
+def modulation_residuals(states: list) -> dict:
     """Finite-difference parameter derivatives against their majorants.
 
     states must sit on a uniform time grid.  Reports max over interior

@@ -33,7 +33,6 @@ from .fields import (
     load_field,
     load_field_csv,
 )
-from .fitting import DecayFit, check_decay  # noqa: F401  (re-exported)
 from .quadrature import (
     SYM_BICYL,
     SYM_CYL,
@@ -514,12 +513,12 @@ def kernel_basis(Q: ScalarField, spec: QuadratureSpec | None = None,
     keep_ids = [live[j][0] for j in selected]
     keep_fields = [live[j][1] for j in selected]
 
-    full = [psi] + keep_fields
-    m = len(full)
-    Gfull = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            Gfull[i, j] = Gfull[j, i] = inner_hdot1(full[i], full[j], spec)
+    # the kept block is the rank filter's Gram; only psi's row is new
+    m = len(selected) + 1
+    Gfull = np.empty((m, m))
+    Gfull[1:, 1:] = G[np.ix_(selected, selected)]
+    Gfull[0, :] = Gfull[:, 0] = [inner_hdot1(psi, f, spec)
+                                 for f in [psi] + keep_fields]
     return KernelBasis(slow=psi, fields=keep_fields, ids=keep_ids,
                        gram=Gfull, rank=len(keep_ids), dropped=dropped)
 

@@ -171,3 +171,9 @@ def test_component_derivative(W, rng):
     d1 = component_derivative(W, 0)
     pts = rng.normal(size=(10, 4))
     assert np.allclose(d1.evaluate(pts), W.gradient(pts)[:, 0])
+
+
+def test_exp_directions_need_radial_parts(ground_eigen, W):
+    lam, _ = ground_eigen
+    with pytest.raises(TypeError, match="radial_parts"):
+        build_exp_directions(W, lam, 0.3)

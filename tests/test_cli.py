@@ -132,5 +132,52 @@ def test_modulate_runs_on_pair_file(tmp_path, W):
                  "--profile", "ground", "--time", "15", "--nodes", "6",
                  "--r_max", "12"])
     assert code == 0
-    state = json.loads((out / "modulation_state.json").read_text())
+    state = json.loads((out / "modulate_results.json").read_text())
     assert abs(np.asarray(state["a"])).max() < 0.05
+
+
+def test_every_default_has_a_flag_and_schema_entry_of_its_type():
+    from wave4d.cli import DEFAULTS, build_parser
+
+    json_type = {float: "number", int: "integer", str: "string"}
+    for suite, defaults in DEFAULTS.items():
+        props = CONFIG_SCHEMA["properties"][suite]["properties"]
+        assert set(props) == set(defaults)
+        for key, default in defaults.items():
+            entry = props[key]
+            if isinstance(default, list):
+                assert entry["type"] == "array"
+                assert entry["items"]["type"] == json_type[type(default[0])]
+                text = ",".join(map(str, default))
+            elif "enum" in entry:
+                assert default in entry["enum"]
+                text = default
+            else:
+                assert entry["type"] == json_type[type(default)]
+                text = str(default)
+            # the flag parses the default's own text back to the default
+            args = build_parser().parse_args([suite, f"--{key}={text}"])
+            value = getattr(args, key)
+            assert value == default and type(value) is type(default)
+            if isinstance(default, list):
+                assert {type(v) for v in value} == {type(default[0])}
+
+
+def test_choice_flag_rejects_other_values():
+    from wave4d.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["interactions", "--profile", "excited"])
+
+
+@pytest.mark.parametrize("suite,key", [
+    ("spectrum", "seed"), ("spectrum", "profile"), ("interactions", "seed"),
+    ("modulate", "seed"), ("evolve", "seed"), ("shoot", "seed")])
+def test_removed_keys_are_rejected(tmp_path, capsys, suite, key):
+    cfg_file = tmp_path / "old.json"
+    cfg_file.write_text(json.dumps({suite: {key: 7}}))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                 suite]) == 2
+    assert key in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--out", str(tmp_path / "o"), suite, f"--{key}", "7"])

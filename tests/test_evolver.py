@@ -56,6 +56,19 @@ def test_time_reversal_second_order(W):
     assert float(np.max(np.abs(back.u - u0))) < 1e-12
 
 
+def test_v_sync_reuses_the_last_force(W):
+    grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
+    ev = CylWaveEvolver(grid, eval_on_grid(W, grid),
+                        np.zeros((grid.n1, grid.nr)),
+                        background=soliton_background(_single_cfg(W, 0.0),
+                                                      grid))
+    for _ in range(7):
+        ev.step()
+    expected = ev.v_half - 0.5 * ev.dt * ev.rhs(ev.u)
+    assert np.array_equal(ev.v_sync(), expected)
+    assert np.array_equal(ev.state().v, expected)
+
+
 def test_linear_regime_energy_drift():
     """Tiny-amplitude drift is monitor discretization, shrinking at order 2."""
     drifts = []

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wave4d.interactions import (GAssembly, MultiSolitonConfig, assemble_G,
                                  pairwise_q_norm, sigma_rate,
                                  slow_pairing_lawcheck, slow_pairing_series,
                                  two_soliton_config)
-from wave4d.quadrature import QuadratureSpec
+from wave4d.quadrature import QuadratureSpec, integrate_callable
 from wave4d.states import symmetry_generator
 
 SPEC = QuadratureSpec(scheme="fixed", nodes=8, r_max=40.0)
@@ -254,3 +255,45 @@ def test_slow_pairing_cross_term_bounded(Qs):
 def test_sigma_rate_values():
     assert sigma_rate(0.0) == pytest.approx(2 * math.pi**2)
     assert sigma_rate(0.6) == pytest.approx(2 * math.pi**2 * 0.8)
+
+
+def _factored_g_longdouble(q, w):
+    """(G1, G) from the factored formula, in np.longdouble: G1 = 3 sum_{n!=m}
+    Q_n^2 Q_m + 6 sum_{i<j<k} Q_i Q_j Q_k and G = G1 + 3 sum_{n!=m} w_n Q_m
+    (R + Q_n) + 3 R W^2 + W^3, with no difference of O(1) cubes."""
+    q, w = q.astype(np.longdouble), w.astype(np.longdouble)
+    R, W = q.sum(axis=0), w.sum(axis=0)
+    g1 = np.zeros_like(R)
+    cross = np.zeros_like(R)
+    for n in range(len(q)):
+        for m in range(len(q)):
+            if m != n:
+                g1 += 3 * q[n] * q[n] * q[m]
+                cross += w[n] * q[m] * (R + q[n])
+    for i, j, k in combinations(range(len(q)), 3):
+        g1 += 6 * q[i] * q[j] * q[k]
+    return g1, g1 + 3 * cross + 3 * R * W * W + W * W * W
+
+
+@pytest.mark.parametrize("corrections,times", [
+    (False, (10.0, 20.0, 40.0, 80.0)),  # the laws settings
+    (True, (80.0,))])
+def test_g_norms_match_extended_precision_reference(Qs, surrogate_cfg,
+                                                    corrections, times):
+    """g and g1 equal an 80-bit evaluation of the factored G on the same
+    nodes: the far nodes, where G << Q_n, keep their relative precision."""
+    cfg = surrogate_cfg if corrections else two_soliton_config(
+        Qs, surrogate_cfg.slow[0], surrogate_cfg.kernels[0])
+    for t in times:
+        row = g_part_norms(cfg, t, SPEC)
+        asm = GAssembly(cfg, t)
+
+        def ref(X):
+            g1, g = _factored_g_longdouble(*asm._componentwise(X))
+            return np.stack([g1 * g1, g * g], axis=1).astype(float)
+
+        sp = cfg.quad_spec(t, SPEC)
+        g1_ref, g_ref = np.sqrt(integrate_callable(
+            ref, asm.symmetry, sp, x1_range=cfg.x1_window(t, sp)).value)
+        assert row["g1"] == pytest.approx(g1_ref, rel=1e-13, abs=0.0)
+        assert row["g"] == pytest.approx(g_ref, rel=1e-13, abs=0.0)
