@@ -14,6 +14,7 @@ SUITES = [
     ["states"],
     ["spectrum"],
     ["interactions"],
+    ["modulate"],
     ["energy"],
     ["evolve"],
     ["shoot"],

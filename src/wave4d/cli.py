@@ -265,20 +265,29 @@ def run_interactions(cfg: dict, outdir: Path) -> int:
 
 
 def run_modulate(cfg: dict, outdir: Path) -> int:
+    """Decompose the pair in pair_file or, without one, round-trip
+    well-prepared data built at ``time`` with z inside the T^-7/2 ball."""
     from .fields import load_pair
-    from .modulation import decompose, exp_direction_family
+    from .modulation import (build_initial_data, decompose,
+                             exp_direction_family)
     from .quadrature import QuadratureSpec
     from .spectrum import ground_eigenpair
 
-    if not cfg["pair_file"]:
-        raise ConfigError("modulate needs pair_file (field container with "
-                          "first/second components)")
     mcfg = _interaction_config(cfg["profile"], cfg["speeds"])
     spec = QuadratureSpec(scheme="fixed", nodes=cfg["nodes"],
                           r_max=cfg["r_max"])
+    T = cfg["time"]
     dirs = exp_direction_family(mcfg, [ground_eigenpair()])
-    u = load_pair(cfg["pair_file"])
-    state = decompose(u, mcfg, cfg["time"], spec, directions=dirs)
+    if cfg["pair_file"]:
+        z = None
+        u = load_pair(cfg["pair_file"])
+    else:
+        # alternating signs across solitons, half the ball radius (criterion 8)
+        z = np.ones((mcfg.n, len(dirs[0])))
+        z[1::2] = -1.0
+        z *= 0.5 * T**-3.5 / np.linalg.norm(z)
+        u = build_initial_data(mcfg, T, z, dirs, spec)["u"]
+    state = decompose(u, mcfg, T, spec, directions=dirs)
     results = dict(t=state.t, a=state.a.tolist(), b=state.b.tolist(),
                    z_plus=state.z_plus.tolist(),
                    z_minus=state.z_minus.tolist(), c=state.c.tolist(),
@@ -286,6 +295,14 @@ def run_modulate(cfg: dict, outdir: Path) -> int:
                    gram_cond=state.gram_cond)
     crit = [criterion("gram condition below guard", state.gram_cond,
                       1e9, "le")]
+    if z is not None:
+        err = max(np.max(np.abs(state.a)), np.max(np.abs(state.b)),
+                  np.max(np.abs(state.z_plus - z)))
+        results.update(z=z.tolist(),
+                       round_trip_rel=float(err / np.linalg.norm(z)))
+        crit.append(criterion("round trip max(|a|, |b|, |z_plus - z|) / |z| "
+                              "<= 1e-8", results["round_trip_rel"], 1e-8,
+                              "le"))
     return finish(outdir, "modulate", cfg, results, crit)
 
 
@@ -410,8 +427,30 @@ def _list_of(item: type):
     return parse
 
 
+_LIST_FLAGS = {f"--{key}" for defaults in DEFAULTS.values()
+               for key, default in defaults.items()
+               if isinstance(default, list)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser that joins each list flag to the word after it.
+
+    argparse reads a word such as ``-0.5,0.5`` as an unknown flag, so
+    ``--speeds -0.5,0.5`` is parsed as ``--speeds=-0.5,0.5``.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = []
+        for word in sys.argv[1:] if args is None else args:
+            if words and words[-1] in _LIST_FLAGS:
+                words[-1] += "=" + word
+            else:
+                words.append(word)
+        return super().parse_known_args(words, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="wave4d",
         description="verification suites for the multi-soliton laboratory")
     p.add_argument("--config", help="JSON config with per-suite sections")
@@ -442,11 +481,7 @@ def main(argv=None) -> int:
         return 2
     overrides = {key: getattr(args, key) for key in DEFAULTS[args.suite]}
     cfg = resolve(args.suite, file_cfg, overrides)
-    try:
-        return RUNNERS[args.suite](cfg, outdir)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    return RUNNERS[args.suite](cfg, outdir)
 
 
 if __name__ == "__main__":

@@ -63,6 +63,8 @@ class ScalarField:
     decay: float | None = None
     # coefficient A of the isotropic far-field f ~ A |x|^-decay, when known
     asymptote: float | None = None
+    # length scale of the profile's core, when known (None reads as 1)
+    core: float | None = None
 
     def evaluate(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -243,7 +245,7 @@ class PolyRadialField(ScalarField):
 
     def evaluate(self, x):
         X = _as_points(x)
-        r = np.linalg.norm(X, axis=1)
+        r = np.sqrt(np.einsum("ij,ij->i", X, X))
         out = np.zeros(X.shape[0])
         for m, p in self.terms:
             mono = np.ones(X.shape[0])
@@ -255,7 +257,7 @@ class PolyRadialField(ScalarField):
 
     def gradient(self, x):
         X = _as_points(x)
-        r = np.linalg.norm(X, axis=1)
+        r = np.sqrt(np.einsum("ij,ij->i", X, X))
         rs = np.where(r > 0, r, 1.0)
         g = np.zeros_like(X)
         for m, p in self.terms:

@@ -106,8 +106,11 @@ class MultiSolitonConfig:
 
     def quad_spec(self, t: float, base: QuadratureSpec | None = None
                   ) -> QuadratureSpec:
+        """base graded around the centers at time t, with first panels no
+        wider than the narrowest profile core."""
         base = base or QuadratureSpec()
-        return base.with_centers(self.centers(t))
+        core = min([base.core] + [p.core or 1.0 for p in self.profiles])
+        return replace(base.with_centers(self.centers(t)), core=core)
 
     def traveling_profiles(self, t: float) -> list:
         """The signed traveling profiles Q_n at time t."""

@@ -19,9 +19,11 @@ per slab: ``build_initial_data`` takes its L2 and energy rows from one
 right-hand side from one energy block of [dev] + basis, then ||phi||^2 and
 (phi, Z+-)_L2 from one "both" block of [phi] + Z+-; ``compute_c`` takes one
 localized pass per soliton.  The passes stream slab by slab through
-``integrate_callable`` instead of stacking features on a ``node_set``: the
-surrogate is bicylindrical, so one pass has about 3e5 nodes, and six feature
-columns per pair on all of them would hold about 14 MB a pair at once.
+``integrate_callable`` instead of stacking features on a ``node_set``: one
+surrogate pass has about 4.7e4 nodes at nodes 6, r_max 25 (1.2e5 at nodes 8,
+r_max 30), and six feature columns per pair on all of them would hold about
+2.2 MB (5.7 MB) a pair at once, 16 MB (40 MB) for the seven pairs of
+``decompose``'s first pass.
 """
 
 from __future__ import annotations

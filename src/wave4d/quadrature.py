@@ -5,13 +5,19 @@ symmetry:
 
 * ``radial``          f = f(|x|)
 * ``cylindrical``     f = f(x1, |(x2,x3,x4)|)
-* ``bicylindrical``   f = f(x1, x4, |(x2,x3)|)
+* ``bicylindrical``   f = f(x1, x4, |(x2,x3)|), a polynomial in x4 of degree
+                      <= 2*nodes - 1 whose coefficients depend on
+                      (x1, |(x2,x3,x4)|)
 * ``full``            no symmetry, tensor quadrature on a box
 
-The reduced domains are covered by geometrically graded panels (width 1 near
-the origin/centers, doubling outward) with a fixed Gauss-Legendre rule per
-panel.  Adaptive mode doubles the per-panel node count until the difference
-between successive levels meets the requested tolerance.
+The reduced domains are covered by geometrically graded panels (width
+``spec.core`` near the origin/centers, doubling outward) with a fixed
+Gauss-Legendre rule per panel.  The bicylindrical reduction writes the
+transverse half-plane in polar form, rbar = |(x2,x3,x4)| and u = x4/rbar, and
+integrates u with one Gauss-Legendre rule on [-1, 1]; that rule is exact for
+the contract above.  Adaptive mode doubles the per-panel node count (and the
+angular one) until the difference between successive levels meets the
+requested tolerance.
 
 Every level is built by one routine as slabs of (points, weights), one slab
 per x1 node (the radial reduction is a single slab).
@@ -79,10 +85,13 @@ class QuadratureSpec:
     rel_tol: float = 1e-7
     max_refinements: int = 3
     x1_centers: tuple = ()    # extra panel grading centers along x1
+    core: float = 1.0         # width of the first panel at the origin/centers
 
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("node count must be >= 2")
+        if self.core <= 0:
+            raise ValueError("core width must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.r_max is not None and self.r_max <= 0:
@@ -160,10 +169,11 @@ def geometric_breaks(r_max: float, first: float = 1.0) -> np.ndarray:
     return np.asarray(pts)
 
 
-def axis_breaks(lo: float, hi: float, centers=()) -> np.ndarray:
+def axis_breaks(lo: float, hi: float, centers=(),
+                first: float = 1.0) -> np.ndarray:
     """Breakpoints on [lo, hi] graded geometrically around each center.
 
-    Each center c (0 if none are given) contributes c and c +- 2^k,
+    Each center c (0 if none are given) contributes c and c +- first * 2^k,
     k = 0, 1, ..., wherever c lies; the result keeps those in (lo, hi) plus
     the two endpoints.  A window cut out of a larger domain therefore gets
     exactly the larger domain's breaks inside it: splitting a domain only
@@ -172,7 +182,7 @@ def axis_breaks(lo: float, hi: float, centers=()) -> np.ndarray:
     pts = {lo, hi}
     for c in set(float(c) for c in centers) or {0.0}:
         cand = [c]
-        w = 1.0
+        w = first
         while c + w < hi or c - w > lo:
             cand += [c + w, c - w]
             w *= 2.0
@@ -215,32 +225,38 @@ def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
 
     The radial reduction is a single slab of points on the x1 axis.  The
     others tensor each x1 node with the transverse nodes: rbar on the x2
-    axis (cylindrical), (rho, x4) on the x2 and x4 axes (bicylindrical), or
-    a tensor box in (x2, x3, x4) (full).  Weights carry the Jacobian of the
-    reduction, so a slab's integral is its weighted sum.
+    axis (cylindrical), the polar pair (rbar, u = x4/rbar) at
+    (rbar sqrt(1-u^2), 0, rbar u) in the (x2, x4) half-plane
+    (bicylindrical), or a tensor box in (x2, x3, x4) (full).  Weights carry
+    the Jacobian of the reduction, so a slab's integral is its weighted sum.
+    The u rule has ``nodes`` Gauss-Legendre points on [-1, 1], so a
+    bicylindrical slab is exact for integrands that are polynomials in x4 of
+    degree <= 2*nodes - 1 with coefficients depending on (x1, rbar).  The
+    first radial panel and the first x1 panel on each side of every center
+    are ``spec.core`` wide.
     """
+    rb, wr = gauss_panels(geometric_breaks(r_max, spec.core), nodes)
     if symmetry == SYM_RADIAL:
-        r, wr = gauss_panels(geometric_breaks(r_max), nodes)
-        X = np.zeros((r.size, 4))
-        X[:, 0] = r
-        yield X, sphere_area(4) * wr * r**3
+        X = np.zeros((rb.size, 4))
+        X[:, 0] = rb
+        yield X, sphere_area(4) * wr * rb**3
         return
-    x1, w1 = gauss_panels(axis_breaks(*x1_range, spec.x1_centers), nodes)
+    x1, w1 = gauss_panels(axis_breaks(*x1_range, spec.x1_centers, spec.core),
+                          nodes)
     if symmetry == SYM_CYL:
-        rb, wr = gauss_panels(geometric_breaks(r_max), nodes)
         base = np.zeros((rb.size, 4))
         base[:, 1] = rb
         wt = 4.0 * math.pi * wr * rb**2
     elif symmetry == SYM_BICYL:
-        x4, w4 = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
-        rho, wp = gauss_panels(geometric_breaks(r_max), nodes)
-        P, X4 = np.meshgrid(rho, x4, indexing="ij")
-        base = np.zeros((P.size, 4))
-        base[:, 1] = P.ravel()
-        base[:, 3] = X4.ravel()
-        wt = np.outer(wp * rho * 2.0 * math.pi, w4).ravel()
+        u, wu = np.polynomial.legendre.leggauss(nodes)
+        R, U = np.meshgrid(rb, u, indexing="ij")
+        base = np.zeros((R.size, 4))
+        base[:, 1] = (R * np.sqrt(1.0 - U * U)).ravel()
+        base[:, 3] = (R * U).ravel()
+        wt = np.outer(2.0 * math.pi * wr * rb**2, wu).ravel()
     else:
-        xt, wx = gauss_panels(axis_breaks(-r_max, r_max, (0.0,)), nodes)
+        xt, wx = gauss_panels(axis_breaks(-r_max, r_max, (0.0,), spec.core),
+                              nodes)
         base = np.zeros((xt.size**3, 4))
         base[:, 1:] = np.stack(np.meshgrid(xt, xt, xt, indexing="ij"),
                                axis=-1).reshape(-1, 3)

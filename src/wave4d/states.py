@@ -161,6 +161,7 @@ def ground_state() -> PolyRadialField:
     W = _poly_from([(np.zeros(4, dtype=int),
                      RationalRadial(-0.25, {(0, 1): 1.0}))], name="W")
     W.asymptote = 8.0
+    W.core = math.sqrt(8.0)
     W.meta = {"pde_solution": True}
     return W
 
@@ -205,6 +206,7 @@ def surrogate_excited_state(spec: SurrogateSpec | None = None) -> ScalarField:
     if default:
         Q = _poly_from([(_e(3), RationalRadial(-16.0, {(0, 2): 64.0}))],
                        name="Q_surrogate")
+        Q.core = 1.0 / math.sqrt(8.0)
     else:
         Q = kelvin(spec.seed)
         Q.name = "Q_surrogate"

@@ -101,16 +101,32 @@ def test_interactions_suite(tmp_path):
     assert summary["all_passed"]
 
 
-@pytest.mark.parametrize("suite", ["states", "interactions", "shoot", "evolve",
-                                   "energy", "spectrum"])
+@pytest.mark.parametrize("suite", ["states", "interactions", "modulate",
+                                   "shoot", "evolve", "energy", "spectrum"])
 def test_suite_runs_with_defaults(tmp_path, suite):
     assert main(["--out", str(tmp_path), suite]) == 0
     summary = json.loads((tmp_path / f"{suite}_summary.json").read_text())
     assert summary["all_passed"]
 
 
-def test_modulate_requires_pair_file(tmp_path):
-    assert main(["--out", str(tmp_path), "modulate"]) == 2
+def test_modulate_without_pair_file_round_trips_built_data(tmp_path):
+    import numpy as np
+
+    assert main(["--out", str(tmp_path), "modulate", "--nodes", "6",
+                 "--r_max", "25"]) == 0
+    res = json.loads((tmp_path / "modulate_results.json").read_text())
+    z = np.asarray(res["z"])
+    # z sits inside the T^-7/2 ball with alternating signs
+    assert np.linalg.norm(z) <= res["t"] ** -3.5
+    assert z[0, 0] > 0 > z[1, 0]
+    scale = np.linalg.norm(z)
+    assert np.max(np.abs(res["a"])) <= 1e-8 * scale
+    assert np.max(np.abs(res["b"])) <= 1e-8 * scale
+    assert np.max(np.abs(np.asarray(res["z_plus"]) - z)) <= 1e-8 * scale
+    summary = json.loads((tmp_path / "modulate_summary.json").read_text())
+    names = [c["name"] for c in summary["criteria"]]
+    assert any(n.startswith("round trip") for n in names)
+    assert summary["all_passed"]
 
 
 def test_modulate_runs_on_pair_file(tmp_path, W):
@@ -161,6 +177,25 @@ def test_every_default_has_a_flag_and_schema_entry_of_its_type():
             assert value == default and type(value) is type(default)
             if isinstance(default, list):
                 assert {type(v) for v in value} == {type(default[0])}
+
+
+def test_list_flags_take_a_negative_value_in_either_form():
+    from wave4d.cli import DEFAULTS, build_parser
+
+    flags = [(suite, key, [-v for v in default])
+             for suite, defaults in DEFAULTS.items()
+             for key, default in defaults.items()
+             if isinstance(default, list)]
+    assert {("interactions", "speeds"), ("shoot", "bracket")} <= {
+        (suite, key) for suite, key, _ in flags}
+    for suite, key, value in flags:
+        text = ",".join(map(str, value))
+        for argv in ([suite, f"--{key}", text], [suite, f"--{key}={text}"]):
+            assert getattr(build_parser().parse_args(argv), key) == value
+    # a negative list value followed by another flag
+    args = build_parser().parse_args(["shoot", "--bracket", "-6e-3,6e-3",
+                                      "--h", "0.1"])
+    assert args.bracket == [-6e-3, 6e-3] and args.h == 0.1
 
 
 def test_choice_flag_rejects_other_values():

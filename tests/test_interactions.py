@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +42,15 @@ def test_config_validation(W):
         two_soliton_config(W, slow, [], speeds=(-0.5, 1.5))
     with pytest.raises(ValueError):
         two_soliton_config(W, slow, [], a=(0.5, 0.5))
+
+
+def test_quad_spec_grades_by_the_narrowest_core(surrogate_cfg, ground_cfg):
+    """First panels follow the profile core, never wider than 1: the
+    surrogate's 1/sqrt(8) core narrows them, W's sqrt(8) core does not."""
+    assert surrogate_cfg.quad_spec(10.0, SPEC).core == 1.0 / math.sqrt(8.0)
+    assert ground_cfg.quad_spec(10.0, SPEC).core == 1.0
+    assert ground_cfg.quad_spec(10.0, replace(SPEC, core=0.5)).core == 0.5
+    assert surrogate_cfg.quad_spec(10.0, SPEC).x1_centers == (-5.0, 5.0)
 
 
 def test_cutoff_bump_shape():
@@ -227,6 +237,15 @@ def test_pairwise_q_norm(surrogate_cfg, W):
     for t, i, o in zip(times, inner, outer):
         if t >= 20.0:
             assert o <= i
+
+
+@pytest.mark.parametrize("t", [10.0, 80.0])
+def test_pairwise_total_is_converged_at_laws_nodes(surrogate_cfg, t):
+    """The laws resolution (nodes 8) gives the pairwise total of a nodes-32
+    pass to 1e-6: the angle is exact and the panels resolve the core."""
+    fine = pairwise_q_norm(surrogate_cfg, t, replace(SPEC, nodes=32))
+    assert pairwise_q_norm(surrogate_cfg, t, SPEC) == pytest.approx(
+        fine, rel=1e-6)
 
 
 def test_slow_pairing_log_law(Qs):

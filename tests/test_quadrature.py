@@ -138,17 +138,26 @@ def test_axis_breaks_cover_centers():
         assert np.min(np.abs(b - c)) < 1e-12
 
 
+def test_axis_breaks_first_panel_width():
+    b = axis_breaks(-10.0, 10.0, centers=(2.0,), first=0.25)
+    i = int(np.flatnonzero(b == 2.0)[0])
+    np.testing.assert_allclose(b[i - 3:i + 4] - 2.0,
+                               [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-60.0, 60.0), max_size=3),
-       st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=3))
-def test_axis_breaks_window_is_restriction_of_domain(centers, cuts):
+       st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=3),
+       st.sampled_from([1.0, 1.0 / math.sqrt(8.0), 0.25, 3.0]))
+def test_axis_breaks_window_is_restriction_of_domain(centers, cuts, first):
     """A window gets exactly the breaks the full domain has inside it."""
     lo, hi = -80.0, 80.0
-    full = axis_breaks(lo, hi, centers)
+    full = axis_breaks(lo, hi, centers, first)
     edges = sorted({lo, hi, *cuts})
     for a, b in zip(edges[:-1], edges[1:]):
         expected = sorted({a, b} | {x for x in full if a < x < b})
-        np.testing.assert_array_equal(axis_breaks(a, b, centers), expected)
+        np.testing.assert_array_equal(axis_breaks(a, b, centers, first),
+                                      expected)
 
 
 def test_split_windows_sum_to_unsplit_integral():
@@ -173,6 +182,131 @@ def test_split_windows_sum_to_unsplit_integral():
         assert parts == pytest.approx(whole, rel=1e-12)
 
 
+def _gauss(X):
+    return np.exp(-np.sum(X * X, axis=1))
+
+
+def test_bicylindrical_closed_form_integral():
+    """int x4^2 exp(-|x|^2) dx over R^4 = pi^2 / 2."""
+    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=12.0)
+    value = integrate_callable(lambda X: X[:, 3] ** 2 * _gauss(X),
+                               "bicylindrical", spec).value
+    assert value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [3, 6, 8])
+def test_bicylindrical_odd_integrand_vanishes(nodes):
+    """Odd in x4 integrates to zero at any degree: the u rule is symmetric."""
+    spec = QuadratureSpec(scheme="fixed", nodes=nodes, r_max=10.0,
+                          x1_centers=(-1.0, 2.0), core=0.3)
+
+    def odd(X):
+        return np.sin(3.0 * X[:, 3]) * (1.0 + X[:, 0] ** 2) * _gauss(X)
+
+    value = integrate_callable(odd, "bicylindrical", spec).value
+    scale = integrate_callable(lambda X: np.abs(odd(X)), "bicylindrical",
+                               spec).value
+    assert abs(value) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("nodes", [3, 6])
+def test_bicylindrical_rule_is_exact_up_to_degree_2m_minus_1(nodes):
+    """x4^k h(x1, rbar) integrates like h rbar^k / (k + 1) on the
+    cylindrical nodes (the mean of u^k over [-1, 1]) for every even
+    k <= 2m - 1, to round-off (odd k vanish on both sides); at k = 2m the u
+    rule is no longer exact."""
+    spec = QuadratureSpec(scheme="fixed", nodes=nodes, r_max=8.0,
+                          x1_centers=(0.5,), core=0.5)
+
+    def h(X):
+        return np.exp(-0.5 * np.sum(X * X, axis=1)) / (1.0 + X[:, 0] ** 2)
+
+    def rbar(X):
+        return np.sqrt(np.sum(X[:, 1:] ** 2, axis=1))
+
+    for k in range(0, 2 * nodes + 1, 2):
+        bicyl = integrate_callable(lambda X: X[:, 3] ** k * h(X),
+                                   "bicylindrical", spec).value
+        cyl = integrate_callable(lambda X: rbar(X) ** k * h(X) / (k + 1),
+                                 "cylindrical", spec).value
+        if k < 2 * nodes:
+            assert bicyl == pytest.approx(cyl, rel=1e-13)
+        else:
+            assert abs(bicyl - cyl) > 1e-6 * cyl
+
+
+def _angular_mean(fn, x1, rbar, m):
+    """Half the integral over u in [-1, 1] of fn at (x1, rbar sqrt(1-u^2),
+    0, rbar u) for each (x1, rbar), by m-point Gauss-Legendre in u; the
+    mean of |fn| over the same nodes sets the round-off scale."""
+    u, wu = np.polynomial.legendre.leggauss(m)
+    X = np.zeros((len(x1), m, 4))
+    X[..., 0] = x1[:, None]
+    X[..., 1] = rbar[:, None] * np.sqrt(1.0 - u * u)
+    X[..., 3] = rbar[:, None] * u
+    vals = np.asarray(fn(X.reshape(-1, 4))).reshape(len(x1), m, -1)
+    return (0.5 * np.einsum("j,pjc->pc", wu, vals),
+            0.5 * np.einsum("j,pjc->pc", wu, np.abs(vals)))
+
+
+def _integrand_kinds():
+    """The bicylindrical integrand kinds the suites form, each as a
+    (points -> (N, columns)) callable with its soliton centers: the pairwise
+    Q_n^4 Q_m^2, the squared G parts with nonzero corrections, and the
+    "h"/"l2" blocks of surrogate pairs with their generators."""
+    from wave4d.boosts import traveling_pair
+    from wave4d.fields import _L2_COLS, _pairing_features
+    from wave4d.interactions import GAssembly, two_soliton_config
+    from wave4d.states import surrogate_excited_state, symmetry_generator
+
+    Q = surrogate_excited_state()
+    gens = [symmetry_generator(Q, g)
+            for g in ("conformal_4", "scaling", "translation_1")]
+    cfg = two_soliton_config(Q, gens[0], gens[1:], a=(0.01, -0.02),
+                             b=((0.01, 0.0), (0.0, 0.02)))
+    t = 10.0
+    q = cfg.traveling_profiles(t)
+
+    def pairwise(X):
+        q0, q1 = q[0].evaluate(X), q[1].evaluate(X)
+        return np.column_stack([q0**4 * q1**2, q1**4 * q0**2])
+
+    asm = GAssembly(cfg, t)
+    T = 20.0
+    pairs = [traveling_pair(f, ell, T, 1) for ell in cfg.speeds
+             for f in [Q] + gens]
+
+    def blocks(X):
+        F = _pairing_features(pairs, X, "both")
+        h = np.einsum("pik,pjk->pij", F[..., 1:], F[..., 1:])
+        l2 = np.einsum("pik,pjk->pij", F[..., _L2_COLS], F[..., _L2_COLS])
+        return np.concatenate([h.reshape(len(X), -1),
+                               l2.reshape(len(X), -1)], axis=1)
+
+    return {"pairwise": (pairwise, cfg.centers(t)),
+            "G_parts_squared": (asm.squared_stack, cfg.centers(t)),
+            "pair_blocks": (blocks, cfg.centers(T))}
+
+
+@pytest.mark.parametrize("kind,m", [("pairwise", 8), ("G_parts_squared", 8),
+                                    ("pair_blocks", 6), ("pair_blocks", 8)])
+def test_angle_rule_exact_on_suite_integrands(kind, m):
+    """m and 2m angular nodes agree to round-off on every bicylindrical
+    integrand kind the suites form, in the cores and away from them, at the
+    node counts the suites use: 8 in the laws passes, 6 and 8 in the round
+    trip.  (The squared G parts with nonzero corrections reach degree 13 in
+    u, so they need m >= 7; the other kinds are exact from m = 4.)"""
+    fn, centers = _integrand_kinds()[kind]
+    x1 = np.array([c + d for c in centers
+                   for d in (-2.0, -0.3, 0.0, 0.1, 0.5, 3.0)]
+                  + [0.5 * sum(centers)])
+    rb = np.array([0.02, 0.2, 0.5, 1.5, 6.0])
+    x1, rb = (a.ravel() for a in np.meshgrid(x1, rb))
+    coarse, _ = _angular_mean(fn, x1, rb, m)
+    fine, scale = _angular_mean(fn, x1, rb, 2 * m)
+    assert np.all(np.abs(coarse - fine) <= 1e-12 * scale.max(axis=0))
+
+
 def test_join_symmetry_order():
     assert join_symmetry("radial", "bicylindrical") == "bicylindrical"
     assert join_symmetry("cylindrical", "full") == "full"
@@ -187,3 +321,5 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(r_max=-1.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(core=0.0)
