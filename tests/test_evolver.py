@@ -7,9 +7,10 @@ from wave4d.boosts import pair_vector, traveling_pair
 from wave4d.evolver import (CylWaveEvolver, GridBasis, bootstrap_margins,
                             default_grid_for, eval_on_grid, evolve,
                             grid_energy_momentum, grid_h_norm_sq,
-                            grid_modulation, measure_mode_rates,
-                            shooting_experiment, soliton_background,
-                            soliton_center)
+                            grid_modulation, laplacian_operator,
+                            measure_mode_rates, shooting_experiment,
+                            single_soliton_config, soliton_background,
+                            soliton_center, static_soliton_background)
 from wave4d.fields import Grid2DCyl
 from wave4d.interactions import MultiSolitonConfig
 from wave4d.modulation import ModulationState
@@ -40,6 +41,52 @@ def test_blowup_guard():
     assert status == "blowup"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_blowup_guard_catches_nonfinite_cells(bad):
+    grid = Grid2DCyl(-4.0, 4.0, 41, 4.0, 41)
+    u0 = 0.01 * np.exp(-(grid.x1[:, None] ** 2 + grid.r[None, :] ** 2))
+    ev = CylWaveEvolver(grid, u0, np.zeros_like(u0))
+    assert ev.step() == "running"
+    ev.u[17, 5] = bad
+    with np.errstate(invalid="ignore"):
+        assert ev.step() == "blowup"
+
+
+def _slice_laplacian(u, g):
+    """The Laplacian stencil written with array slices: the reference that
+    laplacian_operator must reproduce."""
+    lap = np.zeros_like(u)
+    lap[1:-1, :] += (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / g.h1**2
+    r = g.r
+    lap[:, 1:-1] += (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / g.hr**2
+    lap[:, 1:-1] += (2.0 / r[1:-1])[None, :] * (u[:, 2:] - u[:, :-2]) \
+        / (2.0 * g.hr)
+    # axis: (2/r) dr -> 2 drr, so 3 drr with the even reflection
+    lap[:, 0] += 3.0 * 2.0 * (u[:, 1] - u[:, 0]) / g.hr**2
+    return lap
+
+
+@pytest.mark.parametrize("grid", [
+    default_grid_for(0.0, 14.0, margin=10.0, h=0.12),  # shoot
+    default_grid_for(0.4, 5.0, margin=10.0, h=0.1),  # evolve
+    Grid2DCyl(-3.0, 2.0, 9, 4.0, 6),
+], ids=["shoot", "evolve", "small"])
+def test_laplacian_operator_matches_slice_stencil(grid):
+    rng = np.random.default_rng(8)
+    op = laplacian_operator(grid)
+    assert sorted(op.offsets) == [-grid.nr, -1, 0, 1, grid.nr]
+    for _ in range(3):
+        u = rng.standard_normal((grid.n1, grid.nr))
+        got = (op @ u.ravel()).reshape(u.shape)
+        ref = _slice_laplacian(u, grid)
+        # each edge separately, so the axis column and the open edges are
+        # not hidden behind the interior's scale
+        for part in (np.s_[:, :], np.s_[:, 0], np.s_[0, :], np.s_[-1, :],
+                     np.s_[:, -1]):
+            scale = np.max(np.abs(ref[part]))
+            assert np.max(np.abs(got[part] - ref[part])) <= 1e-13 * scale
+
+
 def test_time_reversal_second_order(W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
     x1 = grid.x1[:, None]
@@ -67,6 +114,20 @@ def test_v_sync_reuses_the_last_force(W):
     expected = ev.v_half - 0.5 * ev.dt * ev.rhs(ev.u)
     assert np.array_equal(ev.v_sync(), expected)
     assert np.array_equal(ev.state().v, expected)
+
+
+def test_static_background_pins_the_soliton_edges():
+    """The shoot suite's edges at rest are the time-dependent callback's
+    values, bit for bit, at every time."""
+    cfg = single_soliton_config(0.0)
+    grid = default_grid_for(0.0, 14.0, margin=10.0, h=0.12)
+    static = static_soliton_background(cfg, grid)
+    moving = soliton_background(cfg, grid)
+    for t in (0.0, 3.7, 14.0):
+        for got, ref in zip(static(t), moving(t), strict=True):
+            assert np.array_equal(got, ref)
+    with pytest.raises(ValueError):
+        static_soliton_background(single_soliton_config(0.4), grid)
 
 
 def test_linear_regime_energy_drift():
