@@ -693,8 +693,9 @@ def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
     kind "l2" pairs componentwise in L2, kind "h" uses the energy pairing
     (Hdot1 on first components, L2 on second), and kind "both" returns the
     stacked [h, l2] blocks, shape (2, len(rows), len(cols)), from one pass.
-    Every field is sampled once per quadrature slab and each block is one
-    product of the feature stacks, so the cost is linear in the basis size.
+    Every field is sampled once per batch of quadrature nodes and each block
+    is one product of the feature stacks, so the cost is linear in the basis
+    size.
     Passing rows is cols samples a square block once.
     """
     spec = spec or QuadratureSpec()
@@ -712,7 +713,7 @@ def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
         C = R if cols is rows else _pairing_features(cols, X, kind)
         if kind != "both":
             return np.einsum("pik,pjk->pij", R, C)
-        # in place: this (N, 2, n, m) result is a slab's largest array
+        # in place: this (N, 2, n, m) result is a batch's largest array
         out = np.empty((X.shape[0], 2) + shape)
         np.einsum("pik,pjk->pij", R[..., 1:], C[..., 1:], out=out[:, 0])
         np.einsum("pik,pjk->pij", R[..., _L2_COLS], C[..., _L2_COLS],

@@ -14,16 +14,18 @@ kernel-direction coefficients, and both directions compose to the identity
 up to linear-solver precision.
 
 A round trip costs five quadrature passes, each sampling every field once
-per slab: ``build_initial_data`` takes its L2 and energy rows from one
-"both" block; ``decompose`` gets ||dev||^2, the Gram matrix and the
-right-hand side from one energy block of [dev] + basis, then ||phi||^2 and
-(phi, Z+-)_L2 from one "both" block of [phi] + Z+-; ``compute_c`` takes one
-localized pass per soliton.  The passes stream slab by slab through
-``integrate_callable`` instead of stacking features on a ``node_set``: one
-surrogate pass has about 4.7e4 nodes at nodes 6, r_max 25 (1.2e5 at nodes 8,
-r_max 30), and six feature columns per pair on all of them would hold about
-2.2 MB (5.7 MB) a pair at once, 16 MB (40 MB) for the seven pairs of
-``decompose``'s first pass.
+per batch of quadrature nodes: ``build_initial_data`` takes its L2 and
+energy rows from one "both" block; ``decompose`` gets ||dev||^2, the Gram
+matrix and the right-hand side from one energy block of [dev] + basis, then
+||phi||^2 and (phi, Z+-)_L2 from one "both" block of [phi] + Z+-;
+``compute_c`` takes one localized pass per soliton.  The passes stream
+through ``integrate_callable`` in batches of at most 2,048 nodes
+instead of stacking features on a ``node_set``: one surrogate pass has about
+4.7e4 nodes at nodes 6, r_max 25 (1.2e5 at nodes 8, r_max 30), and six
+feature columns per pair on all of them would hold about 2.2 MB (5.7 MB) a
+pair at once, 16 MB (40 MB) for the seven pairs of ``decompose``'s first
+pass.  A batch holds about 0.1 MB of features a pair, and its largest array
+is the per-node block of the pass, about 2 MB at nodes 6.
 """
 
 from __future__ import annotations

@@ -19,12 +19,14 @@ the contract above.  Adaptive mode doubles the per-panel node count (and the
 angular one) until the difference between successive levels meets the
 requested tolerance.
 
-Every level is built by one routine as slabs of (points, weights), one slab
-per x1 node (the radial reduction is a single slab).
-:func:`integrate_callable` sums an integrand over the slabs one call at a
-time, and :func:`node_set` concatenates the slabs of a fixed spec, so fields
-can be sampled once and paired by weighted matrix products.  Exact angular integrals of monomial
-weights use the closed-form sphere moments in :func:`moment`.
+Every level is built by one routine as batches of (points, weights): each
+batch holds the slabs of consecutive x1 nodes, one slab per node, up to
+``_BATCH_POINTS`` points (the radial reduction is a single slab).
+:func:`integrate_callable` sums an integrand over the batches, one call per
+batch, and :func:`node_set` concatenates the batches of a fixed spec, so
+fields can be sampled once and paired by weighted matrix products.  Exact
+angular integrals of monomial weights use the closed-form sphere moments in
+:func:`moment`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ SYM_FULL = "full"
 
 # linear refinement order: each tag's reduction can represent the previous ones
 _SYM_ORDER = {SYM_RADIAL: 0, SYM_CYL: 1, SYM_BICYL: 2, SYM_FULL: 3}
+
+# points per integrand call: enough slabs that the per-call work of walking
+# the field trees is amortized, few enough that the largest per-point result
+# (pairing_block's (N, 2, n, m) "both" stack) keeps the peak memory flat
+_BATCH_POINTS = 2048
 
 
 def join_symmetry(*tags: str) -> str:
@@ -221,14 +228,17 @@ def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
 
 def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
            x1_range: tuple):
-    """(points, weights) of one level, one slab per x1 node in x1 order.
+    """(points, weights) of one level in batches of consecutive x1 nodes.
 
     The radial reduction is a single slab of points on the x1 axis.  The
-    others tensor each x1 node with the transverse nodes: rbar on the x2
-    axis (cylindrical), the polar pair (rbar, u = x4/rbar) at
-    (rbar sqrt(1-u^2), 0, rbar u) in the (x2, x4) half-plane
-    (bicylindrical), or a tensor box in (x2, x3, x4) (full).  Weights carry
-    the Jacobian of the reduction, so a slab's integral is its weighted sum.
+    others tensor each x1 node with the transverse nodes into a slab, and
+    a batch stacks the slabs of as many consecutive nodes as fit in
+    ``_BATCH_POINTS`` points (at least one), in x1 order.  The transverse
+    nodes are rbar on the x2 axis (cylindrical), the polar pair
+    (rbar, u = x4/rbar) at (rbar sqrt(1-u^2), 0, rbar u) in the (x2, x4)
+    half-plane (bicylindrical), or a tensor box in (x2, x3, x4) (full).
+    Weights carry the Jacobian of the reduction, so a slab's integral is its
+    weighted sum.
     The u rule has ``nodes`` Gauss-Legendre points on [-1, 1], so a
     bicylindrical slab is exact for integrands that are polynomials in x4 of
     degree <= 2*nodes - 1 with coefficients depending on (x1, rbar).  The
@@ -262,14 +272,16 @@ def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
                                axis=-1).reshape(-1, 3)
         wt = (wx[:, None, None] * wx[None, :, None]
               * wx[None, None, :]).ravel()
-    for x, w in zip(x1, w1):
-        X = base.copy()
-        X[:, 0] = x
-        yield X, w * wt
+    k = max(1, _BATCH_POINTS // len(base))
+    for i in range(0, x1.size, k):
+        x1b = x1[i:i + k]
+        X = np.tile(base, (x1b.size, 1))
+        X[:, 0] = np.repeat(x1b, len(base))
+        yield X, np.outer(w1[i:i + k], wt).ravel()
 
 
 def node_set(symmetry: str, spec: QuadratureSpec) -> tuple:
-    """All (points, weights) of a fixed spec, slabs concatenated in order.
+    """All (points, weights) of a fixed spec, batches concatenated in order.
 
     A field sampled once on these points integrates (or pairs with another)
     as a weighted sum, giving the values integrate_callable gives on the
@@ -298,8 +310,9 @@ def integrate_callable(
     fn maps an (N, 4) array of points to N values (or an (N, ...) stack of
     integrands evaluated together, in which case value/error are arrays of
     the trailing shape) and must honor the declared symmetry.  It is called
-    once per x1 node (once in all for the radial reduction), so each call
-    sees one slab of transverse nodes.
+    once per batch of consecutive x1 slabs (once in all for the radial
+    reduction), so each call sees up to ``_BATCH_POINTS`` points, or one
+    slab where a slab alone is larger.
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")

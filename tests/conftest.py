@@ -29,6 +29,7 @@ def fast_spec():
     return QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test: its draws must not depend on test order."""
     return np.random.default_rng(20260810)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wave4d import quadrature
 from wave4d.quadrature import (QuadratureSpec, ToleranceNotReached,
                                abs_moment, axis_breaks, default_r_max,
                                gauss_panels, geometric_breaks,
@@ -103,7 +104,7 @@ def test_adaptive_reports_failure_and_require_raises():
                                       "bicylindrical", "full"])
 def test_node_set_sums_like_integrate_callable(symmetry):
     """The concatenated node set gives the pass's value as a weighted sum,
-    and integrate_callable calls the integrand once per x1 slab."""
+    and integrate_callable's calls, all of one size here, cover it."""
     spec = QuadratureSpec(scheme="fixed", nodes=3, r_max=6.0,
                           x1_centers=(1.5,))
 
@@ -123,6 +124,118 @@ def test_node_set_sums_like_integrate_callable(symmetry):
     assert len(set(calls)) == 1
     if symmetry == "radial":
         assert len(calls) == 1
+
+
+SYMMETRIES = ["radial", "cylindrical", "bicylindrical", "full"]
+
+
+def _batch_spec(scheme):
+    # full: 512-point slabs at nodes 2 batch four to a call, and the
+    # 4096-point slabs of the adaptive levels go alone
+    return QuadratureSpec(scheme=scheme, nodes=2, r_max=2.0,
+                          x1_centers=(-1.0, 2.0), max_refinements=2,
+                          abs_tol=1e-300, rel_tol=1e-300)
+
+
+def _smooth(X):
+    g = np.exp(-np.sum(X * X, axis=1))
+    return np.column_stack([g * (1.0 + 0.3 * X[:, 0]),
+                            np.cos(X[:, 0]) * X[:, 3] ** 2 * g])
+
+
+def _recorded(fn, calls):
+    def counted(X):
+        calls.append(X.copy())
+        return fn(X)
+    return counted
+
+
+def _slab_sizes(symmetry, spec):
+    """Points per x1 slab of each level integrate_callable runs on spec."""
+    sizes = []
+    for level in range(spec.max_refinements + 1):
+        fixed = QuadratureSpec(scheme="fixed", nodes=spec.nodes * 2**level,
+                               r_max=spec.r_max, x1_centers=spec.x1_centers)
+        X, _ = node_set(symmetry, fixed)
+        sizes.append(int(np.sum(X[:, 0] == X[0, 0])))
+        if spec.scheme == "fixed":
+            break
+    return sizes
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_batched_pass_matches_slab_by_slab_sum(symmetry, scheme,
+                                               monkeypatch):
+    """Batching x1 slabs into one call changes a pass only at round-off."""
+    spec = _batch_spec(scheme)
+    batched_calls, slab_calls = [], []
+    batched = integrate_callable(_recorded(_smooth, batched_calls), symmetry,
+                                 spec)
+    monkeypatch.setattr(quadrature, "_BATCH_POINTS", 1)
+    slabs = integrate_callable(_recorded(_smooth, slab_calls), symmetry, spec)
+    assert (batched.levels, batched.converged) == (slabs.levels,
+                                                   slabs.converged)
+    np.testing.assert_allclose(batched.value, slabs.value, rtol=1e-13,
+                               atol=0.0)
+    if symmetry == "radial":
+        assert len(batched_calls) == len(slab_calls) == batched.levels
+    else:
+        assert len(batched_calls) < len(slab_calls)
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_batches_hold_whole_slabs_within_the_budget(symmetry, scheme):
+    """No call exceeds the point budget unless it is one slab alone, and no
+    slab is split between calls."""
+    spec = _batch_spec(scheme)
+    calls = []
+    integrate_callable(_recorded(_smooth, calls), symmetry, spec)
+    sizes = set(_slab_sizes(symmetry, spec))
+    for X in calls:
+        slab = int(np.sum(X[:, 0] == X[0, 0]))
+        assert slab in sizes
+        assert len(X) % slab == 0
+        assert len(X) <= quadrature._BATCH_POINTS or len(X) == slab
+    if symmetry == "full" and scheme == "adaptive":
+        assert any(len(X) > quadrature._BATCH_POINTS for X in calls)
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_node_set_matches_per_slab_construction_bitwise(symmetry,
+                                                        monkeypatch):
+    spec = QuadratureSpec(scheme="fixed", nodes=4, r_max=8.0,
+                          x1_centers=(-2.0, 1.5), core=0.5)
+    if symmetry == "full":
+        spec = _batch_spec("fixed")
+    X, w = node_set(symmetry, spec)
+    monkeypatch.setattr(quadrature, "_BATCH_POINTS", 1)
+    X1, w1 = node_set(symmetry, spec)
+    np.testing.assert_array_equal(X, X1)
+    np.testing.assert_array_equal(w, w1)
+    assert np.sum(w) == np.sum(w1)
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_each_x1_node_is_sampled_once_per_level(symmetry):
+    """The calls of an adaptive pass, in order, are the node sets of its
+    levels: every x1 node once per level, and no call spans two levels."""
+    spec = _batch_spec("adaptive")
+    calls = []
+    res = integrate_callable(_recorded(_smooth, calls), symmetry, spec)
+    assert res.levels == spec.max_refinements + 1
+    bounds = np.cumsum([len(X) for X in calls])
+    seen = np.concatenate(calls)
+    start = 0
+    for level in range(res.levels):
+        fixed = QuadratureSpec(scheme="fixed", nodes=spec.nodes * 2**level,
+                               r_max=spec.r_max, x1_centers=spec.x1_centers)
+        X, _ = node_set(symmetry, fixed)
+        np.testing.assert_array_equal(seen[start:start + len(X)], X)
+        start += len(X)
+        assert start in bounds
+    assert start == len(seen)
 
 
 def test_node_set_rejects_adaptive_spec():

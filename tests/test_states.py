@@ -271,7 +271,7 @@ def test_check_decay_examples(W, Qs):
         check_decay(W, 2.0, [10.0, 20.0, 40.0])  # less than a decade
 
 
-def test_profile_import(tmp_path, W, rng):
+def test_profile_import(tmp_path, W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
     X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
     P = np.zeros((X1.size, 4))
@@ -281,7 +281,9 @@ def test_profile_import(tmp_path, W, rng):
     path = tmp_path / "prof.npz"
     save_field(path, f)
     g = load_profile(path)
-    pts = rng.uniform(-3, 3, size=(20, 4)) * np.array([1, 0.4, 0.4, 0.4])
+    # its own generator: the points must not depend on which tests ran first
+    pts = (np.random.default_rng(20260810).uniform(-3, 3, size=(20, 4))
+           * np.array([1, 0.4, 0.4, 0.4]))
     assert np.max(np.abs(g.evaluate(pts) - W.evaluate(pts))) < 2e-5
     # generators of an imported profile go through the generic path
     lam_g = symmetry_generator(g, "scaling")
