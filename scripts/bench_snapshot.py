@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Run the benchmark's three workloads and write the next BENCH_<n>.json.
+"""Run the benchmark's three workloads and the suites, and write the next
+BENCH_<n>.json.
 
     python3 scripts/bench_snapshot.py [--checkout DIR]
 
 Each workload runs twice through the checkout's ``benchmark/run.py``
 (default checkout: this repository), at seed 1 for the benchmark's 15 s:
 with ``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for the
-per-layer ones.  Every snapshot runs the same way, so any two compare.  The snapshot goes to
-the root of this repository as BENCH_<n>.json, n one past the largest there,
-and records the checkout's git sha, whether its tree had uncommitted
-changes, a digest of its ``src/wave4d`` sources and the core count.
+per-layer ones.  Every snapshot runs the same way, so any two compare.
+Then the checkout's ``scripts/run_all_suites.py`` runs once into a temporary
+directory; the snapshot keeps each suite's wall time, the exit status and a
+sha256 of each ``<suite>_results.json``, so equal digests in two snapshots
+show that no result moved.  The snapshot goes to the root of this
+repository as BENCH_<n>.json, n one past the largest there, and records the
+checkout's git sha, whether its tree had uncommitted changes, a digest of
+its ``src/wave4d`` sources and the core count.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -59,6 +65,24 @@ def _run(checkout: Path, workload: str, trace: int) -> dict:
     return result
 
 
+def _suites(checkout: Path) -> dict:
+    """Wall times, exit status and result digests of one run of the
+    checkout's scripts/run_all_suites.py."""
+    print("$ scripts/run_all_suites.py", flush=True)
+    with tempfile.TemporaryDirectory() as out:
+        run = subprocess.run(
+            [sys.executable, "scripts/run_all_suites.py", out], cwd=checkout,
+            env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+            capture_output=True, text=True)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(out).glob("*_results.json"))}
+    wall_s = {m[1]: float(m[2]) for m in re.finditer(
+        r"^== wall: (\S+) (\S+) s$", run.stdout, re.MULTILINE)}
+    print(f"  exit status {run.returncode}", flush=True)
+    return dict(exit_status=run.returncode, wall_s=wall_s,
+                results_sha256=digests)
+
+
 def next_path(root: Path) -> Path:
     taken = [int(m.group(1)) for p in root.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
@@ -84,6 +108,7 @@ def main(argv=None) -> int:
         snapshot["workloads"][workload] = {
             kind: _run(checkout, workload, trace)
             for trace, kind in ((0, "end_to_end"), (1, "per_layer"))}
+    snapshot["suites"] = _suites(checkout)
 
     path = next_path(ROOT)
     path.write_text(json.dumps(snapshot, indent=1) + "\n")

@@ -31,6 +31,7 @@ from .fields import (
     inner_pair_l2,
     zero_field,
 )
+from .fitting import sup_on_spheres
 from .quadrature import SYM_CYL, QuadratureSpec, integrate_callable, join_symmetry
 
 
@@ -48,15 +49,9 @@ class Boost:
 
 
 def boost_profile(f: ScalarField, ell: float) -> ScalarField:
-    """f_ell(x) = f(x1/sqrt(1-ell^2), x2, x3, x4)."""
-    b = Boost(ell)
-    if ell == 0.0:
-        return f
-    A = np.eye(4)
-    A[0, 0] = b.gamma
-    return AffineField(f, A, np.zeros(4),
-                       symmetry=join_symmetry(f.symmetry, SYM_CYL),
-                       decay=f.decay)
+    """f_ell(x) = f(x1/sqrt(1-ell^2), x2, x3, x4), the traveling profile at
+    t = 0."""
+    return traveling_profile(f, ell, 0.0)
 
 
 def traveling_profile(f: ScalarField, ell: float, t: float,
@@ -92,12 +87,9 @@ def component_derivative(f: ScalarField, axis: int) -> FormulaField:
 
 
 def pair_vector(f: ScalarField, ell: float, tau: int = 1) -> FieldPair:
-    """Traveling-wave pair (tau f_ell, -tau ell d1 f_ell)."""
-    fl = boost_profile(f, ell)
-    if ell == 0.0:
-        return FieldPair(fl if tau == 1 else fl * float(tau), zero_field())
-    d1 = component_derivative(fl, 0)
-    return FieldPair(fl * float(tau), d1 * (-tau * ell))
+    """Traveling-wave pair (tau f_ell, -tau ell d1 f_ell), the traveling pair
+    at t = 0."""
+    return traveling_pair(f, ell, 0.0, tau)
 
 
 def fd_laplacian(f: ScalarField, step: float = 1e-2) -> FormulaField:
@@ -145,29 +137,24 @@ def apply_H_ell(v: FieldPair, ell: float, Q: ScalarField,
 
 
 def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
-                     spec: QuadratureSpec | None = None,
-                     weight: ScalarField | None = None) -> float:
+                     spec: QuadratureSpec | None = None) -> float:
     """(H_ell v, v)_L2 in first-order form (no second derivatives):
 
-    integral of |grad v1|^2 - 3 Q_ell^2 v1^2 + v2^2 + 2 ell v2 d1(v1),
-    optionally multiplied by weight^2 (the localized-coercivity form).
+    integral of |grad v1|^2 - 3 Q_ell^2 v1^2 + v2^2 + 2 ell v2 d1(v1).
     """
     spec = spec or QuadratureSpec()
     Ql = boost_profile(Q, ell)
-    sym = join_symmetry(v.symmetry, Ql.symmetry)
 
     def fn(X):
         g1 = v.first.gradient(X)
         v1 = v.first.evaluate(X)
         v2 = v.second.evaluate(X)
-        z2 = weight.evaluate(X) ** 2 if weight is not None else 1.0
-        out = (np.einsum("ij,ij->i", g1, g1) + v2 * v2
-               + 2.0 * ell * v2 * g1[:, 0]) * z2
-        return out - 3.0 * Ql.evaluate(X) ** 2 * v1 * v1
+        return (np.einsum("ij,ij->i", g1, g1) + v2 * v2
+                + 2.0 * ell * v2 * g1[:, 0]
+                - 3.0 * Ql.evaluate(X) ** 2 * v1 * v1)
 
-    if weight is not None:
-        sym = join_symmetry(sym, weight.symmetry)
-    return integrate_callable(fn, sym, spec, decay=None).value
+    return integrate_callable(fn, join_symmetry(v.symmetry, Ql.symmetry),
+                              spec, decay=None).value
 
 
 @dataclass
@@ -298,22 +285,15 @@ def z_identity_residual(direction: ExpDirection, Q: ScalarField,
     return num / den
 
 
-def exp_direction_decay_check(direction: ExpDirection, radii,
-                              n_dirs: int = 32, seed: int = 11) -> float:
+def exp_direction_decay_check(direction: ExpDirection, radii) -> float:
     """Smallest fitted decay rate of |pair| along sampled rays.
 
     The claimed lower bound is lam * sqrt(1 - |ell|) / 2.
     """
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_dirs, 4))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.concatenate([dirs, np.eye(4), -np.eye(4)])
+    first, second = direction.pair.first, direction.pair.second
+    size = FormulaField(lambda X: np.abs(first.evaluate(X))
+                        + np.abs(second.evaluate(X)))
     radii = np.asarray(sorted(radii), dtype=float)
-    sups = []
-    for R in radii:
-        X = R * dirs
-        sups.append(float(np.max(np.abs(direction.pair.first.evaluate(X))
-                                 + np.abs(direction.pair.second.evaluate(X)))))
-    sups = np.asarray(sups)
+    sups = sup_on_spheres(size, radii, n_dirs=32, seed=11)
     rates = -np.diff(np.log(sups)) / np.diff(radii)
     return float(np.min(rates))

@@ -91,28 +91,21 @@ class WeightZeta:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
 
-    def field(self, center: float = 0.0) -> FormulaField:
+    def field(self) -> FormulaField:
         g = self.gamma
 
         def fn(X):
-            Y = X.copy()
-            Y[:, 0] -= center
-            return (1.0 + np.sum(Y * Y, axis=1)) ** (-0.5 * g)
+            return (1.0 + np.sum(X * X, axis=1)) ** (-0.5 * g)
 
         def grad(X):
-            Y = X.copy()
-            Y[:, 0] -= center
-            s = 1.0 + np.sum(Y * Y, axis=1)
-            return -g * Y * (s ** (-0.5 * g - 1.0))[:, None]
+            s = 1.0 + np.sum(X * X, axis=1)
+            return -g * X * (s ** (-0.5 * g - 1.0))[:, None]
 
-        sym = "radial" if center == 0.0 else "cylindrical"
-        return FormulaField(fn, grad, symmetry=sym, name=f"zeta({center})")
+        return FormulaField(fn, grad, symmetry="radial", name="zeta")
 
-    def laplacian(self, X, center: float = 0.0) -> np.ndarray:
+    def laplacian(self, X) -> np.ndarray:
         g = self.gamma
-        Y = X.copy()
-        Y[:, 0] -= center
-        r2 = np.sum(Y * Y, axis=1)
+        r2 = np.sum(X * X, axis=1)
         zeta = (1.0 + r2) ** (-0.5 * g)
         return -g * ((2.0 - g) * r2 + 4.0) * zeta / (1.0 + r2) ** 2
 
@@ -135,8 +128,7 @@ class EnergyReport:
 
 
 def conserved_energy_momentum(u: FieldPair,
-                              spec: QuadratureSpec | None = None,
-                              x1_range=None) -> tuple:
+                              spec: QuadratureSpec | None = None) -> tuple:
     """(E, P1) = (1/2 int |grad u1|^2 + u2^2 - u1^4/2 ... , int u2 d1 u1)."""
     spec = spec or QuadratureSpec()
 
@@ -148,15 +140,14 @@ def conserved_energy_momentum(u: FieldPair,
         p1 = v2 * g[:, 0]
         return np.stack([e, p1], axis=1)
 
-    vals = integrate_callable(fn, u.symmetry, spec, x1_range=x1_range).value
+    vals = integrate_callable(fn, u.symmetry, spec).value
     return float(vals[0]), float(vals[1])
 
 
 def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
-                       cutoff: CutoffChiN | None = None,
                        spec: QuadratureSpec | None = None) -> EnergyReport:
     """All refined functionals of a decomposed state in one pass."""
-    cutoff = cutoff or CutoffChiN(tuple(cfg.speeds))
+    cutoff = CutoffChiN(tuple(cfg.speeds))
     sp = cfg.quad_spec(t, spec)
     asm = GAssembly(cfg, t)
     slow_pairs = [traveling_pair(s, ell, t, 1)
@@ -185,26 +176,22 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
 
     window = cfg.x1_window(t, sp)
     vals = np.asarray(integrate_callable(fn, sym, sp, x1_range=window).value)
-    omega, omega_c = localized_norms(phi, cutoff, t, spec=sp,
-                                     x1_domain=window)
+    omega, omega_c = localized_norms(phi, cutoff, t, window, spec=sp)
     return EnergyReport(t=t, energy=float(vals[0]), momentum=float(vals[1]),
                         coupling=float(vals[2]),
                         ramp=[float(v) for v in vals[3:3 + n]],
                         omega_norm=omega, omega_c_norm=omega_c)
 
 
-def localized_norms(phi: FieldPair, cutoff: CutoffChiN, t: float,
-                    spec: QuadratureSpec | None = None,
-                    x1_domain=None) -> tuple:
+def localized_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, x1_domain,
+                    spec: QuadratureSpec | None = None) -> tuple:
     """(ramp-region transported norm, complement plain norm).
 
     The ramp region enters with the 2 chi_N (d1 phi1) phi2 cross term; its
-    complement uses the plain gradient + velocity density.
+    complement, the rest of the x1 interval x1_domain, uses the plain
+    gradient + velocity density.
     """
     spec = spec or QuadratureSpec()
-    if x1_domain is None:
-        r = spec.r_max or 60.0
-        x1_domain = (min(cutoff.speeds) * t - r, max(cutoff.speeds) * t + r)
 
     def fn_omega(X):
         g = phi.first.gradient(X)
@@ -254,18 +241,17 @@ def omega_lower_bound_gap(phi: FieldPair, cutoff: CutoffChiN, t: float,
     return float(total[0] - (1.0 - cutoff.ell_bar) * total[1])
 
 
-def zeta_smallness(cutoff: CutoffChiN, gamma: float, t: float,
-                   n_grid: int = 4000) -> dict:
+def zeta_smallness(cutoff: CutoffChiN, gamma: float, t: float) -> dict:
     """sup over the ramp region of sum zeta_n^2 and the global sup of
     |(chi_N - ell_n) zeta_n^2| (both decay like t^-2 gamma)."""
     ells = np.asarray(cutoff.speeds)
     sup_omega = 0.0
     for lo, hi in cutoff.omega_intervals(t):
-        x1 = np.linspace(lo, hi, n_grid)
+        x1 = np.linspace(lo, hi, 4000)
         z2 = sum((1.0 + (x1 - ell * t) ** 2) ** -gamma for ell in ells)
         sup_omega = max(sup_omega, float(np.max(z2)))
     span = max(abs(ells[0]), abs(ells[-1])) * t + 10.0 * t
-    x1 = np.linspace(-span, span, n_grid)
+    x1 = np.linspace(-span, span, 4000)
     chi = cutoff(t, x1)
     sup_mismatch = 0.0
     for ell in ells:
@@ -432,11 +418,10 @@ def coercivity_probe(ell: float, Q: ScalarField, kernel_fields,
 
 
 def weighted_form_identity_gap(v: FieldPair, ell: float, Q: ScalarField,
-                               zeta: WeightZeta,
-                               spec: QuadratureSpec | None = None) -> dict:
+                               zeta: WeightZeta) -> dict:
     """Term-by-term check that the weighted form equals the form of v*zeta
     plus the three commutator integrals (all returned separately)."""
-    spec = spec or QuadratureSpec(scheme="fixed", nodes=12, r_max=30.0)
+    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=30.0)
     Ql = boost_profile(Q, ell)
     w = zeta.field()
 

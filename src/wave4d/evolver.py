@@ -41,6 +41,8 @@ from .spectrum import ground_eigenpair
 from .states import ground_state, symmetry_generator
 
 BLOWUP_FACTOR = 1e3
+# soliton_center fits its parabola over 2 * CENTER_HALF_WIDTH + 1 axis points
+CENTER_HALF_WIDTH = 6
 
 
 def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
@@ -48,6 +50,7 @@ def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
                                                                  grid.nr)
 
 
+# no wave4d caller; benchmark/tracing.py wraps it by name
 def grad_on_grid(f: ScalarField, grid: Grid2DCyl):
     """(d/dx1, d/drbar) arrays of an exact-gradient field on the grid."""
     g = f.gradient(cylinder_points(grid.x1, grid.r))
@@ -122,9 +125,7 @@ class CylWaveEvolver:
     """
 
     def __init__(self, grid: Grid2DCyl, u0: np.ndarray, v0: np.ndarray,
-                 t0: float = 0.0, cfl: float = 0.4,
-                 blowup_threshold: float = BLOWUP_FACTOR,
-                 background=None):
+                 t0: float = 0.0, cfl: float = 0.4, background=None):
         if cfl > 0.5:
             raise ValueError("CFL number above 0.5 is unstable for this stencil")
         self.grid = grid
@@ -134,7 +135,6 @@ class CylWaveEvolver:
         self.u = np.array(u0, dtype=float)
         self.force = self.rhs(self.u)  # rhs(u), kept from the last kick
         self.v_half = np.array(v0, dtype=float) + 0.5 * self.dt * self.force
-        self.blowup_threshold = blowup_threshold
         self.background = background
         self.status = "running"
 
@@ -164,7 +164,7 @@ class CylWaveEvolver:
         self.u = u_new
         self.t += dt
         # one reduction: a NaN propagates through max and fails the test
-        if not np.max(np.abs(u_new)) <= self.blowup_threshold:
+        if not np.max(np.abs(u_new)) <= BLOWUP_FACTOR:
             self.status = "blowup"
         return self.status
 
@@ -185,7 +185,6 @@ class CylWaveEvolver:
         out.u = self.u.copy()
         out.force = self.force
         out.v_half = -(self.v_half - self.dt * self.force)
-        out.blowup_threshold = self.blowup_threshold
         out.background = self.background  # valid for static backgrounds
         out.status = self.status
         return out
@@ -207,19 +206,13 @@ class CylWaveEvolver:
         return self.status
 
 
-def grid_energy_momentum(u: np.ndarray, v: np.ndarray, grid: Grid2DCyl,
-                         conserved: bool = True) -> tuple:
-    """(energy, x1-momentum) grid integrals.
-
-    conserved=True uses the u^4/4 potential that the flow actually
-    preserves (drift checks); conserved=False reproduces the displayed
-    functional with the u^4/8 grouping, whose value on the ground state is
-    4 pi^2 but which changes linearly along secular grid drifts.
-    """
+def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
+                         grid: Grid2DCyl) -> tuple:
+    """(energy, x1-momentum) grid integrals, with the u^4/4 potential that
+    the flow preserves."""
     w = grid_weights(grid)
     d1, dr = grid_gradient(u, grid)
-    quart = 0.25 if conserved else 0.125
-    e = 0.5 * (d1**2 + dr**2 + v**2) - quart * u**4
+    e = 0.5 * (d1**2 + dr**2 + v**2) - 0.25 * u**4
     p = v * d1
     return float(np.sum(e * w)), float(np.sum(p * w))
 
@@ -232,14 +225,15 @@ def grid_h_norm_sq(du, dv, grid) -> float:
 
 @dataclass
 class GridBasis:
-    """Grid samples of every field needed by the in-loop decomposition.
+    """Configuration and exponential-direction family of the in-loop
+    decomposition.
 
     The exponential directions of each speed are built once here; at_time
-    only moves them with their soliton.
+    only moves them with their soliton and returns the fields to sample.
     """
 
     cfg: MultiSolitonConfig
-    grid: Grid2DCyl
+    grid: Grid2DCyl  # unread; benchmark/workloads.py passes it positionally
     rates_fields: list
 
     def __post_init__(self):
@@ -345,17 +339,16 @@ def static_soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
     return lambda t: edges
 
 
-def soliton_center(u: np.ndarray, grid: Grid2DCyl, half_width: int = 6
-                   ) -> float:
+def soliton_center(u: np.ndarray, grid: Grid2DCyl) -> float:
     """Sub-grid axis position of the on-axis maximum.
 
-    Least-squares parabola over 2*half_width+1 axis points; wider than the
-    3-point fit so the estimate does not oscillate as the peak crosses
-    cells."""
+    Least-squares parabola over 2*CENTER_HALF_WIDTH+1 axis points; wider
+    than the 3-point fit so the estimate does not oscillate as the peak
+    crosses cells."""
     axis = np.abs(u[:, 0])
     i = int(np.argmax(axis))
-    lo = max(i - half_width, 0)
-    hi = min(i + half_width + 1, grid.n1)
+    lo = max(i - CENTER_HALF_WIDTH, 0)
+    hi = min(i + CENTER_HALF_WIDTH + 1, grid.n1)
     xs = grid.x1[lo:hi]
     ys = axis[lo:hi]
     c2, c1, _ = np.polyfit(xs - grid.x1[i], ys, 2)
@@ -366,13 +359,11 @@ def soliton_center(u: np.ndarray, grid: Grid2DCyl, half_width: int = 6
 
 def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
            basis: GridBasis | None = None, cadence: float = 0.5,
-           cfl: float = 0.4, gamma0: float | None = None,
            background=None) -> MonitorSeries:
     """Evolve initial data and record monitors at the requested cadence."""
     u_arr = eval_on_grid(u0.first, grid)
     v_arr = eval_on_grid(u0.second, grid)
-    ev = CylWaveEvolver(grid, u_arr, v_arr, t0=t0, cfl=cfl,
-                        background=background)
+    ev = CylWaveEvolver(grid, u_arr, v_arr, t0=t0, background=background)
     series = MonitorSeries()
 
     def monitor(e: CylWaveEvolver):
@@ -393,8 +384,6 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
             series.momentum_ref.append(Pr)
             series.deviation.append(
                 math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
-            if gamma0 is not None and series.deviation[-1] > gamma0:
-                ev.status = "tube_exit"
 
     status = ev.run_until(t1, callback=monitor, cadence=cadence)
     series.status = status
@@ -522,16 +511,15 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
 
 
 def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
-                        t_end: float = 4.0, tube_radius: float = 0.12,
-                        h: float = 0.12, n_sweep: int = 7,
+                        t_end: float = 4.0, h: float = 0.12, n_sweep: int = 7,
                         n_bisect: int = 10, lam_Y=None) -> dict:
     """Backward-in-time tube persistence versus outgoing amplitude.
 
     Data at time T carry a prescribed pairing s against the outgoing
     direction of the static soliton; the run is integrated backward (exact
     time reflection), where that component grows at the linear rate.  For
-    each amplitude the exit time from the deviation tube is recorded; the
-    exit side flips across an optimal amplitude, which bisection brackets,
+    each amplitude the exit time from the deviation tube (energy-space
+    radius 0.12) is recorded; the exit side flips across an optimal amplitude, which bisection brackets,
     and persistence is maximal near it (the mechanism that makes the
     topological selection of initial data work).
     """
@@ -573,7 +561,7 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                 zr = float(np.sum((du * z1 + v * z2) * w))
                 rec["a_exit"] = zr * zr
                 rec["exit_sign"] = math.copysign(1.0, zr) if zr else 0.0
-                if dev > tube_radius:
+                if dev > 0.12:
                     rec["exit_tau"] = ev.t
                     break
         if ev.status == "blowup":

@@ -225,10 +225,9 @@ class PolyRadialField(ScalarField):
     all angular integrals done by exact sphere moments.
     """
 
-    def __init__(self, terms, decay=None, asymptote=None, name=""):
+    def __init__(self, terms, decay=None, name=""):
         self.terms = [(np.asarray(m, dtype=int), p) for m, p in terms]
         self.decay = decay
-        self.asymptote = asymptote
         self.name = name
         self.is_zero = False
         axes = set()
@@ -313,8 +312,8 @@ class PolyRadialField(ScalarField):
             dec = self.decay + other.decay + 2
         return PolyRadialField(terms, decay=dec)
 
-    def integrate_exact(self, r_max=None, spec: QuadratureSpec | None = None,
-                        r_power: int = 0) -> QuadratureResult:
+    def integrate_exact(self, r_max=None, spec: QuadratureSpec | None = None
+                        ) -> QuadratureResult:
         """Integral over R^4 via sphere moments and adaptive 1D quadrature."""
         spec = spec or QuadratureSpec()
         total, err = 0.0, 0.0
@@ -322,7 +321,7 @@ class PolyRadialField(ScalarField):
             ang = moment(m, 4)
             if ang == 0.0:
                 continue
-            k = 3 + int(m.sum()) + r_power
+            k = 3 + int(m.sum())
             if r_max is None:
                 v, e = quad(lambda r: p.f(r) * r**k, 0.0, np.inf, limit=200)
             else:
@@ -419,8 +418,7 @@ class SampledField(ScalarField):
 
     symmetry = SYM_CYL
 
-    def __init__(self, grid, values, gradient_values=None, decay=None,
-                 meta=None):
+    def __init__(self, grid, values, gradient_values=None, decay=None):
         if not isinstance(grid, Grid2DCyl):
             raise TypeError("unsupported grid type")
         self.grid = grid
@@ -428,7 +426,7 @@ class SampledField(ScalarField):
         self.gradient_values = gradient_values
         self.decay = decay
         self.asymptote = None
-        self.meta = dict(meta or {})
+        self.meta = {}
         self._interp = self._interpolator(self.values)
         self._grad_interp = None
 
@@ -563,9 +561,6 @@ class FieldPair:
         self.symmetry = join_symmetry(self.first.symmetry, self.second.symmetry)
         _check_compatible(self.first, self.second)
 
-    def scaled(self, c: float) -> "FieldPair":
-        return FieldPair(scale_field(self.first, c), scale_field(self.second, c))
-
     def plus(self, other: "FieldPair", coeff: float = 1.0) -> "FieldPair":
         return FieldPair(sum_field([self.first, other.first], [1.0, coeff]),
                          sum_field([self.second, other.second], [1.0, coeff]))
@@ -589,22 +584,19 @@ def _pair_decay(f, g, extra=0.0):
     return f.decay + g.decay + extra
 
 
-def integrate_field(f: ScalarField, spec: QuadratureSpec | None = None,
-                    x1_range=None) -> QuadratureResult:
+def integrate_field(f: ScalarField) -> QuadratureResult:
     """Integral of f over R^4 (exact angular path for monomial-radial fields)."""
-    spec = spec or QuadratureSpec()
-    terms = f.poly_radial_terms()
-    if terms is not None and x1_range is None:
+    spec = QuadratureSpec()
+    if f.poly_radial_terms() is not None:
         return f.integrate_exact(r_max=spec.r_max, spec=spec)
-    return integrate_callable(f.evaluate, f.symmetry, spec, decay=f.decay,
-                              x1_range=x1_range)
+    return integrate_callable(f.evaluate, f.symmetry, spec, decay=f.decay)
 
 
 def inner_l2(f: ScalarField, g: ScalarField,
-             spec: QuadratureSpec | None = None, x1_range=None) -> float:
+             spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
     tf, tg = f.poly_radial_terms(), g.poly_radial_terms()
-    if tf is not None and tg is not None and x1_range is None:
+    if tf is not None and tg is not None:
         return f.product(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)
@@ -613,15 +605,14 @@ def inner_l2(f: ScalarField, g: ScalarField,
         v = f.evaluate(X)
         return v * (v if g is f else g.evaluate(X))
 
-    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g),
-                              x1_range=x1_range).value
+    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g)).value
 
 
 def inner_hdot1(f: ScalarField, g: ScalarField,
-                spec: QuadratureSpec | None = None, x1_range=None) -> float:
+                spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
     tf, tg = f.poly_radial_terms(), g.poly_radial_terms()
-    if tf is not None and tg is not None and x1_range is None:
+    if tf is not None and tg is not None:
         return f.grad_dot(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)
@@ -630,12 +621,12 @@ def inner_hdot1(f: ScalarField, g: ScalarField,
         G = f.gradient(X)
         return np.einsum("ij,ij->i", G, G if g is f else g.gradient(X))
 
-    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g, 2.0),
-                              x1_range=x1_range).value
+    return integrate_callable(fn, sym, spec,
+                              decay=_pair_decay(f, g, 2.0)).value
 
 
-def norm_l2(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
-    return math.sqrt(max(inner_l2(f, f, spec), 0.0))
+def norm_l2(f: ScalarField) -> float:
+    return math.sqrt(max(inner_l2(f, f), 0.0))
 
 
 def norm_hdot1(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
@@ -686,8 +677,8 @@ def _pairing_features(pairs, X, kind: str) -> np.ndarray:
     return np.stack([row(p) for p in pairs], axis=1)
 
 
-def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
-                  x1_range=None) -> np.ndarray:
+def pairing_block(rows, cols, kind: str,
+                  spec: QuadratureSpec | None = None) -> np.ndarray:
     """Matrix of pairings (rows_i, cols_j) in one shared quadrature pass.
 
     kind "l2" pairs componentwise in L2, kind "h" uses the energy pairing
@@ -720,8 +711,7 @@ def pairing_block(rows, cols, kind: str, spec: QuadratureSpec | None = None,
                   out=out[:, 1])
         return out
 
-    return np.asarray(integrate_callable(fn, sym, spec,
-                                         x1_range=x1_range).value)
+    return np.asarray(integrate_callable(fn, sym, spec).value)
 
 
 def norm_l4(f: ScalarField, spec: QuadratureSpec | None = None) -> float:

@@ -26,12 +26,12 @@ def _r2(y, yhat):
     return 1.0 - ss_res / ss_tot
 
 
-def fit_loglog(x, y, min_points: int = 3) -> DecayFit:
+def fit_loglog(x, y) -> DecayFit:
     """Fit log|y| = slope * log x + intercept (power-law rate)."""
     x = np.asarray(x, dtype=float)
     y = np.abs(np.asarray(y, dtype=float))
-    if x.size < min_points:
-        raise ValueError(f"need at least {min_points} samples, got {x.size}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 samples, got {x.size}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs positive samples")
     lx, ly = np.log(x), np.log(y)
@@ -41,12 +41,12 @@ def fit_loglog(x, y, min_points: int = 3) -> DecayFit:
                     (float(x.min()), float(x.max())), model="loglog")
 
 
-def fit_log_linear(x, y, min_points: int = 3) -> DecayFit:
+def fit_log_linear(x, y) -> DecayFit:
     """Fit y = slope * log x + intercept (logarithmic growth laws)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < min_points:
-        raise ValueError(f"need at least {min_points} samples, got {x.size}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 samples, got {x.size}")
     lx = np.log(x)
     slope, intercept = np.polyfit(lx, y, 1)
     return DecayFit(float(slope), float(intercept),
@@ -54,8 +54,7 @@ def fit_log_linear(x, y, min_points: int = 3) -> DecayFit:
                     (float(x.min()), float(x.max())), model="log-linear")
 
 
-def fit_exponential(x, y, poly_correction: float = 0.0,
-                    min_points: int = 3) -> DecayFit:
+def fit_exponential(x, y, poly_correction: float = 0.0) -> DecayFit:
     """Fit log(|y| * x^poly_correction) = -rate * x + intercept.
 
     ``slope`` of the returned fit is the (signed) coefficient of x, so a
@@ -65,8 +64,8 @@ def fit_exponential(x, y, poly_correction: float = 0.0,
     """
     x = np.asarray(x, dtype=float)
     y = np.abs(np.asarray(y, dtype=float))
-    if x.size < min_points:
-        raise ValueError(f"need at least {min_points} samples, got {x.size}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 samples, got {x.size}")
     if np.any(y <= 0):
         raise ValueError("exponential fit needs nonzero samples")
     ly = np.log(y) + poly_correction * np.log(x)
@@ -90,8 +89,7 @@ def sup_on_spheres(f, radii, n_dirs: int = 64, seed: int = 7):
     return np.asarray(out)
 
 
-def check_decay(f, exponent: float, radii, n_dirs: int = 64,
-                seed: int = 7) -> DecayFit:
+def check_decay(f, exponent: float, radii) -> DecayFit:
     """Log-log fit of sup_{|x|=R} |f| against R; slope should be ~ -exponent.
 
     Radii must span at least one decade and contain >= 3 values.
@@ -101,5 +99,5 @@ def check_decay(f, exponent: float, radii, n_dirs: int = 64,
         raise ValueError("need at least 3 radii")
     if radii.max() / radii.min() < 10.0 - 1e-9:
         raise ValueError("radii must span at least one decade")
-    sup = sup_on_spheres(f, radii, n_dirs=n_dirs, seed=seed)
+    sup = sup_on_spheres(f, radii)
     return fit_loglog(radii, sup)

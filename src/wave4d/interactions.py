@@ -124,12 +124,12 @@ class MultiSolitonConfig:
 
 
 def two_soliton_config(profile: ScalarField, slow: ScalarField, kernels,
-                       speeds=(-0.5, 0.5), signs=(1, 1), a=None, b=None
+                       speeds=(-0.5, 0.5), a=None, b=None
                        ) -> MultiSolitonConfig:
     n = len(speeds)
     k = len(kernels)
     return MultiSolitonConfig(
-        profiles=[profile] * n, speeds=list(speeds), signs=list(signs),
+        profiles=[profile] * n, speeds=list(speeds), signs=[1] * n,
         a=np.zeros(n) if a is None else np.asarray(a, dtype=float),
         b=np.zeros((n, k)) if b is None else np.asarray(b, dtype=float),
         slow=[slow] * n, kernels=[list(kernels)] * n)
@@ -215,14 +215,13 @@ class GAssembly:
             + [v**2 for v in p["G3"]] + [p["G"] ** 2]
         return np.stack(cols, axis=1)
 
-    def field(self, key: str, index: int | None = None,
-              decay: float | None = None) -> FormulaField:
+    def field(self, key: str, index: int | None = None) -> FormulaField:
         def fn(X):
             p = self.parts(X)
             v = p[key]
             return v[index] if index is not None else v
 
-        return FormulaField(fn, symmetry=self.symmetry, decay=decay,
+        return FormulaField(fn, symmetry=self.symmetry,
                             name=f"{key}{'' if index is None else index}")
 
 
@@ -371,9 +370,9 @@ def interaction_integral(f1: ScalarField, f2: ScalarField,
     return integrate_callable(fn, sym, spec, x1_range=(lo, hi)).value
 
 
-def interaction_rate_table(alpha_pairs, times, ells=(-0.5, 0.5),
+def interaction_rate_table(alpha_pairs, times,
                            spec: QuadratureSpec | None = None) -> list:
-    """Fitted two-center laws for <x>^-2 model kernels.
+    """Fitted two-center laws for <x>^-2 model kernels at speeds -0.5, 0.5.
 
     Each row reports the exponent pair, the expected law (power slope
     -2 a1 for a2 > 2, 4 - 2(a1+a2) for a2 < 2, or t^-2a1 log t growth for
@@ -383,7 +382,8 @@ def interaction_rate_table(alpha_pairs, times, ells=(-0.5, 0.5),
                           symmetry="radial", decay=2.0, name="<x>^-2")
     rows = []
     for a1, a2 in alpha_pairs:
-        vals = [interaction_integral(kernel, kernel, a1, a2, ells, t, spec)
+        vals = [interaction_integral(kernel, kernel, a1, a2, (-0.5, 0.5), t,
+                                     spec)
                 for t in times]
         if a2 > 2.0:
             fit = fit_loglog(times, vals)

@@ -206,13 +206,15 @@ def default_sigma(cfg: MultiSolitonConfig) -> float:
 
 def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
               spec: QuadratureSpec | None = None,
-              directions=None, sigma: float | None = None,
-              gamma0: float = 0.1, cond_threshold: float = 1e9,
+              directions=None, gamma0: float = 0.1,
+              cond_threshold: float = 1e9,
               ) -> ModulationState:
     """Orthogonal decomposition around the soliton sum at time t.
 
     Raises when the deviation exceeds gamma0 (outside the tube) or the Gram
-    matrix is ill-conditioned (solitons too close / t too small).
+    matrix is ill-conditioned (solitons too close / t too small).  The slow
+    parameters c are localized at default_sigma; a single soliton has no
+    speed gap to set it, so its c reads zero.
     """
     spec_c = cfg.quad_spec(t, spec)
     qpairs = _soliton_pairs(cfg, t)
@@ -243,10 +245,11 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     H, L = pairing_block(P, P, "both", spec_c)
     zp, zm = _split_z(L[0, 1:], cfg.n)
 
-    if sigma is None and cfg.n >= 2:
+    cs = np.zeros(cfg.n)
+    if cfg.n >= 2:
         sigma = default_sigma(cfg)
-    cs = np.zeros(cfg.n) if sigma is None else np.array(
-        [compute_c(phi.first, cfg, n, t, sigma, spec) for n in range(cfg.n)])
+        cs = np.array([compute_c(phi.first, cfg, n, t, sigma, spec)
+                       for n in range(cfg.n)])
 
     return ModulationState(t=t, a=a, b=b, remainder=phi, z_plus=zp,
                            z_minus=zm, c=cs,

@@ -36,6 +36,11 @@ from .fitting import DecayFit, fit_exponential
 from .quadrature import SYM_CYL, SYM_RADIAL, QuadratureSpec, symmetry_rank
 from .states import ground_state
 
+# kernel_count aligns modes on the inner TRUSTED_FRACTION of the domain
+TRUSTED_FRACTION = 0.25
+# relative tolerance of the shooting oracle's DOP853 integration
+ORACLE_RTOL = 1e-11
+
 
 @dataclass
 class RadialOperator:
@@ -277,26 +282,25 @@ def all_eigen_below(op: RadialOperator, cutoff: float):
     return vals, vecs
 
 
-def kernel_count(op, near_zero_fields=None, eps: float | None = None,
-                 trusted_fraction: float = 0.25) -> dict:
+def kernel_count(op, near_zero_fields=None) -> dict:
     """Count near-zero modes and align them with supplied generator fields.
 
-    eps defaults to max(h^2, 10 / R^2), covering both the stencil error and
-    the Dirichlet shift of slowly decaying kernel elements while staying
-    below the first continuum eigenvalue of the truncated domain.  Alignment
-    inner products are evaluated on r <= trusted_fraction * R because the
-    wall visibly bends modes whose L2(ball) norm grows logarithmically.
+    A mode is near zero below eps = max(h^2, 10 / R^2), covering both the
+    stencil error and the Dirichlet shift of slowly decaying kernel elements
+    while staying below the first continuum eigenvalue of the truncated
+    domain.  Alignment inner products are evaluated on
+    r <= TRUSTED_FRACTION * R because the wall visibly bends modes whose
+    L2(ball) norm grows logarithmically.
     """
     if isinstance(op, RadialOperator):
         h, R = op.h, op.r_max
-        if eps is None:
-            eps = max(h * h, 10.0 / (R * R))
+        eps = max(h * h, 10.0 / (R * R))
         vals, vecs = eigh_tridiagonal(op.main, op.off, select="v",
                                       select_range=(-eps, eps))
         out = {"count": int(len(vals)), "eps": float(eps),
                "eigenvalues": [float(v) for v in vals], "alignments": []}
         if near_zero_fields:
-            window = op.r <= trusted_fraction * R
+            window = op.r <= TRUSTED_FRACTION * R
             for f in near_zero_fields:
                 target = _profile_on_axis(f, op.r) * op.r**1.5
                 t = target[window] / np.linalg.norm(target[window])
@@ -309,9 +313,8 @@ def kernel_count(op, near_zero_fields=None, eps: float | None = None,
         return out
 
     if isinstance(op, CylOperator):
-        if eps is None:
-            h = op.r[1] - op.r[0]
-            eps = max(h * h, 10.0 / (op.r_max * op.r_max))
+        h = op.r[1] - op.r[0]
+        eps = max(h * h, 10.0 / (op.r_max * op.r_max))
         n = op.matrix.shape[0]
         v0 = np.full(n, 1.0 / math.sqrt(n))
         k = 12
@@ -322,8 +325,8 @@ def kernel_count(op, near_zero_fields=None, eps: float | None = None,
                "alignments": []}
         if near_zero_fields:
             P = cylinder_points(op.x1, op.r)
-            window = (np.abs(P[:, 0]) <= trusted_fraction * op.length) & \
-                     (P[:, 1] <= trusted_fraction * op.r_max)
+            window = (np.abs(P[:, 0]) <= TRUSTED_FRACTION * op.length) & \
+                     (P[:, 1] <= TRUSTED_FRACTION * op.r_max)
             wgt = P[:, 1]  # symmetrization weight rbar
             for f in near_zero_fields:
                 target = (f.evaluate(P) * wgt)[window]
@@ -338,10 +341,9 @@ def kernel_count(op, near_zero_fields=None, eps: float | None = None,
     raise TypeError("unknown operator type")
 
 
-def verify_exponential_decay(Y: ScalarField, lam: float,
-                             window: tuple | None = None,
-                             n_pts: int = 24) -> DecayFit:
-    """Exponential-rate fit of a radial eigenfield on its trusted window.
+def verify_exponential_decay(Y: ScalarField, lam: float) -> DecayFit:
+    """Exponential-rate fit of a radial eigenfield on its trusted window
+    [r_t / 4, 3 r_t / 4], r_t its trusted radius.
 
     The 4D radial prefactor r^-3/2 is removed before fitting so the rate
     isolates lam; the raw (uncorrected) rate overestimates it by ~1.5/r.
@@ -349,26 +351,24 @@ def verify_exponential_decay(Y: ScalarField, lam: float,
     if lam <= 0:
         raise ValueError("decay check needs a positive rate")
     r_t = getattr(Y, "trusted_radius", None)
-    if window is None:
-        if r_t is None:
-            raise ValueError("no trusted window available")
-        window = (0.25 * r_t, 0.75 * r_t)
-    rr = np.linspace(window[0], window[1], n_pts)
+    if r_t is None:
+        raise ValueError("no trusted window available")
+    rr = np.linspace(0.25 * r_t, 0.75 * r_t, 24)
     X = np.zeros((rr.size, 4))
     X[:, 0] = rr
     vals = Y.evaluate(X)
     return fit_exponential(rr, vals, poly_correction=1.5)
 
 
-def shooting_rate(q: ScalarField, bracket=(0.2, 2.5), r_far: float = 25.0,
-                  rtol: float = 1e-11) -> float:
+def shooting_rate(q: ScalarField) -> float:
     """Independent oracle for the ground rate lam_1 of -Delta - 3 q^2.
 
-    Integrates the radial ODE outward from a series start and bisects on the
-    sign of the far-field value; returns lam with eigenvalue -lam^2.  The
-    integrator is the eighth-order Dormand-Prince pair (DOP853): at rtol
-    1e-11 it takes about a third of the steps of the fifth-order pair, and
-    every step samples q point by point.
+    Integrates the radial ODE outward from a series start to r = 25 and
+    bisects on the sign of the far-field value, with lam in [0.2, 2.5];
+    returns lam with eigenvalue -lam^2.  The integrator is the eighth-order
+    Dormand-Prince pair (DOP853): at rtol ORACLE_RTOL = 1e-11 it takes about
+    a third of the steps of the fifth-order pair, and every step samples q
+    point by point.
     """
     X = np.zeros((1, 4))  # one point (r, 0, 0, 0), refilled per sample
 
@@ -388,11 +388,11 @@ def shooting_rate(q: ScalarField, bracket=(0.2, 2.5), r_far: float = 25.0,
 
         c = (lam2 - 3.0 * q0sq) / 8.0
         r0 = 1e-3
-        sol = solve_ivp(rhs, (r0, r_far), [1.0 + c * r0 * r0, 2 * c * r0],
-                        method="DOP853", rtol=rtol, atol=1e-13)
+        sol = solve_ivp(rhs, (r0, 25.0), [1.0 + c * r0 * r0, 2 * c * r0],
+                        method="DOP853", rtol=ORACLE_RTOL, atol=1e-13)
         return sol.y[0, -1]
 
-    lo, hi = bracket
+    lo, hi = 0.2, 2.5
     flo, fhi = miss(lo), miss(hi)
     if flo * fhi > 0:
         raise ValueError("bracket does not straddle an eigenvalue; "

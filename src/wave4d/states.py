@@ -50,6 +50,9 @@ GENERATOR_IDS = (
     "conformal_1", "conformal_2", "conformal_3", "conformal_4",
 )
 
+# kernel_basis drops candidates below DROP_TOL * the leading Gram diagonal
+DROP_TOL = 1e-8
+
 
 class SingularTransform(ValueError):
     pass
@@ -131,7 +134,7 @@ class RationalRadial:
         return RadialPart(self, d1, d2)
 
 
-def _poly_from(terms, decay=None, name="") -> PolyRadialField:
+def _poly_from(terms, name="") -> PolyRadialField:
     cleaned = [(m, rr) for m, rr in terms if not rr.is_zero]
     if not cleaned:
         out = PolyRadialField([(np.zeros(4, dtype=int),
@@ -139,9 +142,8 @@ def _poly_from(terms, decay=None, name="") -> PolyRadialField:
                               decay=100.0, name=name or "0")
         out.is_zero = True
         return out
-    if decay is None:
-        decay = min(rr.decay_exponent() - int(np.sum(np.asarray(m)))
-                    for m, rr in cleaned)
+    decay = min(rr.decay_exponent() - int(np.sum(np.asarray(m)))
+                for m, rr in cleaned)
     return PolyRadialField([(m, rr.part()) for m, rr in cleaned],
                            decay=decay, name=name)
 
@@ -192,25 +194,18 @@ class SurrogateSpec:
         return dict(value=v, gradient=g.tolist())
 
 
-def surrogate_excited_state(spec: SurrogateSpec | None = None) -> ScalarField:
+def surrogate_excited_state() -> ScalarField:
     """Closed-form stand-in with the excited-state far field x4/|x|^4.
 
-    For the default seed the inversion is done in closed form:
+    The Kelvin inversion of the default seed, done in closed form:
     64 x4 (1 + 8|x|^2)^-2.  The profile is smooth, odd in x4, satisfies the
     |Q - x4/|x|^4| <= C/|x|^4 bound and the <x>^-(3+|a|) derivative bounds,
     but it is not a solution of the elliptic equation; meta records this.
     """
-    spec = spec or SurrogateSpec()
-    record = spec.verify()
-    default = isinstance(spec.seed, PolyRadialField) and spec.seed.name == "seed"
-    if default:
-        Q = _poly_from([(_e(3), RationalRadial(-16.0, {(0, 2): 64.0}))],
-                       name="Q_surrogate")
-        Q.core = 1.0 / math.sqrt(8.0)
-    else:
-        Q = kelvin(spec.seed)
-        Q.name = "Q_surrogate"
-    Q.meta = {"pde_solution": False, "normalization": record}
+    Q = _poly_from([(_e(3), RationalRadial(-16.0, {(0, 2): 64.0}))],
+                   name="Q_surrogate")
+    Q.core = 1.0 / math.sqrt(8.0)
+    Q.meta = {"pde_solution": False, "normalization": SurrogateSpec().verify()}
     return Q
 
 
@@ -474,18 +469,17 @@ class KernelBasis:
     dropped: list
 
 
-def kernel_basis(Q: ScalarField, spec: QuadratureSpec | None = None,
-                 drop_tol: float = 1e-8) -> KernelBasis:
+def kernel_basis(Q: ScalarField) -> KernelBasis:
     """psi = conformal_4 generator; remaining 14 candidates rank-filtered.
 
     Candidates whose Schur-complement contribution to the Hdot1 Gram matrix
-    falls below drop_tol * leading diagonal are discarded (symmetric
+    falls below DROP_TOL * leading diagonal are discarded (symmetric
     profiles degenerate the 15-dimensional span); the achieved rank is
     reported rather than asserted.
     """
     from .fields import inner_hdot1
 
-    spec = spec or QuadratureSpec(r_max=400.0)
+    spec = QuadratureSpec(r_max=400.0)
     psi = symmetry_generator(Q, "conformal_4")
     cand_ids = [g for g in GENERATOR_IDS if g != "conformal_4"]
     cands = [symmetry_generator(Q, g) for g in cand_ids]
@@ -508,7 +502,7 @@ def kernel_basis(Q: ScalarField, spec: QuadratureSpec | None = None,
             resid = G[j, j] - gj @ np.linalg.solve(Gs, gj)
         else:
             resid = G[j, j]
-        if resid > drop_tol * lead:
+        if resid > DROP_TOL * lead:
             selected.append(j)
         else:
             dropped.append(live[j][0])

@@ -123,6 +123,12 @@ def test_decay_check_requires_rate():
         verify_exponential_decay(_zero_profile(), 0.0)
 
 
+def test_decay_check_requires_trusted_window():
+    """A positive rate on a field with no trusted radius has no window."""
+    with pytest.raises(ValueError, match="trusted window"):
+        verify_exponential_decay(_zero_profile(), 1.0)
+
+
 def test_decay_rate_scales_with_dilation(W):
     """lam(dilated profile) = lam * dilation, and so does the decay rate."""
     scale = 1.5

@@ -218,6 +218,11 @@ def test_surrogate_normalization_guard():
     assert rec["gradient"][3] == pytest.approx(1.0)
 
 
+def test_surrogate_meta_records_the_seed_normalization():
+    normalization = surrogate_excited_state().meta["normalization"]
+    assert normalization == SurrogateSpec().verify()
+
+
 def test_slow_kernel_field_asymptotics(Qs, rng):
     psi = symmetry_generator(Qs, "conformal_4")
     assert psi(np.zeros(4)) == 0.0
