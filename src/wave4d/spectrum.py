@@ -11,10 +11,10 @@ start vector.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
-two routes share nothing but the profile.  The oracle integrates with the
-eighth-order Dormand-Prince pair (DOP853), which at its rtol of 1e-11 needs
-about a third of the steps of the fifth-order pair; each step samples the
-profile point by point, so the step count sets its cost.
+two routes share nothing but the profile.  The oracle steps with Hairer's
+Fortran eighth-order Dormand-Prince code (DOP853) behind scipy's ``ode``,
+and each right-hand-side call samples q^2 through the profile's radial
+function on a Python float, not through the point-array ``evaluate``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
@@ -40,6 +40,8 @@ from .states import ground_state
 TRUSTED_FRACTION = 0.25
 # relative tolerance of the shooting oracle's DOP853 integration
 ORACLE_RTOL = 1e-11
+# step budget of one oracle integration; one takes about 200 steps
+ORACLE_NSTEPS = 10_000
 
 
 @dataclass
@@ -51,7 +53,6 @@ class RadialOperator:
     main: np.ndarray
     off: np.ndarray
     r_max: float
-    sector: str = "radial"
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.main * u
@@ -69,7 +70,6 @@ class CylOperator:
     r: np.ndarray
     r_max: float
     length: float
-    sector: str = "cylindrical"
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
@@ -363,21 +363,33 @@ def verify_exponential_decay(Y: ScalarField, lam: float) -> DecayFit:
 def shooting_rate(q: ScalarField) -> float:
     """Independent oracle for the ground rate lam_1 of -Delta - 3 q^2.
 
-    Integrates the radial ODE outward from a series start to r = 25 and
-    bisects on the sign of the far-field value, with lam in [0.2, 2.5];
-    returns lam with eigenvalue -lam^2.  The integrator is the eighth-order
-    Dormand-Prince pair (DOP853): at rtol ORACLE_RTOL = 1e-11 it takes about
-    a third of the steps of the fifth-order pair, and every step samples q
-    point by point.
+    Integrates the radial ODE outward from a series start at r0 = 1e-3 to
+    r = 25 and bisects (brentq) on the sign of the far-field value, with lam
+    in [0.2, 2.5]; returns lam with eigenvalue -lam^2.  q must be a radial
+    monomial-radial field: a non-radial profile raises ValueError and one
+    without monomial-radial terms TypeError, both before any integration.
+    q^2 is sampled through the profile's radial functions on a Python float,
+    and each integration runs Hairer's Fortran DOP853 through scipy's
+    ``ode`` at rtol ORACLE_RTOL = 1e-11, atol 1e-13.  That code is not
+    re-entrant: one integration runs at a time, as brentq's sequential
+    calls guarantee.
     """
-    X = np.zeros((1, 4))  # one point (r, 0, 0, 0), refilled per sample
+    if q.symmetry != SYM_RADIAL:
+        raise ValueError("shooting oracle requires a radial profile")
+    terms = q.poly_radial_terms()
+    if terms is None:
+        raise TypeError("shooting oracle needs a monomial-radial profile")
+    # a radial field has only m = 0 terms, so q(r e1) sums their radial parts
+    parts = [p.f for _, p in terms]
 
     def qsq(r):
-        X[0, 0] = r
-        v = float(q.evaluate(X)[0])
+        v = 0.0
+        for f in parts:
+            v += float(f(r))
         return v * v
 
     q0sq = qsq(0.0)
+    r0 = 1e-3
 
     def miss(lam):
         lam2 = lam * lam
@@ -387,10 +399,14 @@ def shooting_rate(q: ScalarField) -> float:
             return [dY, -(3.0 / r) * dY + (lam2 - 3.0 * qsq(r)) * Y]
 
         c = (lam2 - 3.0 * q0sq) / 8.0
-        r0 = 1e-3
-        sol = solve_ivp(rhs, (r0, 25.0), [1.0 + c * r0 * r0, 2 * c * r0],
-                        method="DOP853", rtol=ORACLE_RTOL, atol=1e-13)
-        return sol.y[0, -1]
+        solver = ode(rhs).set_integrator("dop853", rtol=ORACLE_RTOL,
+                                         atol=1e-13, nsteps=ORACLE_NSTEPS)
+        solver.set_initial_value([1.0 + c * r0 * r0, 2 * c * r0], r0)
+        y = solver.integrate(25.0)
+        if not solver.successful():
+            raise RuntimeError(f"DOP853 failed at lam={lam!r} "
+                               f"(return code {solver.get_return_code()})")
+        return float(y[0])
 
     lo, hi = 0.2, 2.5
     flo, fhi = miss(lo), miss(hi)

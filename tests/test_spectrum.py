@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from wave4d import spectrum
 from wave4d.fields import FormulaField
 from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (all_eigen_below, assemble_cylindrical,
                              assemble_radial, kernel_count, negative_spectrum,
                              rayleigh_quotient, shooting_rate,
                              verify_cancellation, verify_exponential_decay)
-from wave4d.states import dilate, ground_state, symmetry_generator
+from wave4d.states import (RationalRadial, _poly_from, dilate, ground_state,
+                           symmetry_generator)
 
 
 def _zero_profile():
@@ -49,6 +51,33 @@ def test_shooting_oracle_matches_extrapolated_grid_rate(W):
     limit = (4.0 * lams[2] - lams[1]) / 3.0
     lam_shoot = shooting_rate(W)
     assert abs(limit - lam_shoot) / lam_shoot < 1e-9
+
+
+@pytest.mark.parametrize("mu", [0.8, 1.25])
+def test_shooting_oracle_respects_scaling(W, mu):
+    """-Delta - 3 q_mu^2 with q_mu(x) = mu W(mu x) is the operator of W
+    rescaled by mu, so its rate is mu lam_1."""
+    q_mu = _poly_from([(np.zeros(4, dtype=int),
+                        RationalRadial(-mu * mu / 4.0, {(0, 1): mu}))])
+    assert shooting_rate(q_mu) == pytest.approx(mu * shooting_rate(W),
+                                                rel=1e-9)
+
+
+def test_shooting_oracle_refuses_other_profiles_up_front(W, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the oracle integrated before rejecting")
+    monkeypatch.setattr(spectrum, "ode", no_integration)
+    with pytest.raises(ValueError, match="radial profile"):
+        shooting_rate(symmetry_generator(W, "translation_1"))
+    with pytest.raises(TypeError, match="monomial-radial"):
+        shooting_rate(_zero_profile())
+
+
+def test_shooting_oracle_raises_when_the_step_budget_runs_out(W, monkeypatch):
+    monkeypatch.setattr(spectrum, "ORACLE_NSTEPS", 10)
+    with pytest.warns(UserWarning, match="nsteps"), \
+            pytest.raises(RuntimeError, match="DOP853 failed"):
+        shooting_rate(W)
 
 
 def test_rate_self_convergence(W):

@@ -54,6 +54,20 @@ def test_kelvin_closed_forms(W, rng):
     assert np.max(np.abs(Kq.evaluate(pts) - closed)) <= 1e-10
 
 
+@pytest.mark.parametrize("profile", [ground_state, surrogate_seed])
+def test_kelvin_gradient_matches_central_differences(profile, rng):
+    Kf = kelvin(profile())
+    pts = rng.normal(scale=2.0, size=(200, 4))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.2]
+    h = 1e-5
+    fd = np.empty_like(pts)
+    for ax in range(4):
+        step = np.zeros(4)
+        step[ax] = h
+        fd[:, ax] = (Kf.evaluate(pts + step) - Kf.evaluate(pts - step)) / (2 * h)
+    assert np.max(np.abs(Kf.gradient(pts) - fd)) <= 1e-7
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
                  st.floats(-2, 2)))
