@@ -18,9 +18,9 @@ pairings and the bootstrap-inequality margins on grid snapshots.  The
 shooting experiment integrates backward in time (through exact time
 reflection of the data) from well-prepared states with a prescribed
 outgoing amplitude and bisects on the amplitude that maximizes the time
-spent inside the deviation tube.  Its soliton is at rest, so the pinned edge
-values are evaluated once (static_soliton_background); evolve and
-measure_mode_rates take a speed and evaluate the edges at every step.
+spent inside the deviation tube.  Soliton-sum samples, edge values and the
+decomposition basis depend on t only through the soliton centers, so they
+are sampled again only when the centers move (once for solitons at rest).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
 
-from .boosts import pair_vector
 from .fields import _H_SECOND, FieldPair, Grid2DCyl, ScalarField, \
     _h_features, _pairing_features, cylinder_points
 from .interactions import MultiSolitonConfig
@@ -223,58 +222,74 @@ def grid_h_norm_sq(du, dv, grid) -> float:
     return float(np.sum((d1**2 + dr**2 + dv**2) * w))
 
 
+def _by_centers(cfg: MultiSolitonConfig, sample):
+    """t -> sample(t), taken again only when cfg.centers(t) moves.  Only
+    the last sampling is kept; it is dropped before the next is taken."""
+    kept = {}
+
+    def at(t: float):
+        centers = cfg.centers(t)
+        if centers not in kept:
+            kept.clear()
+            kept[centers] = sample(t)
+        return kept[centers]
+
+    return at
+
+
 @dataclass
 class GridBasis:
-    """Configuration and exponential-direction family of the in-loop
-    decomposition.
-
-    The exponential directions of each speed are built once here; at_time
-    only moves them with their soliton and returns the fields to sample.
+    """Configuration, grid and exponential-direction family of the in-loop
+    decomposition.  The directions of each speed are built once; sample(t)
+    samples the grid again only when the soliton centers move.
     """
 
     cfg: MultiSolitonConfig
-    grid: Grid2DCyl  # unread; benchmark/workloads.py passes it positionally
+    grid: Grid2DCyl
     rates_fields: list
 
     def __post_init__(self):
         self.directions = exp_direction_family(self.cfg, self.rates_fields)
+        self.sample = _by_centers(self.cfg, self._sample)
 
-    def at_time(self, t: float) -> dict:
-        return dict(qpairs=_soliton_pairs(self.cfg, t),
-                    zcols=_z_columns(self.cfg, self.directions, t),
-                    basis=_flatten_basis(*basis_pairs(self.cfg, t))[0])
+    def _sample(self, t: float) -> dict:
+        """The soliton sum q = (q1, q2), the basis "both" stack B, its
+        energy Gram matrix G with cond(G), the Z+- "l2" stack Z and the grid
+        weights w."""
+        cfg, grid = self.cfg, self.grid
+        qpairs = _soliton_pairs(cfg, t)
+        P = cylinder_points(grid.x1, grid.r)
+        w = grid_weights(grid).ravel()
+        B = _pairing_features(_flatten_basis(*basis_pairs(cfg, t))[0], P,
+                              "both")
+        H = B[..., 1:]  # the kind "h" columns
+        G = np.einsum("p,pik,pjk->ij", w, H, H)
+        return dict(
+            q=(sum(eval_on_grid(p.first, grid) for p in qpairs),
+               sum(eval_on_grid(p.second, grid) for p in qpairs)),
+            w=w, B=B, G=G, cond=float(np.linalg.cond(G)),
+            Z=_pairing_features(_z_columns(cfg, self.directions, t), P, "l2"))
 
 
-def _soliton_sum(data: dict, grid: Grid2DCyl) -> tuple:
-    """Grid samples (u, v) of the traveling soliton sum in at_time data."""
-    return (sum(eval_on_grid(p.first, grid) for p in data["qpairs"]),
-            sum(eval_on_grid(p.second, grid) for p in data["qpairs"]))
-
-
-def grid_modulation(u, v, grid: Grid2DCyl, basis: GridBasis,
-                    t: float) -> ModulationState:
+def grid_modulation(u, v, basis: GridBasis, t: float) -> ModulationState:
     """Same decomposition as modulation.decompose, on grid quadrature."""
-    data = basis.at_time(t)
-    q1, q2 = _soliton_sum(data, grid)
-    return _decompose_on_grid(u - q1, v - q2, grid, basis, data, t)
+    q1, q2 = basis.sample(t)["q"]
+    return _decompose_on_grid(u - q1, v - q2, basis, t)
 
 
-def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
-                       data: dict, t: float) -> ModulationState:
-    """grid_modulation of the deviation (du, dv) from the soliton sum of
-    the at_time data.  The localized slow parameter c is not measured on
-    the grid; it reads zero."""
-    cfg = basis.cfg
-    P = cylinder_points(grid.x1, grid.r)
-    w = grid_weights(grid)
-    B = _pairing_features(data["basis"], P, "both")
+def _decompose_on_grid(du, dv, basis: GridBasis, t: float) -> ModulationState:
+    """grid_modulation of the deviation (du, dv) from the soliton sum at
+    time t.  The localized slow parameter c is not measured on the grid; it
+    reads zero."""
+    cfg, grid = basis.cfg, basis.grid
+    s = basis.sample(t)
+    w, B = s["w"], s["B"]
     H = B[..., 1:]  # the kind "h" columns
-    G = np.einsum("p,pik,pjk->ij", w.ravel(), H, H)
     # at the grid points (x1, rbar, 0, 0) the gradient is (d1, dr, 0, 0)
-    grad = np.zeros((P.shape[0], 4))
+    grad = np.zeros((du.size, 4))
     grad[:, 0], grad[:, 1] = (d.ravel() for d in grid_gradient(du, grid))
-    coef = np.linalg.solve(G, np.einsum("p,pik,pk->i", w.ravel(), H,
-                                        _h_features(grad, dv.ravel())))
+    coef = np.linalg.solve(s["G"], np.einsum("p,pik,pk->i", w, H,
+                                             _h_features(grad, dv.ravel())))
     # a contiguous copy of the first components: the strided product sums
     # in another order, which moves the cancelling z pairings by round-off
     first = np.ascontiguousarray(B[..., 0])
@@ -282,17 +297,15 @@ def _decompose_on_grid(du, dv, grid: Grid2DCyl, basis: GridBasis,
     phi2 = dv - (H[..., _H_SECOND] @ coef).reshape(dv.shape)
 
     a = coef[:cfg.n].copy()
-    b = (coef[cfg.n:].reshape(cfg.n, cfg.n_kernel) if cfg.n_kernel
-         else np.zeros((cfg.n, 0)))
-    Z = _pairing_features(data["zcols"], P, "l2")
+    b = coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
     phi = np.stack([phi1.ravel(), phi2.ravel()], axis=1)
-    zp, zm = _split_z(np.einsum("p,pik,pk->i", w.ravel(), Z, phi), cfg.n)
+    zp, zm = _split_z(np.einsum("p,pik,pk->i", w, s["Z"], phi), cfg.n)
 
     return ModulationState(
         t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm,
         c=np.zeros(cfg.n),
         remainder_norm=math.sqrt(max(grid_h_norm_sq(phi1, phi2, grid), 0.0)),
-        gram_cond=float(np.linalg.cond(G)))
+        gram_cond=s["cond"])
 
 
 @dataclass
@@ -318,7 +331,8 @@ class MonitorSeries:
 
 
 def soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
-    """Edge-value callback pinning the boundary to the soliton sum."""
+    """Edge-value callback pinning the boundary to the soliton sum,
+    evaluated again only when the soliton centers move."""
     edge_pts = (cylinder_points([grid.x1_min], grid.r),
                 cylinder_points([grid.x1_max], grid.r),
                 cylinder_points(grid.x1, [grid.r_max]))
@@ -327,16 +341,7 @@ def soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
         Q = cfg.traveling_profiles(t)
         return tuple(sum(q.evaluate(P) for q in Q) for P in edge_pts)
 
-    return edges
-
-
-def static_soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
-    """soliton_background of solitons at rest, evaluated once: their edge
-    values do not change with t."""
-    if any(ell != 0.0 for ell in cfg.speeds):
-        raise ValueError("a moving soliton has time-dependent edges")
-    edges = soliton_background(cfg, grid)(0.0)
-    return lambda t: edges
+    return _by_centers(cfg, edges)
 
 
 def soliton_center(u: np.ndarray, grid: Grid2DCyl) -> float:
@@ -374,11 +379,9 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
         series.momentum.append(P)
         series.centers.append(soliton_center(e.u, e.grid))
         if basis is not None:
-            data = basis.at_time(e.t)
-            q1, q2 = _soliton_sum(data, e.grid)
+            q1, q2 = basis.sample(e.t)["q"]
             du, dv = e.u - q1, v - q2
-            series.states.append(
-                _decompose_on_grid(du, dv, e.grid, basis, data, e.t))
+            series.states.append(_decompose_on_grid(du, dv, basis, e.t))
             Er, Pr = grid_energy_momentum(q1, q2, e.grid)
             series.energy_ref.append(Er)
             series.momentum_ref.append(Pr)
@@ -459,16 +462,14 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
     basis = GridBasis(cfg, grid, [(lam, Y)])
     bg = soliton_background(cfg, grid)
     dirs = basis.directions[0][0]
-    wpair = pair_vector(cfg.profiles[0], ell, 1)
-    w_u = eval_on_grid(wpair.first, grid)
-    w_v = eval_on_grid(wpair.second, grid)
+    w_u, w_v = basis.sample(0.0)["q"]
 
     def z_series(du, dv, t_stop):
         ev = CylWaveEvolver(grid, w_u + du, w_v + dv, t0=0.0, background=bg)
         ts, zp, zm = [], [], []
 
         def monitor(e):
-            st = grid_modulation(e.u, e.v_sync(), e.grid, basis, e.t)
+            st = grid_modulation(e.u, e.v_sync(), basis, e.t)
             ts.append(e.t)
             zp.append(float(st.z_plus[0, 0]))
             zm.append(float(st.z_minus[0, 0]))
@@ -543,7 +544,7 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     z_pair = dirs[0][0]["-"].z_pair
     z1 = eval_on_grid(z_pair.first, grid)
     z2 = eval_on_grid(z_pair.second, grid)
-    bg = static_soliton_background(cfg, grid)
+    bg = soliton_background(cfg, grid)
 
     def run(s: float) -> dict:
         scale = s / s_ref

@@ -407,13 +407,22 @@ def _stencil_derivative(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _reflect(values, parity=1.0):
+    """Samples on rbar >= 0 (last axis) extended to -rbar with the given
+    parity; the axis sample is not repeated."""
+    return np.concatenate([parity * values[..., :0:-1], values], axis=-1)
+
+
 class SampledField(ScalarField):
     """Field sampled on a cylindrical grid with cubic interpolation.
 
     Evaluation outside the grid returns 0 (fields here decay); gradients come
     from stored gradient grids when available, otherwise from 4th-order
-    stencils on the samples (one-sided at the boundary; this is recorded in
-    ``meta['boundary_stencil']``).
+    stencils on the samples (one-sided at the outer boundary; this is
+    recorded in ``meta['boundary_stencil']``).  The samples are reflected
+    across rbar = 0, evenly for the values and d/dx1 and oddly for d/drbar,
+    before any stencil or interpolator is built, so both are centered next
+    to the axis; ``meta['axis_reflection']`` records it.
     """
 
     symmetry = SYM_CYL
@@ -426,14 +435,15 @@ class SampledField(ScalarField):
         self.gradient_values = gradient_values
         self.decay = decay
         self.asymptote = None
-        self.meta = {}
+        self.meta = {"axis_reflection": "even value and d1, odd dr"}
         self._interp = self._interpolator(self.values)
         self._grad_interp = None
 
-    def _interpolator(self, values):
-        return RegularGridInterpolator((self.grid.x1, self.grid.r), values,
-                                       method="cubic", bounds_error=False,
-                                       fill_value=0.0)
+    def _interpolator(self, values, parity=1.0):
+        return RegularGridInterpolator(
+            (self.grid.x1, _reflect(self.grid.r, -1.0)),
+            _reflect(values, parity), method="cubic", bounds_error=False,
+            fill_value=0.0)
 
     @staticmethod
     def _coords(X):
@@ -447,11 +457,12 @@ class SampledField(ScalarField):
             return
         if self.gradient_values is None:
             g = self.grid
+            dr = _stencil_derivative(_reflect(self.values), g.hr, -1)
             self.gradient_values = (_stencil_derivative(self.values, g.h1, 0),
-                                    _stencil_derivative(self.values, g.hr, 1))
+                                    dr[..., g.nr - 1:])
             self.meta.setdefault("boundary_stencil", "one-sided")
-        self._grad_interp = [self._interpolator(gv)
-                             for gv in self.gradient_values]
+        self._grad_interp = [self._interpolator(gv, parity) for gv, parity
+                             in zip(self.gradient_values, (1.0, -1.0))]
 
     def gradient(self, x):
         X = _as_points(x)

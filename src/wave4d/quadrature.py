@@ -131,10 +131,7 @@ def moment(exponents, dim: int = 4) -> float:
         raise ValueError("exponent vector length must equal dim")
     if np.any(m < 0):
         raise ValueError("negative exponents")
-    if np.any(m % 2 == 1):
-        return 0.0
-    num = 2.0 * np.prod([math.gamma((mi + 1) / 2.0) for mi in m])
-    return float(num / math.gamma((m.sum() + dim) / 2.0))
+    return 0.0 if np.any(m % 2 == 1) else abs_moment(m, dim)
 
 
 def abs_moment(exponents, dim: int = 4) -> float:

@@ -130,54 +130,41 @@ def radial_eigenfield(r: np.ndarray, values: np.ndarray,
     vs = np.concatenate([values[::-1], values])
     spline = CubicSpline(rs, vs)
     dspline = spline.derivative()
+    d2spline = spline.derivative(2)
     r_t = r[-1] - min(4.0 / max(lam, 0.2), 0.3 * r[-1])
     a_t = float(spline(r_t))
 
     def tail(rr):
         return a_t * np.exp(-lam * (rr - r_t)) * (r_t / rr) ** 1.5
 
-    def fn(X):
-        rr = np.linalg.norm(X, axis=1)
-        out = np.zeros(rr.size)
-        inside = rr <= r_t
-        out[inside] = spline(rr[inside])
-        far = ~inside
-        if np.any(far):
-            out[far] = tail(rr[far])
-        return out
-
-    def grad(X):
-        rr = np.linalg.norm(X, axis=1)
-        d = np.zeros(rr.size)
-        inside = rr <= r_t
-        d[inside] = dspline(rr[inside])
-        far = ~inside
-        if np.any(far):
-            d[far] = tail(rr[far]) * (-lam - 1.5 / rr[far])
-        unit = np.zeros_like(X)
-        pos = rr > 0
-        unit[pos] = X[pos] / rr[pos, None]
-        return d[:, None] * unit
+    def val_r(rr):
+        rr = np.asarray(rr, dtype=float)
+        return np.where(rr <= r_t, spline(np.minimum(rr, r_t)),
+                        tail(np.maximum(rr, r_t)))
 
     def d1_r(rr):
         rr = np.asarray(rr, dtype=float)
-        out = np.where(rr <= r_t, dspline(np.minimum(rr, r_t)),
-                       tail(np.maximum(rr, r_t)) * (-lam - 1.5 / np.maximum(rr, 1e-9)))
-        return out
+        return np.where(rr <= r_t, dspline(np.minimum(rr, r_t)),
+                        tail(np.maximum(rr, r_t))
+                        * (-lam - 1.5 / np.maximum(rr, 1e-9)))
 
     def d2_r(rr):
         rr = np.asarray(rr, dtype=float)
-        d2s = spline.derivative(2)
-        inside = d2s(np.minimum(rr, r_t))
+        inside = d2spline(np.minimum(rr, r_t))
         rr_s = np.maximum(rr, 1e-9)
         far = tail(np.maximum(rr, r_t)) * ((lam + 1.5 / rr_s) ** 2
                                            + 1.5 / rr_s**2)
         return np.where(rr <= r_t, inside, far)
 
-    def val_r(rr):
-        rr = np.asarray(rr, dtype=float)
-        return np.where(rr <= r_t, spline(np.minimum(rr, r_t)),
-                        tail(np.maximum(rr, r_t)))
+    def fn(X):
+        return val_r(np.linalg.norm(X, axis=1))
+
+    def grad(X):
+        rr = np.linalg.norm(X, axis=1)
+        unit = np.zeros_like(X)
+        pos = rr > 0
+        unit[pos] = X[pos] / rr[pos, None]
+        return d1_r(rr)[:, None] * unit
 
     f = FormulaField(fn, grad, symmetry=SYM_RADIAL, decay=50.0,
                      name=f"Y(lam={lam:.4f})")

@@ -14,13 +14,13 @@ from wave4d.boosts import build_exp_directions, pair_vector, traveling_pair
 from wave4d.energy import coercivity_probe
 from wave4d.evolver import (CylWaveEvolver, GridBasis, eval_on_grid, evolve,
                             grid_h_norm_sq, measure_mode_rates,
-                            shooting_experiment, soliton_background)
+                            shooting_experiment, single_soliton_config,
+                            soliton_background)
 from wave4d.fields import Grid2DCyl, inner_pair_l2, norm_pair
 from wave4d.fitting import fit_loglog
-from wave4d.interactions import (MultiSolitonConfig, g_part_norms,
-                                 interaction_rate_table, sigma_rate,
-                                 slow_pairing_lawcheck, slow_pairing_series,
-                                 two_soliton_config)
+from wave4d.interactions import (g_part_norms, interaction_rate_table,
+                                 sigma_rate, slow_pairing_lawcheck,
+                                 slow_pairing_series, two_soliton_config)
 from wave4d.modulation import build_initial_data, decompose, \
     exp_direction_family
 from wave4d.quadrature import QuadratureSpec
@@ -36,14 +36,6 @@ def _report(num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     print(f"[criterion {num:02d}] {tag} {name} {detail}")
     assert ok, f"criterion {num}: {name} {detail}"
-
-
-def _single_cfg(W, ell):
-    return MultiSolitonConfig(
-        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
 
 
 def test_criterion_01_stationary_suite(W, rng):
@@ -247,7 +239,7 @@ def test_criterion_09_coercivity(W, ground_eigen):
 
 def test_criterion_10_evolution_suite(W, ground_eigen):
     # stationary persistence at a fixed window with order-2 refinement
-    cfg0 = _single_cfg(W, 0.0)
+    cfg0 = single_soliton_config(0.0)
     devs = {}
     for h in (0.1, 0.05):
         grid = Grid2DCyl(-14.0, 14.0, int(28 / h) + 1, 14.0, int(14 / h) + 1)
@@ -262,7 +254,7 @@ def test_criterion_10_evolution_suite(W, ground_eigen):
 
     # boosted transport: speed, corrected conservation drift
     ell = 0.4
-    cfgb = _single_cfg(W, ell)
+    cfgb = single_soliton_config(ell)
     grid = Grid2DCyl(-14.0, 18.0, 641, 14.0, 281)
     basis = GridBasis(cfgb, grid, [ground_eigen])
     series = evolve(pair_vector(W, ell, 1), 0.0, 6.0, grid, basis=basis,

@@ -10,19 +10,9 @@ from wave4d.evolver import (CylWaveEvolver, GridBasis, bootstrap_margins,
                             grid_modulation, laplacian_operator,
                             measure_mode_rates, shooting_experiment,
                             single_soliton_config, soliton_background,
-                            soliton_center, static_soliton_background)
+                            soliton_center)
 from wave4d.fields import Grid2DCyl
-from wave4d.interactions import MultiSolitonConfig
 from wave4d.modulation import ModulationState
-from wave4d.states import symmetry_generator
-
-
-def _single_cfg(W, ell):
-    return MultiSolitonConfig(
-        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
 
 
 def test_cfl_guard(W):
@@ -105,10 +95,9 @@ def test_time_reversal_second_order(W):
 
 def test_v_sync_reuses_the_last_force(W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
+    background = soliton_background(single_soliton_config(0.0), grid)
     ev = CylWaveEvolver(grid, eval_on_grid(W, grid),
-                        np.zeros((grid.n1, grid.nr)),
-                        background=soliton_background(_single_cfg(W, 0.0),
-                                                      grid))
+                        np.zeros((grid.n1, grid.nr)), background=background)
     for _ in range(7):
         ev.step()
     expected = ev.v_half - 0.5 * ev.dt * ev.rhs(ev.u)
@@ -116,18 +105,79 @@ def test_v_sync_reuses_the_last_force(W):
     assert np.array_equal(ev.state().v, expected)
 
 
-def test_static_background_pins_the_soliton_edges():
-    """The shoot suite's edges at rest are the time-dependent callback's
-    values, bit for bit, at every time."""
-    cfg = single_soliton_config(0.0)
-    grid = default_grid_for(0.0, 14.0, margin=10.0, h=0.12)
-    static = static_soliton_background(cfg, grid)
-    moving = soliton_background(cfg, grid)
-    for t in (0.0, 3.7, 14.0):
-        for got, ref in zip(static(t), moving(t), strict=True):
+def _counted(monkeypatch, owner, attr) -> list:
+    """Wrap owner.attr so that each call appends its first argument."""
+    calls, inner = [], getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("ell", [0.0, 0.4])
+def test_background_edges_evaluated_when_the_centers_move(monkeypatch, ell):
+    """The pinned edges are a fresh per-t evaluation's values, bit for bit,
+    and are evaluated once across a run at rest and once per step when the
+    soliton moves."""
+    cfg = single_soliton_config(ell)
+    grid = default_grid_for(ell, 14.0, margin=10.0, h=0.12)  # the shoot grid
+    evals = _counted(monkeypatch, cfg, "traveling_profiles")
+    background = soliton_background(cfg, grid)
+    steps = []
+
+    def pinned(t):
+        steps.append(t)
+        return background(t)
+
+    ev = CylWaveEvolver(grid, eval_on_grid(cfg.profiles[0], grid),
+                        np.zeros((grid.n1, grid.nr)), background=pinned)
+    ev.run_until(1.2)
+    assert len(steps) >= 25
+    assert len(evals) == (1 if ell == 0.0 else len(steps))
+    for t in (0.0, steps[0], steps[-1], 3.7, 14.0):
+        fresh = soliton_background(single_soliton_config(ell), grid)(t)
+        for got, ref in zip(background(t), fresh, strict=True):
             assert np.array_equal(got, ref)
-    with pytest.raises(ValueError):
-        static_soliton_background(single_soliton_config(0.4), grid)
+
+
+def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
+    """Across the monitors of a run at rest one GridBasis samples its grid
+    once, and every state is bit-identical to a fresh GridBasis's."""
+    import wave4d.evolver as evolver
+
+    cfg = single_soliton_config(0.0)
+    grid = Grid2DCyl(-8.0, 8.0, 81, 8.0, 41)
+    wp = pair_vector(cfg.profiles[0], 0.0, 1)
+    grid_samples = _counted(monkeypatch, evolver, "eval_on_grid")
+    series = evolve(wp, 0.0, 1.0, grid,
+                    basis=GridBasis(cfg, grid, [ground_eigen]), cadence=0.25,
+                    background=soliton_background(cfg, grid))
+    assert len(series.states) == 5
+    assert len(grid_samples) == 4  # the initial data, then q1 and q2 once
+
+    basis = GridBasis(cfg, grid, [ground_eigen])
+    bump = 1e-3 * np.exp(-(grid.x1[:, None] - 1.0) ** 2 - grid.r[None, :] ** 2)
+    ev = CylWaveEvolver(grid, eval_on_grid(wp.first, grid) + bump,
+                        np.zeros((grid.n1, grid.nr)),
+                        background=soliton_background(cfg, grid))
+    samplings, pairs = [], []
+
+    def monitor(e):
+        v = e.v_sync()
+        pairs.append((grid_modulation(e.u, v, basis, e.t),
+                      grid_modulation(e.u, v, GridBasis(cfg, grid,
+                                                        [ground_eigen]), e.t)))
+        samplings.append(basis.sample(e.t))
+
+    ev.run_until(1.0, callback=monitor, cadence=0.25)
+    assert len(pairs) == 5
+    assert all(s is samplings[0] for s in samplings)
+    for got, ref in pairs:
+        for key in ("t", "a", "b", "z_plus", "z_minus", "c",
+                    "remainder_norm", "gram_cond"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 
 def test_linear_regime_energy_drift():
@@ -151,7 +201,7 @@ def test_stationary_persistence_and_order(W):
     devs = {}
     for h in (0.1, 0.05):
         grid = Grid2DCyl(-14.0, 14.0, int(28 / h) + 1, 14.0, int(14 / h) + 1)
-        cfg = _single_cfg(W, 0.0)
+        cfg = single_soliton_config(0.0)
         wp = pair_vector(W, 0.0, 1)
         ev = CylWaveEvolver(grid, eval_on_grid(wp.first, grid),
                             eval_on_grid(wp.second, grid),
@@ -168,7 +218,7 @@ def test_stationary_persistence_and_order(W):
 
 def test_boosted_speed_and_conservation(W, ground_eigen):
     ell = 0.4
-    cfg = _single_cfg(W, ell)
+    cfg = single_soliton_config(ell)
     grid = Grid2DCyl(-14.0, 18.0, 641, 14.0, 281)  # h = 0.05
     basis = GridBasis(cfg, grid, [ground_eigen])
     series = evolve(pair_vector(W, ell, 1), 0.0, 6.0, grid, basis=basis,
@@ -186,7 +236,7 @@ def test_grid_modulation_matches_quadrature_decomposition(W, ground_eigen):
     from wave4d.modulation import decompose, exp_direction_family
     from wave4d.quadrature import QuadratureSpec
 
-    cfg = _single_cfg(W, 0.0)
+    cfg = single_soliton_config(0.0)
     t = 10.0
     psi = traveling_pair(cfg.slow[0], 0.0, t, 1)
     base = traveling_pair(W, 0.0, t, 1)
@@ -195,7 +245,7 @@ def test_grid_modulation_matches_quadrature_decomposition(W, ground_eigen):
     grid = Grid2DCyl(-20.0, 20.0, 401, 20.0, 201)
     basis = GridBasis(cfg, grid, [ground_eigen])
     st_grid = grid_modulation(eval_on_grid(u.first, grid),
-                              eval_on_grid(u.second, grid), grid, basis, t)
+                              eval_on_grid(u.second, grid), basis, t)
     dirs = exp_direction_family(cfg, [ground_eigen])
     st_quad = decompose(u, cfg, t,
                         QuadratureSpec(scheme="fixed", nodes=10, r_max=20.0),
@@ -264,7 +314,7 @@ def test_bootstrap_margins_start_after_t_one():
 
 def test_bootstrap_margins_on_evolved_run(W, ground_eigen):
     ell = 0.0
-    cfg = _single_cfg(W, ell)
+    cfg = single_soliton_config(ell)
     grid = Grid2DCyl(-16.0, 16.0, 641, 16.0, 321)  # h = 0.05
     basis = GridBasis(cfg, grid, [ground_eigen])
     u0 = traveling_pair(W, ell, 10.0, 1)

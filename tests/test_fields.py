@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wave4d.fields import (FieldPair, FormulaField, Grid2DCyl, SampledField,
-                           SymmetryMismatch, hardy_sobolev_check, inner_hdot1,
-                           inner_l2, inner_pair_h, inner_pair_l2,
-                           integrate_field, load_field, load_field_csv,
-                           load_pair, norm_hdot1, norm_l2, norm_pair,
-                           pairing_block, save_field, save_pair, zero_field,
-                           zero_pair)
+                           SymmetryMismatch, cylinder_points,
+                           hardy_sobolev_check, inner_hdot1, inner_l2,
+                           inner_pair_h, inner_pair_l2, integrate_field,
+                           load_field, load_field_csv, load_pair, norm_hdot1,
+                           norm_l2, norm_pair, pairing_block, save_field,
+                           save_pair, zero_field, zero_pair)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import dilate, ground_state, symmetry_generator
 
@@ -144,14 +144,15 @@ def test_poly_radial_gradient_matches_fd(Qs, rng):
         assert np.max(np.abs(fd - g[:, ax])) < 1e-7
 
 
-def test_sampled_field_interpolation_and_container(tmp_path, W, rng):
+def _sampled_W(W):
+    """W sampled on the 161 x 81 grid of [-8, 8] x [0, 8]."""
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
-    X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    vals = W.evaluate(P).reshape(X1.shape)
-    f = SampledField(grid, vals, decay=2.0)
+    vals = W.evaluate(cylinder_points(grid.x1, grid.r))
+    return SampledField(grid, vals.reshape(grid.n1, grid.nr), decay=2.0)
+
+
+def test_sampled_field_interpolation_and_container(tmp_path, W, rng):
+    f = _sampled_W(W)
     pts = rng.uniform(-4, 4, size=(50, 4)) * np.array([1, 0.5, 0.5, 0.5])
     assert np.max(np.abs(f.evaluate(pts) - W.evaluate(pts))) < 1e-5
     g = f.gradient(pts)
@@ -163,6 +164,22 @@ def test_sampled_field_interpolation_and_container(tmp_path, W, rng):
     f2 = load_field(path)
     assert f2.decay == 2.0
     assert np.max(np.abs(f2.evaluate(pts) - f.evaluate(pts))) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), box=st.sampled_from([(3.0, 1.2),
+                                                           (4.0, 2.0)]))
+def test_sampled_field_error_on_any_draw(seed, box):
+    """On any 50 points of either test box the sampled W is within 1e-5 in
+    value and 1e-3 in gradient: the samples are reflected across the axis,
+    so no stencil is one-sided there."""
+    W = ground_state()
+    f = _sampled_W(W)
+    pts = (np.random.default_rng(seed).uniform(-1, 1, size=(50, 4))
+           * np.array([box[0], box[1], box[1], box[1]]))
+    assert np.max(np.abs(f.evaluate(pts) - W.evaluate(pts))) < 1e-5
+    assert np.max(np.abs(f.gradient(pts) - W.gradient(pts))) < 1e-3
+    assert f.meta["axis_reflection"] == "even value and d1, odd dr"
 
 
 def test_symmetry_tag_honored_on_random_point_pairs(Qs, rng):

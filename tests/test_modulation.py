@@ -146,15 +146,10 @@ def test_default_sigma(cfg, W):
     assert default_sigma(cfg) == pytest.approx(0.1)
     single = two_soliton_config(W, symmetry_generator(W, "scaling"),
                                 [symmetry_generator(W, "translation_1")])
-    from wave4d.interactions import MultiSolitonConfig
+    from wave4d.evolver import single_soliton_config
 
-    one = MultiSolitonConfig(profiles=[W], speeds=[0.0], signs=[1],
-                             a=np.zeros(1), b=np.zeros((1, 1)),
-                             slow=[symmetry_generator(W, "scaling")],
-                             kernels=[[symmetry_generator(W,
-                                                          "translation_1")]])
     with pytest.raises(ValueError):
-        default_sigma(one)
+        default_sigma(single_soliton_config(0.0))
 
 
 def test_compute_z_identities(cfg, dirs, ground_eigen):

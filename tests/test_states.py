@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wave4d.fields import FormulaField, Grid2DCyl, SampledField, save_field
+from wave4d.fields import (FormulaField, Grid2DCyl, SampledField,
+                           cylinder_points, save_field)
 from wave4d.fitting import check_decay
 from wave4d.quadrature import QuadratureSpec
 from wave4d.states import (GENERATOR_IDS, SingularTransform, SurrogateSpec,
@@ -292,11 +293,8 @@ def test_check_decay_examples(W, Qs):
 
 def test_profile_import(tmp_path, W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
-    X1, RB = np.meshgrid(grid.x1, grid.r, indexing="ij")
-    P = np.zeros((X1.size, 4))
-    P[:, 0] = X1.ravel()
-    P[:, 1] = RB.ravel()
-    f = SampledField(grid, W.evaluate(P).reshape(X1.shape), decay=2.0)
+    vals = W.evaluate(cylinder_points(grid.x1, grid.r))
+    f = SampledField(grid, vals.reshape(grid.n1, grid.nr), decay=2.0)
     path = tmp_path / "prof.npz"
     save_field(path, f)
     g = load_profile(path)
