@@ -23,8 +23,10 @@ import numpy as np
 
 from .boosts import boost_profile, pair_vector, traveling_pair
 from .fields import (
+    _H_COLS,
     _H_D1,
     _H_SECOND,
+    _L2_COLS,
     FieldPair,
     FormulaField,
     ScalarField,
@@ -183,6 +185,29 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
                         omega_norm=omega, omega_c_norm=omega_c)
 
 
+def _ramp_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, intervals,
+                spec: QuadratureSpec) -> np.ndarray:
+    """(transported, plain) norms of phi over the x1 intervals.
+
+    The plain density is |grad phi1|^2 + phi2^2; the transported one adds
+    the 2 chi_N (d1 phi1) phi2 cross term.  Both come from one pass per
+    interval.
+    """
+    def fn(X):
+        g = phi.first.gradient(X)
+        p2 = phi.second.evaluate(X)
+        plain = np.einsum("ij,ij->i", g, g) + p2 * p2
+        return np.stack([plain + 2.0 * cutoff(t, X[:, 0]) * g[:, 0] * p2,
+                         plain], axis=1)
+
+    total = np.zeros(2)
+    for lo, hi in intervals:
+        if hi > lo:
+            total += np.asarray(integrate_callable(
+                fn, phi.symmetry, spec, x1_range=(lo, hi)).value)
+    return total
+
+
 def localized_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, x1_domain,
                     spec: QuadratureSpec | None = None) -> tuple:
     """(ramp-region transported norm, complement plain norm).
@@ -192,52 +217,18 @@ def localized_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, x1_domain,
     gradient + velocity density.
     """
     spec = spec or QuadratureSpec()
-
-    def fn_omega(X):
-        g = phi.first.gradient(X)
-        p2 = phi.second.evaluate(X)
-        chi = cutoff(t, X[:, 0])
-        return (np.einsum("ij,ij->i", g, g) + p2 * p2
-                + 2.0 * chi * g[:, 0] * p2)
-
-    def fn_plain(X):
-        g = phi.first.gradient(X)
-        p2 = phi.second.evaluate(X)
-        return np.einsum("ij,ij->i", g, g) + p2 * p2
-
-    omega = 0.0
-    for lo, hi in cutoff.omega_intervals(t):
-        omega += integrate_callable(fn_omega, phi.symmetry, spec,
-                                    x1_range=(lo, hi)).value
-    comp = 0.0
-    edges = [x1_domain[0]]
-    for lo, hi in cutoff.omega_intervals(t):
-        edges += [lo, hi]
-    edges.append(x1_domain[1])
-    for i in range(0, len(edges), 2):
-        lo, hi = edges[i], edges[i + 1]
-        if hi > lo:
-            comp += integrate_callable(fn_plain, phi.symmetry, spec,
-                                       x1_range=(lo, hi)).value
+    ramps = cutoff.omega_intervals(t)
+    edges = [x1_domain[0]] + [e for iv in ramps for e in iv] + [x1_domain[1]]
+    omega = _ramp_norms(phi, cutoff, t, ramps, spec)[0]
+    comp = _ramp_norms(phi, cutoff, t, zip(edges[::2], edges[1::2]), spec)[1]
     return float(omega), float(comp)
 
 
 def omega_lower_bound_gap(phi: FieldPair, cutoff: CutoffChiN, t: float,
                           spec: QuadratureSpec | None = None) -> float:
     """N_Omega - (1 - ell_bar) * plain Omega norm (nonnegative in theory)."""
-    spec = spec or QuadratureSpec()
-
-    def fn(X):
-        g = phi.first.gradient(X)
-        p2 = phi.second.evaluate(X)
-        chi = cutoff(t, X[:, 0])
-        dens = np.einsum("ij,ij->i", g, g) + p2 * p2
-        return np.stack([dens + 2.0 * chi * g[:, 0] * p2, dens], axis=1)
-
-    total = np.zeros(2)
-    for lo, hi in cutoff.omega_intervals(t):
-        total += np.asarray(integrate_callable(fn, phi.symmetry, spec,
-                                               x1_range=(lo, hi)).value)
+    total = _ramp_norms(phi, cutoff, t, cutoff.omega_intervals(t),
+                        spec or QuadratureSpec())
     return float(total[0] - (1.0 - cutoff.ell_bar) * total[1])
 
 
@@ -294,24 +285,19 @@ def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     return FieldPair(bump(), bump())
 
 
-def _sample(pairs, X) -> tuple:
-    """Energy-pairing features (N, n, 5) of the pairs at X and the values
-    (N, n) of their first components, which the potential term needs."""
-    return (_pairing_features(pairs, X, "h"),
-            np.stack([p.first.evaluate(X) for p in pairs], axis=1))
-
-
 class _ProjectedForm:
     """H_ell form and norm of a pair after projecting out the correctors.
 
     The correctors c_k are the boosted kernel pairs and the two exponential
     directions.  For a pair v the coefficients s solve M s = cons(v), with
     rows pairing against the kernel pairs (energy pairing) and the Z
-    partners (L2); the form and norm of v - sum_k s_k c_k then follow from
-    the corrector blocks B and Nrm and v's pairings with the correctors.
-    Everything is sampled once on the fixed node set of spec, so every
-    pairing is a weighted product of feature stacks and the cost of a
-    sample does not grow with the number of pairings.
+    partners (L2).  Every pair is sampled once, in the "both" feature layout
+    of ``fields``, on the fixed node set of spec: the features of v
+    (its first component, that component's gradient and its second
+    component) give cons(v), and since features are linear in the pair the
+    projected pair v - sum_k s_k c_k has the features Sv - Sc s, whose
+    weighted products are its form and norm.  The correctors' features Sc
+    and M are taken once, so a probe sample costs one sampling of v.
     """
 
     def __init__(self, ell: float, Q: ScalarField, kernel_fields,
@@ -325,50 +311,43 @@ class _ProjectedForm:
               if gamma is not None else 1.0)
         self.w_zeta = w * z2
         self.w_pot = w * 3.0 * boost_profile(Q, ell).evaluate(self.X) ** 2
-        self.Sc = _sample(self.correctors, self.X)
-        self.B, self.Nrm = self._blocks(self.Sc, self.Sc)
+        self.Sc = _pairing_features(self.correctors, self.X, "both")
         # constraint rows: energy pairing with the kernel pairs, L2 pairing
         # with the Z partners
-        self.kern_rows = w[:, None, None] * self.Sc[0][:, :len(kernel_fields)]
+        self.kern_rows = (w[:, None, None]
+                          * self.Sc[:, :len(kernel_fields), _H_COLS])
         self.z_rows = w[:, None, None] * _pairing_features(
             [directions["+"].z_pair, directions["-"].z_pair], self.X, "l2")
-        self.M = self._constraints(self.Sc[0], self.correctors)
+        self.M = self._constraints(self.Sc)
 
-    def _constraints(self, H, pairs) -> np.ndarray:
-        """Constraint pairings (rows, n) with pairs whose energy-pairing
-        features are H."""
-        L = _pairing_features(pairs, self.X, "l2")
-        return np.concatenate([np.einsum("pik,pjk->ij", self.kern_rows, H),
-                               np.einsum("pik,pjk->ij", self.z_rows, L)])
+    def _constraints(self, S) -> np.ndarray:
+        """Constraint pairings (rows, n) with the pairs whose features are
+        S."""
+        return np.concatenate([
+            np.einsum("pik,pjk->ij", self.kern_rows, S[..., _H_COLS]),
+            np.einsum("pik,pjk->ij", self.z_rows, S[..., _L2_COLS])])
 
-    def _blocks(self, a, b) -> tuple:
-        """(H_ell form, norm) matrices between the samples a and b of two
-        pair lists; both carry the weight when one is set."""
-        (Ha, Fa), (Hb, Fb) = a, b
-        Hz = Ha * self.w_zeta[:, None, None]
-        norm = np.einsum("pik,pjk->ij", Hz, Hb)
-        cross = (np.einsum("pi,pj->ij", Hz[..., _H_SECOND], Hb[..., _H_D1])
-                 + np.einsum("pi,pj->ij", Hz[..., _H_D1], Hb[..., _H_SECOND]))
-        pot = np.einsum("pi,pj->ij", Fa * self.w_pot[:, None], Fb)
-        return norm + self.ell * cross - pot, norm
+    def _form(self, S) -> tuple:
+        """(H_ell form, norm) of the pair whose features at the nodes are
+        S; both carry the weight when one is set."""
+        h = S[:, _H_COLS]
+        norm = self.w_zeta @ np.einsum("pk,pk->p", h, h)
+        cross = 2.0 * self.w_zeta @ (h[:, _H_SECOND] * h[:, _H_D1])
+        pot = self.w_pot @ S[:, 0] ** 2
+        return float(norm + self.ell * cross - pot), float(norm)
 
     def form_and_norm(self, u: FieldPair) -> tuple:
         """(H_ell form, squared norm) of u itself, unprojected; both carry
         the weight when one is set."""
-        S = _sample([u], self.X)
-        form, norm = self._blocks(S, S)
-        return float(form[0, 0]), float(norm[0, 0])
+        return self._form(_pairing_features([u], self.X, "both")[:, 0])
 
     def __call__(self, v: FieldPair) -> tuple:
         """(projected form, projected norm, coefficients s, constraints)."""
-        Sv = _sample([v], self.X)
-        F, N = self._blocks(Sv, Sv)
-        Bv, Nv = self._blocks(Sv, self.Sc)
-        cons = self._constraints(Sv[0], [v])[:, 0]
+        Sv = _pairing_features([v], self.X, "both")
+        cons = self._constraints(Sv)[:, 0]
         s = np.linalg.solve(self.M, cons)
-        Fp = F[0, 0] - 2.0 * s @ Bv[0] + s @ self.B @ s
-        Np = N[0, 0] - 2.0 * s @ Nv[0] + s @ self.Nrm @ s
-        return float(Fp), float(Np), s, cons
+        Fp, Np = self._form(Sv[:, 0] - np.einsum("pik,i->pk", self.Sc, s))
+        return Fp, Np, s, cons
 
 
 @dataclass

@@ -203,7 +203,6 @@ class RadialPart:
 
     f: object
     df: object = None
-    d2f: object = None
 
     def require_df(self):
         if self.df is None:
@@ -543,7 +542,9 @@ def _sample_on(f: ScalarField, grid) -> SampledField:
 
 
 def load_field_csv(path) -> SampledField:
-    """Plain-text import: header '# cyl2d' then rows x1,r,value (row-major)."""
+    """Plain-text import: header '# cyl2d' then rows x1,r,value in x1-major
+    order on a uniform grid whose r axis starts at 0.  Any other layout
+    raises ValueError rather than misplacing samples."""
     with open(path) as fh:
         rows = [row for row in csv.reader(fh)
                 if row and not row[0].lstrip().startswith("#")]
@@ -552,9 +553,16 @@ def load_field_csv(path) -> SampledField:
     r = np.unique(data[:, 1])
     if len(x1) * len(r) != data.shape[0]:
         raise ValueError("CSV rows do not form a full x1 x r grid")
-    vals = data[:, 2].reshape(len(x1), len(r))
+    if not (np.array_equal(data[:, 0], np.repeat(x1, len(r)))
+            and np.array_equal(data[:, 1], np.tile(r, len(x1)))):
+        raise ValueError("CSV rows are not in x1-major order")
     grid = Grid2DCyl(x1[0], x1[-1], len(x1), r[-1], len(r))
-    return SampledField(grid, vals)
+    if abs(r[0]) > 1e-9 * grid.hr:
+        raise ValueError("CSV r axis does not start at 0")
+    for axis, nodes, h in (("x1", x1, grid.h1), ("r", r, grid.hr)):
+        if np.max(np.abs(nodes - getattr(grid, axis))) > 1e-9 * h:
+            raise ValueError(f"CSV {axis} axis is not uniform")
+    return SampledField(grid, data[:, 2].reshape(len(x1), len(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +673,10 @@ def norm_pair(p: FieldPair, spec: QuadratureSpec | None = None) -> float:
 # second component.  Kind "h" drops column 0 (so d/dx1 of the first
 # component sits at _H_D1 and the second at _H_SECOND); kind "l2" keeps
 # columns _L2_COLS only, and neither samples what its pairing does not use.
+# _H_COLS are the kind "h" columns of a kind "both" row.
 _H_D1, _H_SECOND = 0, 4
 _L2_COLS = [0, 5]
+_H_COLS = slice(1, None)
 
 
 def _h_features(grad, second) -> np.ndarray:

@@ -47,13 +47,6 @@ def soliton_frame_radius(X, ell: float, t: float) -> np.ndarray:
     return np.sqrt(y1**2 + np.sum(X[:, 1:] ** 2, axis=1))
 
 
-def localization_factor(ell: float, sigma: float, t: float):
-    """x -> cutoff_bump(|y|/(sigma t)) in the soliton frame."""
-    def fn(X):
-        return cutoff_bump(soliton_frame_radius(X, ell, t) / (sigma * t))
-    return fn
-
-
 @dataclass
 class MultiSolitonConfig:
     """N traveling profiles with kernel-direction correction parameters.
@@ -215,48 +208,13 @@ class GAssembly:
             + [v**2 for v in p["G3"]] + [p["G"] ** 2]
         return np.stack(cols, axis=1)
 
-    def field(self, key: str, index: int | None = None) -> FormulaField:
-        def fn(X):
-            p = self.parts(X)
-            v = p[key]
-            return v[index] if index is not None else v
-
-        return FormulaField(fn, symmetry=self.symmetry,
-                            name=f"{key}{'' if index is None else index}")
-
-
-@dataclass
-class GTerms:
-    """Decomposition G = G1 + sum_n G2_n + sum_i G3_i as fields."""
-
-    g1: FormulaField
-    g2: list
-    g3: list
-    total: FormulaField
-
     def reconstruction_gap(self, X) -> float:
-        """Max |sum of parts - direct assembly| / scale at the points X."""
-        tot = self.total.evaluate(X)
-        s = self.g1.evaluate(X)
-        for f in self.g2:
-            s = s + f.evaluate(X)
-        for f in self.g3:
-            s = s + f.evaluate(X)
+        """Max |sum of the parts - G| / max |G| at the points X."""
+        p = self.parts(X)
+        tot = p["G"]
+        s = p["G1"] + sum(p["G2"]) + sum(p["G3"])
         scale = np.max(np.abs(tot)) or 1.0
         return float(np.max(np.abs(s - tot)) / scale)
-
-
-def assemble_G(cfg: MultiSolitonConfig, t: float) -> FormulaField:
-    """Pointwise interaction term at time t."""
-    return GAssembly(cfg, t).field("G")
-
-
-def decompose_G(cfg: MultiSolitonConfig, t: float) -> GTerms:
-    asm = GAssembly(cfg, t)
-    return GTerms(g1=asm.field("G1"),
-                  g2=[asm.field("G2", n) for n in range(cfg.n)],
-                  g3=[asm.field("G3", i) for i in range(4)],
-                  total=asm.field("G"))
 
 
 def g_part_norms(cfg: MultiSolitonConfig, t: float,
@@ -401,6 +359,27 @@ def interaction_rate_table(alpha_pairs, times,
     return rows
 
 
+def localized_pairing(f: ScalarField, psi: ScalarField, ell: float,
+                      sigma: float, t: float, spec: QuadratureSpec,
+                      centers) -> float:
+    """(f, psi xi)_L2 with the cutoff xi = cutoff_bump(|y| / (sigma t)) in
+    the frame of the soliton of speed ell; xi vanishes beyond 2 sigma t, so
+    the pass reaches 2 sigma t + 1.
+
+    spec is graded already; its r_max is raised to that reach, and the x1
+    window runs the reach past every center in centers.
+    """
+    def fn(X):
+        xi = cutoff_bump(soliton_frame_radius(X, ell, t) / (sigma * t))
+        return f.evaluate(X) * psi.evaluate(X) * xi
+
+    reach = 2.0 * sigma * t + 1.0
+    sp = replace(spec, r_max=max(spec.r_max or 0.0, reach))
+    sym = join_symmetry(f.symmetry, psi.symmetry)
+    lo, hi = min(centers) - reach, max(centers) + reach
+    return integrate_callable(fn, sym, sp, x1_range=(lo, hi)).value
+
+
 def slow_pairing_series(slow: ScalarField, ell: float, sigma: float, times,
                         other: ScalarField | None = None,
                         other_ell: float | None = None,
@@ -417,19 +396,10 @@ def slow_pairing_series(slow: ScalarField, ell: float, sigma: float, times,
             psi_m = psi_n
         else:
             psi_m = traveling_profile(other, other_ell, t, 1)
-        loc = localization_factor(ell, sigma, t)
-
-        def fn(X):
-            return psi_m.evaluate(X) * psi_n.evaluate(X) * loc(X)
-
         centers = (ell * t,) if other is None else (ell * t, other_ell * t)
         sp = (spec or QuadratureSpec()).with_centers(centers)
-        reach = 2.0 * sigma * t + 1.0
-        sp = replace(sp, r_max=max(sp.r_max or 0.0, reach))
-        sym = join_symmetry(psi_m.symmetry, psi_n.symmetry)
-        lo = min(centers) - reach
-        hi = max(centers) + reach
-        out.append(integrate_callable(fn, sym, sp, x1_range=(lo, hi)).value)
+        out.append(localized_pairing(psi_m, psi_n, ell, sigma, t, sp,
+                                     centers))
     return out
 
 

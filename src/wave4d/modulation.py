@@ -31,7 +31,7 @@ is the per-node block of the pass, about 2 MB at nodes 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from .fields import (
     pairing_block,
     sum_field,
 )
-from .interactions import MultiSolitonConfig, localization_factor, sigma_rate
-from .quadrature import QuadratureSpec, integrate_callable, join_symmetry
+from .interactions import MultiSolitonConfig, localized_pairing, sigma_rate
+from .quadrature import QuadratureSpec, join_symmetry
 
 
 class GramIllConditioned(RuntimeError):
@@ -182,17 +182,8 @@ def compute_c(phi_first: ScalarField, cfg: MultiSolitonConfig, n: int,
         raise ValueError("needs t > 1 so log t > 0")
     ell = cfg.speeds[n]
     psi_n = traveling_pair(cfg.slow[n], ell, t, 1).first
-    loc = localization_factor(ell, sigma, t)
-
-    def fn(X):
-        return phi_first.evaluate(X) * psi_n.evaluate(X) * loc(X)
-
-    sp = cfg.quad_spec(t, spec)
-    reach = 2.0 * sigma * t + 1.0
-    sp = replace(sp, r_max=max(sp.r_max or 0.0, reach))
-    sym = join_symmetry(phi_first.symmetry, psi_n.symmetry)
-    lo, hi = ell * t - reach, ell * t + reach
-    val = integrate_callable(fn, sym, sp, x1_range=(lo, hi)).value
+    val = localized_pairing(phi_first, psi_n, ell, sigma, t,
+                            cfg.quad_spec(t, spec), (ell * t,))
     return val / (sigma_rate(ell) * math.log(t))
 
 

@@ -75,12 +75,6 @@ class CylOperator:
         return self.matrix @ u
 
 
-def _profile_on_axis(q: ScalarField, r: np.ndarray) -> np.ndarray:
-    X = np.zeros((r.size, 4))
-    X[:, 0] = r
-    return q.evaluate(X)
-
-
 def assemble_radial(q: ScalarField, r_max: float = 30.0,
                     n: int = 3000) -> RadialOperator:
     """Finite-volume radial operator; q must be radially symmetric."""
@@ -90,7 +84,7 @@ def assemble_radial(q: ScalarField, r_max: float = 30.0,
     r = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h
     f3 = faces**3
-    qv = _profile_on_axis(q, r)
+    qv = q.evaluate(cylinder_points(r, [0.0]))
     main = (f3[:-1] + f3[1:]) / (h * h * r**3) - 3.0 * qv**2
     off = -f3[1:-1] / (h * h * np.sqrt((r[:-1] * r[1:]) ** 3))
     return RadialOperator(r=r, h=h, main=main, off=off, r_max=r_max)
@@ -190,7 +184,6 @@ class SpectralResult:
     eigenvalues: list
     fields: list
     residuals: list
-    sector: str
     gram: np.ndarray
 
     @property
@@ -234,7 +227,7 @@ def negative_spectrum(op, k: int = 4, tol: float = 1e-10) -> SpectralResult:
                 uj = vecs[:, j] / np.linalg.norm(vecs[:, j])
                 gram[i, j] = float(ui @ uj)
         return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
-                              residuals=resid, sector="radial", gram=gram)
+                              residuals=resid, gram=gram)
 
     if isinstance(op, CylOperator):
         n = op.matrix.shape[0]
@@ -257,8 +250,7 @@ def negative_spectrum(op, k: int = 4, tol: float = 1e-10) -> SpectralResult:
         m = len(lams)
         gram = np.eye(m)
         return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
-                              residuals=resid, sector="cylindrical",
-                              gram=gram)
+                              residuals=resid, gram=gram)
     raise TypeError("unknown operator type")
 
 
@@ -289,7 +281,7 @@ def kernel_count(op, near_zero_fields=None) -> dict:
         if near_zero_fields:
             window = op.r <= TRUSTED_FRACTION * R
             for f in near_zero_fields:
-                target = _profile_on_axis(f, op.r) * op.r**1.5
+                target = f.evaluate(cylinder_points(op.r, [0.0])) * op.r**1.5
                 t = target[window] / np.linalg.norm(target[window])
                 best = 0.0
                 for i in range(len(vals)):
@@ -341,9 +333,7 @@ def verify_exponential_decay(Y: ScalarField, lam: float) -> DecayFit:
     if r_t is None:
         raise ValueError("no trusted window available")
     rr = np.linspace(0.25 * r_t, 0.75 * r_t, 24)
-    X = np.zeros((rr.size, 4))
-    X[:, 0] = rr
-    vals = Y.evaluate(X)
+    vals = Y.evaluate(cylinder_points(rr, [0.0]))
     return fit_exponential(rr, vals, poly_correction=1.5)
 
 

@@ -129,9 +129,7 @@ class RationalRadial:
         return float(min(2 * b - a for (a, b) in self.terms))
 
     def part(self) -> RadialPart:
-        d1 = self.deriv()
-        d2 = d1.deriv()
-        return RadialPart(self, d1, d2)
+        return RadialPart(self, self.deriv())
 
 
 def _poly_from(terms, name="") -> PolyRadialField:
@@ -378,7 +376,6 @@ def _generator_exact(terms, gid: str, name: str) -> PolyRadialField:
     out = []
     for m, S in terms:
         am = int(m.sum())
-        rS = RationalRadial(S.kappa, {(a + 1, b): c for (a, b), c in S.terms.items()})
         dS = S.deriv()
         if gid == "scaling":
             out.append((m, S.scaled(1.0 + am).plus(
@@ -541,8 +538,7 @@ def radial_residual_norm(f: ScalarField, r_max: float, n: int) -> float:
     """L2(r^3 dr) norm of -(S'' + 3 S'/r) - S^3 with 2nd-order stencils."""
     h = r_max / n
     r = (np.arange(1, n) * h)
-    X = np.zeros((r.size, 4))
-    X[:, 0] = r
+    X = cylinder_points(r, [0.0])
     S = f.evaluate(X)
     Xp = X.copy(); Xp[:, 0] += h
     Xm = X.copy(); Xm[:, 0] -= h

@@ -234,11 +234,13 @@ def test_coercivity_probe(W, ground_eigen, ell):
                                        (0.0, 0.05)])
 def test_projected_form_blocks_match_explicit_projection(W, ground_eigen,
                                                          ell, gamma):
-    """The probe's block-assembled projected form and norm equal the form
-    and norm of the explicitly projected pair v - sum_k s_k c_k.
+    """The probe's projected form and norm, taken of the projected features
+    Sv - Sc s, equal the form and norm of the explicitly projected pair
+    v - sum_k s_k c_k sampled afresh.
 
-    Both sides use the same quadrature nodes and the form is bilinear, so
-    they agree to round-off; a misplaced entry in the B/Nrm blocks does not.
+    Both sides use the same quadrature nodes and features are linear in the
+    pair, so they agree to round-off; a corrector column out of step with
+    its coefficient does not.
     """
     lam, Y = ground_eigen
     kf = [symmetry_generator(W, "scaling"),

@@ -208,6 +208,26 @@ def test_csv_import(tmp_path, W):
     assert f.values[2, 0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("x1s,rs,r_major", [
+    ((0.0, 1.0, 3.0, 7.0), (0.0, 1.0, 2.0, 3.0), False),
+    ((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0), True),
+    ((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0), False),
+], ids=["nonuniform_x1", "r_major", "r_from_1"])
+def test_csv_import_rejects_layouts_it_would_misplace(tmp_path, x1s, rs,
+                                                      r_major):
+    """Samples of f = x1 + 10 r on a non-uniform x1 axis, in r-major rows,
+    or on an r axis that starts at 1 would land at other points of a uniform
+    grid from r = 0: on the axis the first reads 1.43 at x1 = 3, the second
+    10.0 at x1 = 1 and the third 10.0 at x1 = 0.  The loader refuses them."""
+    order = ([(a, b) for b in rs for a in x1s] if r_major
+             else [(a, b) for a in x1s for b in rs])
+    rows = ["# cyl2d"] + [f"{a},{b},{a + 10.0 * b}" for a, b in order]
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError):
+        load_field_csv(path)
+
+
 def test_pair_container_roundtrip(tmp_path, W):
     grid = Grid2DCyl(-6.0, 6.0, 121, 6.0, 61)
     p = FieldPair(W, zero_field())

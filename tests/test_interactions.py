@@ -7,12 +7,11 @@ import pytest
 
 from wave4d.fields import FormulaField
 from wave4d.fitting import fit_loglog
-from wave4d.interactions import (GAssembly, MultiSolitonConfig, assemble_G,
-                                 cutoff_bump, decompose_G, g_part_norms,
-                                 interaction_integral, interaction_rate_table,
-                                 pairwise_q_norm, sigma_rate,
-                                 slow_pairing_lawcheck, slow_pairing_series,
-                                 two_soliton_config)
+from wave4d.interactions import (GAssembly, MultiSolitonConfig, cutoff_bump,
+                                 g_part_norms, interaction_integral,
+                                 interaction_rate_table, pairwise_q_norm,
+                                 sigma_rate, slow_pairing_lawcheck,
+                                 slow_pairing_series, two_soliton_config)
 from wave4d.quadrature import QuadratureSpec, integrate_callable
 from wave4d.states import symmetry_generator
 
@@ -67,25 +66,25 @@ def test_single_soliton_no_corrections_gives_zero(W, rng):
                              a=np.zeros(1), b=np.zeros((1, 0)),
                              slow=[symmetry_generator(W, "scaling")],
                              kernels=[[]])
-    G = assemble_G(cfg, 10.0)
+    asm = GAssembly(cfg, 10.0)
     pts = rng.normal(scale=3.0, size=(50, 4))
-    assert np.max(np.abs(G.evaluate(pts))) < 1e-14
+    assert np.max(np.abs(asm.parts(pts)["G"])) < 1e-14
 
 
 def test_zero_corrections_reduce_to_pure_interaction(ground_cfg, rng):
-    terms = decompose_G(ground_cfg, 10.0)
+    asm = GAssembly(ground_cfg, 10.0)
     pts = rng.normal(scale=4.0, size=(60, 4))
     pts[:, 0] += rng.choice([-5.0, 5.0], size=60)
-    total = terms.total.evaluate(pts)
-    g1 = terms.g1.evaluate(pts)
+    total = asm.parts(pts)["G"]
+    g1 = asm.parts(pts)["G1"]
     assert np.allclose(total, g1, rtol=1e-12, atol=1e-16)
 
 
 def test_reconstruction_identity(surrogate_cfg, rng):
-    terms = decompose_G(surrogate_cfg, 12.0)
+    asm = GAssembly(surrogate_cfg, 12.0)
     pts = rng.normal(scale=4.0, size=(80, 4))
     pts[:, 0] += 6.0
-    assert terms.reconstruction_gap(pts) < 1e-12
+    assert asm.reconstruction_gap(pts) < 1e-12
 
 
 def test_direct_total_matches_raw_fields(surrogate_cfg, rng):

@@ -291,6 +291,35 @@ def test_check_decay_examples(W, Qs):
         check_decay(W, 2.0, [10.0, 20.0, 40.0])  # less than a decade
 
 
+@pytest.fixture(scope="module")
+def imported_W(W, tmp_path_factory):
+    """W sampled on a 401 x 201 grid of [-20, 20] x [0, 20] and imported."""
+    grid = Grid2DCyl(-20.0, 20.0, 401, 20.0, 201)
+    vals = W.evaluate(cylinder_points(grid.x1, grid.r))
+    path = tmp_path_factory.mktemp("import") / "W.npz"
+    save_field(path, SampledField(grid, vals.reshape(grid.n1, grid.nr),
+                                  decay=2.0))
+    return load_profile(path)
+
+
+@pytest.mark.parametrize("gid", GENERATOR_IDS)
+def test_generic_generators_match_exact(W, Qs, imported_W, gid):
+    """The closure path of every generator against the exact monomial-radial
+    one: W and the surrogate behind a FormulaField agree to round-off, and
+    imported W to its interpolation error, on |x_i| <= 4."""
+    pts = np.random.default_rng(20260810).uniform(-4.0, 4.0, size=(200, 4))
+    for prof in (W, Qs):
+        wrapped = FormulaField(prof.evaluate, prof.gradient,
+                               symmetry=prof.symmetry, decay=prof.decay)
+        got = symmetry_generator(wrapped, gid).evaluate(pts)
+        exact = symmetry_generator(prof, gid).evaluate(pts)
+        scale = np.max(np.abs(prof.evaluate(pts)))
+        assert np.max(np.abs(got - exact)) <= 1e-12 * scale
+    got = symmetry_generator(imported_W, gid).evaluate(pts)
+    exact = symmetry_generator(W, gid).evaluate(pts)
+    assert np.max(np.abs(got - exact)) < 5e-5
+
+
 def test_profile_import(tmp_path, W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
     vals = W.evaluate(cylinder_points(grid.x1, grid.r))
