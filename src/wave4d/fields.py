@@ -7,10 +7,11 @@ needs:
 
 * :class:`FormulaField` wraps closed-form callables (optionally with an exact
   gradient; otherwise a 4th-order finite-difference fallback is used).
-* :class:`PolyRadialField` represents sums of monomial * radial(|x|) terms;
-  products, gradients and integrals of such fields are computed exactly in
-  the angular variables, which is what makes the kernel-generator identities
-  testable to near machine precision.
+* :class:`PolyRadialField` represents sums of monomial * radial(|x|) terms
+  whose radial parts are :class:`RationalRadial` sums.  Products, gradients
+  and gradient pairings keep every radial part in that algebra, and
+  integrals are exact in the angular variables, which is what makes the
+  kernel-generator identities testable to near machine precision.
 
 Sampled fields live on the cylindrical grid :class:`Grid2DCyl` with
 piecewise-cubic interpolation and are serialized in a self-describing .npz
@@ -197,35 +198,91 @@ class AffineField(ScalarField):
 # monomial * radial fields with exact angular reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadialPart:
-    """Radial profile with derivatives: callables of r >= 0 (vectorized)."""
+class RationalRadial:
+    """Sum of c * r^a * B(r)^b with B(r) = (1 - kappa r^2 / 2)^-1.
 
-    f: object
-    df: object = None
+    B satisfies B' = kappa r B^2, so the family is closed under products,
+    d/dr and division by r (whenever every power a >= 1).  kappa = -1/4
+    gives the ground-state bubble, kappa = -16 the inverted-scale bubble of
+    the surrogate state; sums and products of two scales raise.
+    """
 
-    def require_df(self):
-        if self.df is None:
-            raise ValueError("radial part lacks a first derivative")
-        return self.df
+    def __init__(self, kappa: float, terms: dict):
+        self.kappa = float(kappa)
+        self.terms = {(int(a), int(b)): c for (a, b), c in terms.items()
+                      if c != 0.0}
 
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        B = 1.0 / (1.0 - 0.5 * self.kappa * r * r)
+        out = np.zeros_like(r)
+        for (a, b), c in self.terms.items():
+            out = out + c * r**a * B**b
+        return out
 
-def _rp_product(a: RadialPart, b: RadialPart) -> RadialPart:
-    df = None
-    if a.df is not None and b.df is not None:
-        df = lambda r: a.df(r) * b.f(r) + a.f(r) * b.df(r)
-    return RadialPart(lambda r: a.f(r) * b.f(r), df)
+    def deriv(self) -> "RationalRadial":
+        out = {}
+        for (a, b), c in self.terms.items():
+            if a:
+                out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
+            if b:
+                out[(a + 1, b + 1)] = out.get((a + 1, b + 1), 0.0) + b * c * self.kappa
+        return RationalRadial(self.kappa, out)
+
+    def div_r(self) -> "RationalRadial":
+        if any(a < 1 for (a, b) in self.terms):
+            raise ValueError("division by r requires every power >= 1")
+        return RationalRadial(self.kappa,
+                              {(a - 1, b): c for (a, b), c in self.terms.items()})
+
+    def scaled(self, s: float) -> "RationalRadial":
+        return RationalRadial(self.kappa,
+                              {k: s * c for k, c in self.terms.items()})
+
+    def _kappa_with(self, other: "RationalRadial") -> float:
+        if other.kappa != self.kappa and other.terms and self.terms:
+            raise ValueError("cannot mix bubble scales")
+        return self.kappa if self.terms else other.kappa
+
+    def plus(self, other: "RationalRadial") -> "RationalRadial":
+        kappa = self._kappa_with(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0.0) + c
+        return RationalRadial(kappa, out)
+
+    def times(self, other: "RationalRadial") -> "RationalRadial":
+        kappa = self._kappa_with(other)
+        out: dict = {}
+        for (a, b), c in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                k = (a + a2, b + b2)
+                out[k] = out.get(k, 0.0) + c * c2
+        return RationalRadial(kappa, out)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def decay_exponent(self) -> float:
+        """Exact power p with c r^-p leading behavior (B ~ -2/(kappa r^2))."""
+        if self.is_zero:
+            return math.inf
+        return float(min(2 * b - a for (a, b) in self.terms))
 
 
 class PolyRadialField(ScalarField):
-    """Sum of terms x^m * S(|x|) with integer exponent vectors m.
+    """Sum of terms x^m * S(|x|), integer exponent vectors m and each radial
+    part S a :class:`RationalRadial`.
 
-    Closed under products, symmetry generators and gradient pairings, with
-    all angular integrals done by exact sphere moments.
+    Closed under products, symmetry generators and gradient pairings: the
+    radial parts of every result stay in the RationalRadial algebra, and
+    all angular integrals are done by exact sphere moments.
     """
 
     def __init__(self, terms, decay=None, name=""):
-        self.terms = [(np.asarray(m, dtype=int), p) for m, p in terms]
+        self.terms = [(np.asarray(m, dtype=int), S) for m, S in terms]
+        self._derivs = [S.deriv() for _, S in self.terms]
         self.decay = decay
         self.name = name
         self.is_zero = False
@@ -245,12 +302,8 @@ class PolyRadialField(ScalarField):
         X = _as_points(x)
         r = np.sqrt(np.einsum("ij,ij->i", X, X))
         out = np.zeros(X.shape[0])
-        for m, p in self.terms:
-            mono = np.ones(X.shape[0])
-            for i in range(4):
-                if m[i]:
-                    mono *= X[:, i] ** m[i]
-            out += mono * p.f(r)
+        for m, S in self.terms:
+            out += _monomial(X, m) * S(r)
         return out
 
     def gradient(self, x):
@@ -258,21 +311,13 @@ class PolyRadialField(ScalarField):
         r = np.sqrt(np.einsum("ij,ij->i", X, X))
         rs = np.where(r > 0, r, 1.0)
         g = np.zeros_like(X)
-        for m, p in self.terms:
-            mono = np.ones(X.shape[0])
-            for i in range(4):
-                if m[i]:
-                    mono *= X[:, i] ** m[i]
-            radial = p.f(r)
-            dradial = p.require_df()(r)
+        for (m, S), dS in zip(self.terms, self._derivs):
+            mono = _monomial(X, m)
+            radial = S(r)
+            dradial = dS(r)
             for j in range(4):
                 if m[j]:
-                    mono_dj = np.ones(X.shape[0])
-                    for i in range(4):
-                        e = m[i] - (1 if i == j else 0)
-                        if e:
-                            mono_dj *= X[:, i] ** e
-                    g[:, j] += m[j] * mono_dj * radial
+                    g[:, j] += m[j] * _monomial(X, m - _unit(j)) * radial
                 g[:, j] += mono * X[:, j] * dradial / rs
         return g
 
@@ -280,32 +325,30 @@ class PolyRadialField(ScalarField):
         return self.terms
 
     def product(self, other: "PolyRadialField") -> "PolyRadialField":
-        terms = []
-        for m1, p1 in self.terms:
-            for m2, p2 in other.terms:
-                terms.append((m1 + m2, _rp_product(p1, p2)))
+        terms = [(m + n, S.times(T))
+                 for m, S in self.terms for n, T in other.terms]
         dec = None
         if self.decay is not None and other.decay is not None:
             dec = self.decay + other.decay
         return PolyRadialField(terms, decay=dec)
 
     def grad_dot(self, other: "PolyRadialField") -> "PolyRadialField":
-        """Exact monomial-radial representation of grad(self) . grad(other)."""
+        """Exact monomial-radial representation of grad(self) . grad(other).
+
+        grad(x^m S) = sum_j m_j x^(m - e_j) S e_j + x^m (S'/r) x, so the
+        pairing of two terms is sum_j m_j n_j x^(m + n - 2 e_j) S T plus
+        x^(m + n) ((|m| S T' + |n| S' T) / r + S' T').
+        """
         terms = []
-        for m, p in self.terms:
-            S, dS = p.f, p.require_df()
-            for n, q in other.terms:
-                T, dT = q.f, q.require_df()
+        for (m, S), dS in zip(self.terms, self._derivs):
+            for (n, T), dT in zip(other.terms, other._derivs):
                 for j in range(4):
                     if m[j] and n[j]:
-                        c = float(m[j] * n[j])
                         terms.append((m + n - 2 * _unit(j),
-                                      RadialPart(_scaled(_prod_ff(S, T), c))))
-                mm, nn = int(m.sum()), int(n.sum())
-                terms.append((m + n, RadialPart(
-                    lambda r, S=S, dS=dS, T=T, dT=dT, mm=mm, nn=nn:
-                        _safe_div(mm * S(r) * dT(r) + nn * dS(r) * T(r), r)
-                        + dS(r) * dT(r))))
+                                      S.times(T).scaled(float(m[j] * n[j]))))
+                cross = S.times(dT).scaled(float(m.sum())).plus(
+                    dS.times(T).scaled(float(n.sum())))
+                terms.append((m + n, cross.div_r().plus(dS.times(dT))))
         dec = None
         if self.decay is not None and other.decay is not None:
             dec = self.decay + other.decay + 2
@@ -316,38 +359,33 @@ class PolyRadialField(ScalarField):
         """Integral over R^4 via sphere moments and adaptive 1D quadrature."""
         spec = spec or QuadratureSpec()
         total, err = 0.0, 0.0
-        for m, p in self.terms:
+        for m, S in self.terms:
             ang = moment(m, 4)
             if ang == 0.0:
                 continue
             k = 3 + int(m.sum())
-            if r_max is None:
-                v, e = quad(lambda r: p.f(r) * r**k, 0.0, np.inf, limit=200)
-            else:
-                v, e = quad(lambda r: p.f(r) * r**k, 0.0, r_max, limit=200)
+            v, e = quad(lambda r: S(r) * r**k, 0.0,
+                        np.inf if r_max is None else r_max, limit=200)
             total += ang * v
             err += abs(ang) * e
         conv = err <= max(spec.abs_tol, spec.rel_tol * abs(total))
         return QuadratureResult(total, err, conv)
 
 
+def _monomial(X, m):
+    """x^m at the (N, 4) points X."""
+    out = np.ones(X.shape[0])
+    for i in range(4):
+        if m[i]:
+            out *= X[:, i] ** m[i]
+    return out
+
+
 def _unit(j):
+    """Integer exponent vector of the monomial x_j."""
     e = np.zeros(4, dtype=int)
     e[j] = 1
     return e
-
-
-def _prod_ff(S, T):
-    return lambda r: S(r) * T(r)
-
-
-def _scaled(f, c):
-    return lambda r: c * f(r)
-
-
-def _safe_div(num, r):
-    r = np.asarray(r, dtype=float)
-    return num / np.where(r > 0, r, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ x1 axis with the same finite-volume reduction in the 3D transverse radius
 and is solved by shift-invert Lanczos around a negative shift with a fixed
 start vector.
 
+Each operator owns its solve: ``lowest(k)`` returns its k lowest
+eigenpairs, ``near_zero()`` its near-zero window, ``eigenfield(u, lam)`` the
+field of an eigenvector (None on the cylinder, whose eigenfields stay on
+their grid) and ``samples(f)`` a profile in its symmetrized unknowns with
+the trusted window.  :func:`negative_spectrum` and :func:`kernel_count` are
+one body each over that interface.
+
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
 two routes share nothing but the profile.  The oracle steps with Hairer's
@@ -46,7 +53,10 @@ ORACLE_NSTEPS = 10_000
 
 @dataclass
 class RadialOperator:
-    """Symmetric tridiagonal reduction of -Delta - 3 q^2 in L2(r^3 dr)."""
+    """Symmetric tridiagonal reduction of -Delta - 3 q^2 in L2(r^3 dr).
+
+    The unknowns are u = r^{3/2} Y at the cell centers r.
+    """
 
     r: np.ndarray
     h: float
@@ -60,10 +70,42 @@ class RadialOperator:
         out[1:] += self.off * u[:-1]
         return out
 
+    def lowest(self, k: int) -> tuple:
+        """The k lowest eigenpairs, densely from the tridiagonal matrix."""
+        return eigh_tridiagonal(self.main, self.off, select="i",
+                                select_range=(0, k - 1))
+
+    def near_zero(self) -> tuple:
+        """(eps, eigenvalues, vectors) of every eigenvalue in [-eps, eps],
+        eps as in :func:`kernel_count`."""
+        eps = max(self.h * self.h, 10.0 / (self.r_max * self.r_max))
+        vals, vecs = eigh_tridiagonal(self.main, self.off, select="v",
+                                      select_range=(-eps, eps))
+        return eps, vals, vecs
+
+    def eigenfield(self, u: np.ndarray, lam: float) -> FormulaField:
+        """The L2(R^4)-normalized radial field of eigenvector u, positive at
+        the axis."""
+        weight = 2.0 * math.pi**2 * self.h  # |u|^2 sums to L2(R^4) with this
+        Y = u / self.r**1.5
+        Y = Y / math.sqrt(weight * float(np.sum(u * u)))
+        if Y[0] < 0:
+            Y = -Y
+        return radial_eigenfield(self.r, Y, lam)
+
+    def samples(self, f: ScalarField) -> tuple:
+        """f in the unknowns r^{3/2} f(r) and the trusted window
+        r <= TRUSTED_FRACTION * R."""
+        target = f.evaluate(cylinder_points(self.r, [0.0])) * self.r**1.5
+        return target, self.r <= TRUSTED_FRACTION * self.r_max
+
 
 @dataclass
 class CylOperator:
-    """Sparse symmetric reduction on an (x1, rbar) cylinder grid."""
+    """Sparse symmetric reduction on an (x1, rbar) cylinder grid.
+
+    The unknowns are rbar f at the (x1, rbar) nodes, x1-major.
+    """
 
     matrix: sp.spmatrix
     x1: np.ndarray
@@ -73,6 +115,39 @@ class CylOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
+
+    def _eigsh(self, k: int, sigma: float) -> tuple:
+        n = self.matrix.shape[0]
+        v0 = np.full(n, 1.0 / math.sqrt(n))
+        return eigsh(self.matrix, k=k, sigma=sigma, which="LM", v0=v0)
+
+    def lowest(self, k: int) -> tuple:
+        """The k eigenpairs nearest -4 in ascending order, by shift-invert
+        Lanczos from a fixed start vector."""
+        vals, vecs = self._eigsh(k, -4.0)
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order]
+
+    def near_zero(self) -> tuple:
+        """(eps, eigenvalues, vectors) of the modes in (-eps, eps) among the
+        12 nearest zero."""
+        h = self.r[1] - self.r[0]
+        eps = max(h * h, 10.0 / (self.r_max * self.r_max))
+        vals, vecs = self._eigsh(12, 0.0)
+        sel = np.abs(vals) < eps
+        return eps, vals[sel], vecs[:, sel]
+
+    def eigenfield(self, u: np.ndarray, lam: float) -> None:
+        """Cylinder eigenfields stay on their grid."""
+        return None
+
+    def samples(self, f: ScalarField) -> tuple:
+        """f in the unknowns rbar f(x1, rbar) and the trusted window
+        |x1| <= TRUSTED_FRACTION * length, rbar <= TRUSTED_FRACTION * R."""
+        P = cylinder_points(self.x1, self.r)
+        window = (np.abs(P[:, 0]) <= TRUSTED_FRACTION * self.length) & \
+                 (P[:, 1] <= TRUSTED_FRACTION * self.r_max)
+        return f.evaluate(P) * P[:, 1], window
 
 
 def assemble_radial(q: ScalarField, r_max: float = 30.0,
@@ -194,64 +269,29 @@ class SpectralResult:
 def negative_spectrum(op, k: int = 4, tol: float = 1e-10) -> SpectralResult:
     """The k lowest eigenpairs; eigenvalues below -tol count as negative.
 
-    Radial operators are solved densely (tridiagonal); cylindrical ones by
-    shift-invert Lanczos around sigma = -4 with a deterministic start.
+    The operator solves (``op.lowest``) and builds the eigenfields; the Gram
+    matrix pairs the normalized eigenvectors of the negative modes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(op, RadialOperator):
-        vals, vecs = eigh_tridiagonal(op.main, op.off, select="i",
-                                      select_range=(0, k - 1))
-        weight = 2.0 * math.pi**2 * op.h  # |u|^2 sums to L2(R^4) with this
-        fields, lams, eigs, resid = [], [], [], []
-        for i in range(k):
-            if vals[i] >= -tol:
-                continue
-            u = vecs[:, i]
-            res = float(np.linalg.norm(op.apply(u) - vals[i] * u)
-                        / np.linalg.norm(u))
-            Y = u / op.r**1.5
-            Y = Y / math.sqrt(weight * float(np.sum(u * u)))
-            if Y[0] < 0:
-                Y = -Y
-            lam = math.sqrt(-vals[i])
-            fields.append(radial_eigenfield(op.r, Y, lam))
-            lams.append(lam)
-            eigs.append(float(vals[i]))
-            resid.append(res)
-        m = len(lams)
-        gram = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                ui = vecs[:, i] / np.linalg.norm(vecs[:, i])
-                uj = vecs[:, j] / np.linalg.norm(vecs[:, j])
-                gram[i, j] = float(ui @ uj)
-        return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
-                              residuals=resid, gram=gram)
-
-    if isinstance(op, CylOperator):
-        n = op.matrix.shape[0]
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        vals, vecs = eigsh(op.matrix, k=k, sigma=-4.0, which="LM", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        lams, eigs, resid = [], [], []
-        fields = []
-        for i in range(k):
-            if vals[i] >= -tol:
-                continue
-            u = vecs[:, i]
-            res = float(np.linalg.norm(op.apply(u) - vals[i] * u)
-                        / np.linalg.norm(u))
-            lams.append(math.sqrt(-vals[i]))
-            eigs.append(float(vals[i]))
-            resid.append(res)
-            fields.append(None)  # cylinder eigenfields stay on their grid
-        m = len(lams)
-        gram = np.eye(m)
-        return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
-                              residuals=resid, gram=gram)
-    raise TypeError("unknown operator type")
+    vals, vecs = op.lowest(k)
+    fields, lams, eigs, resid = [], [], [], []
+    for i in range(k):
+        if vals[i] >= -tol:
+            continue
+        u = vecs[:, i]
+        res = float(np.linalg.norm(op.apply(u) - vals[i] * u)
+                    / np.linalg.norm(u))
+        lam = math.sqrt(-vals[i])
+        fields.append(op.eigenfield(u, lam))
+        lams.append(lam)
+        eigs.append(float(vals[i]))
+        resid.append(res)
+    # ascending eigenvalues: the negative modes are the first len(lams)
+    U = vecs[:, :len(lams)]
+    U = U / np.linalg.norm(U, axis=0)
+    return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
+                          residuals=resid, gram=U.T @ U)
 
 
 def all_eigen_below(op: RadialOperator, cutoff: float):
@@ -267,57 +307,23 @@ def kernel_count(op, near_zero_fields=None) -> dict:
     A mode is near zero below eps = max(h^2, 10 / R^2), covering both the
     stencil error and the Dirichlet shift of slowly decaying kernel elements
     while staying below the first continuum eigenvalue of the truncated
-    domain.  Alignment inner products are evaluated on
-    r <= TRUSTED_FRACTION * R because the wall visibly bends modes whose
-    L2(ball) norm grows logarithmically.
+    domain.  Alignment inner products are evaluated on the operator's
+    trusted window (TRUSTED_FRACTION of each extent) because the wall
+    visibly bends modes whose L2(ball) norm grows logarithmically.
     """
-    if isinstance(op, RadialOperator):
-        h, R = op.h, op.r_max
-        eps = max(h * h, 10.0 / (R * R))
-        vals, vecs = eigh_tridiagonal(op.main, op.off, select="v",
-                                      select_range=(-eps, eps))
-        out = {"count": int(len(vals)), "eps": float(eps),
-               "eigenvalues": [float(v) for v in vals], "alignments": []}
-        if near_zero_fields:
-            window = op.r <= TRUSTED_FRACTION * R
-            for f in near_zero_fields:
-                target = f.evaluate(cylinder_points(op.r, [0.0])) * op.r**1.5
-                t = target[window] / np.linalg.norm(target[window])
-                best = 0.0
-                for i in range(len(vals)):
-                    u = vecs[window, i]
-                    u = u / np.linalg.norm(u)
-                    best = max(best, abs(float(u @ t)))
-                out["alignments"].append(best)
-        return out
-
-    if isinstance(op, CylOperator):
-        h = op.r[1] - op.r[0]
-        eps = max(h * h, 10.0 / (op.r_max * op.r_max))
-        n = op.matrix.shape[0]
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        k = 12
-        vals, vecs = eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0)
-        sel = np.abs(vals) < eps
-        out = {"count": int(np.sum(sel)), "eps": float(eps),
-               "eigenvalues": [float(v) for v in vals[sel]],
-               "alignments": []}
-        if near_zero_fields:
-            P = cylinder_points(op.x1, op.r)
-            window = (np.abs(P[:, 0]) <= TRUSTED_FRACTION * op.length) & \
-                     (P[:, 1] <= TRUSTED_FRACTION * op.r_max)
-            wgt = P[:, 1]  # symmetrization weight rbar
-            for f in near_zero_fields:
-                target = (f.evaluate(P) * wgt)[window]
-                t = target / np.linalg.norm(target)
-                best = 0.0
-                for i in np.nonzero(sel)[0]:
-                    u = vecs[window, i]
-                    u = u / np.linalg.norm(u)
-                    best = max(best, abs(float(u @ t)))
-                out["alignments"].append(best)
-        return out
-    raise TypeError("unknown operator type")
+    eps, vals, vecs = op.near_zero()
+    out = {"count": int(len(vals)), "eps": float(eps),
+           "eigenvalues": [float(v) for v in vals], "alignments": []}
+    for f in near_zero_fields or ():
+        target, window = op.samples(f)
+        t = target[window] / np.linalg.norm(target[window])
+        best = 0.0
+        for i in range(len(vals)):
+            u = vecs[window, i]
+            u = u / np.linalg.norm(u)
+            best = max(best, abs(float(u @ t)))
+        out["alignments"].append(best)
+    return out
 
 
 def verify_exponential_decay(Y: ScalarField, lam: float) -> DecayFit:
@@ -356,13 +362,11 @@ def shooting_rate(q: ScalarField) -> float:
     terms = q.poly_radial_terms()
     if terms is None:
         raise TypeError("shooting oracle needs a monomial-radial profile")
-    # a radial field has only m = 0 terms, so q(r e1) sums their radial parts
-    parts = [p.f for _, p in terms]
-
     def qsq(r):
+        # a radial field has only m = 0 terms: q(r e1) sums their radial parts
         v = 0.0
-        for f in parts:
-            v += float(f(r))
+        for _, S in terms:
+            v += float(S(r))
         return v * v
 
     q0sq = qsq(0.0)
@@ -435,10 +439,10 @@ def _abs_scale_poly(prod, spec) -> float:
     from .quadrature import abs_moment
 
     total = 0.0
-    for m, p in prod.terms:
+    for m, S in prod.terms:
         ang = abs_moment(m, 4)
         k = 3 + int(np.sum(m))
-        v, _ = quad(lambda r: abs(p.f(r)) * r**k, 0.0,
+        v, _ = quad(lambda r: abs(S(r)) * r**k, 0.0,
                     spec.r_max or np.inf, limit=200)
         total += ang * v
     return total

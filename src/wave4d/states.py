@@ -8,10 +8,11 @@ identity produces the 15 kernel generator fields of the linearized operator
 
 Profiles used here are sums of monomial * rational-radial terms, so the
 generators, their gradients and all pairings among them are computed exactly
-(see :class:`RationalRadial`).  A closed-form surrogate excited state with
-the x4/|x|^4 far field replaces the (non-explicit) true excited state; its
-metadata records that it does not solve the elliptic equation, and sampled
-profiles can be imported through the field container instead.
+(see :class:`~wave4d.fields.RationalRadial`).  A closed-form surrogate
+excited state with the x4/|x|^4 far field replaces the (non-explicit) true
+excited state; its metadata records that it does not solve the elliptic
+equation, and sampled profiles can be imported through the field container
+instead.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .fields import (
     AffineField,
     FormulaField,
     PolyRadialField,
-    RadialPart,
+    RationalRadial,
     SampledField,
     ScalarField,
+    _unit,
     cylinder_points,
     load_field,
     load_field_csv,
@@ -58,98 +60,17 @@ class SingularTransform(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# exact rational-radial algebra
-# ---------------------------------------------------------------------------
-
-class RationalRadial:
-    """Sum of c * r^a * B(r)^b with B(r) = (1 - kappa r^2 / 2)^-1.
-
-    B satisfies B' = kappa r B^2, so the family is closed under d/dr and
-    division by r (whenever every power a >= 1).  kappa = -1/4 gives the
-    ground-state bubble, kappa = -16 the inverted-scale bubble of the
-    surrogate state.
-    """
-
-    def __init__(self, kappa: float, terms: dict):
-        self.kappa = float(kappa)
-        self.terms = {}
-        for (a, b), c in terms.items():
-            if c != 0.0:
-                self.terms[(int(a), int(b))] = self.terms.get((int(a), int(b)), 0.0) + c
-        self.terms = {k: v for k, v in self.terms.items() if v != 0.0}
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        B = 1.0 / (1.0 - 0.5 * self.kappa * r * r)
-        out = np.zeros_like(r)
-        for (a, b), c in self.terms.items():
-            out = out + c * r**a * B**b
-        return out
-
-    def deriv(self) -> "RationalRadial":
-        out = {}
-        for (a, b), c in self.terms.items():
-            if a:
-                out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
-            if b:
-                out[(a + 1, b + 1)] = out.get((a + 1, b + 1), 0.0) + b * c * self.kappa
-        return RationalRadial(self.kappa, out)
-
-    def div_r(self) -> "RationalRadial":
-        if any(a < 1 for (a, b) in self.terms):
-            raise ValueError("division by r requires every power >= 1")
-        return RationalRadial(self.kappa,
-                              {(a - 1, b): c for (a, b), c in self.terms.items()})
-
-    def times_r2(self) -> "RationalRadial":
-        return RationalRadial(self.kappa,
-                              {(a + 2, b): c for (a, b), c in self.terms.items()})
-
-    def scaled(self, s: float) -> "RationalRadial":
-        return RationalRadial(self.kappa,
-                              {k: s * c for k, c in self.terms.items()})
-
-    def plus(self, other: "RationalRadial") -> "RationalRadial":
-        if other.kappa != self.kappa and other.terms and self.terms:
-            raise ValueError("cannot mix bubble scales")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return RationalRadial(self.kappa if self.terms else other.kappa, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def decay_exponent(self) -> float:
-        """Exact power p with c r^-p leading behavior (B ~ -2/(kappa r^2))."""
-        if self.is_zero:
-            return math.inf
-        return float(min(2 * b - a for (a, b) in self.terms))
-
-    def part(self) -> RadialPart:
-        return RadialPart(self, self.deriv())
-
-
 def _poly_from(terms, name="") -> PolyRadialField:
     cleaned = [(m, rr) for m, rr in terms if not rr.is_zero]
     if not cleaned:
         out = PolyRadialField([(np.zeros(4, dtype=int),
-                                RationalRadial(-0.25, {}).part())],
+                                RationalRadial(-0.25, {}))],
                               decay=100.0, name=name or "0")
         out.is_zero = True
         return out
     decay = min(rr.decay_exponent() - int(np.sum(np.asarray(m)))
                 for m, rr in cleaned)
-    return PolyRadialField([(m, rr.part()) for m, rr in cleaned],
-                           decay=decay, name=name)
-
-
-def _e(i):
-    v = np.zeros(4, dtype=int)
-    v[i] = 1
-    return v
+    return PolyRadialField(cleaned, decay=decay, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +89,8 @@ def ground_state() -> PolyRadialField:
 
 def surrogate_seed() -> PolyRadialField:
     """Default seed x4 * W(x)^2 for the surrogate excited state."""
-    q = _poly_from([(_e(3), RationalRadial(-0.25, {(0, 2): 1.0}))], name="seed")
-    return q
+    return _poly_from([(_unit(3), RationalRadial(-0.25, {(0, 2): 1.0}))],
+                      name="seed")
 
 
 @dataclass
@@ -200,7 +121,7 @@ def surrogate_excited_state() -> ScalarField:
     |Q - x4/|x|^4| <= C/|x|^4 bound and the <x>^-(3+|a|) derivative bounds,
     but it is not a solution of the elliptic equation; meta records this.
     """
-    Q = _poly_from([(_e(3), RationalRadial(-16.0, {(0, 2): 64.0}))],
+    Q = _poly_from([(_unit(3), RationalRadial(-16.0, {(0, 2): 64.0}))],
                    name="Q_surrogate")
     Q.core = 1.0 / math.sqrt(8.0)
     Q.meta = {"pde_solution": False, "normalization": SurrogateSpec().verify()}
@@ -360,45 +281,33 @@ def apply_transform(f: ScalarField, params: TransformParams) -> FormulaField:
 # kernel generators
 # ---------------------------------------------------------------------------
 
-def _rational_terms(f: ScalarField):
-    terms = f.poly_radial_terms()
-    if terms is None:
-        return None
-    out = []
-    for m, p in terms:
-        if not isinstance(p.f, RationalRadial):
-            return None
-        out.append((np.asarray(m, dtype=int), p.f))
-    return out
-
-
 def _generator_exact(terms, gid: str, name: str) -> PolyRadialField:
     out = []
     for m, S in terms:
         am = int(m.sum())
         dS = S.deriv()
+        r = RationalRadial(S.kappa, {(1, 0): 1.0})
         if gid == "scaling":
-            out.append((m, S.scaled(1.0 + am).plus(
-                RationalRadial(S.kappa, {(a + 1, b): c for (a, b), c
-                                         in dS.terms.items()}))))
+            out.append((m, S.scaled(1.0 + am).plus(dS.times(r))))
         elif gid.startswith("translation_"):
             i = int(gid[-1]) - 1
             if m[i]:
-                out.append((m - _e(i), S.scaled(float(m[i]))))
-            out.append((m + _e(i), dS.div_r()))
+                out.append((m - _unit(i), S.scaled(float(m[i]))))
+            out.append((m + _unit(i), dS.div_r()))
         elif gid.startswith("rotation_"):
             i, j = int(gid[-2]) - 1, int(gid[-1]) - 1
             if m[j]:
-                out.append((m + _e(i) - _e(j), S.scaled(float(m[j]))))
+                out.append((m + _unit(i) - _unit(j), S.scaled(float(m[j]))))
             if m[i]:
-                out.append((m + _e(j) - _e(i), S.scaled(-float(m[i]))))
+                out.append((m + _unit(j) - _unit(i), S.scaled(-float(m[i]))))
         elif gid.startswith("conformal_"):
             i = int(gid[-1]) - 1
             if m[i]:
-                out.append((m - _e(i), S.times_r2().scaled(float(m[i]))))
-            out.append((m + _e(i), S.scaled(-2.0 * (1.0 + am)).plus(
-                RationalRadial(S.kappa, {(a + 1, b): -c for (a, b), c
-                                         in dS.terms.items()}))))
+                out.append((m - _unit(i),
+                            S.times(r).times(r).scaled(float(m[i]))))
+            out.append((m + _unit(i),
+                        S.scaled(-2.0 * (1.0 + am)).plus(
+                            dS.times(r).scaled(-1.0))))
         else:
             raise ValueError(f"unknown generator id {gid!r}")
     merged: dict = {}
@@ -448,7 +357,7 @@ def symmetry_generator(f: ScalarField, gid: str) -> ScalarField:
     """
     if gid not in GENERATOR_IDS:
         raise ValueError(f"unknown generator id {gid!r}")
-    terms = _rational_terms(f)
+    terms = f.poly_radial_terms()
     if terms is not None:
         return _generator_exact(terms, gid, name=f"{gid}[{getattr(f,'name','')}]")
     return _generator_generic(f, gid)

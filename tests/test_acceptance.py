@@ -8,9 +8,8 @@ positive at every swept exponent gamma in {0.025, 0.05, 0.1}.
 import math
 
 import numpy as np
-import pytest
 
-from wave4d.boosts import build_exp_directions, pair_vector, traveling_pair
+from wave4d.boosts import build_exp_directions, pair_vector
 from wave4d.energy import coercivity_probe
 from wave4d.evolver import (CylWaveEvolver, GridBasis, eval_on_grid, evolve,
                             grid_h_norm_sq, measure_mode_rates,
@@ -27,8 +26,7 @@ from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (assemble_radial, negative_spectrum,
                              shooting_rate, verify_cancellation,
                              verify_exponential_decay)
-from wave4d.states import (GENERATOR_IDS, ground_state, kelvin,
-                           radial_residual_norm, surrogate_excited_state,
+from wave4d.states import (GENERATOR_IDS, kelvin, radial_residual_norm,
                            symmetry_generator)
 
 
@@ -60,7 +58,7 @@ def _kernel_residual_norm(gen, W, n, r_ball=8.0):
     r = (np.arange(1, n) * h)
     total = 0.0
     for m, part in terms:
-        S = part.f
+        S = part
         Sm, S0, Sp = S(r - h), S(r), S(r + h)
         d1 = (Sp - Sm) / (2 * h)
         d2 = (Sp - 2 * S0 + Sm) / h**2

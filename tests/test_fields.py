@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wave4d.fields import (FieldPair, FormulaField, Grid2DCyl, SampledField,
-                           SymmetryMismatch, cylinder_points,
-                           hardy_sobolev_check, inner_hdot1, inner_l2,
-                           inner_pair_h, inner_pair_l2, integrate_field,
-                           load_field, load_field_csv, load_pair, norm_hdot1,
-                           norm_l2, norm_pair, pairing_block, save_field,
-                           save_pair, zero_field, zero_pair)
+from wave4d.fields import (FieldPair, FormulaField, Grid2DCyl,
+                           PolyRadialField, SampledField, SymmetryMismatch,
+                           cylinder_points, hardy_sobolev_check, inner_hdot1,
+                           inner_l2, inner_pair_h, inner_pair_l2,
+                           integrate_field, load_field, load_field_csv,
+                           load_pair, norm_hdot1, norm_l2, norm_pair,
+                           pairing_block, save_field, save_pair, zero_field,
+                           zero_pair)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
-from wave4d.states import dilate, ground_state, symmetry_generator
+from wave4d.states import (GENERATOR_IDS, RationalRadial, dilate,
+                           ground_state, symmetry_generator)
 
 # oracle: closed-form radial integral by adaptive 1D quadrature
 W4_ORACLE = 2 * math.pi**2 * quad(
@@ -25,6 +27,34 @@ def test_w4_integral_matches_independent_oracle(W):
     v = integrate_field(W.product(W).product(W).product(W)).require()
     assert v == pytest.approx(W4_ORACLE, rel=1e-10)
     assert v == pytest.approx(32 * math.pi**2 / 3, rel=1e-10)
+
+
+def test_products_and_gradient_pairings_stay_rational(W, Qs, rng):
+    """Products and gradient pairings of kernel generators keep rational
+    radial parts, so generators of a product take the exact path, and
+    grad_dot is the pointwise dot of the two gradients."""
+    pts = rng.uniform(-4.0, 4.0, size=(200, 4))
+    for prof in (W, Qs):
+        gens = [prof] + [g for g in (symmetry_generator(prof, gid)
+                                     for gid in GENERATOR_IDS)
+                         if not g.is_zero]
+        for i, f in enumerate(gens):
+            for g in gens[i:]:
+                for h in (f.product(g), f.grad_dot(g)):
+                    assert all(isinstance(S, RationalRadial)
+                               for _, S in h.poly_radial_terms())
+                dot = np.einsum("ij,ij->i", f.gradient(pts), g.gradient(pts))
+                gap = f.grad_dot(g).evaluate(pts) - dot
+                assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(dot))
+
+    WW = W.product(W)
+    exact = symmetry_generator(WW, "scaling")
+    assert isinstance(exact, PolyRadialField)
+    wrapped = FormulaField(WW.evaluate, WW.gradient, symmetry=WW.symmetry,
+                           decay=WW.decay)
+    generic = symmetry_generator(wrapped, "scaling").evaluate(pts)
+    gap = exact.evaluate(pts) - generic
+    assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(generic))
 
 
 def test_zero_integrand(W):

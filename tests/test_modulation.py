@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wave4d.boosts import build_exp_directions, traveling_pair
+from wave4d.boosts import traveling_pair
 from wave4d.fields import (FieldPair, FormulaField, norm_pair, pairing_block,
                            sum_field, zero_field)
 from wave4d.interactions import two_soliton_config

@@ -10,7 +10,7 @@ from wave4d.spectrum import (all_eigen_below, assemble_cylindrical,
                              assemble_radial, kernel_count, negative_spectrum,
                              rayleigh_quotient, shooting_rate,
                              verify_cancellation, verify_exponential_decay)
-from wave4d.states import (RationalRadial, _poly_from, dilate, ground_state,
+from wave4d.states import (RationalRadial, _poly_from, dilate,
                            symmetry_generator)
 
 
@@ -134,9 +134,14 @@ def test_rayleigh_quotient_consistency(W):
             vals[i], abs=1e-9)
 
 
-def test_orthonormality(W):
-    op = assemble_radial(W, r_max=30.0, n=2000)
-    res = negative_spectrum(op, k=1)
+@pytest.mark.parametrize("sector, k, tol", [("radial", 1, 1e-10),
+                                             ("cylindrical", 3, 0.02)],
+                         ids=["radial", "cylindrical"])
+def test_orthonormality(W, sector, k, tol):
+    """The Gram matrix pairs the computed eigenvectors in both sectors."""
+    op = (assemble_radial(W, r_max=30.0, n=2000) if sector == "radial" else
+          assemble_cylindrical(W, length=20.0, r_max=20.0, n1=120, nr=120))
+    res = negative_spectrum(op, k=k, tol=tol)
     assert np.allclose(res.gram, np.eye(res.count), atol=1e-10)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wave4d.fields import (FormulaField, Grid2DCyl, SampledField,
                            cylinder_points, save_field)
 from wave4d.fitting import check_decay
-from wave4d.quadrature import QuadratureSpec
 from wave4d.states import (GENERATOR_IDS, SingularTransform, SurrogateSpec,
                            TransformParams, apply_transform,
                            cylindrical_residual_norm, dilate, ground_state,
