@@ -736,38 +736,72 @@ def _pairing_features(pairs, X, kind: str) -> np.ndarray:
     return np.stack([row(p) for p in pairs], axis=1)
 
 
-def pairing_block(rows, cols, kind: str,
+def _kind_features(p, X, kinds) -> dict:
+    """{kind: (N, k) features of pair p at X} for each of kinds, in the
+    layouts above; the second component is sampled once for both."""
+    second = p.second.evaluate(X)
+    out = {}
+    if "h" in kinds:
+        out["h"] = _h_features(p.first.gradient(X), second)
+    if "l2" in kinds:
+        out["l2"] = np.column_stack([p.first.evaluate(X), second])
+    return out
+
+
+def pairing_block(rows, cols, kind,
                   spec: QuadratureSpec | None = None) -> np.ndarray:
     """Matrix of pairings (rows_i, cols_j) in one shared quadrature pass.
 
-    kind "l2" pairs componentwise in L2, kind "h" uses the energy pairing
-    (Hdot1 on first components, L2 on second), and kind "both" returns the
-    stacked [h, l2] blocks, shape (2, len(rows), len(cols)), from one pass.
-    Every field is sampled once per batch of quadrature nodes and each block
-    is one product of the feature stacks, so the cost is linear in the basis
-    size.
-    Passing rows is cols samples a square block once.
+    kind "l2" pairs componentwise in L2 and kind "h" uses the energy pairing
+    (Hdot1 on first components, L2 on second); kind may also be a sequence
+    of them, one per column.  Each distinct pair (by identity) is sampled
+    once per batch of quadrature nodes, with only the features its kinds
+    read: a row takes those of every kind among the columns, a column those
+    of its own kind, so a column paired only in L2 never has its gradient
+    sampled.  Each kind's (N, len(rows), columns of that kind) block is one
+    stacked matrix product of the feature stacks, so the cost is linear in
+    the basis size.
     """
     spec = spec or QuadratureSpec()
-    if kind not in ("l2", "h", "both"):
-        raise ValueError("kind must be 'l2', 'h' or 'both'")
+    kinds = [kind] * len(cols) if isinstance(kind, str) else list(kind)
+    if len(kinds) != len(cols):
+        raise ValueError(f"{len(kinds)} kinds for {len(cols)} columns")
+    if not set(kinds) <= {"l2", "h"}:
+        raise ValueError("kind must be 'l2' or 'h'")
     shape = (len(rows), len(cols))
     if 0 in shape:
-        return np.zeros((2,) + shape if kind == "both" else shape)
+        return np.zeros(shape)
     every = list(rows) + list(cols)
     _check_compatible(*[p.first for p in every])
     sym = join_symmetry(*[p.symmetry for p in every])
 
+    groups = {k: [j for j, kj in enumerate(kinds) if kj == k]
+              for k in dict.fromkeys(kinds)}
+    need = {id(p): (p, set()) for p in every}
+    for p in rows:
+        need[id(p)][1].update(groups)
+    for p, k in zip(cols, kinds):
+        need[id(p)][1].add(k)
+    row_ids = [id(p) for p in rows]
+    col_ids = {k: [id(cols[j]) for j in idx] for k, idx in groups.items()}
+    # a kind whose columns are one run is formed in place: the block is a
+    # batch's largest array
+    where = {k: slice(idx[0], idx[-1] + 1)
+             if idx[-1] - idx[0] == len(idx) - 1 else idx
+             for k, idx in groups.items()}
+
     def fn(X):
-        R = _pairing_features(rows, X, kind)
-        C = R if cols is rows else _pairing_features(cols, X, kind)
-        if kind != "both":
-            return np.einsum("pik,pjk->pij", R, C)
-        # in place: this (N, 2, n, m) result is a batch's largest array
-        out = np.empty((X.shape[0], 2) + shape)
-        np.einsum("pik,pjk->pij", R[..., 1:], C[..., 1:], out=out[:, 0])
-        np.einsum("pik,pjk->pij", R[..., _L2_COLS], C[..., _L2_COLS],
-                  out=out[:, 1])
+        feats = {key: _kind_features(p, X, ks)
+                 for key, (p, ks) in need.items()}
+        out = np.empty((X.shape[0],) + shape)
+        for k, at in where.items():
+            R = np.stack([feats[key][k] for key in row_ids], axis=1)
+            C = R if col_ids[k] == row_ids else np.stack(
+                [feats[key][k] for key in col_ids[k]], axis=1)
+            if isinstance(at, slice):
+                np.matmul(R, C.transpose(0, 2, 1), out=out[:, :, at])
+            else:
+                out[:, :, at] = R @ C.transpose(0, 2, 1)
         return out
 
     return np.asarray(integrate_callable(fn, sym, spec).value)

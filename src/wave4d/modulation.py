@@ -13,19 +13,25 @@ prescribed pairings against the outgoing exponential directions and zero
 kernel-direction coefficients, and both directions compose to the identity
 up to linear-solver precision.
 
-A round trip costs five quadrature passes, each sampling every field once
-per batch of quadrature nodes: ``build_initial_data`` takes its L2 and
-energy rows from one "both" block; ``decompose`` gets ||dev||^2, the Gram
-matrix and the right-hand side from one energy block of [dev] + basis, then
-||phi||^2 and (phi, Z+-)_L2 from one "both" block of [phi] + Z+-;
-``compute_c`` takes one localized pass per soliton.  The passes stream
-through ``integrate_callable`` in batches of at most 2,048 nodes
-instead of stacking features on a ``node_set``: one surrogate pass has about
-4.7e4 nodes at nodes 6, r_max 25 (1.2e5 at nodes 8, r_max 30), and six
-feature columns per pair on all of them would hold about 2.2 MB (5.7 MB) a
-pair at once, 16 MB (40 MB) for the seven pairs of ``decompose``'s first
-pass.  A batch holds about 0.1 MB of features a pair, and its largest array
-is the per-node block of the pass, about 2 MB at nodes 6.
+A round trip costs four quadrature passes, each sampling every field once
+per batch of quadrature nodes, with only the features its pairings read:
+``build_initial_data`` takes its system from one block whose Z+ columns
+pair in L2 and whose basis columns pair in energy; ``decompose`` takes one
+block of the rows [dev] + basis against the columns [dev] + basis (energy)
+and Z+- (L2); ``compute_c`` takes one localized pass per soliton.  The
+decompose block holds ||dev||^2, the Gram matrix G and the right-hand side
+h, and, because phi = dev - sum c_k f_k with G c = h, also
+||phi||^2 = H_dd - c.h and (phi, Z+-)_L2 = (dev, Z+-)_L2 - c.(f, Z+-)_L2.
+Only where that subtraction cancels (phi much smaller than dev) does
+decompose pass over [phi] + Z+- explicitly.  The passes stream through
+``integrate_callable`` in batches of at most 2,048 nodes instead of
+stacking features on a ``node_set``: one surrogate pass has about 4.7e4
+nodes at nodes 6, r_max 25 (1.2e5 at nodes 8, r_max 30), and the seven
+energy and L2 feature columns of a row pair on all of them would hold about
+2.6 MB (6.6 MB) a pair at once, 21 MB (54 MB) for the 57 feature columns of
+``decompose``'s block.  A batch holds about 0.1 MB of features a pair, and
+its largest array is the per-node block of the pass, about 1.2 MB at
+nodes 6.
 """
 
 from __future__ import annotations
@@ -45,6 +51,12 @@ from .fields import (
 )
 from .interactions import MultiSolitonConfig, localized_pairing, sigma_rate
 from .quadrature import QuadratureSpec, join_symmetry
+
+
+# decompose takes an explicit pass for the remainder once the one-block
+# subtraction H_dd - c.h falls below H_dd by this factor: about 4 of 16
+# digits of ||phi||^2 and 2 of z
+_CANCELLATION = 1e4
 
 
 class GramIllConditioned(RuntimeError):
@@ -212,9 +224,12 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     dev = _pair_sum([u] + qpairs, [1.0] + [-1.0] * len(qpairs))
     fields, labels = _flatten_basis(*basis_pairs(cfg, t))
 
-    # pass 1: ||dev||^2, the Gram matrix and the right-hand side
+    # one block: ||dev||^2, the Gram matrix and the right-hand side in the
+    # energy pairing, and (dev, Z+-)_L2 with the basis rows' (f, Z+-)_L2
     P = [dev] + fields
-    H = pairing_block(P, P, "h", spec_c)
+    Z = _z_columns(cfg, directions, t) if directions is not None else []
+    B = pairing_block(P, P + Z, ["h"] * len(P) + ["l2"] * len(Z), spec_c)
+    H, L = B[:, :len(P)], B[:, len(P):]
     dev_norm = math.sqrt(max(H[0, 0], 0.0))
     if dev_norm >= gamma0:
         raise ValueError(f"deviation {dev_norm:.3g} outside the gamma0 = "
@@ -230,11 +245,15 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     a, b = coef[:cfg.n], coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
     phi = _pair_sum([dev] + fields, [1.0] + [-float(c) for c in coef])
 
-    # pass 2: ||phi||^2 and the pairings (phi, Z+-)_L2
-    P = [phi] + (_z_columns(cfg, directions, t) if directions is not None
-                 else [])
-    H, L = pairing_block(P, P, "both", spec_c)
-    zp, zm = _split_z(L[0, 1:], cfg.n)
+    # phi = dev - sum c_k f_k with G c = h, so ||phi||^2 = H_dd - c.h and
+    # (phi, Z)_L2 = (dev, Z)_L2 - c.(f, Z)_L2, unless the subtraction cancels
+    phi_sq = H[0, 0] - coef @ H[0, 1:]
+    z_row = L[0] - coef @ L[1:]
+    if H[0, 0] >= _CANCELLATION * phi_sq:
+        row = pairing_block([phi], [phi] + Z,
+                            ["h"] + ["l2"] * len(Z), spec_c)[0]
+        phi_sq, z_row = row[0], row[1:]
+    zp, zm = _split_z(z_row, cfg.n)
 
     cs = np.zeros(cfg.n)
     if cfg.n >= 2:
@@ -244,7 +263,7 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
 
     return ModulationState(t=t, a=a, b=b, remainder=phi, z_plus=zp,
                            z_minus=zm, c=cs,
-                           remainder_norm=math.sqrt(max(H[0, 0], 0.0)),
+                           remainder_norm=math.sqrt(max(phi_sq, 0.0)),
                            gram_cond=gram.cond)
 
 
@@ -272,9 +291,11 @@ def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,
     columns = _z_columns(cfg, directions, T, signs=("+",)) + fields
     col_labels = [("z", n, j) for n in range(cfg.n) for j in range(J)] + labels
 
-    # one pass: L2 rows of the Z+ partners, energy rows of the basis
-    H, L = pairing_block(columns, columns, "both", spec_c)
-    A = np.vstack([L[:z.size], H[z.size:]])
+    # one pass: L2 rows of the Z+ partners, energy rows of the basis; each
+    # pairing is symmetric, so they are the transpose of the block whose
+    # columns take those kinds
+    A = pairing_block(columns, columns,
+                      ["l2"] * z.size + ["h"] * len(fields), spec_c).T
     coef = np.linalg.solve(A, np.concatenate([z.ravel(),
                                               np.zeros(len(fields))]))
 

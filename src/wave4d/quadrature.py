@@ -46,7 +46,7 @@ _SYM_ORDER = {SYM_RADIAL: 0, SYM_CYL: 1, SYM_BICYL: 2, SYM_FULL: 3}
 
 # points per integrand call: enough slabs that the per-call work of walking
 # the field trees is amortized, few enough that the largest per-point result
-# (pairing_block's (N, 2, n, m) "both" stack) keeps the peak memory flat
+# (pairing_block's (N, n, m) block) keeps the peak memory flat
 _BATCH_POINTS = 2048
 
 

@@ -294,21 +294,35 @@ def test_pairing_block_matches_entrywise(W, fast_spec):
 
 @pytest.mark.parametrize("profile, symmetry", [("W", "cylindrical"),
                                                ("Qs", "bicylindrical")])
-def test_both_kinds_block_equals_single_kind_blocks(profile, symmetry,
+def test_mixed_kind_block_equals_single_kind_blocks(profile, symmetry,
                                                     request, fast_spec):
     q = request.getfixturevalue(profile)
     lq, tq = (symmetry_generator(q, g) for g in ("scaling", "translation_1"))
+
+    def no_gradient(X):
+        raise AssertionError("an L2-only column asked for a gradient")
+
+    l2_only = FieldPair(FormulaField(tq.evaluate, no_gradient,
+                                     symmetry=tq.symmetry), lq)
     rows = [FieldPair(q, lq), FieldPair(tq, q)]
-    cols = rows + [FieldPair(lq, tq)]
+    cols = rows + [FieldPair(lq, tq), l2_only]
     assert join_symmetry(*[p.symmetry for p in cols]) == symmetry
-    for r in (rows, cols):
-        both = pairing_block(r, cols, "both", fast_spec)
-        assert both.shape == (2, len(r), len(cols))
-        for block, kind in zip(both, ("h", "l2")):
-            single = pairing_block(r, cols, kind, fast_spec)
-            np.testing.assert_allclose(block, single, rtol=1e-13,
+    for r, kinds in ((rows, ["h", "l2", "h", "l2"]),
+                     (cols[:3], ["h", "h", "h", "l2"]),
+                     (cols[:3], ["l2", "l2", "h", "l2"])):
+        mixed = pairing_block(r, cols, kinds, fast_spec)
+        assert mixed.shape == (len(r), len(cols))
+        # every column but the L2-only one can take either kind
+        for kind, single_cols in (("h", cols[:3]), ("l2", cols)):
+            single = pairing_block(r, single_cols, kind, fast_spec)
+            idx = [j for j, k in enumerate(kinds) if k == kind]
+            np.testing.assert_allclose(mixed[:, idx], single[:, idx],
+                                       rtol=1e-13,
                                        atol=1e-15 * np.abs(single).max())
-    assert pairing_block([], cols, "both", fast_spec).shape == (2, 0, 3)
+    assert pairing_block([], cols, kinds, fast_spec).shape == (0, 4)
+    for bad in ("both", ["h", "l2"]):
+        with pytest.raises(ValueError):
+            pairing_block(rows, cols, bad, fast_spec)
 
 
 def test_self_pairings_sample_once_per_slab(W, fast_spec):

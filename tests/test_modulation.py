@@ -243,8 +243,91 @@ def test_decompose_matches_separate_pairings(cfg, dirs, data):
                                           rel=1e-12)
 
 
+@pytest.mark.parametrize("data, blocks", [("round_trip", 1),
+                                         ("slow_direction", 2)])
+def test_decompose_passes_explicitly_only_on_cancellation(cfg, dirs, data,
+                                                          blocks,
+                                                          monkeypatch):
+    """decompose reads ||phi||^2 and (phi, Z+-) off its one block, and
+    takes an explicit pass only where the subtraction cancels: well-prepared
+    data keep H_dd / (H_dd - c.h) at 1, while adding 0.01 Psi_1 leaves a
+    remainder at round-off, with H_dd - c.h below zero."""
+    import wave4d.modulation as modulation
+
+    t = 20.0
+    if data == "slow_direction":
+        base = _soliton_sum_pair(cfg, t)
+        psi1 = traveling_pair(cfg.slow[0], cfg.speeds[0], t, 1)
+        u = FieldPair(sum_field([base.first, psi1.first], [1.0, 0.01]),
+                      sum_field([base.second, psi1.second], [1.0, 0.01]))
+    else:
+        z = 0.4 * t**-3.5 * np.array([[1.0], [-0.6]])
+        u = build_initial_data(cfg, t, z, dirs, SPEC)["u"]
+    seen = []
+
+    def counted(rows, cols, kind, spec=None):
+        seen.append(pairing_block(rows, cols, kind, spec))
+        return seen[-1]
+
+    monkeypatch.setattr(modulation, "pairing_block", counted)
+    st_ = decompose(u, cfg, t, SPEC, directions=dirs)
+    assert len(seen) == blocks
+    # rows [dev] + basis; their energy columns come first
+    H = seen[0][:, :len(seen[0])]
+    one_block = H[0, 0] - H[0, 1:] @ np.linalg.solve(H[1:, 1:], H[0, 1:])
+    if blocks == 1:
+        assert H[0, 0] / one_block == pytest.approx(1.0, rel=1e-9)
+    else:
+        assert one_block <= 0.0 < H[0, 0]
+    spec_c = cfg.quad_spec(t, SPEC)
+    assert st_.remainder_norm == pytest.approx(
+        norm_pair(st_.remainder, spec_c), rel=1e-12)
+    zp, zm = compute_z(st_.remainder, cfg, dirs, t, SPEC)
+    np.testing.assert_allclose(st_.z_plus, zp, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(st_.z_minus, zm, rtol=1e-12, atol=0.0)
+
+
+def test_round_trip_makes_four_passes(cfg, dirs, monkeypatch):
+    """The criterion-8 round trip at T = 20: one pass builds the data, one
+    block decomposes it and compute_c takes one localized pass a soliton."""
+    import sys
+
+    import wave4d.modulation as modulation
+    from wave4d.quadrature import integrate_callable
+
+    phase = {"name": None}
+    passes = {}
+
+    def counted(*args, **kwargs):
+        passes[phase["name"]] = passes.get(phase["name"], 0) + 1
+        return integrate_callable(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("wave4d.") and \
+                getattr(mod, "integrate_callable", None) is integrate_callable:
+            monkeypatch.setattr(mod, "integrate_callable", counted)
+    real_compute_c = modulation.compute_c
+
+    def compute_c(*args, **kwargs):
+        outer, phase["name"] = phase["name"], "compute_c"
+        try:
+            return real_compute_c(*args, **kwargs)
+        finally:
+            phase["name"] = outer
+
+    monkeypatch.setattr(modulation, "compute_c", compute_c)
+    T = 20.0
+    z = 0.5 * T**-3.5 * np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+    phase["name"] = "build"
+    built = build_initial_data(cfg, T, z, dirs, SPEC)
+    phase["name"] = "decompose"
+    st_ = decompose(built["u"], cfg, T, SPEC, directions=dirs)
+    assert passes == {"build": 1, "decompose": 1, "compute_c": 2}
+    assert np.max(np.abs(st_.z_plus - z)) / np.max(np.abs(z)) < 1e-8
+
+
 def test_build_initial_data_matrix_is_the_single_kind_blocks(cfg, dirs):
-    """One both-kinds pass gives the system that the L2 rows of the Z+
+    """One mixed-kind pass gives the system that the L2 rows of the Z+
     partners and the energy rows of the basis give as separate blocks."""
     from wave4d.modulation import _flatten_basis, basis_pairs
 
