@@ -131,14 +131,15 @@ class EnergyReport:
 
 def conserved_energy_momentum(u: FieldPair,
                               spec: QuadratureSpec | None = None) -> tuple:
-    """(E, P1) = (1/2 int |grad u1|^2 + u2^2 - u1^4/2 ... , int u2 d1 u1)."""
+    """(E, P1) = (int 1/2 (|grad u1|^2 + u2^2) - u1^4/4, int u2 d1 u1), the
+    energy and x1-momentum that the flow conserves."""
     spec = spec or QuadratureSpec()
 
     def fn(X):
         g = u.first.gradient(X)
         v1 = u.first.evaluate(X)
         v2 = u.second.evaluate(X)
-        e = 0.5 * (np.einsum("ij,ij->i", g, g) + v2 * v2 - 0.25 * v1**4)
+        e = 0.5 * (np.einsum("ij,ij->i", g, g) + v2 * v2) - 0.25 * v1**4
         p1 = v2 * g[:, 0]
         return np.stack([e, p1], axis=1)
 

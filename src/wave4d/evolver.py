@@ -18,21 +18,25 @@ pairings and the bootstrap-inequality margins on grid snapshots.  The
 shooting experiment integrates backward in time (through exact time
 reflection of the data) from well-prepared states with a prescribed
 outgoing amplitude and bisects on the amplitude that maximizes the time
-spent inside the deviation tube.  Soliton-sum samples, edge values and the
-decomposition basis depend on t only through the soliton centers, so they
-are sampled again only when the centers move (once for solitons at rest).
+spent inside the deviation tube.  Edge values depend on t only through
+the soliton centers, so they are evaluated again only when the centers
+move.  The soliton sum and the decomposition basis of a speed-ell
+configuration only translate, so GridBasis keys its samplings on the
+sub-grid phase ell t / h1 mod 1: a later time at a kept phase is served by
+an index shift along x1, with only the exposed rows sampled afresh (once in
+all for solitons at rest).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import sparse
 
-from .fields import _H_SECOND, FieldPair, Grid2DCyl, ScalarField, \
-    _h_features, _pairing_features, cylinder_points
+from .fields import FieldPair, Grid2DCyl, ScalarField, cylinder_points
 from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _flatten_basis, _soliton_pairs, \
     _split_z, _z_columns, basis_pairs, exp_direction_family
@@ -42,6 +46,12 @@ from .states import ground_state, symmetry_generator
 BLOWUP_FACTOR = 1e3
 # soliton_center fits its parabola over 2 * CENTER_HALF_WIDTH + 1 axis points
 CENTER_HALF_WIDTH = 6
+# a GridBasis keeps the samplings of this many sub-grid phases; two times
+# share a phase when the centers move by whole x1 rows to within PHASE_TOL
+KEPT_PHASES = 4
+PHASE_TOL = 1e-9
+# GridBasis samples a fresh grid in blocks of rows of about this many points
+_BLOCK_POINTS = 4096
 
 
 def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
@@ -57,15 +67,19 @@ def grad_on_grid(f: ScalarField, grid: Grid2DCyl):
             g[:, 1].reshape(grid.n1, grid.nr))
 
 
+@functools.lru_cache(maxsize=4)
 def grid_weights(grid: Grid2DCyl) -> np.ndarray:
-    """Trapezoid weights of the measure 4 pi rbar^2 drbar dx1."""
+    """Trapezoid weights of the measure 4 pi rbar^2 drbar dx1, built once
+    per grid and returned read-only."""
     w1 = np.full(grid.n1, grid.h1)
     w1[0] *= 0.5
     w1[-1] *= 0.5
     wr = np.full(grid.nr, grid.hr)
     wr[0] *= 0.5
     wr[-1] *= 0.5
-    return 4.0 * math.pi * np.outer(w1, wr * grid.r**2)
+    w = 4.0 * math.pi * np.outer(w1, wr * grid.r**2)
+    w.flags.writeable = False
+    return w
 
 
 def grid_gradient(arr: np.ndarray, grid: Grid2DCyl):
@@ -240,8 +254,18 @@ def _by_centers(cfg: MultiSolitonConfig, sample):
 @dataclass
 class GridBasis:
     """Configuration, grid and exponential-direction family of the in-loop
-    decomposition.  The directions of each speed are built once; sample(t)
-    samples the grid again only when the soliton centers move.
+    decomposition.  The directions of each speed are built once.
+
+    sample(t) keys its grid samplings on the sub-grid phase of the soliton
+    centers.  A time whose centers lie a whole number k of x1 rows from
+    those of a kept sampling is served from it: its columns move k rows in
+    place and only the k rows that exposes are sampled (k = 0 at rest, so a
+    run at rest samples once).  A time at a new phase samples the whole grid
+    and evicts the oldest of KEPT_PHASES kept phases.  Solitons of different
+    speeds share a phase only while their centers stand still.  G and
+    cond(G) are formed per served time, since they depend on where the grid
+    truncates the moved fields.  Later times of its phase move a served
+    sampling's arrays, so a caller that keeps them copies them.
     """
 
     cfg: MultiSolitonConfig
@@ -250,25 +274,102 @@ class GridBasis:
 
     def __post_init__(self):
         self.directions = exp_direction_family(self.cfg, self.rates_fields)
-        self.sample = _by_centers(self.cfg, self._sample)
+        self._n_basis = len(self.cfg.slow) + sum(map(len, self.cfg.kernels))
+        self._n_z = 2 * sum(map(len, self.directions))
+        self._kept = []  # [t0, rows moved since t0, columns, sampling]
 
-    def _sample(self, t: float) -> dict:
-        """The soliton sum q = (q1, q2), the basis "both" stack B, its
-        energy Gram matrix G with cond(G), the Z+- "l2" stack Z and the grid
-        weights w."""
-        cfg, grid = self.cfg, self.grid
-        qpairs = _soliton_pairs(cfg, t)
-        P = cylinder_points(grid.x1, grid.r)
-        w = grid_weights(grid).ravel()
-        B = _pairing_features(_flatten_basis(*basis_pairs(cfg, t))[0], P,
-                              "both")
-        H = B[..., 1:]  # the kind "h" columns
-        G = np.einsum("p,pik,pjk->ij", w, H, H)
-        return dict(
-            q=(sum(eval_on_grid(p.first, grid) for p in qpairs),
-               sum(eval_on_grid(p.second, grid) for p in qpairs)),
-            w=w, B=B, G=G, cond=float(np.linalg.cond(G)),
-            Z=_pairing_features(_z_columns(cfg, self.directions, t), P, "l2"))
+    def sample(self, t: float) -> dict:
+        """The grid sampling at t: the soliton sum q = (q1, q2); per basis
+        pair its first component ("first", (n, N)) and its d/dx1, d/drbar
+        and second component ("H", (n, 3, N)); the Z+- first and second
+        components ("Z", (m, 2, N)); the energy Gram matrix G of the basis
+        and cond(G).  At the grid points (x1, rbar, 0, 0) the gradient of
+        a cylindrically symmetric field is (d1, dr, 0, 0), so those two
+        columns carry it."""
+        h1 = self.grid.h1
+        for kept in self._kept:
+            t0, k0, F, s = kept
+            moved = [ell * (t - t0) / h1 for ell in self.cfg.speeds]
+            k = round(moved[0])
+            if all(abs(x - k) <= PHASE_TOL for x in moved):
+                if k != k0:
+                    self._move(F, t, k - k0)
+                    kept[1] = k
+                    self._gram(s)
+                return s
+        if len(self._kept) == KEPT_PHASES:
+            del self._kept[0]
+        grid, nb = self.grid, self._n_basis
+        # the whole-grid soliton sum goes through eval_on_grid, which
+        # benchmark/tracing.py counts as grid samples; it is taken before the
+        # columns exist, so its temporaries do not add to theirs
+        q = [sum(eval_on_grid(getattr(p, part), grid).ravel()
+                 for p in _soliton_pairs(self.cfg, t))
+             for part in ("first", "second")]
+        F = np.empty((4 * nb + 2 * self._n_z + 2, grid.n1 * grid.nr))
+        F[-2:] = q
+        del q
+        self._fill(F, t, 0, grid.n1)
+        s = dict(first=F[:nb], H=F[nb:4 * nb].reshape(nb, 3, -1),
+                 Z=F[4 * nb:-2].reshape(self._n_z, 2, -1),
+                 q=tuple(F[-2:].reshape(2, grid.n1, grid.nr)))
+        self._gram(s)
+        self._kept.append([t, 0, F, s])
+        return s
+
+    def drop_samplings(self):
+        """Forget every kept phase; the next time samples afresh."""
+        self._kept.clear()
+
+    def _fill(self, F, t: float, lo: int, hi: int):
+        """Sample x1 rows lo:hi of the basis and Z+- columns of F at time t,
+        in the layout of sample(): the first components, then (d1, dr,
+        second) per basis pair, then (first, second) per Z+- column.  The
+        rows go in blocks of about _BLOCK_POINTS points, which bounds the
+        evaluation temporaries."""
+        cfg, grid, nb = self.cfg, self.grid, self._n_basis
+        basis = _flatten_basis(*basis_pairs(cfg, t))[0]
+        z_cols = _z_columns(cfg, self.directions, t)
+        step = max(_BLOCK_POINTS // grid.nr, 1)
+        for b_lo in range(lo, hi, step):
+            b_hi = min(b_lo + step, hi)
+            X = cylinder_points(grid.x1[b_lo:b_hi], grid.r)
+            out = F[:, b_lo * grid.nr:b_hi * grid.nr]
+            for i, p in enumerate(basis):
+                g = p.first.gradient(X)
+                out[i] = p.first.evaluate(X)
+                out[nb + 3 * i] = g[:, 0]
+                out[nb + 3 * i + 1] = g[:, 1]
+                out[nb + 3 * i + 2] = p.second.evaluate(X)
+            for j, p in enumerate(z_cols):
+                out[4 * nb + 2 * j] = p.first.evaluate(X)
+                out[4 * nb + 2 * j + 1] = p.second.evaluate(X)
+
+    def _move(self, F, t: float, k: int):
+        """Move every column of F by k x1 rows in place, the translation of
+        the fields by k h1, and sample the rows that exposes at time t."""
+        grid = self.grid
+        m = abs(k) * grid.nr
+        # row by row: numpy moves overlapping 1-D data without a temporary
+        for col in F:
+            if k > 0:
+                col[m:] = col[:-m]
+            else:
+                col[:-m] = col[m:]
+        lo, hi = (0, min(k, grid.n1)) if k > 0 else (max(grid.n1 + k, 0),
+                                                   grid.n1)
+        self._fill(F, t, lo, hi)
+        X = cylinder_points(grid.x1[lo:hi], grid.r)
+        for c, part in ((-2, "first"), (-1, "second")):
+            F[c, lo * grid.nr:hi * grid.nr] = sum(
+                getattr(p, part).evaluate(X)
+                for p in _soliton_pairs(self.cfg, t))
+
+    def _gram(self, s: dict):
+        H = s["H"]
+        w = grid_weights(self.grid).ravel()
+        s["G"] = (H * w).reshape(len(H), -1) @ H.reshape(len(H), -1).T
+        s["cond"] = float(np.linalg.cond(s["G"]))
 
 
 def grid_modulation(u, v, basis: GridBasis, t: float) -> ModulationState:
@@ -283,23 +384,20 @@ def _decompose_on_grid(du, dv, basis: GridBasis, t: float) -> ModulationState:
     reads zero."""
     cfg, grid = basis.cfg, basis.grid
     s = basis.sample(t)
-    w, B = s["w"], s["B"]
-    H = B[..., 1:]  # the kind "h" columns
-    # at the grid points (x1, rbar, 0, 0) the gradient is (d1, dr, 0, 0)
-    grad = np.zeros((du.size, 4))
-    grad[:, 0], grad[:, 1] = (d.ravel() for d in grid_gradient(du, grid))
-    coef = np.linalg.solve(s["G"], np.einsum("p,pik,pk->i", w, H,
-                                             _h_features(grad, dv.ravel())))
-    # a contiguous copy of the first components: the strided product sums
-    # in another order, which moves the cancelling z pairings by round-off
-    first = np.ascontiguousarray(B[..., 0])
-    phi1 = du - (first @ coef).reshape(du.shape)
-    phi2 = dv - (H[..., _H_SECOND] @ coef).reshape(dv.shape)
+    w = grid_weights(grid).ravel()
+    H = s["H"]
+    d1, dr = grid_gradient(du, grid)
+    rhs = H.reshape(len(H), -1) @ (
+        np.stack([d1.ravel(), dr.ravel(), dv.ravel()]) * w).ravel()
+    coef = np.linalg.solve(s["G"], rhs)
+    phi1 = du - (coef @ s["first"]).reshape(du.shape)
+    phi2 = dv - (coef @ H[:, 2]).reshape(dv.shape)
 
     a = coef[:cfg.n].copy()
     b = coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
-    phi = np.stack([phi1.ravel(), phi2.ravel()], axis=1)
-    zp, zm = _split_z(np.einsum("p,pik,pk->i", w, s["Z"], phi), cfg.n)
+    Z = s["Z"]
+    zp, zm = _split_z(Z[:, 0] @ (w * phi1.ravel())
+                      + Z[:, 1] @ (w * phi2.ravel()), cfg.n)
 
     return ModulationState(
         t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm,
@@ -389,6 +487,8 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
                 math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
 
     status = ev.run_until(t1, callback=monitor, cadence=cadence)
+    if basis is not None:
+        basis.drop_samplings()  # so no sampling outlives the run
     series.status = status
     return series
 
@@ -462,7 +562,8 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
     basis = GridBasis(cfg, grid, [(lam, Y)])
     bg = soliton_background(cfg, grid)
     dirs = basis.directions[0][0]
-    w_u, w_v = basis.sample(0.0)["q"]
+    # copies: later samplings move the served arrays in place
+    w_u, w_v = (q.copy() for q in basis.sample(0.0)["q"])
 
     def z_series(du, dv, t_stop):
         ev = CylWaveEvolver(grid, w_u + du, w_v + dv, t0=0.0, background=bg)

@@ -649,11 +649,19 @@ def integrate_field(f: ScalarField) -> QuadratureResult:
     return integrate_callable(f.evaluate, f.symmetry, spec, decay=f.decay)
 
 
+def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
+    """Whether f and g pair in the RationalRadial algebra: both are
+    monomial-radial, and their radial parts share one bubble scale."""
+    tf, tg = f.poly_radial_terms(), g.poly_radial_terms()
+    if tf is None or tg is None:
+        return False
+    return len({S.kappa for _, S in tf + tg if not S.is_zero}) <= 1
+
+
 def inner_l2(f: ScalarField, g: ScalarField,
              spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
-    tf, tg = f.poly_radial_terms(), g.poly_radial_terms()
-    if tf is not None and tg is not None:
+    if _pairs_exactly(f, g):
         return f.product(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)
@@ -668,8 +676,7 @@ def inner_l2(f: ScalarField, g: ScalarField,
 def inner_hdot1(f: ScalarField, g: ScalarField,
                 spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
-    tf, tg = f.poly_radial_terms(), g.poly_radial_terms()
-    if tf is not None and tg is not None:
+    if _pairs_exactly(f, g):
         return f.grad_dot(g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
     sym = join_symmetry(f.symmetry, g.symmetry)

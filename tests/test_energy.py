@@ -56,10 +56,22 @@ def test_cutoff_properties(speeds):
 def test_conserved_energy_of_ground_state(W):
     spec = QuadratureSpec(scheme="fixed", nodes=14, r_max=1000.0)
     E, P = conserved_energy_momentum(FieldPair(W, zero_field()), spec)
-    assert E == pytest.approx(4 * math.pi**2, abs=2e-3)
+    # the u^4/4 potential: E(W) = (1/2 - 1/4) int W^4, since
+    # int |grad W|^2 = int W^4
+    assert E == pytest.approx(W4 / 4, abs=2e-3)
     assert P == pytest.approx(0.0, abs=1e-10)
     E0, P0 = conserved_energy_momentum(FieldPair(zero_field(), zero_field()))
     assert (E0, P0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("ell", [0.3, 0.6])
+def test_boosted_energy_follows_the_lorentz_law(W, ell):
+    """E(W_ell) = E(W) / sqrt(1 - ell^2) and P = -ell E.  The r_max = 200
+    domain truncates about 1e-3 of E (E(W) itself reads 1.2e-3 low)."""
+    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=200.0)
+    E, P = conserved_energy_momentum(pair_vector(W, ell, 1), spec)
+    assert E == pytest.approx(W4 / 4 / math.sqrt(1.0 - ell**2), rel=2e-3)
+    assert P == pytest.approx(-ell * E, rel=2e-3)
 
 
 def test_boosted_momentum_sign(W):

@@ -180,6 +180,130 @@ def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
             assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 
+def _monitor_times(grid, t1, cadence):
+    """The monitor times of a run on grid, from run_until's own float
+    clock."""
+    z = np.zeros((grid.n1, grid.nr))
+    times = []
+    CylWaveEvolver(grid, z, z).run_until(
+        t1, callback=lambda e: times.append(e.t), cadence=cadence)
+    return times
+
+
+def _assert_matches_fresh(got, fresh):
+    """A served sampling equals a fresh one to 1e-12 relative."""
+    for key in ("first", "H", "Z", "G", "cond"):
+        ref = np.asarray(fresh[key])
+        err = np.max(np.abs(np.asarray(got[key]) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), key
+    for a, b in zip(got["q"], fresh["q"], strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _mode_rate_grid(lam):
+    """measure_mode_rates' t_max and grid at ell = 0.5, h = 0.1."""
+    t_max = 4.2 / (lam * math.sqrt(1.0 - 0.5**2))
+    return t_max, default_grid_for(0.5, t_max, margin=10.0, h=0.1)
+
+
+def _serve_and_compare(monkeypatch, basis, times):
+    """Serve times in order from basis, comparing each sampling with a
+    fresh one; returns the eval_on_grid calls of basis's own samplings."""
+    import wave4d.evolver as evolver
+
+    ref = GridBasis(basis.cfg, basis.grid, basis.rates_fields)
+    fresh = {}
+    for t in dict.fromkeys(times):
+        ref.drop_samplings()  # a dropped sampling is never moved
+        fresh[t] = ref.sample(t)
+    calls = _counted(monkeypatch, evolver, "eval_on_grid")
+    for t in times:
+        _assert_matches_fresh(basis.sample(t), fresh[t])
+    return calls
+
+
+def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
+    """The evolve suite's monitors (ell = 0.4, cadence 0.5) fall on two
+    sub-grid phases and the ell = 0.5 mode-rate times of its three runs on
+    four; every other sampling is a row shift of one of those, and each
+    equals a fresh sampling."""
+    cfg = single_soliton_config(0.4)
+    grid = default_grid_for(0.4, 5.0, margin=10.0, h=0.1)
+    times = _monitor_times(grid, 5.0, 0.5)
+    assert len(times) == 11
+    calls = _serve_and_compare(monkeypatch, GridBasis(cfg, grid,
+                                                      [ground_eigen]), times)
+    assert len(calls) == 2 * 2  # q1 and q2 per phase
+
+    t_max, grid = _mode_rate_grid(ground_eigen[0])
+    cfg = single_soliton_config(0.5)
+    times = _monitor_times(grid, t_max, 0.25)
+    calls = _serve_and_compare(monkeypatch, GridBasis(cfg, grid,
+                                                      [ground_eigen]),
+                               3 * times)
+    assert len(calls) == 4 * 2
+
+
+def test_unrepeated_phases_sample_afresh(monkeypatch, W, ground_eigen):
+    """A speed whose monitors never repeat a phase, and two solitons of
+    different speeds, sample afresh at every time and still match."""
+    grid = default_grid_for(0.37, 3.0, margin=10.0, h=0.1)
+    times = _monitor_times(grid, 3.0, 0.5)
+    calls = _serve_and_compare(
+        monkeypatch, GridBasis(single_soliton_config(0.37), grid,
+                               [ground_eigen]), times)
+    assert len(calls) == 2 * len(times)
+
+    from wave4d.interactions import MultiSolitonConfig
+    from wave4d.states import symmetry_generator
+
+    # at ell = 0.25 both centers move by whole rows, but in opposite ways
+    two = MultiSolitonConfig(
+        profiles=[W, W], speeds=[-0.25, 0.25], signs=[1, 1],
+        a=np.zeros(2), b=np.zeros((2, 1)),
+        slow=[symmetry_generator(W, "scaling")] * 2,
+        kernels=[[symmetry_generator(W, "translation_1")]] * 2)
+    times = [0.0, 0.4, 0.8, 0.8, 1.2]
+    calls = _serve_and_compare(monkeypatch,
+                               GridBasis(two, grid, [ground_eigen]), times)
+    assert len(calls) == 4 * len(set(times))
+
+
+def test_mode_rate_seeds_keep_the_initial_soliton(monkeypatch, ground_eigen):
+    """Each run of measure_mode_rates starts from the t = 0 soliton plus a
+    multiple of one direction, although later monitors move the served
+    samplings in place."""
+    import wave4d.evolver as evolver
+
+    seeds = []
+
+    class Recording(CylWaveEvolver):
+        def __init__(self, grid, u0, v0, **kwargs):
+            seeds.append((np.array(u0), np.array(v0)))
+            super().__init__(grid, u0, v0, **kwargs)
+
+    monkeypatch.setattr(evolver, "CylWaveEvolver", Recording)
+    lam, Y = ground_eigen
+    measure_mode_rates(0.5, lam, Y, h=0.1)
+    assert len(seeds) >= 3
+
+    _, grid = _mode_rate_grid(lam)
+    basis = GridBasis(single_soliton_config(0.5), grid, [ground_eigen])
+    q = basis.sample(0.0)["q"]
+    dirs = basis.directions[0][0]
+    for u0, v0 in seeds:
+        # the part along the seeded direction removed, nothing is left
+        best = math.inf
+        for d in (dirs["+"].pair, dirs["-"].pair):
+            du = eval_on_grid(d.first, grid)
+            eps = float(np.vdot(u0 - q[0], du) / np.vdot(du, du))
+            best = min(best, max(
+                np.max(np.abs(u0 - q[0] - eps * du)),
+                np.max(np.abs(v0 - q[1] - eps * eval_on_grid(d.second,
+                                                             grid)))))
+        assert best <= 1e-12 * np.max(np.abs(q[0]))
+
+
 def test_linear_regime_energy_drift():
     """Tiny-amplitude drift is monitor discretization, shrinking at order 2."""
     drifts = []

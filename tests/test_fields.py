@@ -96,6 +96,28 @@ def test_hdot1_orthogonality_radial_vs_odd(W):
     assert inner_hdot1(W, d1W) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mixed_bubble_scales_pair_by_quadrature(W, Qs, monkeypatch):
+    """A W-family and a surrogate-family field have radial parts of two
+    bubble scales, so they pair by quadrature; pairs within one family keep
+    the exact path and never reach integrate_callable."""
+    import wave4d.fields as fields
+
+    t4 = symmetry_generator(W, "translation_4")
+    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=1000.0)
+    assert inner_l2(t4, Qs, spec) == pytest.approx(-4.49990, rel=1e-4)
+    assert inner_hdot1(t4, Qs, spec) == pytest.approx(-3.96393, rel=1e-4)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a same-scale pairing reached quadrature")
+
+    monkeypatch.setattr(fields, "integrate_callable", no_quadrature)
+    assert inner_hdot1(W, W) == pytest.approx(W4_ORACLE, rel=1e-10)
+    assert inner_l2(t4, W) == pytest.approx(0.0, abs=1e-12)
+    # odd against even in x4: exactly zero through the angular moments
+    q4 = symmetry_generator(Qs, "translation_4")
+    assert inner_l2(q4, Qs) == 0.0 and inner_hdot1(q4, Qs) == 0.0
+
+
 def _gaussian(c, w, amp):
     def fn(X, c=c, w=w, amp=amp):
         return amp * np.exp(-((X[:, 0] - c) ** 2
