@@ -24,15 +24,17 @@ import numpy as np
 
 from .fields import (
     AffineField,
+    Combination,
     FieldPair,
     FormulaField,
     ScalarField,
-    inner_l2,
     inner_pair_l2,
+    sum_field,
     zero_field,
 )
 from .fitting import sup_on_spheres
 from .quadrature import SYM_CYL, QuadratureSpec, integrate_callable, join_symmetry
+from .states import translate
 
 
 @dataclass(frozen=True)
@@ -65,22 +67,30 @@ def traveling_profile(f: ScalarField, ell: float, t: float,
     shift = np.array([-b.gamma * ell * t, 0.0, 0.0, 0.0])
     sym = f.symmetry if (ell == 0.0 and t == 0.0) else \
         join_symmetry(f.symmetry, SYM_CYL)
-    return AffineField(f, A, shift, prefactor=float(tau), symmetry=sym,
-                       decay=f.decay)
+    ft = AffineField(f, A, shift, symmetry=sym, decay=f.decay)
+    return ft if tau == 1 else ft * float(tau)
 
 
 def traveling_pair(f: ScalarField, ell: float, t: float,
                    tau: int = 1) -> FieldPair:
-    """Pair (tau f_ell, -tau ell d1 f_ell) recentred at x1 = ell t."""
+    """Pair (tau f_ell, -tau ell d1 f_ell) recentred at x1 = ell t; the
+    second component is the derivative leaf of the first's map."""
     ft = traveling_profile(f, ell, t, tau)
     if ell == 0.0:
         return FieldPair(ft, zero_field())
     return FieldPair(ft, component_derivative(ft, 0) * (-ell))
 
 
-def component_derivative(f: ScalarField, axis: int) -> FormulaField:
-    """The field x -> (grad f)(x)[axis]."""
+def component_derivative(f: ScalarField, axis: int) -> ScalarField:
+    """The field x -> (grad f)(x)[axis]: for a combination of affine
+    leaves, the combination of their derivative leaves."""
     dec = None if f.decay is None else f.decay + 1
+    if isinstance(f, Combination):
+        return Combination(tuple((c, component_derivative(g, axis))
+                                 for c, g in f.terms), f.symmetry, dec)
+    if isinstance(f, AffineField) and f.derivative is None:
+        return AffineField(f.base, f.matrix, f.shift, symmetry=f.symmetry,
+                           decay=dec, derivative=f.matrix[:, axis].copy())
     return FormulaField(lambda X: f.gradient(X)[:, axis],
                         symmetry=f.symmetry, decay=dec,
                         name=f"d{axis + 1}[{getattr(f, 'name', '')}]")
@@ -92,23 +102,15 @@ def pair_vector(f: ScalarField, ell: float, tau: int = 1) -> FieldPair:
     return traveling_pair(f, ell, 0.0, tau)
 
 
-def fd_laplacian(f: ScalarField, step: float = 1e-2) -> FormulaField:
-    """4th-order finite-difference Laplacian of a scalar field."""
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+def fd_laplacian(f: ScalarField, step: float = 1e-2) -> ScalarField:
+    """4th-order finite-difference Laplacian of a scalar field: the
+    combination of f and its 16 translates by -2..2 steps along each axis."""
     cofs = np.array([-1.0, 16.0, 16.0, -1.0]) / (12.0 * step * step)
-    center = -30.0 / (12.0 * step * step)
-
-    def fn(X):
-        out = 4.0 * center * f.evaluate(X)
-        for ax in range(4):
-            for o, c in zip(offs, cofs):
-                Xs = X.copy()
-                Xs[:, ax] += o
-                out = out + c * f.evaluate(Xs)
-        return out
-
-    return FormulaField(fn, symmetry=f.symmetry, decay=f.decay,
-                        name=f"lap[{getattr(f, 'name', '')}]")
+    lap = sum_field([f] + [translate(f, o * step * np.eye(4)[ax])
+                           for ax in range(4) for o in (-2.0, -1.0, 1.0, 2.0)],
+                    [4.0 * (-30.0 / (12.0 * step * step))] + list(cofs) * 4)
+    lap.symmetry = f.symmetry  # the translates across e1 read as full
+    return lap
 
 
 def apply_H_ell(v: FieldPair, ell: float, Q: ScalarField,
@@ -120,20 +122,13 @@ def apply_H_ell(v: FieldPair, ell: float, Q: ScalarField,
     """
     Boost(ell)
     Ql = boost_profile(Q, ell)
-    lap = fd_laplacian(v.first, fd_step)
-    d1v2 = component_derivative(v.second, 0)
-    d1v1 = component_derivative(v.first, 0)
-
-    def first(X):
-        return (-lap.evaluate(X) - 3.0 * Ql.evaluate(X) ** 2 * v.first.evaluate(X)
-                - ell * d1v2.evaluate(X))
-
-    def second(X):
-        return ell * d1v1.evaluate(X) + v.second.evaluate(X)
-
-    sym = join_symmetry(v.symmetry, Ql.symmetry)
-    return FieldPair(FormulaField(first, symmetry=sym),
-                     FormulaField(second, symmetry=sym))
+    pot = FormulaField(
+        lambda X: 3.0 * Ql.evaluate(X) ** 2 * v.first.evaluate(X),
+        symmetry=join_symmetry(v.symmetry, Ql.symmetry))
+    return FieldPair(
+        sum_field([fd_laplacian(v.first, fd_step), pot,
+                   component_derivative(v.second, 0)], [-1.0, -1.0, -ell]),
+        sum_field([component_derivative(v.first, 0), v.second], [ell, 1.0]))
 
 
 def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
@@ -146,8 +141,7 @@ def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
     Ql = boost_profile(Q, ell)
 
     def fn(X):
-        g1 = v.first.gradient(X)
-        v1 = v.first.evaluate(X)
+        v1, g1 = v.first.jet(X)
         v2 = v.second.evaluate(X)
         return (np.einsum("ij,ij->i", g1, g1) + v2 * v2
                 + 2.0 * ell * v2 * g1[:, 0]
@@ -168,10 +162,6 @@ class ExpDirection:
     rate: float
     pair: FieldPair
     z_pair: FieldPair
-
-    @property
-    def alpha(self) -> float:
-        return self.rate
 
 
 def _safe_exp_product(vals, s):
@@ -276,10 +266,8 @@ def z_identity_residual(direction: ExpDirection, Q: ScalarField,
     """Relative L2 gap between H_ell(pair) and the closed-form z_pair."""
     spec = spec or QuadratureSpec(r_max=25.0)
     Hp = apply_H_ell(direction.pair, direction.ell, Q, fd_step=fd_step)
-    diff1 = Hp.first - direction.z_pair.first
-    diff2 = Hp.second - direction.z_pair.second
-    num = math.sqrt(max(inner_l2(diff1, diff1, spec)
-                        + inner_l2(diff2, diff2, spec), 0.0))
+    diff = Hp.plus(direction.z_pair, -1.0)
+    num = math.sqrt(max(inner_pair_l2(diff, diff, spec), 0.0))
     den = math.sqrt(max(inner_pair_l2(direction.z_pair, direction.z_pair,
                                       spec), 1e-300))
     return num / den

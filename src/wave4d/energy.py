@@ -21,16 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosts import boost_profile, pair_vector, traveling_pair
+from .boosts import boost_profile, pair_vector
 from .fields import (
-    _H_COLS,
-    _H_D1,
-    _H_SECOND,
-    _L2_COLS,
     FieldPair,
     FormulaField,
     ScalarField,
-    _pairing_features,
+    pair_sampler,
     zero_field,
 )
 from .interactions import GAssembly, MultiSolitonConfig
@@ -136,8 +132,7 @@ def conserved_energy_momentum(u: FieldPair,
     spec = spec or QuadratureSpec()
 
     def fn(X):
-        g = u.first.gradient(X)
-        v1 = u.first.evaluate(X)
+        v1, g = u.first.jet(X)
         v2 = u.second.evaluate(X)
         e = 0.5 * (np.einsum("ij,ij->i", g, g) + v2 * v2) - 0.25 * v1**4
         p1 = v2 * g[:, 0]
@@ -153,14 +148,11 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
     cutoff = CutoffChiN(tuple(cfg.speeds))
     sp = cfg.quad_spec(t, spec)
     asm = GAssembly(cfg, t)
-    slow_pairs = [traveling_pair(s, ell, t, 1)
-                  for s, ell in zip(cfg.slow, cfg.speeds)]
     sym = join_symmetry(phi.symmetry, asm.symmetry)
     n = cfg.n
 
     def fn(X):
-        g1 = phi.first.gradient(X)
-        p1 = phi.first.evaluate(X)
+        p1, g1 = phi.first.jet(X)
         p2 = phi.second.evaluate(X)
         parts = asm.parts(X)
         ruv = parts["RUV"]
@@ -171,7 +163,7 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
                 2.0 * chi * g1[:, 0] * p2,
                 -2.0 * p1 * sum(parts["G2"])]
         for nn in range(n):
-            dpsi = slow_pairs[nn].first.gradient(X)[:, 0]
+            dpsi = asm.Psi[nn].gradient(X)[:, 0]
             cols.append(2.0 * cfg.a[nn]
                         * (cfg.speeds[nn] * g1[:, 0] - p2)
                         * (cfg.speeds[nn] - chi) * dpsi)
@@ -292,62 +284,61 @@ class _ProjectedForm:
     The correctors c_k are the boosted kernel pairs and the two exponential
     directions.  For a pair v the coefficients s solve M s = cons(v), with
     rows pairing against the kernel pairs (energy pairing) and the Z
-    partners (L2).  Every pair is sampled once, in the "both" feature layout
-    of ``fields``, on the fixed node set of spec: the features of v
-    (its first component, that component's gradient and its second
-    component) give cons(v), and since features are linear in the pair the
-    projected pair v - sum_k s_k c_k has the features Sv - Sc s, whose
-    weighted products are its form and norm.  The correctors' features Sc
-    and M are taken once, so a probe sample costs one sampling of v.
+    partners (L2).  Every pair is sampled once on the fixed node set of
+    spec by ``fields.pair_sampler``, in its "h" and "l2" features: they give
+    cons(v), and since features are linear in the pair, the projected pair
+    v - sum_k s_k c_k has the features Sv - Sc s, whose weighted products
+    are its form and norm.  The correctors' Sc and M are taken once, so a
+    probe sample costs one sampling of v.
     """
 
     def __init__(self, ell: float, Q: ScalarField, kernel_fields,
                  directions, gamma: float | None, spec: QuadratureSpec):
         self.ell = ell
-        self.kernel_pairs = [pair_vector(g, ell, 1) for g in kernel_fields]
-        self.correctors = self.kernel_pairs + [directions["+"].pair,
-                                               directions["-"].pair]
+        self.correctors = [pair_vector(g, ell, 1) for g in kernel_fields] + [
+            directions["+"].pair, directions["-"].pair]
         self.X, w = node_set("cylindrical", spec)
         z2 = (WeightZeta(gamma).field().evaluate(self.X) ** 2
               if gamma is not None else 1.0)
         self.w_zeta = w * z2
         self.w_pot = w * 3.0 * boost_profile(Q, ell).evaluate(self.X) ** 2
-        self.Sc = _pairing_features(self.correctors, self.X, "both")
+        self.Sc_h, self.Sc_l2, z_l2 = pair_sampler(
+            [("h", self.correctors), ("l2", self.correctors),
+             ("l2", [directions["+"].z_pair, directions["-"].z_pair])])(self.X)
         # constraint rows: energy pairing with the kernel pairs, L2 pairing
         # with the Z partners
         self.kern_rows = (w[:, None, None]
-                          * self.Sc[:, :len(kernel_fields), _H_COLS])
-        self.z_rows = w[:, None, None] * _pairing_features(
-            [directions["+"].z_pair, directions["-"].z_pair], self.X, "l2")
-        self.M = self._constraints(self.Sc)
+                          * self.Sc_h[:, :len(kernel_fields)])
+        self.z_rows = w[:, None, None] * z_l2
+        self.M = self._constraints(self.Sc_h, self.Sc_l2)
 
-    def _constraints(self, S) -> np.ndarray:
+    def _constraints(self, h, l2) -> np.ndarray:
         """Constraint pairings (rows, n) with the pairs whose features are
-        S."""
-        return np.concatenate([
-            np.einsum("pik,pjk->ij", self.kern_rows, S[..., _H_COLS]),
-            np.einsum("pik,pjk->ij", self.z_rows, S[..., _L2_COLS])])
+        h and l2."""
+        return np.concatenate([np.einsum("pik,pjk->ij", self.kern_rows, h),
+                               np.einsum("pik,pjk->ij", self.z_rows, l2)])
 
-    def _form(self, S) -> tuple:
+    def _form(self, h, l2) -> tuple:
         """(H_ell form, norm) of the pair whose features at the nodes are
-        S; both carry the weight when one is set."""
-        h = S[:, _H_COLS]
+        h and l2; both carry the weight when one is set."""
         norm = self.w_zeta @ np.einsum("pk,pk->p", h, h)
-        cross = 2.0 * self.w_zeta @ (h[:, _H_SECOND] * h[:, _H_D1])
-        pot = self.w_pot @ S[:, 0] ** 2
+        cross = 2.0 * self.w_zeta @ (h[:, 4] * h[:, 0])
+        pot = self.w_pot @ l2[:, 0] ** 2
         return float(norm + self.ell * cross - pot), float(norm)
 
     def form_and_norm(self, u: FieldPair) -> tuple:
         """(H_ell form, squared norm) of u itself, unprojected; both carry
         the weight when one is set."""
-        return self._form(_pairing_features([u], self.X, "both")[:, 0])
+        h, l2 = pair_sampler([("h", [u]), ("l2", [u])])(self.X)
+        return self._form(h[:, 0], l2[:, 0])
 
     def __call__(self, v: FieldPair) -> tuple:
         """(projected form, projected norm, coefficients s, constraints)."""
-        Sv = _pairing_features([v], self.X, "both")
-        cons = self._constraints(Sv)[:, 0]
+        h, l2 = pair_sampler([("h", [v]), ("l2", [v])])(self.X)
+        cons = self._constraints(h, l2)[:, 0]
         s = np.linalg.solve(self.M, cons)
-        Fp, Np = self._form(Sv[:, 0] - np.einsum("pik,i->pk", self.Sc, s))
+        Fp, Np = self._form(h[:, 0] - np.einsum("pik,i->pk", self.Sc_h, s),
+                            l2[:, 0] - np.einsum("pik,i->pk", self.Sc_l2, s))
         return Fp, Np, s, cons
 
 
@@ -406,8 +397,7 @@ def weighted_form_identity_gap(v: FieldPair, ell: float, Q: ScalarField,
     w = zeta.field()
 
     def fn(X):
-        g1 = v.first.gradient(X)
-        v1 = v.first.evaluate(X)
+        v1, g1 = v.first.jet(X)
         v2 = v.second.evaluate(X)
         q2 = 3.0 * Ql.evaluate(X) ** 2
         z = w.evaluate(X)

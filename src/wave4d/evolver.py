@@ -36,10 +36,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
 
-from .fields import FieldPair, Grid2DCyl, ScalarField, cylinder_points
+from .fields import (FieldPair, Grid2DCyl, ScalarField, cylinder_points,
+                     pair_sampler, pair_sum)
 from .interactions import MultiSolitonConfig
-from .modulation import ModulationState, _flatten_basis, _soliton_pairs, \
-    _split_z, _z_columns, basis_pairs, exp_direction_family
+from .modulation import ModulationState, _soliton_pairs, _split_z, \
+    _z_columns, basis_pairs, exp_direction_family
 from .spectrum import ground_eigenpair
 from .states import ground_state, symmetry_generator
 
@@ -328,22 +329,19 @@ class GridBasis:
         rows go in blocks of about _BLOCK_POINTS points, which bounds the
         evaluation temporaries."""
         cfg, grid, nb = self.cfg, self.grid, self._n_basis
-        basis = _flatten_basis(*basis_pairs(cfg, t))[0]
-        z_cols = _z_columns(cfg, self.directions, t)
+        basis = basis_pairs(cfg, t)[0]
+        sample = pair_sampler([("l2", basis), ("h", basis),
+                               ("l2", _z_columns(cfg, self.directions, t))])
         step = max(_BLOCK_POINTS // grid.nr, 1)
         for b_lo in range(lo, hi, step):
             b_hi = min(b_lo + step, hi)
             X = cylinder_points(grid.x1[b_lo:b_hi], grid.r)
             out = F[:, b_lo * grid.nr:b_hi * grid.nr]
-            for i, p in enumerate(basis):
-                g = p.first.gradient(X)
-                out[i] = p.first.evaluate(X)
-                out[nb + 3 * i] = g[:, 0]
-                out[nb + 3 * i + 1] = g[:, 1]
-                out[nb + 3 * i + 2] = p.second.evaluate(X)
-            for j, p in enumerate(z_cols):
-                out[4 * nb + 2 * j] = p.first.evaluate(X)
-                out[4 * nb + 2 * j + 1] = p.second.evaluate(X)
+            l2, h, z = sample(X)
+            out[:nb] = l2[:, :, 0].T
+            # "h" features: d1, dr, d3, d4, second
+            out[nb:4 * nb] = h[:, :, (0, 1, 4)].reshape(len(X), -1).T
+            out[4 * nb:-2] = z.reshape(len(X), -1).T
 
     def _move(self, F, t: float, k: int):
         """Move every column of F by k x1 rows in place, the translation of
@@ -360,10 +358,8 @@ class GridBasis:
                                                    grid.n1)
         self._fill(F, t, lo, hi)
         X = cylinder_points(grid.x1[lo:hi], grid.r)
-        for c, part in ((-2, "first"), (-1, "second")):
-            F[c, lo * grid.nr:hi * grid.nr] = sum(
-                getattr(p, part).evaluate(X)
-                for p in _soliton_pairs(self.cfg, t))
+        q = pair_sum(_soliton_pairs(self.cfg, t))
+        F[-2:, lo * grid.nr:hi * grid.nr] = q.first(X), q.second(X)
 
     def _gram(self, s: dict):
         H = s["H"]

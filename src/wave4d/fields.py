@@ -2,7 +2,7 @@
 
 Fields carry a symmetry tag (radial / cylindrical about e1 / bicylindrical /
 full), an optional pointwise decay exponent p (|f| <= C <x>^-p), and evaluate
-on (N, 4) arrays of points.  Two families cover everything the laboratory
+on (N, 4) arrays of points.  Three families cover everything the laboratory
 needs:
 
 * :class:`FormulaField` wraps closed-form callables (optionally with an exact
@@ -12,6 +12,13 @@ needs:
   and gradient pairings keep every radial part in that algebra, and
   integrals are exact in the angular variables, which is what makes the
   kernel-generator identities testable to near machine precision.
+* :class:`Combination` sum_i c_i L_i is every sum and scalar multiple: flat
+  over leaves, equal leaves merged and exact zeros dropped.  A leaf is one
+  field, typically one base field under one composed :class:`AffineField`
+  map, or its derivative along a vector (a traveling pair's second
+  component).  The one sampler :func:`pair_sampler` serves every pairing:
+  per batch of points it maps each distinct leaf once and takes its value
+  and gradient together where they are read.
 
 Sampled fields live on the cylindrical grid :class:`Grid2DCyl` with
 piecewise-cubic interpolation and are serialized in a self-describing .npz
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -92,12 +99,16 @@ class ScalarField:
         """Monomial-radial term list when the field has that structure."""
         return None
 
-    # -- algebra (value-level closures; gradients by product/sum rule) -------
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """(value, gradient) at the (N, 4) points X, each None unless asked
+        for; fields that share work between the two override this."""
+        return (self.evaluate(X) if value else None,
+                self.gradient(X) if gradient else None)
 
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return product_field(self, other)
-        return scale_field(self, float(other))
+    # -- algebra: scalar multiples and sums are flat combinations -----------
+
+    def __mul__(self, c):
+        return sum_field([self], [c])
 
     __rmul__ = __mul__
 
@@ -105,7 +116,7 @@ class ScalarField:
         return sum_field([self, other])
 
     def __neg__(self):
-        return scale_field(self, -1.0)
+        return sum_field([self], [-1.0])
 
     def __sub__(self, other):
         return sum_field([self, other], [1.0, -1.0])
@@ -131,67 +142,98 @@ class FormulaField(ScalarField):
         return np.asarray(self.grad(_as_points(x)), dtype=float)
 
 
-def zero_field() -> FormulaField:
-    return FormulaField(lambda X: np.zeros(X.shape[0]), lambda X: np.zeros_like(X),
-                        symmetry=SYM_RADIAL, decay=100.0, asymptote=0.0, name="0")
-
-
-def scale_field(f: ScalarField, c: float) -> FormulaField:
-    return FormulaField(lambda X: c * f.evaluate(X), lambda X: c * f.gradient(X),
-                        symmetry=f.symmetry, decay=f.decay,
-                        asymptote=None if f.asymptote is None else c * f.asymptote)
-
-
-def sum_field(fields, coeffs=None) -> FormulaField:
-    coeffs = [1.0] * len(fields) if coeffs is None else list(coeffs)
-
-    def fn(X):
-        return sum(c * f.evaluate(X) for c, f in zip(coeffs, fields))
-
-    def grad(X):
-        return sum(c * f.gradient(X) for c, f in zip(coeffs, fields))
-
-    return FormulaField(fn, grad,
-                        symmetry=join_symmetry(*[f.symmetry for f in fields]),
-                        decay=min((f.decay for f in fields if f.decay is not None),
-                                  default=None))
-
-
-def product_field(f: ScalarField, g: ScalarField) -> FormulaField:
-    def fn(X):
-        return f.evaluate(X) * g.evaluate(X)
-
-    def grad(X):
-        return (f.gradient(X) * g.evaluate(X)[:, None]
-                + g.gradient(X) * f.evaluate(X)[:, None])
-
-    dec = None
-    if f.decay is not None and g.decay is not None:
-        dec = f.decay + g.decay
-    return FormulaField(fn, grad, symmetry=join_symmetry(f.symmetry, g.symmetry),
-                        decay=dec)
-
-
 @dataclass
 class AffineField(ScalarField):
-    """prefactor * f(A x + b) for a linear map A; exact chain-rule gradient."""
+    """f(A x + b) for a linear map A, with the exact chain-rule gradient.
+
+    With a vector w as ``derivative`` it is the directional derivative
+    (grad f)(A x + b) . w instead, so w = A[:, j] gives d/dx_j of f(A x + b);
+    its own gradient falls back to finite differences.
+    """
 
     base: ScalarField
     matrix: np.ndarray
     shift: np.ndarray
-    prefactor: float = 1.0
     symmetry: str = SYM_FULL
     decay: float | None = None
+    derivative: np.ndarray | None = None
 
     def _map(self, X):
         return X @ self.matrix.T + self.shift
 
     def evaluate(self, x):
-        return self.prefactor * self.base.evaluate(self._map(_as_points(x)))
+        Y = self._map(_as_points(x))
+        if self.derivative is None:
+            return self.base.evaluate(Y)
+        return self.base.gradient(Y) @ self.derivative
 
     def gradient(self, x):
-        g = self.base.gradient(self._map(_as_points(x)))
-        return self.prefactor * (g @ self.matrix)
+        if self.derivative is not None:
+            return super().gradient(x)
+        return self.base.gradient(self._map(_as_points(x))) @ self.matrix
+
+
+@dataclass
+class Combination(ScalarField):
+    """sum_i c_i L_i over leaves, the fields that are not combinations.
+    :func:`sum_field` builds them (and scalar ``*``, ``+``, ``-`` call it)."""
+
+    terms: tuple = ()
+    symmetry: str = SYM_FULL
+    decay: float | None = None
+    asymptote: float | None = None
+
+    def evaluate(self, x):
+        X = _as_points(x)
+        return sum((c * leaf.evaluate(X) for c, leaf in self.terms),
+                   np.zeros(X.shape[0]))
+
+    def gradient(self, x):
+        X = _as_points(x)
+        return sum((c * leaf.gradient(X) for c, leaf in self.terms),
+                   np.zeros_like(X))
+
+
+def _terms(f: ScalarField) -> tuple:
+    """f as ((coefficient, leaf), ...)."""
+    return f.terms if isinstance(f, Combination) else ((1.0, f),)
+
+
+def _leaf_key(leaf: ScalarField) -> tuple:
+    """Leaves are equal when they are one field, or one base field under
+    byte-equal maps (and derivative vectors)."""
+    if not isinstance(leaf, AffineField):
+        return (id(leaf),)
+    maps = (leaf.matrix, leaf.shift, leaf.derivative)
+    return (id(leaf.base),) + tuple(None if a is None else a.tobytes()
+                                    for a in maps)
+
+
+def zero_field() -> Combination:
+    """The zero field, a combination of no leaves."""
+    return Combination(symmetry=SYM_RADIAL, decay=100.0, asymptote=0.0)
+
+
+def sum_field(fields, coeffs=None) -> Combination:
+    """sum_i coeffs_i fields_i (all ones by default) as one flat combination:
+    nested sums are flattened, equal leaves (:func:`_leaf_key`) merged and
+    exact zeros dropped, so a field added and then subtracted leaves no
+    term.  Its symmetry joins the inputs', its decay is the least declared
+    one, and a single scaled field keeps its scaled asymptote.
+    """
+    coeffs = [1.0] * len(fields) if coeffs is None else \
+        [float(c) for c in coeffs]
+    merged = {}
+    for f, c in zip(fields, coeffs):
+        for ci, leaf in _terms(f):
+            merged.setdefault(_leaf_key(leaf), [0.0, leaf])[0] += c * ci
+    scaled = len(fields) == 1 and fields[0].asymptote is not None
+    return Combination(
+        tuple((c, leaf) for c, leaf in merged.values() if c != 0.0),
+        symmetry=join_symmetry(*[f.symmetry for f in fields]),
+        decay=min((f.decay for f in fields if f.decay is not None),
+                  default=None),
+        asymptote=coeffs[0] * fields[0].asymptote if scaled else None)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +255,10 @@ class RationalRadial:
                       if c != 0.0}
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
+        """The sum at r: a float in plain arithmetic at a float (the oracle
+        calls it so), an array of r's shape at an array."""
         B = 1.0 / (1.0 - 0.5 * self.kappa * r * r)
-        out = np.zeros_like(r)
+        out = 0.0 * r
         for (a, b), c in self.terms.items():
             out = out + c * r**a * B**b
         return out
@@ -298,28 +341,31 @@ class PolyRadialField(ScalarField):
         else:
             self.symmetry = SYM_FULL
 
-    def evaluate(self, x):
-        X = _as_points(x)
-        r = np.sqrt(np.einsum("ij,ij->i", X, X))
-        out = np.zeros(X.shape[0])
-        for m, S in self.terms:
-            out += _monomial(X, m) * S(r)
-        return out
-
-    def gradient(self, x):
-        X = _as_points(x)
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """Value and gradient from one evaluation of r and each radial part:
+        grad(x^m S) = sum_j m_j x^(m - e_j) S e_j + x^m (S'/r) x."""
         r = np.sqrt(np.einsum("ij,ij->i", X, X))
         rs = np.where(r > 0, r, 1.0)
-        g = np.zeros_like(X)
+        v = np.zeros(X.shape[0]) if value else None
+        g = np.zeros_like(X) if gradient else None
         for (m, S), dS in zip(self.terms, self._derivs):
             mono = _monomial(X, m)
             radial = S(r)
-            dradial = dS(r)
-            for j in range(4):
-                if m[j]:
-                    g[:, j] += m[j] * _monomial(X, m - _unit(j)) * radial
-                g[:, j] += mono * X[:, j] * dradial / rs
-        return g
+            if value:
+                v += mono * radial
+            if gradient:
+                dradial = dS(r)
+                for j in range(4):
+                    if m[j]:
+                        g[:, j] += m[j] * _monomial(X, m - _unit(j)) * radial
+                    g[:, j] += mono * X[:, j] * dradial / rs
+        return v, g
+
+    def evaluate(self, x):
+        return self.jet(_as_points(x), gradient=False)[0]
+
+    def gradient(self, x):
+        return self.jet(_as_points(x), value=False)[1]
 
     def poly_radial_terms(self):
         return self.terms
@@ -521,14 +567,11 @@ def save_field(path, f: SampledField):
     """Write the self-describing .npz container: kind "cyl2d", the grid
     axes (x1_min, x1_max, n1, r_max, nr), the samples, the decay exponent
     (NaN when unknown) and any stored gradient grids grad_0, grad_1."""
-    g = f.grid
     decay = f.decay if f.decay is not None else np.nan
     payload = dict(kind="cyl2d", samples=f.values, decay=decay,
-                   x1_min=g.x1_min, x1_max=g.x1_max, n1=g.n1,
-                   r_max=g.r_max, nr=g.nr)
-    if f.gradient_values is not None:
-        for i, gv in enumerate(f.gradient_values):
-            payload[f"grad_{i}"] = gv
+                   **asdict(f.grid))
+    payload.update((f"grad_{i}", gv)
+                   for i, gv in enumerate(f.gradient_values or ()))
     np.savez(path, **payload)
 
 
@@ -537,13 +580,8 @@ def load_field(path) -> SampledField:
         kind = str(z["kind"])
         if kind != "cyl2d":
             raise ValueError(f"unknown container kind {kind!r}")
-        grid = Grid2DCyl(float(z["x1_min"]), float(z["x1_max"]), int(z["n1"]),
-                         float(z["r_max"]), int(z["nr"]))
-        grads = []
-        i = 0
-        while f"grad_{i}" in z:
-            grads.append(z[f"grad_{i}"])
-            i += 1
+        grid = _grid_of(z)
+        grads = [z[k] for k in ("grad_0", "grad_1") if k in z]
         decay = float(z["decay"])
         return SampledField(grid, z["samples"],
                             gradient_values=tuple(grads) or None,
@@ -552,26 +590,25 @@ def load_field(path) -> SampledField:
 
 def save_pair(path, p: "FieldPair", grid) -> None:
     """Sample an energy-space pair on a grid and write one container."""
-    first = p.first if isinstance(p.first, SampledField) else \
-        _sample_on(p.first, grid)
-    second = p.second if isinstance(p.second, SampledField) else \
-        _sample_on(p.second, grid)
-    g = first.grid
-    payload = dict(kind="pair_cyl2d", samples_first=first.values,
-                   samples_second=second.values,
-                   x1_min=g.x1_min, x1_max=g.x1_max, n1=g.n1,
-                   r_max=g.r_max, nr=g.nr)
-    np.savez(path, **payload)
+    first, second = (f if isinstance(f, SampledField) else _sample_on(f, grid)
+                     for f in (p.first, p.second))
+    np.savez(path, kind="pair_cyl2d", samples_first=first.values,
+             samples_second=second.values, **asdict(first.grid))
 
 
 def load_pair(path) -> "FieldPair":
     with np.load(path, allow_pickle=False) as z:
         if str(z["kind"]) != "pair_cyl2d":
             raise ValueError("not a pair container")
-        grid = Grid2DCyl(float(z["x1_min"]), float(z["x1_max"]), int(z["n1"]),
-                         float(z["r_max"]), int(z["nr"]))
+        grid = _grid_of(z)
         return FieldPair(SampledField(grid, z["samples_first"]),
                          SampledField(grid, z["samples_second"]))
+
+
+def _grid_of(z) -> Grid2DCyl:
+    """The grid whose axes a container stores."""
+    return Grid2DCyl(*(z[k].item() for k in ("x1_min", "x1_max", "n1",
+                                              "r_max", "nr")))
 
 
 def _sample_on(f: ScalarField, grid) -> SampledField:
@@ -619,8 +656,14 @@ class FieldPair:
         _check_compatible(self.first, self.second)
 
     def plus(self, other: "FieldPair", coeff: float = 1.0) -> "FieldPair":
-        return FieldPair(sum_field([self.first, other.first], [1.0, coeff]),
-                         sum_field([self.second, other.second], [1.0, coeff]))
+        return pair_sum([self, other], [1.0, coeff])
+
+
+def pair_sum(pairs, coeffs=None) -> FieldPair:
+    """Componentwise sum_i coeffs_i pairs_i (all ones by default), each
+    component one flat combination."""
+    return FieldPair(sum_field([p.first for p in pairs], coeffs),
+                     sum_field([p.second for p in pairs], coeffs))
 
 
 def zero_pair() -> FieldPair:
@@ -633,12 +676,6 @@ def _check_compatible(*fields):
         raise SymmetryMismatch(
             "cannot combine a full-4D field with a reduced-symmetry field; "
             f"tags = {tags}")
-
-
-def _pair_decay(f, g, extra=0.0):
-    if f.decay is None or g.decay is None:
-        return None
-    return f.decay + g.decay + extra
 
 
 def integrate_field(f: ScalarField) -> QuadratureResult:
@@ -658,35 +695,37 @@ def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
     return len({S.kappa for _, S in tf + tg if not S.is_zero}) <= 1
 
 
-def inner_l2(f: ScalarField, g: ScalarField,
-             spec: QuadratureSpec | None = None) -> float:
+def _inner(f: ScalarField, g: ScalarField, spec, exact, sample,
+           extra_decay: float) -> float:
+    """Integral of sample(f) . sample(g): exactly as exact(f, g) in the
+    RationalRadial algebra when both allow it, else by quadrature, sampling
+    f once when g is f."""
     spec = spec or QuadratureSpec()
     if _pairs_exactly(f, g):
-        return f.product(g).integrate_exact(r_max=spec.r_max, spec=spec).value
+        return exact(f, g).integrate_exact(r_max=spec.r_max, spec=spec).value
     _check_compatible(f, g)
-    sym = join_symmetry(f.symmetry, g.symmetry)
 
     def fn(X):
-        v = f.evaluate(X)
-        return v * (v if g is f else g.evaluate(X))
+        a = sample(f, X).reshape(len(X), -1)
+        return np.einsum("ij,ij->i", a, a if g is f
+                         else sample(g, X).reshape(len(X), -1))
 
-    return integrate_callable(fn, sym, spec, decay=_pair_decay(f, g)).value
+    decay = None if f.decay is None or g.decay is None else \
+        f.decay + g.decay + extra_decay
+    return integrate_callable(fn, join_symmetry(f.symmetry, g.symmetry), spec,
+                              decay=decay).value
+
+
+def inner_l2(f: ScalarField, g: ScalarField,
+             spec: QuadratureSpec | None = None) -> float:
+    return _inner(f, g, spec, PolyRadialField.product,
+                  lambda h, X: h.evaluate(X), 0.0)
 
 
 def inner_hdot1(f: ScalarField, g: ScalarField,
                 spec: QuadratureSpec | None = None) -> float:
-    spec = spec or QuadratureSpec()
-    if _pairs_exactly(f, g):
-        return f.grad_dot(g).integrate_exact(r_max=spec.r_max, spec=spec).value
-    _check_compatible(f, g)
-    sym = join_symmetry(f.symmetry, g.symmetry)
-
-    def fn(X):
-        G = f.gradient(X)
-        return np.einsum("ij,ij->i", G, G if g is f else g.gradient(X))
-
-    return integrate_callable(fn, sym, spec,
-                              decay=_pair_decay(f, g, 2.0)).value
+    return _inner(f, g, spec, PolyRadialField.grad_dot,
+                  lambda h, X: h.gradient(X), 2.0)
 
 
 def norm_l2(f: ScalarField) -> float:
@@ -714,45 +753,63 @@ def norm_pair(p: FieldPair, spec: QuadratureSpec | None = None) -> float:
     return math.sqrt(max(inner_pair_h(p, p, spec), 0.0))
 
 
-# feature layout of kind "both": the first component, its gradient, the
-# second component.  Kind "h" drops column 0 (so d/dx1 of the first
-# component sits at _H_D1 and the second at _H_SECOND); kind "l2" keeps
-# columns _L2_COLS only, and neither samples what its pairing does not use.
-# _H_COLS are the kind "h" columns of a kind "both" row.
-_H_D1, _H_SECOND = 0, 4
-_L2_COLS = [0, 5]
-_H_COLS = slice(1, None)
+# features per pair of each pairing kind: "h" reads the first component's
+# gradient and the second component, "l2" the two components
+_WIDTH = {"h": 5, "l2": 2}
 
 
-def _h_features(grad, second) -> np.ndarray:
-    """Kind "h" feature rows (N, 5) from the (N, 4) gradient samples of a
-    first component and the (N,) samples of a second component."""
-    return np.column_stack([grad, second])
+def pair_sampler(groups):
+    """X -> [(N, len(pairs), _WIDTH[kind]) features of each group] for
+    groups of (kind, pairs) and (N, 4) points X.
 
+    Leaves of one base field under one map share one jet: X is mapped once
+    and the base gives its value and gradient together, each only where a
+    feature reads it, so a component paired only in L2 is never
+    differentiated.  A feature is then the sum of its leaves' reads.
+    """
+    sources, stacks = {}, []
 
-def _pairing_features(pairs, X, kind: str) -> np.ndarray:
-    """(N, n, k) stack of the pairs' features at X in the layout above:
-    k = 6 for kind "both", 5 for "h" and 2 for "l2"."""
-    def row(p):
-        second = p.second.evaluate(X)
-        if kind == "l2":
-            return np.column_stack([p.first.evaluate(X), second])
-        h = _h_features(p.first.gradient(X), second)
-        return h if kind == "h" else np.column_stack([p.first.evaluate(X), h])
+    def read(leaf, part):
+        """Register one part ("value" or "gradient") of a leaf; its key."""
+        key = (_leaf_key(leaf), part)
+        # a derivative leaf's own gradient is taken whole, by the leaf
+        whole = not isinstance(leaf, AffineField) or (
+            part == "gradient" and leaf.derivative is not None)
+        src = sources.setdefault((id(leaf),) if whole else key[0][:3], [
+            leaf if whole else leaf.base, None if whole else leaf,
+            False, False, {}])
+        r = (None if part == "value" else np.eye(4)) if whole else (
+            leaf.derivative if part == "value" else leaf.matrix)
+        src[2 if r is None else 3] = True
+        src[4][key] = r
+        return key
 
-    return np.stack([row(p) for p in pairs], axis=1)
+    for kind, pairs in groups:
+        k = _WIDTH[kind]
+        first = ("gradient", slice(0, 4)) if kind == "h" else ("value", 0)
+        stacks.append((len(pairs), k, [
+            (i, at, c, read(leaf, part))
+            for i, p in enumerate(pairs)
+            for (part, at), comp in ((first, p.first),
+                                     (("value", k - 1), p.second))
+            for c, leaf in _terms(comp)]))
 
+    def sample(X):
+        reads = {}
+        for field, mapping, value, grad, rs in sources.values():
+            v, g = field.jet(X if mapping is None else mapping._map(X),
+                             value, grad)
+            reads.update((key, v if r is None else g @ r)
+                         for key, r in rs.items())
+        out = []
+        for n, k, terms in stacks:
+            S = np.zeros((X.shape[0], n, k))
+            for i, at, c, key in terms:
+                S[:, i, at] += c * reads[key]
+            out.append(S)
+        return out
 
-def _kind_features(p, X, kinds) -> dict:
-    """{kind: (N, k) features of pair p at X} for each of kinds, in the
-    layouts above; the second component is sampled once for both."""
-    second = p.second.evaluate(X)
-    out = {}
-    if "h" in kinds:
-        out["h"] = _h_features(p.first.gradient(X), second)
-    if "l2" in kinds:
-        out["l2"] = np.column_stack([p.first.evaluate(X), second])
-    return out
+    return sample
 
 
 def pairing_block(rows, cols, kind,
@@ -761,13 +818,11 @@ def pairing_block(rows, cols, kind,
 
     kind "l2" pairs componentwise in L2 and kind "h" uses the energy pairing
     (Hdot1 on first components, L2 on second); kind may also be a sequence
-    of them, one per column.  Each distinct pair (by identity) is sampled
-    once per batch of quadrature nodes, with only the features its kinds
-    read: a row takes those of every kind among the columns, a column those
-    of its own kind, so a column paired only in L2 never has its gradient
-    sampled.  Each kind's (N, len(rows), columns of that kind) block is one
-    stacked matrix product of the feature stacks, so the cost is linear in
-    the basis size.
+    of them, one per column.  Per batch of quadrature nodes one
+    :func:`pair_sampler` forms a row's features of every kind among the
+    columns and a column's of its own kind only, and each kind's
+    (N, len(rows), columns of that kind) block is one stacked matrix
+    product, so the cost is linear in the basis size.
     """
     spec = spec or QuadratureSpec()
     kinds = [kind] * len(cols) if isinstance(kind, str) else list(kind)
@@ -784,13 +839,15 @@ def pairing_block(rows, cols, kind,
 
     groups = {k: [j for j, kj in enumerate(kinds) if kj == k]
               for k in dict.fromkeys(kinds)}
-    need = {id(p): (p, set()) for p in every}
-    for p in rows:
-        need[id(p)][1].update(groups)
-    for p, k in zip(cols, kinds):
-        need[id(p)][1].add(k)
-    row_ids = [id(p) for p in rows]
-    col_ids = {k: [id(cols[j]) for j in idx] for k, idx in groups.items()}
+    # per kind the rows' stack, then its columns' unless they are the rows
+    requests, stacks = [], {}
+    for k, idx in groups.items():
+        kcols = [cols[j] for j in idx]
+        same = len(kcols) == len(rows) and all(
+            a is b for a, b in zip(kcols, rows))
+        stacks[k] = (len(requests), len(requests) + (not same))
+        requests += [(k, rows)] + ([] if same else [(k, kcols)])
+    sample = pair_sampler(requests)
     # a kind whose columns are one run is formed in place: the block is a
     # batch's largest array
     where = {k: slice(idx[0], idx[-1] + 1)
@@ -798,13 +855,10 @@ def pairing_block(rows, cols, kind,
              for k, idx in groups.items()}
 
     def fn(X):
-        feats = {key: _kind_features(p, X, ks)
-                 for key, (p, ks) in need.items()}
+        feats = sample(X)
         out = np.empty((X.shape[0],) + shape)
         for k, at in where.items():
-            R = np.stack([feats[key][k] for key in row_ids], axis=1)
-            C = R if col_ids[k] == row_ids else np.stack(
-                [feats[key][k] for key in col_ids[k]], axis=1)
+            R, C = (feats[i] for i in stacks[k])
             if isinstance(at, slice):
                 np.matmul(R, C.transpose(0, 2, 1), out=out[:, :, at])
             else:

@@ -26,9 +26,10 @@ from itertools import combinations
 import numpy as np
 
 from .boosts import traveling_profile
-from .fields import FormulaField, ScalarField
+from .fields import FormulaField, ScalarField, sum_field
 from .fitting import DecayFit, fit_log_linear, fit_loglog
 from .quadrature import QuadratureSpec, integrate_callable, join_symmetry
+from .states import translate
 
 PARAM_THRESHOLD = 0.1
 
@@ -148,17 +149,12 @@ class GAssembly:
     def _componentwise(self, X):
         """(q, w): the profiles Q_n and the per-soliton corrections
         w_n = a_n Psi_n + sum_k b_nk Phi_nk at X.  A field whose
-        coefficient is zero is not sampled."""
-        cfg = self.cfg
-        q = np.stack([f.evaluate(X) for f in self.Q])
-        w = np.zeros_like(q)
-        for n in range(cfg.n):
-            if cfg.a[n]:
-                w[n] += cfg.a[n] * self.Psi[n].evaluate(X)
-            for k, f in enumerate(self.Phi[n]):
-                if cfg.b[n, k]:
-                    w[n] += cfg.b[n, k] * f.evaluate(X)
-        return q, w
+        coefficient is zero drops out of its combination, so it is not
+        sampled."""
+        return (np.stack([f.evaluate(X) for f in self.Q]),
+                np.stack([sum_field([psi] + phi, [a] + list(b)).evaluate(X)
+                          for psi, phi, a, b
+                          in zip(self.Psi, self.Phi, self.cfg.a, self.cfg.b)]))
 
     def parts(self, X) -> dict:
         """G, G1, G2 (per soliton), G3 (four mixed parts) and the sum
@@ -312,10 +308,8 @@ def interaction_integral(f1: ScalarField, f2: ScalarField,
     l1, l2 = ells
     if l1 == l2:
         raise ValueError("speeds must be distinct")
-    g1 = FormulaField(lambda X: f1.evaluate(X - np.array([l1 * t, 0, 0, 0])),
-                      symmetry=join_symmetry(f1.symmetry, "cylindrical"))
-    g2 = FormulaField(lambda X: f2.evaluate(X - np.array([l2 * t, 0, 0, 0])),
-                      symmetry=join_symmetry(f2.symmetry, "cylindrical"))
+    g1 = translate(f1, [-l1 * t, 0.0, 0.0, 0.0])
+    g2 = translate(f2, [-l2 * t, 0.0, 0.0, 0.0])
     spec = (spec or QuadratureSpec()).with_centers((l1 * t, l2 * t))
     r = spec.r_max or 5.0 * t
     lo, hi = min(l1, l2) * t - r, max(l1, l2) * t + r

@@ -13,25 +13,23 @@ prescribed pairings against the outgoing exponential directions and zero
 kernel-direction coefficients, and both directions compose to the identity
 up to linear-solver precision.
 
-A round trip costs four quadrature passes, each sampling every field once
-per batch of quadrature nodes, with only the features its pairings read:
-``build_initial_data`` takes its system from one block whose Z+ columns
-pair in L2 and whose basis columns pair in energy; ``decompose`` takes one
-block of the rows [dev] + basis against the columns [dev] + basis (energy)
-and Z+- (L2); ``compute_c`` takes one localized pass per soliton.  The
-decompose block holds ||dev||^2, the Gram matrix G and the right-hand side
-h, and, because phi = dev - sum c_k f_k with G c = h, also
+Fields here are flat combinations over leaves (``fields.Combination``).
+Built data u = sum Q_n + phi hold the solitons' own leaves, so
+dev = u - sum Q_n cancels them exactly.  A round trip costs four quadrature
+passes: ``build_initial_data`` takes its system from one block whose Z+
+columns pair in L2 and whose basis columns pair in energy; ``decompose``
+takes one block of the rows [dev] + basis against the columns [dev] + basis
+(energy) and Z+- (L2); ``compute_c`` takes one localized pass per soliton.
+The decompose block holds ||dev||^2, the Gram matrix G and the right-hand
+side h, and, because phi = dev - sum c_k f_k with G c = h, also
 ||phi||^2 = H_dd - c.h and (phi, Z+-)_L2 = (dev, Z+-)_L2 - c.(f, Z+-)_L2.
 Only where that subtraction cancels (phi much smaller than dev) does
 decompose pass over [phi] + Z+- explicitly.  The passes stream through
-``integrate_callable`` in batches of at most 2,048 nodes instead of
-stacking features on a ``node_set``: one surrogate pass has about 4.7e4
-nodes at nodes 6, r_max 25 (1.2e5 at nodes 8, r_max 30), and the seven
-energy and L2 feature columns of a row pair on all of them would hold about
-2.6 MB (6.6 MB) a pair at once, 21 MB (54 MB) for the 57 feature columns of
-``decompose``'s block.  A batch holds about 0.1 MB of features a pair, and
-its largest array is the per-node block of the pass, about 1.2 MB at
-nodes 6.
+``integrate_callable`` in batches of at most 2,048 nodes.  On the
+criterion-8 data (nodes 6, r_max 25: 46,872 nodes a pass) a decompose batch
+maps each of its 14 distinct leaves once and holds, per node, 52 leaf reads
+(values and gradient entries), 57 features and the 77 entries of the block:
+about 0.9, 0.9 and 1.3 MB a batch.
 """
 
 from __future__ import annotations
@@ -42,15 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosts import build_exp_directions, traveling_pair
-from .fields import (
-    AffineField,
-    FieldPair,
-    ScalarField,
-    pairing_block,
-    sum_field,
-)
+from .fields import FieldPair, ScalarField, pair_sum, pairing_block
 from .interactions import MultiSolitonConfig, localized_pairing, sigma_rate
-from .quadrature import QuadratureSpec, join_symmetry
+from .quadrature import QuadratureSpec
+from .states import translate
 
 
 # decompose takes an explicit pass for the remainder once the one-block
@@ -63,23 +56,10 @@ class GramIllConditioned(RuntimeError):
     pass
 
 
-def shift_field(f: ScalarField, c: float) -> ScalarField:
-    """f(x - c e1)."""
-    if c == 0.0:
-        return f
-    return AffineField(f, np.eye(4), np.array([-c, 0.0, 0.0, 0.0]),
-                       symmetry=join_symmetry(f.symmetry, "cylindrical"),
-                       decay=f.decay)
-
-
 def shift_pair(p: FieldPair, c: float) -> FieldPair:
-    return FieldPair(shift_field(p.first, c), shift_field(p.second, c))
-
-
-def _pair_sum(pairs, coeffs=None) -> FieldPair:
-    """Componentwise sum_i coeffs_i * pairs_i (all ones by default)."""
-    return FieldPair(sum_field([p.first for p in pairs], coeffs),
-                     sum_field([p.second for p in pairs], coeffs))
+    """p moved to x1 = c: each component f(x - c e1)."""
+    x0 = np.array([-c, 0.0, 0.0, 0.0])
+    return FieldPair(translate(p.first, x0), translate(p.second, x0))
 
 
 def _soliton_pairs(cfg: MultiSolitonConfig, t: float) -> list:
@@ -115,32 +95,23 @@ class GramSystem:
         return cls(matrix, labels,
                    float(np.linalg.cond(matrix)) if labels else 1.0)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, rhs)
-
 
 def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
-    """([Psi-pair per n], [[Phi-pair per k] per n]) at time t."""
-    slow = [traveling_pair(s, ell, t, 1)
-            for s, ell in zip(cfg.slow, cfg.speeds)]
-    kern = [[traveling_pair(pk, ell, t, 1) for pk in row]
-            for row, ell in zip(cfg.kernels, cfg.speeds)]
-    return slow, kern
-
-
-def _flatten_basis(slow, kern):
-    """(fields, labels): the slow pairs ("a", n), then the kernel pairs
-    ("b", n, k) row by row."""
-    fields = list(slow) + [p for row in kern for p in row]
-    labels = [("a", n) for n in range(len(slow))] + [
-        ("b", n, k) for n, row in enumerate(kern) for k in range(len(row))]
-    return fields, labels
+    """(pairs, labels) of the basis at time t: the slow pairs ("a", n), then
+    the kernel pairs ("b", n, k) row by row."""
+    pairs = [traveling_pair(s, ell, t, 1)
+             for s, ell in zip(cfg.slow, cfg.speeds)]
+    labels = [("a", n) for n in range(cfg.n)]
+    for n, (row, ell) in enumerate(zip(cfg.kernels, cfg.speeds)):
+        pairs += [traveling_pair(f, ell, t, 1) for f in row]
+        labels += [("b", n, k) for k in range(len(row))]
+    return pairs, labels
 
 
 def gram_system(cfg: MultiSolitonConfig, t: float,
                 spec: QuadratureSpec | None = None) -> GramSystem:
     """Energy-pairing Gram matrix of the kernel-direction basis pairs."""
-    fields, labels = _flatten_basis(*basis_pairs(cfg, t))
+    fields, labels = basis_pairs(cfg, t)
     return GramSystem.of(pairing_block(fields, fields, "h",
                                        cfg.quad_spec(t, spec)), labels)
 
@@ -220,9 +191,8 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     speed gap to set it, so its c reads zero.
     """
     spec_c = cfg.quad_spec(t, spec)
-    qpairs = _soliton_pairs(cfg, t)
-    dev = _pair_sum([u] + qpairs, [1.0] + [-1.0] * len(qpairs))
-    fields, labels = _flatten_basis(*basis_pairs(cfg, t))
+    dev = pair_sum([u] + _soliton_pairs(cfg, t), [1.0] + [-1.0] * cfg.n)
+    fields, labels = basis_pairs(cfg, t)
 
     # one block: ||dev||^2, the Gram matrix and the right-hand side in the
     # energy pairing, and (dev, Z+-)_L2 with the basis rows' (f, Z+-)_L2
@@ -239,11 +209,11 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
         raise GramIllConditioned(
             f"Gram condition {gram.cond:.3g} exceeds {cond_threshold:.3g}; "
             "solitons too close or t too small")
-    coef = gram.solve(H[0, 1:]) if fields else np.zeros(0)
+    coef = np.linalg.solve(gram.matrix, H[0, 1:]) if fields else np.zeros(0)
 
-    # labels list the slow directions, then the kernel rows (_flatten_basis)
+    # labels list the slow directions, then the kernel rows (basis_pairs)
     a, b = coef[:cfg.n], coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
-    phi = _pair_sum([dev] + fields, [1.0] + [-float(c) for c in coef])
+    phi = pair_sum([dev] + fields, [1.0] + [-float(c) for c in coef])
 
     # phi = dev - sum c_k f_k with G c = h, so ||phi||^2 = H_dd - c.h and
     # (phi, Z)_L2 = (dev, Z)_L2 - c.(f, Z)_L2, unless the subtraction cancels
@@ -287,7 +257,7 @@ def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,
                          f"T^-7/2 = {budget:.3g} ball")
     spec_c = cfg.quad_spec(T, spec)
 
-    fields, labels = _flatten_basis(*basis_pairs(cfg, T))
+    fields, labels = basis_pairs(cfg, T)
     columns = _z_columns(cfg, directions, T, signs=("+",)) + fields
     col_labels = [("z", n, j) for n in range(cfg.n) for j in range(J)] + labels
 
@@ -299,9 +269,9 @@ def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,
     coef = np.linalg.solve(A, np.concatenate([z.ravel(),
                                               np.zeros(len(fields))]))
 
-    phi = _pair_sum(columns, list(coef))
+    phi = pair_sum(columns, list(coef))
     coeff_l1 = float(np.sum(np.abs(coef)))
-    return dict(u=_pair_sum(_soliton_pairs(cfg, T) + [phi]), phi=phi,
+    return dict(u=pair_sum(_soliton_pairs(cfg, T) + [phi]), phi=phi,
                 coefficients=dict(zip([str(l) for l in col_labels],
                                       coef.tolist())),
                 coeff_l1=coeff_l1, bound_ratio=coeff_l1 / budget,

@@ -25,6 +25,7 @@ from scipy.linalg import expm
 
 from .fields import (
     AffineField,
+    Combination,
     FormulaField,
     PolyRadialField,
     RationalRadial,
@@ -178,19 +179,25 @@ def dilate(f: ScalarField, lam: float) -> ScalarField:
     """lam * f(lam x)."""
     if lam <= 0:
         raise ValueError("dilation parameter must be positive")
-    return AffineField(f, lam * np.eye(4), np.zeros(4), prefactor=lam,
-                       symmetry=f.symmetry, decay=f.decay)
+    return AffineField(f, lam * np.eye(4), np.zeros(4), symmetry=f.symmetry,
+                       decay=f.decay) * lam
 
 
 def translate(f: ScalarField, x0) -> ScalarField:
-    """f(x + x0)."""
+    """f(x + x0).  The shift composes into the map of each leaf, so a
+    translated combination stays flat, one map per leaf."""
     x0 = np.asarray(x0, dtype=float)
-    sym = f.symmetry
-    if np.any(x0[1:] != 0.0):
-        sym = SYM_FULL
-    elif x0[0] != 0.0:
-        sym = join_symmetry(sym, SYM_CYL)
-    return AffineField(f, np.eye(4), x0, symmetry=sym, decay=f.decay)
+    if not np.any(x0):
+        return f
+    sym = SYM_FULL if np.any(x0[1:] != 0.0) else \
+        join_symmetry(f.symmetry, SYM_CYL)
+    if isinstance(f, Combination):
+        return Combination(tuple((c, translate(g, x0)) for c, g in f.terms),
+                           symmetry=sym, decay=f.decay)
+    if not isinstance(f, AffineField):
+        f = AffineField(f, np.eye(4), np.zeros(4), decay=f.decay)
+    return AffineField(f.base, f.matrix, f.matrix @ x0 + f.shift, symmetry=sym,
+                       decay=f.decay, derivative=f.derivative)
 
 
 def rotate(f: ScalarField, theta) -> ScalarField:
@@ -321,7 +328,7 @@ def _generator_exact(terms, gid: str, name: str) -> PolyRadialField:
 def _generator_generic(f: ScalarField, gid: str) -> FormulaField:
     def with_grad(fn_of_x_f_g):
         def fn(X):
-            return fn_of_x_f_g(X, f.evaluate(X), f.gradient(X))
+            return fn_of_x_f_g(X, *f.jet(X))
         return fn
 
     if gid == "scaling":

@@ -371,3 +371,65 @@ def test_self_pairings_sample_once_per_slab(W, fast_spec):
     assert hd == integrate_callable(
         lambda X: np.einsum("ij,ij->i", W.gradient(X), W.gradient(X)),
         "cylindrical", fast_spec).value
+
+
+def test_radial_parts_agree_on_floats_and_arrays(W, Qs):
+    """A radial part called on a float returns a plain float, and on an
+    array an array of r's shape, with the same numbers either way; a part
+    with no terms (the derivative of a constant) gives zeros of r's shape."""
+    r = np.linspace(0.0, 30.0, 2016)
+    parts = [S for prof in (W, Qs) for _, S in prof.poly_radial_terms()]
+    parts += [S.deriv() for S in parts] + [S.deriv().deriv() for S in parts]
+    for S in parts:
+        values = S(r)
+        assert values.shape == r.shape
+        assert type(S(1.234)) is float
+        np.testing.assert_allclose([S(float(x)) for x in r], values,
+                                   rtol=1e-14, atol=0.0)
+    empty = RationalRadial(-0.25, {(0, 0): 2.0}).deriv()
+    assert empty.is_zero
+    for shape in ((7,), (3, 5)):
+        out = empty(np.ones(shape))
+        assert out.shape == shape and not np.any(out)
+    assert empty(1.234) == 0.0
+
+
+def test_sums_are_flat_combinations_over_merged_leaves(W, Qs, rng):
+    """(u + Q) - Q keeps exactly u's leaves and evaluates bitwise to u, also
+    when Q is built afresh; nested sums flatten, a zero coefficient drops
+    its leaf, values and gradients are the term-by-term sums, and the
+    symmetry, decay and asymptote metadata are those of the inputs."""
+    from wave4d.boosts import traveling_pair
+    from wave4d.fields import AffineField, Combination, sum_field
+
+    X = rng.uniform(-5.0, 5.0, size=(300, 4))
+    u = traveling_pair(symmetry_generator(W, "scaling"), 0.3, 2.0, 1)
+    for part in ("first", "second"):
+        f = getattr(u, part)
+        q = getattr(traveling_pair(Qs, -0.4, 2.0, 1), part)
+        fresh = getattr(traveling_pair(Qs, -0.4, 2.0, 1), part)
+        for back in ((f + q) - q, (f + q) - fresh):
+            assert [(c, id(leaf)) for c, leaf in back.terms] == \
+                [(c, id(leaf)) for c, leaf in sum_field([f]).terms]
+            assert np.array_equal(back.evaluate(X), f.evaluate(X))
+    assert isinstance(u.first, AffineField) and u.second.terms[0][0] == -0.3
+
+    f, g, h = W, symmetry_generator(Qs, "translation_1"), u.first
+    nested = sum_field([sum_field([f, g], [2.0, -1.0]), 3.0 * h - g],
+                       [0.5, 2.0])
+    assert [leaf for _, leaf in nested.terms] == [f, g, h]
+    assert [c for c, _ in nested.terms] == [1.0, -2.5, 6.0]
+    assert not any(isinstance(leaf, Combination) for _, leaf in nested.terms)
+    for fn in ("evaluate", "gradient"):
+        ref = (1.0 * getattr(f, fn)(X) - 2.5 * getattr(g, fn)(X)
+               + 6.0 * getattr(h, fn)(X))
+        np.testing.assert_allclose(getattr(nested, fn)(X), ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    assert [leaf for _, leaf in sum_field([f, g], [0.0, 1.0]).terms] == [g]
+    assert (0.0 * f).terms == () and not np.any((0.0 * f).evaluate(X))
+    assert nested.symmetry == join_symmetry(f.symmetry, g.symmetry, h.symmetry)
+    assert sum_field([f, g]).decay == min(f.decay, g.decay)
+    assert (2.5 * f).asymptote == 2.5 * W.asymptote
+    assert (-f).asymptote == -W.asymptote and (f + g).asymptote is None
+    assert (2.5 * f).decay == W.decay and (2.5 * f).symmetry == W.symmetry

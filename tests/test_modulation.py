@@ -70,9 +70,9 @@ def test_orthogonal_bump_passes_through(cfg, dirs):
     base = _soliton_sum_pair(cfg, t)
     # project the bump against the basis first, then feed it in
     slowk, kern = [], []
-    from wave4d.modulation import basis_pairs, _flatten_basis
+    from wave4d.modulation import basis_pairs
 
-    fields, _ = _flatten_basis(*basis_pairs(cfg, t))
+    fields, _ = basis_pairs(cfg, t)
     G = pairing_block(fields, fields, "h", cfg.quad_spec(t, SPEC))
     raw = FieldPair(bump, zero_field())
     rhs = pairing_block([raw], fields, "h", cfg.quad_spec(t, SPEC))[0]
@@ -329,7 +329,7 @@ def test_round_trip_makes_four_passes(cfg, dirs, monkeypatch):
 def test_build_initial_data_matrix_is_the_single_kind_blocks(cfg, dirs):
     """One mixed-kind pass gives the system that the L2 rows of the Z+
     partners and the energy rows of the basis give as separate blocks."""
-    from wave4d.modulation import _flatten_basis, basis_pairs
+    from wave4d.modulation import basis_pairs
 
     T = 20.0
     z = 0.4 * T**-3.5 * np.array([[1.0], [-0.6]])
@@ -337,7 +337,7 @@ def test_build_initial_data_matrix_is_the_single_kind_blocks(cfg, dirs):
     spec_c = cfg.quad_spec(T, SPEC)
     zplus = [shift_pair(dirs[n][0]["+"].z_pair, ell * T)
              for n, ell in enumerate(cfg.speeds)]
-    fields, _ = _flatten_basis(*basis_pairs(cfg, T))
+    fields, _ = basis_pairs(cfg, T)
     columns = zplus + fields
     A = np.vstack([pairing_block(zplus, columns, "l2", spec_c),
                    pairing_block(fields, columns, "h", spec_c)])
@@ -405,3 +405,70 @@ def test_modulation_residuals_differencer():
     bad = [state(10.0), state(10.5), state(11.5)]
     with pytest.raises(ValueError):
         modulation_residuals(bad)
+
+
+@settings(max_examples=6, deadline=None)
+@given(T=st.floats(20.0, 80.0), ell=st.floats(0.3, 0.7),
+       size=st.floats(0.1, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
+def test_round_trip_recovers_z_over_the_ranges(Qs, ground_eigen, T, ell,
+                                               size, angle):
+    """decompose(build_initial_data(z)) gives a = b = 0 and z_plus = z to
+    criterion 8's 1e-8 |z|, for T in [20, 80], speeds -ell, ell with ell in
+    [0.3, 0.7] and z of any direction with |z| in [0.1, 1] T^-7/2 (a and b
+    are round-off, not proportional to z, hence the lower bound)."""
+    cfg = two_soliton_config(
+        Qs, symmetry_generator(Qs, "conformal_4"),
+        [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")],
+        speeds=(-ell, ell))
+    dirs = exp_direction_family(cfg, [ground_eigen])
+    z = size * T**-3.5 * np.array([[math.cos(angle)], [math.sin(angle)]])
+    st_ = decompose(build_initial_data(cfg, T, z, dirs, SPEC)["u"], cfg, T,
+                    SPEC, directions=dirs)
+    worst = max(np.max(np.abs(st_.a)), np.max(np.abs(st_.b)),
+                np.max(np.abs(st_.z_plus - z)))
+    assert worst <= 1e-8 * np.max(np.abs(z))
+
+
+def test_decompose_block_maps_each_leaf_once_per_batch(cfg, dirs,
+                                                      monkeypatch):
+    """On the criterion-8 data the decompose block maps each distinct leaf
+    at most once per batch: 6 basis leaves, each pair's second component
+    read off its first's jet, and 8 Z+- leaves.  dev = u - sum Q_n holds no
+    soliton leaf, so neither does the remainder."""
+    import wave4d.fields as fields
+    import wave4d.modulation as modulation
+    from wave4d.fields import AffineField
+
+    T = 20.0
+    z = 0.5 * T**-3.5 * np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+    built = build_initial_data(cfg, T, z, dirs, SPEC)
+    count = {"on": False, "maps": 0, "batches": 0}
+    real_map, real_block = AffineField._map, modulation.pairing_block
+    real_integrate = fields.integrate_callable
+
+    def counted_map(self, X):
+        count["maps"] += count["on"]
+        return real_map(self, X)
+
+    def counted_integrate(fn, *args, **kwargs):
+        def batch(X):
+            count["batches"] += count["on"]
+            return fn(X)
+        return real_integrate(batch, *args, **kwargs)
+
+    def first_block(*args, **kwargs):
+        count["on"] = count["batches"] == 0
+        try:
+            return real_block(*args, **kwargs)
+        finally:
+            count["on"] = False
+
+    monkeypatch.setattr(AffineField, "_map", counted_map)
+    monkeypatch.setattr(fields, "integrate_callable", counted_integrate)
+    monkeypatch.setattr(modulation, "pairing_block", first_block)
+    st_ = decompose(built["u"], cfg, T, SPEC, directions=dirs)
+    assert count["batches"] > 0
+    assert count["maps"] <= 14 * count["batches"]
+    for part in (st_.remainder.first, st_.remainder.second):
+        assert all(getattr(leaf, "base", leaf) is not cfg.profiles[0]
+                   for _, leaf in part.terms)

@@ -368,7 +368,7 @@ def _integrand_kinds():
     Q_n^4 Q_m^2, the squared G parts with nonzero corrections, and the
     "h"/"l2" blocks of surrogate pairs with their generators."""
     from wave4d.boosts import traveling_pair
-    from wave4d.fields import _L2_COLS, _pairing_features
+    from wave4d.fields import pair_sampler
     from wave4d.interactions import GAssembly, two_soliton_config
     from wave4d.states import surrogate_excited_state, symmetry_generator
 
@@ -389,10 +389,12 @@ def _integrand_kinds():
     pairs = [traveling_pair(f, ell, T, 1) for ell in cfg.speeds
              for f in [Q] + gens]
 
+    sample = pair_sampler([("h", pairs), ("l2", pairs)])
+
     def blocks(X):
-        F = _pairing_features(pairs, X, "both")
-        h = np.einsum("pik,pjk->pij", F[..., 1:], F[..., 1:])
-        l2 = np.einsum("pik,pjk->pij", F[..., _L2_COLS], F[..., _L2_COLS])
+        H, L = sample(X)
+        h = np.einsum("pik,pjk->pij", H, H)
+        l2 = np.einsum("pik,pjk->pij", L, L)
         return np.concatenate([h.reshape(len(X), -1),
                                l2.reshape(len(X), -1)], axis=1)
 
