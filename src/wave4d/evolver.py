@@ -29,6 +29,7 @@ all for solitons at rest).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -40,7 +41,8 @@ from .fields import (FieldPair, Grid2DCyl, ScalarField, cylinder_points,
                      pair_sampler, pair_sum)
 from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _soliton_pairs, _split_z, \
-    _z_columns, basis_pairs, exp_direction_family
+    _z_columns, basis_pairs, build_initial_data, exp_direction_family
+from .quadrature import QuadratureSpec
 from .spectrum import ground_eigenpair
 from .states import ground_state, symmetry_generator
 
@@ -84,11 +86,22 @@ def grid_weights(grid: Grid2DCyl) -> np.ndarray:
 
 
 def grid_gradient(arr: np.ndarray, grid: Grid2DCyl):
-    d1 = np.gradient(arr, grid.h1, axis=0, edge_order=2)
-    dr = np.gradient(arr, grid.hr, axis=1, edge_order=2)
-    return d1, dr
+    """(d/dx1, d/drbar): np.gradient's edge_order=2 formulas, bit for bit,
+    without its temporaries.  Central differences run on the flat arrays;
+    the one-sided edges then overwrite the entries that wrap a row end."""
+    a, out = arr.ravel(), np.empty((2, *arr.shape))
+    for axis, h, k in ((0, grid.h1, arr.shape[1]), (1, grid.hr, 1)):
+        inner = out[axis].ravel()[k:-k]
+        np.subtract(a[2 * k:], a[:-2 * k], out=inner)
+        inner /= 2.0 * h
+        f, e = np.moveaxis(arr, axis, 0), np.moveaxis(out[axis], axis, 0)
+        e[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+        e[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out[0], out[1]
 
 
+# one kept, so a finished grid's diagonals do not add to the next's peak
+@functools.lru_cache(maxsize=1)
 def laplacian_operator(grid: Grid2DCyl) -> sparse.dia_matrix:
     """The grid Laplacian d11 + drr + (2/rbar) drbar as one five-diagonal
     operator on the flattened grid (index i * nr + j, offsets 0, +-1, +-nr).
@@ -97,7 +110,7 @@ def laplacian_operator(grid: Grid2DCyl) -> sparse.dia_matrix:
     radial one; the axis column is 3 drr with the even reflection
     u(-hr) = u(hr).  The open edges (rows 0 and n1 - 1, column nr - 1) get
     no term along their normal: the step sets their values, but v_sync
-    still reads the force there.
+    still reads the force there.  Cached per grid, read-only.
     """
     n1, nr = grid.n1, grid.nr
     i1, ir = 1.0 / grid.h1**2, 1.0 / grid.hr**2
@@ -115,8 +128,10 @@ def laplacian_operator(grid: Grid2DCyl) -> sparse.dia_matrix:
     mid = (x_mid[:, None] + r_mid[None, :]).ravel()
     lo, hi = np.tile(r_lo, n1), np.tile(r_hi, n1)
     side = np.repeat(x_side, nr)
-    return sparse.diags([mid, hi[:-1], lo[1:], side[:-nr], side[nr:]],
-                        [0, 1, -1, nr, -nr], format="dia")
+    op = sparse.diags([mid, hi[:-1], lo[1:], side[:-nr], side[nr:]],
+                      [0, 1, -1, nr, -nr], format="dia")
+    op.data.flags.writeable = False
+    return op
 
 
 @dataclass
@@ -136,6 +151,9 @@ class CylWaveEvolver:
     pinned there (right for soliton backgrounds, whose static tails a plain
     outgoing condition would wrongly radiate away).  Without it the edges
     carry the first-order outgoing condition.
+
+    The step drifts into a buffer that it then swaps with u, so the array
+    ev.u is written again two steps later: a caller that keeps it copies it.
     """
 
     def __init__(self, grid: Grid2DCyl, u0: np.ndarray, v0: np.ndarray,
@@ -147,19 +165,24 @@ class CylWaveEvolver:
         self.dt = cfl * min(grid.h1, grid.hr)
         self.t = float(t0)
         self.u = np.array(u0, dtype=float)
+        self._u_new, self._scratch = np.empty((2, *self.u.shape))
         self.force = self.rhs(self.u)  # rhs(u), kept from the last kick
         self.v_half = np.array(v0, dtype=float) + 0.5 * self.dt * self.force
         self.background = background
         self.status = "running"
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        return (self.laplacian_op @ u.ravel()).reshape(u.shape) + u * u * u
+        cube = np.multiply(u, u, out=self._scratch)
+        cube *= u
+        f = (self.laplacian_op @ u.ravel()).reshape(u.shape)
+        return np.add(f, cube, out=f)
 
     def step(self) -> str:
         """Drift u with the half-step velocity, then kick the velocity with
         the force at the new position (v_half always leads u by dt/2)."""
         u, dt, g = self.u, self.dt, self.grid
-        u_new = u + dt * self.v_half
+        u_new = np.multiply(self.v_half, dt, out=self._u_new)
+        u_new += u
         if self.background is not None:
             row_lo, row_hi, col_r = self.background(self.t + dt)
             u_new[0, :] = row_lo
@@ -171,14 +194,14 @@ class CylWaveEvolver:
             u_new[-1, :] = u[-1, :] - dt * (u[-1, :] - u[-2, :]) / g.h1
             u_new[:, -1] = u[:, -1] - dt * (u[:, -1] - u[:, -2]) / g.hr
         self.force = self.rhs(u_new)
-        self.v_half += dt * self.force
+        self.v_half += np.multiply(self.force, dt, out=self._scratch)
         self.v_half[0, :] = (u_new[0, :] - u[0, :]) / dt
         self.v_half[-1, :] = (u_new[-1, :] - u[-1, :]) / dt
         self.v_half[:, -1] = (u_new[:, -1] - u[:, -1]) / dt
-        self.u = u_new
+        self.u, self._u_new = u_new, u
         self.t += dt
-        # one reduction: a NaN propagates through max and fails the test
-        if not np.max(np.abs(u_new)) <= BLOWUP_FACTOR:
+        # a NaN propagates through max and min and fails both tests
+        if not -BLOWUP_FACTOR <= u_new.min() <= u_new.max() <= BLOWUP_FACTOR:
             self.status = "blowup"
         return self.status
 
@@ -190,17 +213,13 @@ class CylWaveEvolver:
                               v=self.v_sync(), t=self.t, dt=self.dt)
 
     def reflected(self) -> "CylWaveEvolver":
-        """Time-reflected copy; forward-evolving it retraces the past."""
-        out = CylWaveEvolver.__new__(CylWaveEvolver)
-        out.grid = self.grid
-        out.laplacian_op = self.laplacian_op
-        out.dt = self.dt
-        out.t = self.t
+        """Time-reflected copy; forward-evolving it retraces the past.  It
+        shares the operator, the last force and the background (valid for
+        static backgrounds) and owns its arrays and step buffers."""
+        out = copy.copy(self)
         out.u = self.u.copy()
-        out.force = self.force
+        out._u_new, out._scratch = np.empty((2, *out.u.shape))
         out.v_half = -(self.v_half - self.dt * self.force)
-        out.background = self.background  # valid for static backgrounds
-        out.status = self.status
         return out
 
     def run_until(self, t_end: float, callback=None,
@@ -232,9 +251,12 @@ def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
 
 
 def grid_h_norm_sq(du, dv, grid) -> float:
-    w = grid_weights(grid)
     d1, dr = grid_gradient(du, grid)
-    return float(np.sum((d1**2 + dr**2 + dv**2) * w))
+    d1 *= d1
+    d1 += np.multiply(dr, dr, out=dr)
+    d1 += np.multiply(dv, dv, out=dr)
+    d1 *= grid_weights(grid)
+    return float(np.sum(d1))
 
 
 def _by_centers(cfg: MultiSolitonConfig, sample):
@@ -364,7 +386,7 @@ class GridBasis:
     def _gram(self, s: dict):
         H = s["H"]
         w = grid_weights(self.grid).ravel()
-        s["G"] = (H * w).reshape(len(H), -1) @ H.reshape(len(H), -1).T
+        s["G"] = np.einsum("icp,jcp->ij", H * w, H)
         s["cond"] = float(np.linalg.cond(s["G"]))
 
 
@@ -382,18 +404,16 @@ def _decompose_on_grid(du, dv, basis: GridBasis, t: float) -> ModulationState:
     s = basis.sample(t)
     w = grid_weights(grid).ravel()
     H = s["H"]
-    d1, dr = grid_gradient(du, grid)
-    rhs = H.reshape(len(H), -1) @ (
-        np.stack([d1.ravel(), dr.ravel(), dv.ravel()]) * w).ravel()
-    coef = np.linalg.solve(s["G"], rhs)
-    phi1 = du - (coef @ s["first"]).reshape(du.shape)
-    phi2 = dv - (coef @ H[:, 2]).reshape(dv.shape)
+    D = np.stack([*grid_gradient(du, grid), dv]).reshape(3, -1)
+    D *= w
+    coef = np.linalg.solve(s["G"], np.einsum("icp,cp->i", H, D))
+    phi1 = du - np.einsum("i,ip->p", coef, s["first"]).reshape(du.shape)
+    phi2 = dv - np.einsum("i,ip->p", coef, H[:, 2]).reshape(dv.shape)
 
     a = coef[:cfg.n].copy()
     b = coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
-    Z = s["Z"]
-    zp, zm = _split_z(Z[:, 0] @ (w * phi1.ravel())
-                      + Z[:, 1] @ (w * phi2.ravel()), cfg.n)
+    phi = np.stack([phi1.ravel(), phi2.ravel()])
+    zp, zm = _split_z(np.einsum("ikp,kp->i", s["Z"], phi * w), cfg.n)
 
     return ModulationState(
         t=t, a=a, b=b, remainder=None, z_plus=zp, z_minus=zm,
@@ -617,17 +637,13 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     direction of the static soliton; the run is integrated backward (exact
     time reflection), where that component grows at the linear rate.  For
     each amplitude the exit time from the deviation tube (energy-space
-    radius 0.12) is recorded; the exit side flips across an optimal amplitude, which bisection brackets,
-    and persistence is maximal near it (the mechanism that makes the
-    topological selection of initial data work).
+    radius 0.12) is recorded; the exit side flips across an optimal
+    amplitude, which bisection brackets, and persistence is maximal near it
+    (the mechanism that makes the topological selection of initial data work).
     """
-    from .modulation import build_initial_data
-
     lam, Y = ground_eigenpair() if lam_Y is None else lam_Y
     cfg = single_soliton_config(0.0)
     dirs = exp_direction_family(cfg, [(lam, Y)])
-
-    from .quadrature import QuadratureSpec
     spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
     s_ref = 1e-4
     built = build_initial_data(cfg, T, np.array([[s_ref]]), dirs, spec,
@@ -639,8 +655,9 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     phi1 = eval_on_grid(built["phi"].first, grid)
     phi2 = eval_on_grid(built["phi"].second, grid)
     z_pair = dirs[0][0]["-"].z_pair
-    z1 = eval_on_grid(z_pair.first, grid)
-    z2 = eval_on_grid(z_pair.second, grid)
+    # the Z- partner, weighted once for the pairing at every monitor
+    zw1, zw2 = (eval_on_grid(z, grid) * w
+                for z in (z_pair.first, z_pair.second))
     bg = soliton_background(cfg, grid)
 
     def run(s: float) -> dict:
@@ -656,7 +673,8 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                 v = ev.v_sync()
                 du = ev.u - w_arr
                 dev = math.sqrt(max(grid_h_norm_sq(du, v, grid), 0.0))
-                zr = float(np.sum((du * z1 + v * z2) * w))
+                zr = float(np.einsum("ij,ij->", du, zw1)
+                           + np.einsum("ij,ij->", v, zw2))
                 rec["a_exit"] = zr * zr
                 rec["exit_sign"] = math.copysign(1.0, zr) if zr else 0.0
                 if dev > 0.12:

@@ -149,6 +149,10 @@ class AffineField(ScalarField):
     With a vector w as ``derivative`` it is the directional derivative
     (grad f)(A x + b) . w instead, so w = A[:, j] gives d/dx_j of f(A x + b);
     its own gradient falls back to finite differences.
+
+    A diagonal A (traveling, dilated and translated leaves) maps and chains
+    column by column, and a w with one nonzero entry reads one column; the
+    products' other terms are exact zeros, so the results agree bit for bit.
     """
 
     base: ScalarField
@@ -158,19 +162,42 @@ class AffineField(ScalarField):
     decay: float | None = None
     derivative: np.ndarray | None = None
 
+    def __post_init__(self):
+        d = np.diag(self.matrix)
+        # a diagonal A maps the columns it moves, (j, A_jj, b_j), one by one
+        self._cols = None if np.count_nonzero(self.matrix - np.diag(d)) else [
+            (j, d[j], self.shift[j]) for j in range(4)
+            if d[j] != 1.0 or self.shift[j] != 0.0]
+
     def _map(self, X):
-        return X @ self.matrix.T + self.shift
+        if self._cols is None:
+            return X @ self.matrix.T + self.shift
+        Y = X.copy()
+        for j, a, b in self._cols:
+            Y[:, j] = Y[:, j] * a + b
+        return Y
+
+    def _chain(self, g):
+        """g @ A, for gradients g of the base at mapped points."""
+        return g @ self.matrix if self._cols is None else \
+            g * np.diag(self.matrix)
+
+    def _directional(self, g):
+        """g @ w, for gradients g of the base at mapped points."""
+        w = self.derivative
+        j = np.flatnonzero(w)
+        return g[:, j[0]] * w[j[0]] if len(j) == 1 else g @ w
 
     def evaluate(self, x):
         Y = self._map(_as_points(x))
         if self.derivative is None:
             return self.base.evaluate(Y)
-        return self.base.gradient(Y) @ self.derivative
+        return self._directional(self.base.gradient(Y))
 
     def gradient(self, x):
         if self.derivative is not None:
             return super().gradient(x)
-        return self.base.gradient(self._map(_as_points(x))) @ self.matrix
+        return self._chain(self.base.gradient(self._map(_as_points(x))))
 
 
 @dataclass
@@ -778,8 +805,13 @@ def pair_sampler(groups):
         src = sources.setdefault((id(leaf),) if whole else key[0][:3], [
             leaf if whole else leaf.base, None if whole else leaf,
             False, False, {}])
-        r = (None if part == "value" else np.eye(4)) if whole else (
-            leaf.derivative if part == "value" else leaf.matrix)
+        # r maps the source's gradient to the read; None reads its value
+        if part == "value" and (whole or leaf.derivative is None):
+            r = None
+        elif part == "value":
+            r = leaf._directional
+        else:  # the gradient itself, or through the leaf's chain rule
+            r = (lambda g: g) if whole else leaf._chain
         src[2 if r is None else 3] = True
         src[4][key] = r
         return key
@@ -799,7 +831,7 @@ def pair_sampler(groups):
         for field, mapping, value, grad, rs in sources.values():
             v, g = field.jet(X if mapping is None else mapping._map(X),
                              value, grad)
-            reads.update((key, v if r is None else g @ r)
+            reads.update((key, v if r is None else r(g))
                          for key, r in rs.items())
         out = []
         for n, k, terms in stacks:

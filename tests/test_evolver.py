@@ -6,11 +6,11 @@ import pytest
 from wave4d.boosts import pair_vector, traveling_pair
 from wave4d.evolver import (CylWaveEvolver, GridBasis, bootstrap_margins,
                             default_grid_for, eval_on_grid, evolve,
-                            grid_energy_momentum, grid_h_norm_sq,
-                            grid_modulation, laplacian_operator,
-                            measure_mode_rates, shooting_experiment,
-                            single_soliton_config, soliton_background,
-                            soliton_center)
+                            grid_energy_momentum, grid_gradient,
+                            grid_h_norm_sq, grid_modulation,
+                            laplacian_operator, measure_mode_rates,
+                            shooting_experiment, single_soliton_config,
+                            soliton_background, soliton_center)
 from wave4d.fields import Grid2DCyl
 from wave4d.modulation import ModulationState
 
@@ -56,11 +56,14 @@ def _slice_laplacian(u, g):
     return lap
 
 
-@pytest.mark.parametrize("grid", [
+_GRIDS = pytest.mark.parametrize("grid", [
     default_grid_for(0.0, 14.0, margin=10.0, h=0.12),  # shoot
     default_grid_for(0.4, 5.0, margin=10.0, h=0.1),  # evolve
     Grid2DCyl(-3.0, 2.0, 9, 4.0, 6),
 ], ids=["shoot", "evolve", "small"])
+
+
+@_GRIDS
 def test_laplacian_operator_matches_slice_stencil(grid):
     rng = np.random.default_rng(8)
     op = laplacian_operator(grid)
@@ -75,6 +78,78 @@ def test_laplacian_operator_matches_slice_stencil(grid):
                      np.s_[:, -1]):
             scale = np.max(np.abs(ref[part]))
             assert np.max(np.abs(got[part] - ref[part])) <= 1e-13 * scale
+
+
+@_GRIDS
+def test_grid_gradient_matches_np_gradient(grid):
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        u = rng.standard_normal((grid.n1, grid.nr))
+        for d, axis, h in zip(grid_gradient(u, grid), (0, 1),
+                              (grid.h1, grid.hr)):
+            assert np.array_equal(d, np.gradient(u, h, axis=axis,
+                                                 edge_order=2))
+
+
+def _reference_leapfrog(grid, u0, v0, background, n):
+    """n steps of the leapfrog, written with fresh arrays: the formulas
+    the evolver's in-place step must reproduce bit for bit."""
+    op = laplacian_operator(grid)
+    dt = 0.4 * min(grid.h1, grid.hr)
+
+    def rhs(u):
+        return (op @ u.ravel()).reshape(u.shape) + u * u * u
+
+    u, t = np.array(u0), 0.0
+    force = rhs(u)
+    v = v0 + 0.5 * dt * force
+    for _ in range(n):
+        u_new = u + dt * v
+        if background is not None:
+            u_new[0, :], u_new[-1, :], u_new[:, -1] = background(t + dt)
+        else:
+            u_new[0, :] = u[0, :] + dt * (u[1, :] - u[0, :]) / grid.h1
+            u_new[-1, :] = u[-1, :] - dt * (u[-1, :] - u[-2, :]) / grid.h1
+            u_new[:, -1] = u[:, -1] - dt * (u[:, -1] - u[:, -2]) / grid.hr
+        force = rhs(u_new)
+        v += dt * force
+        v[0, :] = (u_new[0, :] - u[0, :]) / dt
+        v[-1, :] = (u_new[-1, :] - u[-1, :]) / dt
+        v[:, -1] = (u_new[:, -1] - u[:, -1]) / dt
+        u, t = u_new, t + dt
+    return u, v, force
+
+
+@pytest.mark.parametrize("edges", ["pinned", "outgoing"])
+def test_in_place_step_matches_fresh_array_leapfrog(W, edges):
+    """50 in-place steps equal the fresh-array leapfrog bit for bit, and a
+    reflected copy owns its arrays and buffers: 10 more steps of the
+    original leave its u and v_half as they were."""
+    grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
+    bump = 0.02 * np.exp(-((grid.x1[:, None] - 1.0) ** 2
+                           + grid.r[None, :] ** 2))
+    if edges == "pinned":
+        bg = soliton_background(single_soliton_config(0.0), grid)
+        u0, v0 = eval_on_grid(W, grid) + bump, -bump
+    else:
+        bg, u0, v0 = None, bump, 0.5 * bump
+    ev = CylWaveEvolver(grid, u0, v0, background=bg)
+    for _ in range(50):
+        assert ev.step() == "running"
+    u, v, force = _reference_leapfrog(grid, u0, v0, bg, 50)
+    assert np.array_equal(ev.u, u) and np.array_equal(ev.v_half, v)
+    assert np.array_equal(ev.v_sync(), v - 0.5 * ev.dt * force)
+
+    back = ev.reflected()
+    kept = back.u.copy(), back.v_half.copy()
+    for _ in range(10):
+        ev.step()
+    assert back.laplacian_op is ev.laplacian_op is laplacian_operator(grid)
+    assert np.array_equal(back.u, kept[0])
+    assert np.array_equal(back.v_half, kept[1])
+    mine = (back.u, back.v_half, back._u_new, back._scratch)
+    theirs = (ev.u, ev.v_half, ev._u_new, ev._scratch)
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 def test_time_reversal_second_order(W):

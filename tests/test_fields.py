@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wave4d.fields import (FieldPair, FormulaField, Grid2DCyl,
-                           PolyRadialField, SampledField, SymmetryMismatch,
-                           cylinder_points, hardy_sobolev_check, inner_hdot1,
-                           inner_l2, inner_pair_h, inner_pair_l2,
-                           integrate_field, load_field, load_field_csv,
-                           load_pair, norm_hdot1, norm_l2, norm_pair,
-                           pairing_block, save_field, save_pair, zero_field,
-                           zero_pair)
+from wave4d.fields import (AffineField, Combination, FieldPair, FormulaField,
+                           Grid2DCyl, PolyRadialField, SampledField,
+                           SymmetryMismatch, cylinder_points,
+                           hardy_sobolev_check, inner_hdot1, inner_l2,
+                           inner_pair_h, inner_pair_l2, integrate_field,
+                           load_field, load_field_csv, load_pair, norm_hdot1,
+                           norm_l2, norm_pair, pair_sampler, pairing_block,
+                           save_field, save_pair, zero_field, zero_pair)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import (GENERATOR_IDS, RationalRadial, dilate,
                            ground_state, symmetry_generator)
@@ -400,7 +400,7 @@ def test_sums_are_flat_combinations_over_merged_leaves(W, Qs, rng):
     its leaf, values and gradients are the term-by-term sums, and the
     symmetry, decay and asymptote metadata are those of the inputs."""
     from wave4d.boosts import traveling_pair
-    from wave4d.fields import AffineField, Combination, sum_field
+    from wave4d.fields import sum_field
 
     X = rng.uniform(-5.0, 5.0, size=(300, 4))
     u = traveling_pair(symmetry_generator(W, "scaling"), 0.3, 2.0, 1)
@@ -433,3 +433,63 @@ def test_sums_are_flat_combinations_over_merged_leaves(W, Qs, rng):
     assert (2.5 * f).asymptote == 2.5 * W.asymptote
     assert (-f).asymptote == -W.asymptote and (f + g).asymptote is None
     assert (2.5 * f).decay == W.decay and (2.5 * f).symmetry == W.symmetry
+
+
+def _product_read(leaf, X, part):
+    """A leaf's value or gradient through the general matrix products."""
+    if not isinstance(leaf, AffineField):
+        return leaf.evaluate(X) if part == "value" else leaf.gradient(X)
+    Y = X @ leaf.matrix.T + leaf.shift
+    if part == "gradient":
+        return leaf.base.gradient(Y) @ leaf.matrix
+    if leaf.derivative is None:
+        return leaf.base.evaluate(Y)
+    return leaf.base.gradient(Y) @ leaf.derivative
+
+
+def test_diagonal_affine_leaves_equal_the_matrix_product(W, rng):
+    """Traveling, dilated and translated leaves map, chain and read their
+    derivative leaves elementwise, bit for bit the general products, and
+    so do the sampler's "h" and "l2" stacks; a rotated leaf, whose matrix
+    is not diagonal, still takes the products."""
+    from wave4d.boosts import (component_derivative, traveling_pair,
+                               traveling_profile)
+    from wave4d.states import rotate, translate
+
+    X = np.concatenate([rng.uniform(-5.0, 5.0, size=(200, 4)),
+                        cylinder_points(np.linspace(-4.0, 4.0, 9),
+                                        np.linspace(0.0, 3.0, 7))])
+    moving = traveling_profile(W, 0.4, 1.3)
+    (lam, dilated), = dilate(W, 1.7).terms
+    translated = translate(W, [0.3, 0.0, 0.0, 0.0])
+    tilted = translate(W, [0.3, 0.0, 0.0, -0.2])
+    rotated = rotate(symmetry_generator(W, "translation_1"),
+                     [0.3, -0.2, 0.1, 0.4, 0.0, -0.5])
+    assert lam == 1.7 and np.count_nonzero(
+        rotated.matrix - np.diag(np.diag(rotated.matrix))) > 0
+    for leaf in (moving, dilated, translated, tilted, rotated,
+                 component_derivative(moving, 0),
+                 component_derivative(rotated, 2)):
+        assert isinstance(leaf, AffineField)
+        assert np.array_equal(leaf.evaluate(X),
+                              _product_read(leaf, X, "value"))
+        if leaf.derivative is None:
+            assert np.array_equal(leaf.gradient(X),
+                                  _product_read(leaf, X, "gradient"))
+
+    pairs = [traveling_pair(W, 0.4, 1.3), FieldPair(W, moving),
+             FieldPair(dilate(W, 1.7), translated),
+             FieldPair(rotated, tilted - 0.5 * rotated)]
+    for kind, got in zip(("h", "l2"), pair_sampler([("h", pairs),
+                                                    ("l2", pairs)])(X)):
+        # the sampler's accumulation, term by term, from the products
+        first = ("gradient", slice(0, 4)) if kind == "h" else ("value", 0)
+        ref = np.zeros_like(got)
+        for i, p in enumerate(pairs):
+            for (part, at), comp in ((first, p.first),
+                                     (("value", -1), p.second)):
+                terms = comp.terms if isinstance(comp, Combination) \
+                    else ((1.0, comp),)
+                for c, leaf in terms:
+                    ref[:, i, at] += c * _product_read(leaf, X, part)
+        assert np.array_equal(got, ref)
