@@ -9,10 +9,12 @@ first-order operator pencil around a boosted state is
 
 with symplectic matrix J (v1, v2) = (v2, -v1).  Each negative eigenpair
 (lambda_j, Y_j) of the static linearized operator produces a growing/decaying
-pair of directions whose evolution rate is lambda_j sqrt(1 - ell^2); their
-pairing partners Z~+- can be computed either as H_ell applied to the
-directions or from the closed-form J identity, and the two routes are
-compared as a consistency check.
+pair of directions whose evolution rate is lambda_j sqrt(1 - ell^2), each
+component one :class:`fields.RadialExpField` on Y_j's radial parts under the
+boost map (so a translation composes into that leaf's map).  Their pairing
+partners Z~+- can be computed either as H_ell applied to the directions or
+from the closed-form J identity, and the two routes are compared as a
+consistency check.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .fields import (
     Combination,
     FieldPair,
     FormulaField,
+    RadialExpField,
     ScalarField,
     inner_pair_l2,
     sum_field,
@@ -153,89 +156,33 @@ def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
 
 @dataclass
 class ExpDirection:
-    """One exponential direction of H_ell (sign +1 grows forward in time)."""
+    """One exponential direction of H_ell and its J-identity partner."""
 
-    j: int
-    sign: int
     ell: float
-    lam: float
     rate: float
     pair: FieldPair
     z_pair: FieldPair
 
 
-def _safe_exp_product(vals, s):
-    """vals * exp(s), assembled in log space once the exponent is large so
-    the growing factor never overflows before the decaying profile wins."""
-    out = np.zeros_like(vals)
-    small = np.abs(s) <= 500.0
-    out[small] = vals[small] * np.exp(s[small])
-    big = ~small & (vals != 0.0)
-    if np.any(big):
-        out[big] = np.sign(vals[big]) * np.exp(s[big] + np.log(np.abs(vals[big])))
-    return out
-
-
 def _direction_fields(Yj, lam, ell, sign):
-    """(first, second) fields of one exponential direction, with exact
-    gradients from the eigenfield's radial derivative data."""
-    parts = getattr(Yj, "radial_parts", None)
-    if parts is None:
+    """(first, second) fields of one exponential direction, e^(kappa u1) Y
+    and e^(kappa u1) (sign lam gamma Y - ell gamma Y' u1 / r) at the boosted
+    point u = (gamma x1, x2, x3, x4), kappa = -sign ell lam."""
+    if not isinstance(Yj, RadialExpField):
         raise TypeError("exponential directions need a radial eigenfield "
                         "with radial_parts (spectrum.radial_eigenfield)")
-    gamma = 1.0 / math.sqrt(1.0 - ell**2)
-    kexp = -sign * ell * lam * gamma  # exponent slope along x1
-    val_r, d1_r, d2_r = parts
-    gvec = np.array([gamma, 1.0, 1.0, 1.0])
-
-    def geometry(X):
-        U = X * gvec
-        rl = np.linalg.norm(U, axis=1)
-        rs = np.maximum(rl, 1e-12)
-        n = U / rs[:, None]
-        return rl, rs, n
-
-    def first_fn(X):
-        rl, _, _ = geometry(X)
-        return _safe_exp_product(val_r(rl), kexp * X[:, 0])
-
-    def first_grad(X):
-        rl, rs, n = geometry(X)
-        v, d1 = val_r(rl), d1_r(rl)
-        g = d1[:, None] * n * gvec[None, :]
-        g[:, 0] += kexp * v
-        return _safe_exp_product(g, np.repeat(kexp * X[:, 0:1], 4, axis=1))
-
-    def core_terms(X):
-        rl, rs, n = geometry(X)
-        v, d1 = val_r(rl), d1_r(rl)
-        return rl, rs, n, v, d1, -ell * gamma * d1 * n[:, 0] + sign * lam * gamma * v
-
-    def second_fn(X):
-        *_, core = core_terms(X)
-        return _safe_exp_product(core, kexp * X[:, 0])
-
-    def second_grad(X):
-        rl, rs, n, v, d1, core = core_terms(X)
-        d2 = d2_r(rl)
-        g = np.zeros_like(n)
-        for jax in range(4):
-            gj = gvec[jax]
-            dn1 = d2 * n[:, jax] * gj * n[:, 0] + (d1 / rs) * (
-                (gamma if jax == 0 else 0.0) - n[:, 0] * n[:, jax] * gj)
-            g[:, jax] = -ell * gamma * dn1 + sign * lam * gamma * d1 * n[:, jax] * gj
-        g[:, 0] += kexp * core
-        return _safe_exp_product(g, np.repeat(kexp * X[:, 0:1], 4, axis=1))
-
+    gamma = Boost(ell).gamma
+    A = np.diag([gamma, 1.0, 1.0, 1.0])
     sym = join_symmetry(Yj.symmetry, SYM_CYL)
-    return (FormulaField(first_fn, first_grad, symmetry=sym,
-                         name=f"ups{sign:+d},1"),
-            FormulaField(second_fn, second_grad, symmetry=sym,
-                         name=f"ups{sign:+d},2"))
+    return tuple(
+        AffineField(RadialExpField(Yj.radial_parts, -sign * ell * lam, a, b,
+                                   name=f"ups{sign:+d},{k}"),
+                    A, np.zeros(4), symmetry=sym)
+        for k, a, b in ((1, 1.0, 0.0),
+                        (2, sign * lam * gamma, -ell * gamma)))
 
 
-def build_exp_directions(Yj: ScalarField, lam: float, ell: float,
-                         j: int = 1) -> dict:
+def build_exp_directions(Yj: ScalarField, lam: float, ell: float) -> dict:
     """Both exponential directions for one eigenpair of the static operator.
 
     Yj must be a radial eigenfield carrying ``radial_parts`` (as
@@ -256,7 +203,7 @@ def build_exp_directions(Yj: ScalarField, lam: float, ell: float,
         # Z = -sign * rate * J pair = -sign * rate * (pair2, -pair1)
         z = FieldPair(second * (-sign * rate), first * (sign * rate))
         out["+" if sign > 0 else "-"] = ExpDirection(
-            j=j, sign=sign, ell=ell, lam=lam, rate=rate, pair=pair, z_pair=z)
+            ell=ell, rate=rate, pair=pair, z_pair=z)
     return out
 
 

@@ -55,6 +55,10 @@ KEPT_PHASES = 4
 PHASE_TOL = 1e-9
 # GridBasis samples a fresh grid in blocks of rows of about this many points
 _BLOCK_POINTS = 4096
+# measure_mode_rates halves a seed amplitude up to MODE_RETRIES times for a
+# fit window; the growing mode's window ends below MODE_AMPLITUDE_CAP
+MODE_RETRIES = 2
+MODE_AMPLITUDE_CAP = 0.02
 
 
 def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
@@ -477,7 +481,7 @@ def soliton_center(u: np.ndarray, grid: Grid2DCyl) -> float:
 
 
 def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
-           basis: GridBasis | None = None, cadence: float = 0.5,
+           basis: GridBasis, cadence: float = 0.5,
            background=None) -> MonitorSeries:
     """Evolve initial data and record monitors at the requested cadence."""
     u_arr = eval_on_grid(u0.first, grid)
@@ -492,19 +496,17 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
         series.energy.append(E)
         series.momentum.append(P)
         series.centers.append(soliton_center(e.u, e.grid))
-        if basis is not None:
-            q1, q2 = basis.sample(e.t)["q"]
-            du, dv = e.u - q1, v - q2
-            series.states.append(_decompose_on_grid(du, dv, basis, e.t))
-            Er, Pr = grid_energy_momentum(q1, q2, e.grid)
-            series.energy_ref.append(Er)
-            series.momentum_ref.append(Pr)
-            series.deviation.append(
-                math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
+        q1, q2 = basis.sample(e.t)["q"]
+        du, dv = e.u - q1, v - q2
+        series.states.append(_decompose_on_grid(du, dv, basis, e.t))
+        Er, Pr = grid_energy_momentum(q1, q2, e.grid)
+        series.energy_ref.append(Er)
+        series.momentum_ref.append(Pr)
+        series.deviation.append(
+            math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
 
     status = ev.run_until(t1, callback=monitor, cadence=cadence)
-    if basis is not None:
-        basis.drop_samplings()  # so no sampling outlives the run
+    basis.drop_samplings()  # so no sampling outlives the run
     series.status = status
     return series
 
@@ -558,8 +560,7 @@ def default_grid_for(ell: float, t_span: float, margin: float = 12.0,
 
 def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
                        eps: float = 1e-3, h: float = 0.1,
-                       t_max: float | None = None, cadence: float = 0.25,
-                       max_retries: int = 2, amplitude_cap: float = 0.02
+                       t_max: float | None = None, cadence: float = 0.25
                        ) -> dict:
     """Fitted exponential rates of both direction pairings.
 
@@ -601,13 +602,13 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
         du0 = eval_on_grid(d.pair.first, grid)
         dv0 = eval_on_grid(d.pair.second, grid)
         attempt_eps = eps if sign > 0 else 8.0 * eps
-        for attempt in range(max_retries + 1):
+        for _ in range(MODE_RETRIES + 1):
             ts, zp, zm = z_series(attempt_eps * du0, attempt_eps * dv0, t_max)
             base = zm_b if sign > 0 else zp_b
             z = np.abs((zm if sign > 0 else zp) - base[:len(ts)])
             ok = z > 1e-13
             if sign > 0:
-                ok &= z < amplitude_cap
+                ok &= z < MODE_AMPLITUDE_CAP
             else:
                 ok &= z > max(z[0] * math.exp(-3.0), 1e-13)
                 # drop trailing floor-dominated samples

@@ -2,7 +2,7 @@
 
 Fields carry a symmetry tag (radial / cylindrical about e1 / bicylindrical /
 full), an optional pointwise decay exponent p (|f| <= C <x>^-p), and evaluate
-on (N, 4) arrays of points.  Three families cover everything the laboratory
+on (N, 4) arrays of points.  Four families cover everything the laboratory
 needs:
 
 * :class:`FormulaField` wraps closed-form callables (optionally with an exact
@@ -12,6 +12,8 @@ needs:
   and gradient pairings keep every radial part in that algebra, and
   integrals are exact in the angular variables, which is what makes the
   kernel-generator identities testable to near machine precision.
+* :class:`RadialExpField` e^(kappa x1) (a Y + b Y' x1 / r) is a radial
+  eigenfield Y and, under a boost map, each exponential-direction component.
 * :class:`Combination` sum_i c_i L_i is every sum and scalar multiple: flat
   over leaves, equal leaves merged and exact zeros dropped.  A leaf is one
   field, typically one base field under one composed :class:`AffineField`
@@ -178,9 +180,14 @@ class AffineField(ScalarField):
         return Y
 
     def _chain(self, g):
-        """g @ A, for gradients g of the base at mapped points."""
-        return g @ self.matrix if self._cols is None else \
-            g * np.diag(self.matrix)
+        """g @ A, for gradients g of the base at mapped points; a diagonal
+        A scales the columns it stretches, on a copy."""
+        if self._cols is None:
+            return g @ self.matrix
+        g = g.copy()
+        for j, a, _ in self._cols:
+            g[:, j] *= a
+        return g
 
     def _directional(self, g):
         """g @ w, for gradients g of the base at mapped points."""
@@ -459,6 +466,73 @@ def _unit(j):
     e = np.zeros(4, dtype=int)
     e[j] = 1
     return e
+
+
+# ---------------------------------------------------------------------------
+# radial-exponential fields: eigenfields and their exponential directions
+# ---------------------------------------------------------------------------
+
+def _safe_exp_product(vals, s):
+    """vals * exp(s), s broadcast to vals, assembled in log space once the
+    exponent is large so the growing factor never overflows before the
+    decaying profile wins."""
+    small = np.abs(s) <= 500.0
+    if small.all():
+        return vals * np.exp(s)
+    with np.errstate(all="ignore"):  # the unselected branch may overflow
+        return np.where(small, vals * np.exp(s),
+                        np.sign(vals) * np.exp(s + np.log(np.abs(vals))))
+
+
+@dataclass
+class RadialExpField(ScalarField):
+    """e^(kappa x1) (a Y(r) + b Y'(r) x1 / r), r = |x|, from the radial parts
+    (Y, Y', Y'') of a radial eigenfield: Y itself at (kappa, a, b) =
+    (0, 1, 0), and under a boost map each component of an exponential
+    direction.  One jet evaluates r, the parts and the weight once."""
+
+    radial_parts: tuple
+    kappa: float = 0.0
+    a: float = 1.0
+    b: float = 0.0
+    trusted_radius: float | None = None
+    decay: float | None = None
+    name: str = ""
+
+    def __post_init__(self):
+        self.symmetry = SYM_CYL if self.kappa or self.b else SYM_RADIAL
+
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """With n = x / r and v the bracket, the gradient is the weight times
+        a Y' n + b (Y'' n1 n + (Y'/r)(e1 - n1 n)) + kappa v e1."""
+        Y, dY, d2Y = self.radial_parts
+        r = np.linalg.norm(X, axis=1)
+        rs = np.maximum(r, 1e-12)
+        n = X / rs[:, None] if gradient or self.b else None
+        d1 = None if n is None else dY(r)
+        v = g = None
+        if value or (gradient and self.kappa):
+            v = self.a * Y(r)
+            if self.b:
+                v = v + self.b * d1 * n[:, 0]
+        if gradient:
+            g = (self.a * d1)[:, None] * n
+            if self.b:
+                g += (self.b * (d2Y(r) - d1 / rs) * n[:, 0])[:, None] * n
+                g[:, 0] += self.b * d1 / rs
+            if self.kappa:
+                g[:, 0] += self.kappa * v
+        if self.kappa:
+            s = self.kappa * X[:, 0]
+            v = _safe_exp_product(v, s) if value else None
+            g = _safe_exp_product(g, s[:, None]) if gradient else None
+        return (v if value else None), g
+
+    def evaluate(self, x):
+        return self.jet(_as_points(x), gradient=False)[0]
+
+    def gradient(self, x):
+        return self.jet(_as_points(x), value=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,8 @@ def exp_direction_family(cfg: MultiSolitonConfig, rates_fields,
     rates_fields is a list of (lam_j, Y_j) from the radial eigensolve; the
     same family is boosted to each soliton speed.
     """
-    fam = []
-    for ell in cfg.speeds:
-        per = [build_exp_directions(Y, lam, ell, j=j + 1)
-               for j, (lam, Y) in enumerate(rates_fields)]
-        fam.append(per)
-    return fam
+    return [[build_exp_directions(Y, lam, ell) for lam, Y in rates_fields]
+            for ell in cfg.speeds]
 
 
 def _z_columns(cfg: MultiSolitonConfig, directions, t: float,

@@ -14,7 +14,9 @@ eigenpairs, ``near_zero()`` its near-zero window, ``eigenfield(u, lam)`` the
 field of an eigenvector (None on the cylinder, whose eigenfields stay on
 their grid) and ``samples(f)`` a profile in its symmetrized unknowns with
 the trusted window.  :func:`negative_spectrum` and :func:`kernel_count` are
-one body each over that interface.
+one body each over that interface.  A radial eigenfield is a
+:class:`fields.RadialExpField` on its spline radial parts (Y, Y', Y''), the
+data the exponential directions of :mod:`boosts` are built from.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
@@ -38,7 +40,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from .fields import FormulaField, ScalarField, cylinder_points
+from .fields import RadialExpField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
 from .quadrature import SYM_CYL, SYM_RADIAL, QuadratureSpec, symmetry_rank
 from .states import ground_state
@@ -83,7 +85,7 @@ class RadialOperator:
                                       select_range=(-eps, eps))
         return eps, vals, vecs
 
-    def eigenfield(self, u: np.ndarray, lam: float) -> FormulaField:
+    def eigenfield(self, u: np.ndarray, lam: float) -> RadialExpField:
         """The L2(R^4)-normalized radial field of eigenvector u, positive at
         the axis."""
         weight = 2.0 * math.pi**2 * self.h  # |u|^2 sums to L2(R^4) with this
@@ -192,54 +194,32 @@ def assemble_cylindrical(q: ScalarField, length: float = 24.0,
 
 
 def radial_eigenfield(r: np.ndarray, values: np.ndarray,
-                      lam: float) -> FormulaField:
+                      lam: float) -> RadialExpField:
     """Radial field from eigenvector samples: even cubic spline inside, a
-    matched e^{-lam r} r^{-3/2} tail beyond the trusted radius."""
+    matched e^{-lam r} r^{-3/2} tail beyond the trusted radius; a
+    RadialExpField with (kappa, a, b) = (0, 1, 0)."""
     rs = np.concatenate([-r[::-1], r])
     vs = np.concatenate([values[::-1], values])
     spline = CubicSpline(rs, vs)
-    dspline = spline.derivative()
-    d2spline = spline.derivative(2)
     r_t = r[-1] - min(4.0 / max(lam, 0.2), 0.3 * r[-1])
     a_t = float(spline(r_t))
 
     def tail(rr):
         return a_t * np.exp(-lam * (rr - r_t)) * (r_t / rr) ** 1.5
 
-    def val_r(rr):
-        rr = np.asarray(rr, dtype=float)
-        return np.where(rr <= r_t, spline(np.minimum(rr, r_t)),
-                        tail(np.maximum(rr, r_t)))
+    # Y^(k) / tail for k = 0, 1, 2, at rs = max(r, 1e-9)
+    factors = (lambda rs: 1.0, lambda rs: -lam - 1.5 / rs,
+               lambda rs: (lam + 1.5 / rs) ** 2 + 1.5 / rs**2)
 
-    def d1_r(rr):
-        rr = np.asarray(rr, dtype=float)
-        return np.where(rr <= r_t, dspline(np.minimum(rr, r_t)),
-                        tail(np.maximum(rr, r_t))
-                        * (-lam - 1.5 / np.maximum(rr, 1e-9)))
+    def part(k):
+        """Y^(k): the spline's inside the trusted radius, the tail's beyond."""
+        inside = spline.derivative(k)
+        return lambda rr: np.where(
+            rr <= r_t, inside(np.minimum(rr, r_t)),
+            tail(np.maximum(rr, r_t)) * factors[k](np.maximum(rr, 1e-9)))
 
-    def d2_r(rr):
-        rr = np.asarray(rr, dtype=float)
-        inside = d2spline(np.minimum(rr, r_t))
-        rr_s = np.maximum(rr, 1e-9)
-        far = tail(np.maximum(rr, r_t)) * ((lam + 1.5 / rr_s) ** 2
-                                           + 1.5 / rr_s**2)
-        return np.where(rr <= r_t, inside, far)
-
-    def fn(X):
-        return val_r(np.linalg.norm(X, axis=1))
-
-    def grad(X):
-        rr = np.linalg.norm(X, axis=1)
-        unit = np.zeros_like(X)
-        pos = rr > 0
-        unit[pos] = X[pos] / rr[pos, None]
-        return d1_r(rr)[:, None] * unit
-
-    f = FormulaField(fn, grad, symmetry=SYM_RADIAL, decay=50.0,
-                     name=f"Y(lam={lam:.4f})")
-    f.trusted_radius = r_t
-    f.radial_parts = (val_r, d1_r, d2_r)
-    return f
+    return RadialExpField(tuple(map(part, range(3))), trusted_radius=r_t,
+                          decay=50.0, name=f"Y(lam={lam:.4f})")
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from wave4d.boosts import (Boost, apply_H_ell, boost_profile,
                            exp_direction_decay_check, pair_vector,
                            quadratic_form_H, traveling_pair,
                            traveling_profile, z_identity_residual)
-from wave4d.fields import (FieldPair, inner_l2, inner_pair_l2, norm_pair,
-                           zero_field)
+from wave4d.fields import (AffineField, FieldPair, RadialExpField, inner_l2,
+                           inner_pair_l2, norm_pair, zero_field)
 from wave4d.quadrature import QuadratureSpec
 from wave4d.states import symmetry_generator
 
@@ -177,3 +179,49 @@ def test_exp_directions_need_radial_parts(ground_eigen, W):
     lam, _ = ground_eigen
     with pytest.raises(TypeError, match="radial_parts"):
         build_exp_directions(W, lam, 0.3)
+
+
+def _log_space_reference(leaf, X):
+    """A direction leaf's value and gradient with the weight e^(kappa u1)
+    applied to the bracket in log space throughout."""
+    base = leaf.base
+    U = X @ leaf.matrix.T + leaf.shift
+    v0, g0 = dataclasses.replace(base, kappa=0.0).jet(U)
+    g0[:, 0] += base.kappa * v0
+    s = base.kappa * U[:, 0]
+    with np.errstate(divide="ignore"):
+        v = np.sign(v0) * np.exp(s + np.log(np.abs(v0)))
+        g = np.sign(g0) * np.exp(s[:, None] + np.log(np.abs(g0)))
+    return s, v, g @ leaf.matrix
+
+
+def test_direction_weight_never_overflows_far_along_x1(ground_eigen):
+    """Far along x1, where |kappa u1| > 500 and e^(kappa u1) alone overflows,
+    the weighted values and gradients are finite, warn nothing and equal
+    the log-space product: for the ell = 0.5 directions, whose eigenfield
+    has underflowed there, and for a leaf on slowly decaying radial parts,
+    whose product grows past 1e100 while staying finite."""
+    lam, Y = ground_eigen
+    ell = 0.5
+    d = build_exp_directions(Y, lam, ell)
+    leaves = [f for s in "+-" for f in (d[s].pair.first, d[s].pair.second)]
+    slow = (lambda r: np.exp(-0.25 * r), lambda r: -0.25 * np.exp(-0.25 * r),
+            lambda r: 0.0625 * np.exp(-0.25 * r))
+    leaves.append(AffineField(RadialExpField(slow, 0.5, 1.2, -0.3),
+                              leaves[0].matrix, np.zeros(4)))
+    for leaf in leaves:
+        reach = 500.0 / abs(leaf.base.kappa * leaf.matrix[0, 0])
+        x1 = np.linspace(1.01 * reach, 2.8 * reach, 7)
+        X = np.zeros((28, 4))
+        X[:, 0] = np.tile(np.concatenate([x1, -x1]), 2)
+        X[14:, 1] = 3.0
+        s, v_ref, g_ref = _log_space_reference(leaf, X)
+        assert np.all(np.abs(s) > 500.0) and np.max(np.abs(s)) > 710.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, g = leaf.evaluate(X), leaf.gradient(X)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+        np.testing.assert_allclose(v, v_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-13, atol=0.0)
+    grows = np.abs(v[X[:, 0] > 0.0])  # the slow leaf's, beyond exp's range
+    assert np.all((grows > 1e100) & (grows < 1e305))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wave4d.fields import (AffineField, Combination, FieldPair, FormulaField,
-                           Grid2DCyl, PolyRadialField, SampledField,
-                           SymmetryMismatch, cylinder_points,
+                           Grid2DCyl, PolyRadialField, RadialExpField,
+                           SampledField, SymmetryMismatch, cylinder_points,
                            hardy_sobolev_check, inner_hdot1, inner_l2,
                            inner_pair_h, inner_pair_l2, integrate_field,
                            load_field, load_field_csv, load_pair, norm_hdot1,
@@ -447,13 +447,15 @@ def _product_read(leaf, X, part):
     return leaf.base.gradient(Y) @ leaf.derivative
 
 
-def test_diagonal_affine_leaves_equal_the_matrix_product(W, rng):
-    """Traveling, dilated and translated leaves map, chain and read their
-    derivative leaves elementwise, bit for bit the general products, and
-    so do the sampler's "h" and "l2" stacks; a rotated leaf, whose matrix
-    is not diagonal, still takes the products."""
-    from wave4d.boosts import (component_derivative, traveling_pair,
-                               traveling_profile)
+def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
+                                                         rng):
+    """Traveling, dilated and translated leaves and an exponential-direction
+    component, plain and translated, map, chain and read their derivative
+    leaves elementwise, bit for bit the general products (a chain is
+    g * diag(A) on a copy), and so do the sampler's "h" and "l2" stacks; a
+    rotated leaf, whose matrix is not diagonal, still takes the products."""
+    from wave4d.boosts import (build_exp_directions, component_derivative,
+                               traveling_pair, traveling_profile)
     from wave4d.states import rotate, translate
 
     X = np.concatenate([rng.uniform(-5.0, 5.0, size=(200, 4)),
@@ -465,9 +467,15 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, rng):
     tilted = translate(W, [0.3, 0.0, 0.0, -0.2])
     rotated = rotate(symmetry_generator(W, "translation_1"),
                      [0.3, -0.2, 0.1, 0.4, 0.0, -0.5])
+    direction = build_exp_directions(ground_eigen[1], ground_eigen[0],
+                                     0.4)["-"].pair
+    shifted = translate(direction.second, [-2.5, 0.0, 0.0, 0.0])
+    assert isinstance(shifted.base, RadialExpField) and \
+        shifted.base is direction.second.base
     assert lam == 1.7 and np.count_nonzero(
         rotated.matrix - np.diag(np.diag(rotated.matrix))) > 0
     for leaf in (moving, dilated, translated, tilted, rotated,
+                 direction.second, shifted,
                  component_derivative(moving, 0),
                  component_derivative(rotated, 2)):
         assert isinstance(leaf, AffineField)
@@ -476,10 +484,16 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, rng):
         if leaf.derivative is None:
             assert np.array_equal(leaf.gradient(X),
                                   _product_read(leaf, X, "gradient"))
+        if leaf._cols is not None:
+            g = rng.normal(size=X.shape)
+            kept = g.copy()
+            assert np.array_equal(leaf._chain(g), g * np.diag(leaf.matrix))
+            assert np.array_equal(g, kept)
 
     pairs = [traveling_pair(W, 0.4, 1.3), FieldPair(W, moving),
              FieldPair(dilate(W, 1.7), translated),
-             FieldPair(rotated, tilted - 0.5 * rotated)]
+             FieldPair(rotated, tilted - 0.5 * rotated), direction,
+             FieldPair(shifted, direction.first)]
     for kind, got in zip(("h", "l2"), pair_sampler([("h", pairs),
                                                     ("l2", pairs)])(X)):
         # the sampler's accumulation, term by term, from the products

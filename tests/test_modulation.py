@@ -433,22 +433,28 @@ def test_decompose_block_maps_each_leaf_once_per_batch(cfg, dirs,
                                                       monkeypatch):
     """On the criterion-8 data the decompose block maps each distinct leaf
     at most once per batch: 6 basis leaves, each pair's second component
-    read off its first's jet, and 8 Z+- leaves.  dev = u - sum Q_n holds no
+    read off its first's jet, and 8 Z+- leaves, each of which takes one
+    jet of its radial-exponential base.  dev = u - sum Q_n holds no
     soliton leaf, so neither does the remainder."""
     import wave4d.fields as fields
     import wave4d.modulation as modulation
-    from wave4d.fields import AffineField
+    from wave4d.fields import AffineField, RadialExpField
 
     T = 20.0
     z = 0.5 * T**-3.5 * np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
     built = build_initial_data(cfg, T, z, dirs, SPEC)
-    count = {"on": False, "maps": 0, "batches": 0}
+    count = {"on": False, "maps": 0, "jets": 0, "batches": 0}
     real_map, real_block = AffineField._map, modulation.pairing_block
+    real_jet = RadialExpField.jet
     real_integrate = fields.integrate_callable
 
     def counted_map(self, X):
         count["maps"] += count["on"]
         return real_map(self, X)
+
+    def counted_jet(self, *args, **kwargs):
+        count["jets"] += count["on"]
+        return real_jet(self, *args, **kwargs)
 
     def counted_integrate(fn, *args, **kwargs):
         def batch(X):
@@ -464,11 +470,13 @@ def test_decompose_block_maps_each_leaf_once_per_batch(cfg, dirs,
             count["on"] = False
 
     monkeypatch.setattr(AffineField, "_map", counted_map)
+    monkeypatch.setattr(RadialExpField, "jet", counted_jet)
     monkeypatch.setattr(fields, "integrate_callable", counted_integrate)
     monkeypatch.setattr(modulation, "pairing_block", first_block)
     st_ = decompose(built["u"], cfg, T, SPEC, directions=dirs)
     assert count["batches"] > 0
     assert count["maps"] <= 14 * count["batches"]
+    assert 0 < count["jets"] <= 8 * count["batches"]
     for part in (st_.remainder.first, st_.remainder.second):
         assert all(getattr(leaf, "base", leaf) is not cfg.profiles[0]
                    for _, leaf in part.terms)
