@@ -4,10 +4,13 @@ BENCH_<n>.json.
 
     python3 scripts/bench_snapshot.py [--checkout DIR]
 
-Each workload runs twice through the checkout's ``benchmark/run.py``
-(default checkout: this repository), at seed 1 for the benchmark's 15 s:
-with ``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for the
-per-layer ones.  Every snapshot runs the same way, so any two compare.
+Each workload runs through the checkout's ``benchmark/run.py`` (default
+checkout: this repository), at seed 1 for the benchmark's 15 s: once with
+``--trace 0`` for the end-to-end metrics, then three times with
+``--trace 1`` for the per-layer ones.  A single traced run is one sample at
+whatever load it met, so the snapshot keeps each per-layer metric's three
+values and their median.  Every snapshot runs the same way, so any two
+compare.
 Then the checkout's ``scripts/run_all_suites.py`` runs once into a temporary
 directory; the snapshot keeps each suite's wall time, the exit status and a
 sha256 of each ``<suite>_results.json``, so equal digests in two snapshots
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("projection", "dynamics", "laws")
 SEED = 1
 SECONDS = 15.0
+TRACED_RUNS = 3
 
 
 def _git(checkout: Path, *args) -> str:
@@ -63,6 +68,19 @@ def _run(checkout: Path, workload: str, trace: int) -> dict:
     print(f"  correct {result['correct']}, failed {result['failed']} of "
           f"{result['attempted']}", flush=True)
     return result
+
+
+def _traced(checkout: Path, workload: str) -> dict:
+    """The verdicts of TRACED_RUNS traced runs, and per layer metric its
+    values and their median."""
+    runs = [_run(checkout, workload, 1) for _ in range(TRACED_RUNS)]
+    metrics = {}
+    for name, m in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        metrics[name] = dict(values=values, median=statistics.median(values),
+                             unit=m["unit"])
+    return dict(runs=[{k: r[k] for k in ("correct", "attempted", "failed")}
+                      for r in runs], metrics=metrics)
 
 
 def _suites(checkout: Path) -> dict:
@@ -105,9 +123,9 @@ def main(argv=None) -> int:
         date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         seed=SEED, seconds=SECONDS, workloads={})
     for workload in WORKLOADS:
-        snapshot["workloads"][workload] = {
-            kind: _run(checkout, workload, trace)
-            for trace, kind in ((0, "end_to_end"), (1, "per_layer"))}
+        snapshot["workloads"][workload] = dict(
+            end_to_end=_run(checkout, workload, 0),
+            per_layer=_traced(checkout, workload))
     snapshot["suites"] = _suites(checkout)
 
     path = next_path(ROOT)

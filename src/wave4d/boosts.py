@@ -65,12 +65,11 @@ def traveling_profile(f: ScalarField, ell: float, t: float,
     b = Boost(ell)
     if ell == 0.0 and t == 0.0 and tau == 1:
         return f
-    A = np.eye(4)
-    A[0, 0] = b.gamma
+    scale = np.array([b.gamma, 1.0, 1.0, 1.0])
     shift = np.array([-b.gamma * ell * t, 0.0, 0.0, 0.0])
     sym = f.symmetry if (ell == 0.0 and t == 0.0) else \
         join_symmetry(f.symmetry, SYM_CYL)
-    ft = AffineField(f, A, shift, symmetry=sym, decay=f.decay)
+    ft = AffineField(f, scale, shift, symmetry=sym, decay=f.decay)
     return ft if tau == 1 else ft * float(tau)
 
 
@@ -92,8 +91,8 @@ def component_derivative(f: ScalarField, axis: int) -> ScalarField:
         return Combination(tuple((c, component_derivative(g, axis))
                                  for c, g in f.terms), f.symmetry, dec)
     if isinstance(f, AffineField) and f.derivative is None:
-        return AffineField(f.base, f.matrix, f.shift, symmetry=f.symmetry,
-                           decay=dec, derivative=f.matrix[:, axis].copy())
+        return AffineField(f.base, f.scale, f.shift, symmetry=f.symmetry,
+                           decay=dec, derivative=axis)
     return FormulaField(lambda X: f.gradient(X)[:, axis],
                         symmetry=f.symmetry, decay=dec,
                         name=f"d{axis + 1}[{getattr(f, 'name', '')}]")
@@ -172,12 +171,12 @@ def _direction_fields(Yj, lam, ell, sign):
         raise TypeError("exponential directions need a radial eigenfield "
                         "with radial_parts (spectrum.radial_eigenfield)")
     gamma = Boost(ell).gamma
-    A = np.diag([gamma, 1.0, 1.0, 1.0])
+    scale = np.array([gamma, 1.0, 1.0, 1.0])
     sym = join_symmetry(Yj.symmetry, SYM_CYL)
     return tuple(
         AffineField(RadialExpField(Yj.radial_parts, -sign * ell * lam, a, b,
                                    name=f"ups{sign:+d},{k}"),
-                    A, np.zeros(4), symmetry=sym)
+                    scale, np.zeros(4), symmetry=sym)
         for k, a, b in ((1, 1.0, 0.0),
                         (2, sign * lam * gamma, -ell * gamma)))
 

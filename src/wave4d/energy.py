@@ -61,7 +61,6 @@ class CutoffChiN:
         x1 = np.asarray(x1, dtype=float)
         ells = np.asarray(self.speeds)
         out = np.full(x1.shape, ells[0])
-        slope = 1.0 / ((1.0 - 2.0 * self.delta) * t)
         for n in range(len(ells) - 1):
             lo, hi = self.upper[n] * t, self.lower[n] * t
             ramp = (x1 >= lo) & (x1 < hi)

@@ -20,11 +20,12 @@ reflection of the data) from well-prepared states with a prescribed
 outgoing amplitude and bisects on the amplitude that maximizes the time
 spent inside the deviation tube.  Edge values depend on t only through
 the soliton centers, so they are evaluated again only when the centers
-move.  The soliton sum and the decomposition basis of a speed-ell
-configuration only translate, so GridBasis keys its samplings on the
-sub-grid phase ell t / h1 mod 1: a later time at a kept phase is served by
-an index shift along x1, with only the exposed rows sampled afresh (once in
-all for solitons at rest).
+move.  GridBasis samples the soliton sum as one more column of the
+decomposition basis's one sampling.  Both only translate in a speed-ell
+configuration, so GridBasis keys its samplings on the sub-grid phase
+ell t / h1 mod 1: a later time at a kept phase is served by an index shift
+along x1, with only the exposed rows sampled afresh (once in all for
+solitons at rest).
 """
 
 from __future__ import annotations
@@ -138,15 +139,6 @@ def laplacian_operator(grid: Grid2DCyl) -> sparse.dia_matrix:
     return op
 
 
-@dataclass
-class EvolutionState:
-    grid: Grid2DCyl
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    dt: float
-
-
 class CylWaveEvolver:
     """Leapfrog integrator for d_tt u = Delta u + u^3 on a cylinder grid.
 
@@ -211,10 +203,6 @@ class CylWaveEvolver:
 
     def v_sync(self) -> np.ndarray:
         return self.v_half - 0.5 * self.dt * self.force
-
-    def state(self) -> EvolutionState:
-        return EvolutionState(grid=self.grid, u=self.u.copy(),
-                              v=self.v_sync(), t=self.t, dt=self.dt)
 
     def reflected(self) -> "CylWaveEvolver":
         """Time-reflected copy; forward-evolving it retraces the past.  It
@@ -283,15 +271,16 @@ class GridBasis:
     """Configuration, grid and exponential-direction family of the in-loop
     decomposition.  The directions of each speed are built once.
 
-    sample(t) keys its grid samplings on the sub-grid phase of the soliton
-    centers.  A time whose centers lie a whole number k of x1 rows from
-    those of a kept sampling is served from it: its columns move k rows in
-    place and only the k rows that exposes are sampled (k = 0 at rest, so a
-    run at rest samples once).  A time at a new phase samples the whole grid
-    and evicts the oldest of KEPT_PHASES kept phases.  Solitons of different
-    speeds share a phase only while their centers stand still.  G and
-    cond(G) are formed per served time, since they depend on where the grid
-    truncates the moved fields.  Later times of its phase move a served
+    sample(t) takes every column, the soliton sum q among them, from one
+    pair_sampler, and keys its grid samplings on the sub-grid phase of the
+    soliton centers.  A time whose centers lie a whole number k of x1 rows
+    from those of a kept sampling is served from it: its columns move k
+    rows in place and only the k rows that exposes are sampled (k = 0 at
+    rest, so a run at rest samples once).  A time at a new phase samples the
+    whole grid and evicts the oldest of KEPT_PHASES kept phases.  Solitons
+    of different speeds share a phase only while their centers stand still.
+    G and cond(G) are formed per served time, since they depend on where the
+    grid truncates the moved fields.  Later times of its phase move a served
     sampling's arrays, so a caller that keeps them copies them.
     """
 
@@ -327,15 +316,7 @@ class GridBasis:
         if len(self._kept) == KEPT_PHASES:
             del self._kept[0]
         grid, nb = self.grid, self._n_basis
-        # the whole-grid soliton sum goes through eval_on_grid, which
-        # benchmark/tracing.py counts as grid samples; it is taken before the
-        # columns exist, so its temporaries do not add to theirs
-        q = [sum(eval_on_grid(getattr(p, part), grid).ravel()
-                 for p in _soliton_pairs(self.cfg, t))
-             for part in ("first", "second")]
         F = np.empty((4 * nb + 2 * self._n_z + 2, grid.n1 * grid.nr))
-        F[-2:] = q
-        del q
         self._fill(F, t, 0, grid.n1)
         s = dict(first=F[:nb], H=F[nb:4 * nb].reshape(nb, 3, -1),
                  Z=F[4 * nb:-2].reshape(self._n_z, 2, -1),
@@ -349,25 +330,27 @@ class GridBasis:
         self._kept.clear()
 
     def _fill(self, F, t: float, lo: int, hi: int):
-        """Sample x1 rows lo:hi of the basis and Z+- columns of F at time t,
-        in the layout of sample(): the first components, then (d1, dr,
-        second) per basis pair, then (first, second) per Z+- column.  The
-        rows go in blocks of about _BLOCK_POINTS points, which bounds the
-        evaluation temporaries."""
+        """Sample x1 rows lo:hi of every column of F at time t, in the
+        layout of sample(): the first components, then (d1, dr, second) per
+        basis pair, then (first, second) per Z+- column and of the soliton
+        sum q.  The rows go in blocks of about _BLOCK_POINTS points, which
+        bounds the evaluation temporaries."""
         cfg, grid, nb = self.cfg, self.grid, self._n_basis
         basis = basis_pairs(cfg, t)[0]
+        q = pair_sum(_soliton_pairs(cfg, t))
         sample = pair_sampler([("l2", basis), ("h", basis),
-                               ("l2", _z_columns(cfg, self.directions, t))])
+                               ("l2", _z_columns(cfg, self.directions, t)
+                                + [q])])
         step = max(_BLOCK_POINTS // grid.nr, 1)
         for b_lo in range(lo, hi, step):
             b_hi = min(b_lo + step, hi)
             X = cylinder_points(grid.x1[b_lo:b_hi], grid.r)
             out = F[:, b_lo * grid.nr:b_hi * grid.nr]
-            l2, h, z = sample(X)
+            l2, h, zq = sample(X)
             out[:nb] = l2[:, :, 0].T
             # "h" features: d1, dr, d3, d4, second
             out[nb:4 * nb] = h[:, :, (0, 1, 4)].reshape(len(X), -1).T
-            out[4 * nb:-2] = z.reshape(len(X), -1).T
+            out[4 * nb:] = zq.reshape(len(X), -1).T
 
     def _move(self, F, t: float, k: int):
         """Move every column of F by k x1 rows in place, the translation of
@@ -383,9 +366,6 @@ class GridBasis:
         lo, hi = (0, min(k, grid.n1)) if k > 0 else (max(grid.n1 + k, 0),
                                                    grid.n1)
         self._fill(F, t, lo, hi)
-        X = cylinder_points(grid.x1[lo:hi], grid.r)
-        q = pair_sum(_soliton_pairs(self.cfg, t))
-        F[-2:, lo * grid.nr:hi * grid.nr] = q.first(X), q.second(X)
 
     def _gram(self, s: dict):
         H = s["H"]

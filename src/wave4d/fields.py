@@ -17,10 +17,11 @@ needs:
 * :class:`Combination` sum_i c_i L_i is every sum and scalar multiple: flat
   over leaves, equal leaves merged and exact zeros dropped.  A leaf is one
   field, typically one base field under one composed :class:`AffineField`
-  map, or its derivative along a vector (a traveling pair's second
-  component).  The one sampler :func:`pair_sampler` serves every pairing:
-  per batch of points it maps each distinct leaf once and takes its value
-  and gradient together where they are read.
+  map x -> diag(scale) x + shift, or its derivative along one axis (a
+  traveling pair's second component).  The one sampler
+  :func:`pair_sampler` serves every pairing: per batch of points it maps
+  each distinct leaf once and takes its value and gradient together where
+  they are read.
 
 Sampled fields live on the cylindrical grid :class:`Grid2DCyl` with
 piecewise-cubic interpolation and are serialized in a self-describing .npz
@@ -146,54 +147,47 @@ class FormulaField(ScalarField):
 
 @dataclass
 class AffineField(ScalarField):
-    """f(A x + b) for a linear map A, with the exact chain-rule gradient.
+    """f(diag(scale) x + shift), with the exact chain-rule gradient.
 
-    With a vector w as ``derivative`` it is the directional derivative
-    (grad f)(A x + b) . w instead, so w = A[:, j] gives d/dx_j of f(A x + b);
-    its own gradient falls back to finite differences.
-
-    A diagonal A (traveling, dilated and translated leaves) maps and chains
-    column by column, and a w with one nonzero entry reads one column; the
-    products' other terms are exact zeros, so the results agree bit for bit.
+    Every map the laboratory builds (a boost along e1, a dilation, a
+    translation) scales each axis on its own, so a leaf keeps the per-axis
+    ``scale`` and maps and chains column by column.  With an axis j as
+    ``derivative`` it is d/dx_j of f(diag(scale) x + shift), that is
+    scale_j (d_j f)(diag(scale) x + shift), instead; its own gradient falls
+    back to finite differences.
     """
 
     base: ScalarField
-    matrix: np.ndarray
+    scale: np.ndarray
     shift: np.ndarray
     symmetry: str = SYM_FULL
     decay: float | None = None
-    derivative: np.ndarray | None = None
+    derivative: int | None = None
 
     def __post_init__(self):
-        d = np.diag(self.matrix)
-        # a diagonal A maps the columns it moves, (j, A_jj, b_j), one by one
-        self._cols = None if np.count_nonzero(self.matrix - np.diag(d)) else [
-            (j, d[j], self.shift[j]) for j in range(4)
-            if d[j] != 1.0 or self.shift[j] != 0.0]
+        # the columns the map moves, (j, scale_j, shift_j)
+        self._cols = [(j, self.scale[j], self.shift[j]) for j in range(4)
+                      if self.scale[j] != 1.0 or self.shift[j] != 0.0]
 
     def _map(self, X):
-        if self._cols is None:
-            return X @ self.matrix.T + self.shift
         Y = X.copy()
         for j, a, b in self._cols:
             Y[:, j] = Y[:, j] * a + b
         return Y
 
     def _chain(self, g):
-        """g @ A, for gradients g of the base at mapped points; a diagonal
-        A scales the columns it stretches, on a copy."""
-        if self._cols is None:
-            return g @ self.matrix
+        """g diag(scale), for gradients g of the base at mapped points; it
+        scales the columns the map stretches, on a copy."""
         g = g.copy()
         for j, a, _ in self._cols:
             g[:, j] *= a
         return g
 
     def _directional(self, g):
-        """g @ w, for gradients g of the base at mapped points."""
-        w = self.derivative
-        j = np.flatnonzero(w)
-        return g[:, j[0]] * w[j[0]] if len(j) == 1 else g @ w
+        """The derivative leaf's value, for gradients g of the base at
+        mapped points."""
+        j = self.derivative
+        return g[:, j] * self.scale[j]
 
     def evaluate(self, x):
         Y = self._map(_as_points(x))
@@ -235,12 +229,11 @@ def _terms(f: ScalarField) -> tuple:
 
 def _leaf_key(leaf: ScalarField) -> tuple:
     """Leaves are equal when they are one field, or one base field under
-    byte-equal maps (and derivative vectors)."""
+    byte-equal maps (and derivative axes)."""
     if not isinstance(leaf, AffineField):
         return (id(leaf),)
-    maps = (leaf.matrix, leaf.shift, leaf.derivative)
-    return (id(leaf.base),) + tuple(None if a is None else a.tobytes()
-                                    for a in maps)
+    return (id(leaf.base), leaf.scale.tobytes(), leaf.shift.tobytes(),
+            leaf.derivative)
 
 
 def zero_field() -> Combination:

@@ -179,8 +179,8 @@ def dilate(f: ScalarField, lam: float) -> ScalarField:
     """lam * f(lam x)."""
     if lam <= 0:
         raise ValueError("dilation parameter must be positive")
-    return AffineField(f, lam * np.eye(4), np.zeros(4), symmetry=f.symmetry,
-                       decay=f.decay) * lam
+    return AffineField(f, np.full(4, float(lam)), np.zeros(4),
+                       symmetry=f.symmetry, decay=f.decay) * lam
 
 
 def translate(f: ScalarField, x0) -> ScalarField:
@@ -195,17 +195,19 @@ def translate(f: ScalarField, x0) -> ScalarField:
         return Combination(tuple((c, translate(g, x0)) for c, g in f.terms),
                            symmetry=sym, decay=f.decay)
     if not isinstance(f, AffineField):
-        f = AffineField(f, np.eye(4), np.zeros(4), decay=f.decay)
-    return AffineField(f.base, f.matrix, f.matrix @ x0 + f.shift, symmetry=sym,
+        f = AffineField(f, np.ones(4), np.zeros(4), decay=f.decay)
+    return AffineField(f.base, f.scale, f.scale * x0 + f.shift, symmetry=sym,
                        decay=f.decay, derivative=f.derivative)
 
 
-def rotate(f: ScalarField, theta) -> ScalarField:
-    """f(R_theta x)."""
+def rotate(f: ScalarField, theta) -> FormulaField:
+    """f(R_theta x), with the exact gradient (grad f)(R_theta x) R_theta."""
     R = rotation_matrix(theta)
-    return AffineField(f, R, np.zeros(4), symmetry=SYM_FULL
-                       if f.symmetry != SYM_RADIAL else SYM_RADIAL,
-                       decay=f.decay)
+    return FormulaField(lambda X: f.evaluate(X @ R.T),
+                        lambda X: f.gradient(X @ R.T) @ R,
+                        symmetry=SYM_FULL if f.symmetry != SYM_RADIAL
+                        else SYM_RADIAL, decay=f.decay,
+                        name=f"R[{getattr(f, 'name', '')}]")
 
 
 def kelvin(f: ScalarField) -> FormulaField:

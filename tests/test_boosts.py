@@ -184,15 +184,15 @@ def test_exp_directions_need_radial_parts(ground_eigen, W):
 def _log_space_reference(leaf, X):
     """A direction leaf's value and gradient with the weight e^(kappa u1)
     applied to the bracket in log space throughout."""
-    base = leaf.base
-    U = X @ leaf.matrix.T + leaf.shift
+    base, A = leaf.base, np.diag(leaf.scale)
+    U = X @ A.T + leaf.shift
     v0, g0 = dataclasses.replace(base, kappa=0.0).jet(U)
     g0[:, 0] += base.kappa * v0
     s = base.kappa * U[:, 0]
     with np.errstate(divide="ignore"):
         v = np.sign(v0) * np.exp(s + np.log(np.abs(v0)))
         g = np.sign(g0) * np.exp(s[:, None] + np.log(np.abs(g0)))
-    return s, v, g @ leaf.matrix
+    return s, v, g @ A
 
 
 def test_direction_weight_never_overflows_far_along_x1(ground_eigen):
@@ -208,9 +208,9 @@ def test_direction_weight_never_overflows_far_along_x1(ground_eigen):
     slow = (lambda r: np.exp(-0.25 * r), lambda r: -0.25 * np.exp(-0.25 * r),
             lambda r: 0.0625 * np.exp(-0.25 * r))
     leaves.append(AffineField(RadialExpField(slow, 0.5, 1.2, -0.3),
-                              leaves[0].matrix, np.zeros(4)))
+                              leaves[0].scale, np.zeros(4)))
     for leaf in leaves:
-        reach = 500.0 / abs(leaf.base.kappa * leaf.matrix[0, 0])
+        reach = 500.0 / abs(leaf.base.kappa * leaf.scale[0])
         x1 = np.linspace(1.01 * reach, 2.8 * reach, 7)
         X = np.zeros((28, 4))
         X[:, 0] = np.tile(np.concatenate([x1, -x1]), 2)

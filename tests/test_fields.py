@@ -439,12 +439,13 @@ def _product_read(leaf, X, part):
     """A leaf's value or gradient through the general matrix products."""
     if not isinstance(leaf, AffineField):
         return leaf.evaluate(X) if part == "value" else leaf.gradient(X)
-    Y = X @ leaf.matrix.T + leaf.shift
+    A = np.diag(leaf.scale)
+    Y = X @ A.T + leaf.shift
     if part == "gradient":
-        return leaf.base.gradient(Y) @ leaf.matrix
+        return leaf.base.gradient(Y) @ A
     if leaf.derivative is None:
         return leaf.base.evaluate(Y)
-    return leaf.base.gradient(Y) @ leaf.derivative
+    return leaf.base.gradient(Y) @ A[:, leaf.derivative]
 
 
 def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
@@ -452,11 +453,12 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
     """Traveling, dilated and translated leaves and an exponential-direction
     component, plain and translated, map, chain and read their derivative
     leaves elementwise, bit for bit the general products (a chain is
-    g * diag(A) on a copy), and so do the sampler's "h" and "l2" stacks; a
-    rotated leaf, whose matrix is not diagonal, still takes the products."""
+    g * scale on a copy), and so do the sampler's "h" and "l2" stacks; a
+    rotated field, whose map is not diagonal, is a formula field that takes
+    the products f(X R^T) and grad f(X R^T) R."""
     from wave4d.boosts import (build_exp_directions, component_derivative,
                                traveling_pair, traveling_profile)
-    from wave4d.states import rotate, translate
+    from wave4d.states import rotate, rotation_matrix, translate
 
     X = np.concatenate([rng.uniform(-5.0, 5.0, size=(200, 4)),
                         cylinder_points(np.linspace(-4.0, 4.0, 9),
@@ -465,30 +467,35 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
     (lam, dilated), = dilate(W, 1.7).terms
     translated = translate(W, [0.3, 0.0, 0.0, 0.0])
     tilted = translate(W, [0.3, 0.0, 0.0, -0.2])
-    rotated = rotate(symmetry_generator(W, "translation_1"),
-                     [0.3, -0.2, 0.1, 0.4, 0.0, -0.5])
+    theta = [0.3, -0.2, 0.1, 0.4, 0.0, -0.5]
+    generator = symmetry_generator(W, "translation_1")
+    rotated = rotate(generator, theta)
     direction = build_exp_directions(ground_eigen[1], ground_eigen[0],
                                      0.4)["-"].pair
     shifted = translate(direction.second, [-2.5, 0.0, 0.0, 0.0])
     assert isinstance(shifted.base, RadialExpField) and \
         shifted.base is direction.second.base
-    assert lam == 1.7 and np.count_nonzero(
-        rotated.matrix - np.diag(np.diag(rotated.matrix))) > 0
-    for leaf in (moving, dilated, translated, tilted, rotated,
+    R = rotation_matrix(theta)
+    assert lam == 1.7 and np.count_nonzero(R - np.diag(np.diag(R))) > 0
+    assert isinstance(rotated, FormulaField)
+    assert np.array_equal(rotated.evaluate(X), generator.evaluate(X @ R.T))
+    assert np.array_equal(rotated.gradient(X),
+                          generator.gradient(X @ R.T) @ R)
+    assert np.array_equal(component_derivative(rotated, 2).evaluate(X),
+                          (generator.gradient(X @ R.T) @ R)[:, 2])
+    for leaf in (moving, dilated, translated, tilted,
                  direction.second, shifted,
-                 component_derivative(moving, 0),
-                 component_derivative(rotated, 2)):
+                 component_derivative(moving, 0)):
         assert isinstance(leaf, AffineField)
         assert np.array_equal(leaf.evaluate(X),
                               _product_read(leaf, X, "value"))
         if leaf.derivative is None:
             assert np.array_equal(leaf.gradient(X),
                                   _product_read(leaf, X, "gradient"))
-        if leaf._cols is not None:
-            g = rng.normal(size=X.shape)
-            kept = g.copy()
-            assert np.array_equal(leaf._chain(g), g * np.diag(leaf.matrix))
-            assert np.array_equal(g, kept)
+        g = rng.normal(size=X.shape)
+        kept = g.copy()
+        assert np.array_equal(leaf._chain(g), g * leaf.scale)
+        assert np.array_equal(g, kept)
 
     pairs = [traveling_pair(W, 0.4, 1.3), FieldPair(W, moving),
              FieldPair(dilate(W, 1.7), translated),
