@@ -718,6 +718,8 @@ def load_field_csv(path) -> SampledField:
         rows = [row for row in csv.reader(fh)
                 if row and not row[0].lstrip().startswith("#")]
     data = np.asarray(rows, dtype=float)
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise ValueError("CSV needs data rows of three values x1,r,value")
     x1 = np.unique(data[:, 0])
     r = np.unique(data[:, 1])
     if len(x1) * len(r) != data.shape[0]:

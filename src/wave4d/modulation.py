@@ -86,14 +86,13 @@ class ModulationState:
 @dataclass
 class GramSystem:
     matrix: np.ndarray
-    labels: list
     cond: float
 
     @classmethod
-    def of(cls, matrix: np.ndarray, labels: list) -> "GramSystem":
+    def of(cls, matrix: np.ndarray) -> "GramSystem":
         """The system of matrix, with its condition number (1 when empty)."""
-        return cls(matrix, labels,
-                   float(np.linalg.cond(matrix)) if labels else 1.0)
+        return cls(matrix,
+                   float(np.linalg.cond(matrix)) if matrix.size else 1.0)
 
 
 def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
@@ -111,9 +110,9 @@ def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
 def gram_system(cfg: MultiSolitonConfig, t: float,
                 spec: QuadratureSpec | None = None) -> GramSystem:
     """Energy-pairing Gram matrix of the kernel-direction basis pairs."""
-    fields, labels = basis_pairs(cfg, t)
+    fields, _ = basis_pairs(cfg, t)
     return GramSystem.of(pairing_block(fields, fields, "h",
-                                       cfg.quad_spec(t, spec)), labels)
+                                       cfg.quad_spec(t, spec)))
 
 
 def exp_direction_family(cfg: MultiSolitonConfig, rates_fields,
@@ -188,7 +187,7 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     """
     spec_c = cfg.quad_spec(t, spec)
     dev = pair_sum([u] + _soliton_pairs(cfg, t), [1.0] + [-1.0] * cfg.n)
-    fields, labels = basis_pairs(cfg, t)
+    fields, _ = basis_pairs(cfg, t)
 
     # one block: ||dev||^2, the Gram matrix and the right-hand side in the
     # energy pairing, and (dev, Z+-)_L2 with the basis rows' (f, Z+-)_L2
@@ -200,14 +199,14 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     if dev_norm >= gamma0:
         raise ValueError(f"deviation {dev_norm:.3g} outside the gamma0 = "
                          f"{gamma0} tube; decomposition not attempted")
-    gram = GramSystem.of(H[1:, 1:], labels)
+    gram = GramSystem.of(H[1:, 1:])
     if gram.cond > cond_threshold:
         raise GramIllConditioned(
             f"Gram condition {gram.cond:.3g} exceeds {cond_threshold:.3g}; "
             "solitons too close or t too small")
     coef = np.linalg.solve(gram.matrix, H[0, 1:]) if fields else np.zeros(0)
 
-    # labels list the slow directions, then the kernel rows (basis_pairs)
+    # the basis lists the slow directions, then the kernel rows
     a, b = coef[:cfg.n], coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
     phi = pair_sum([dev] + fields, [1.0] + [-float(c) for c in coef])
 

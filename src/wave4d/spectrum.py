@@ -1,20 +1,19 @@
 """Discretized eigenproblem for the linearized operator -Delta - 3 q^2.
 
-The radial sector reduces to -(d2/dr2 + (3/r) d/dr) - 3 q(r)^2 on (0, R)
-with a Dirichlet wall at R.  A finite-volume discretization on cell centers
-conserves the r^3 flux exactly at the axis and is symmetrized by the measure
-weight, giving a symmetric tridiagonal matrix solved densely (deterministic,
-all eigenvalues available).  The cylindrical sector couples a node-centered
-x1 axis with the same finite-volume reduction in the 3D transverse radius
-and is solved by shift-invert Lanczos around a negative shift with a fixed
-start vector.
+One sector is solved: the radial one, where the operator reduces to
+-(d2/dr2 + (3/r) d/dr) - 3 q(r)^2 on (0, R) with a Dirichlet wall at R.  A
+finite-volume discretization on cell centers conserves the r^3 flux exactly
+at the axis and is symmetrized by the measure weight, giving a symmetric
+tridiagonal matrix solved densely (deterministic, all eigenvalues
+available).  The non-radial kernel (the translation and conformal
+generators) is checked directly instead: acceptance criterion 2 requires
+each of the 15 generators that does not vanish on W, translation_1 among
+them, to have a residual under -Delta - 3 W^2 that refines at order
+>= 1.8.
 
-Each operator owns its solve: ``lowest(k)`` returns its k lowest
-eigenpairs, ``near_zero()`` its near-zero window, ``eigenfield(u, lam)`` the
-field of an eigenvector (None on the cylinder, whose eigenfields stay on
-their grid) and ``samples(f)`` a profile in its symmetrized unknowns with
-the trusted window.  :func:`negative_spectrum` and :func:`kernel_count` are
-one body each over that interface.  A radial eigenfield is a
+:func:`negative_spectrum` takes the k lowest eigenpairs by index and
+:func:`kernel_count` the near-zero window through
+:func:`eigenpairs_between`.  A radial eigenfield is a
 :class:`fields.RadialExpField` on its spline radial parts (Y, Y', Y''), the
 data the exponential directions of :mod:`boosts` are built from.
 
@@ -33,20 +32,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import ode
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.sparse.linalg import eigsh
 
 from .fields import RadialExpField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
-from .quadrature import SYM_CYL, SYM_RADIAL, QuadratureSpec, symmetry_rank
+from .quadrature import SYM_RADIAL, QuadratureSpec
 from .states import ground_state
 
 # kernel_count aligns modes on the inner TRUSTED_FRACTION of the domain
 TRUSTED_FRACTION = 0.25
+# negative_spectrum counts an eigenvalue below -NEGATIVE_TOL as negative
+NEGATIVE_TOL = 1e-10
 # relative tolerance of the shooting oracle's DOP853 integration
 ORACLE_RTOL = 1e-11
 # step budget of one oracle integration; one takes about 200 steps
@@ -72,85 +71,6 @@ class RadialOperator:
         out[1:] += self.off * u[:-1]
         return out
 
-    def lowest(self, k: int) -> tuple:
-        """The k lowest eigenpairs, densely from the tridiagonal matrix."""
-        return eigh_tridiagonal(self.main, self.off, select="i",
-                                select_range=(0, k - 1))
-
-    def near_zero(self) -> tuple:
-        """(eps, eigenvalues, vectors) of every eigenvalue in [-eps, eps],
-        eps as in :func:`kernel_count`."""
-        eps = max(self.h * self.h, 10.0 / (self.r_max * self.r_max))
-        vals, vecs = eigh_tridiagonal(self.main, self.off, select="v",
-                                      select_range=(-eps, eps))
-        return eps, vals, vecs
-
-    def eigenfield(self, u: np.ndarray, lam: float) -> RadialExpField:
-        """The L2(R^4)-normalized radial field of eigenvector u, positive at
-        the axis."""
-        weight = 2.0 * math.pi**2 * self.h  # |u|^2 sums to L2(R^4) with this
-        Y = u / self.r**1.5
-        Y = Y / math.sqrt(weight * float(np.sum(u * u)))
-        if Y[0] < 0:
-            Y = -Y
-        return radial_eigenfield(self.r, Y, lam)
-
-    def samples(self, f: ScalarField) -> tuple:
-        """f in the unknowns r^{3/2} f(r) and the trusted window
-        r <= TRUSTED_FRACTION * R."""
-        target = f.evaluate(cylinder_points(self.r, [0.0])) * self.r**1.5
-        return target, self.r <= TRUSTED_FRACTION * self.r_max
-
-
-@dataclass
-class CylOperator:
-    """Sparse symmetric reduction on an (x1, rbar) cylinder grid.
-
-    The unknowns are rbar f at the (x1, rbar) nodes, x1-major.
-    """
-
-    matrix: sp.spmatrix
-    x1: np.ndarray
-    r: np.ndarray
-    r_max: float
-    length: float
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-    def _eigsh(self, k: int, sigma: float) -> tuple:
-        n = self.matrix.shape[0]
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        return eigsh(self.matrix, k=k, sigma=sigma, which="LM", v0=v0)
-
-    def lowest(self, k: int) -> tuple:
-        """The k eigenpairs nearest -4 in ascending order, by shift-invert
-        Lanczos from a fixed start vector."""
-        vals, vecs = self._eigsh(k, -4.0)
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
-
-    def near_zero(self) -> tuple:
-        """(eps, eigenvalues, vectors) of the modes in (-eps, eps) among the
-        12 nearest zero."""
-        h = self.r[1] - self.r[0]
-        eps = max(h * h, 10.0 / (self.r_max * self.r_max))
-        vals, vecs = self._eigsh(12, 0.0)
-        sel = np.abs(vals) < eps
-        return eps, vals[sel], vecs[:, sel]
-
-    def eigenfield(self, u: np.ndarray, lam: float) -> None:
-        """Cylinder eigenfields stay on their grid."""
-        return None
-
-    def samples(self, f: ScalarField) -> tuple:
-        """f in the unknowns rbar f(x1, rbar) and the trusted window
-        |x1| <= TRUSTED_FRACTION * length, rbar <= TRUSTED_FRACTION * R."""
-        P = cylinder_points(self.x1, self.r)
-        window = (np.abs(P[:, 0]) <= TRUSTED_FRACTION * self.length) & \
-                 (P[:, 1] <= TRUSTED_FRACTION * self.r_max)
-        return f.evaluate(P) * P[:, 1], window
-
 
 def assemble_radial(q: ScalarField, r_max: float = 30.0,
                     n: int = 3000) -> RadialOperator:
@@ -165,32 +85,6 @@ def assemble_radial(q: ScalarField, r_max: float = 30.0,
     main = (f3[:-1] + f3[1:]) / (h * h * r**3) - 3.0 * qv**2
     off = -f3[1:-1] / (h * h * np.sqrt((r[:-1] * r[1:]) ** 3))
     return RadialOperator(r=r, h=h, main=main, off=off, r_max=r_max)
-
-
-def assemble_cylindrical(q: ScalarField, length: float = 24.0,
-                         r_max: float = 24.0, n1: int = 160,
-                         nr: int = 160) -> CylOperator:
-    """Sparse operator on (x1, rbar); q must be at most cylindrical."""
-    if symmetry_rank(q.symmetry) > symmetry_rank(SYM_CYL):
-        raise ValueError("cylindrical sector requires x1-cylindrical profile")
-    h1 = 2.0 * length / (n1 + 1)
-    x1 = -length + h1 * np.arange(1, n1 + 1)
-    hr = r_max / nr
-    rb = (np.arange(nr) + 0.5) * hr
-    faces = np.arange(nr + 1) * hr
-    f2 = faces**2
-
-    d_r = (f2[:-1] + f2[1:]) / (hr * hr * rb**2)
-    o_r = -f2[1:-1] / (hr * hr * rb[:-1] * rb[1:])
-    A_r = sp.diags([d_r, o_r, o_r], [0, -1, 1], format="csr")
-    A_1 = sp.diags([np.full(n1, 2.0 / h1**2),
-                    np.full(n1 - 1, -1.0 / h1**2),
-                    np.full(n1 - 1, -1.0 / h1**2)], [0, -1, 1], format="csr")
-
-    pot = sp.diags(-3.0 * q.evaluate(cylinder_points(x1, rb)) ** 2)
-    M = sp.kron(A_1, sp.eye(nr)) + sp.kron(sp.eye(n1), A_r) + pot
-    return CylOperator(matrix=M.tocsr(), x1=x1, r=rb, r_max=r_max,
-                       length=length)
 
 
 def radial_eigenfield(r: np.ndarray, values: np.ndarray,
@@ -246,56 +140,60 @@ class SpectralResult:
         return len(self.lams)
 
 
-def negative_spectrum(op, k: int = 4, tol: float = 1e-10) -> SpectralResult:
-    """The k lowest eigenpairs; eigenvalues below -tol count as negative.
+def negative_spectrum(op: RadialOperator, k: int = 4) -> SpectralResult:
+    """The k lowest eigenpairs; eigenvalues below -NEGATIVE_TOL count as
+    negative.
 
-    The operator solves (``op.lowest``) and builds the eigenfields; the Gram
-    matrix pairs the normalized eigenvectors of the negative modes.
+    Each negative mode's field is normalized in L2(R^4) and positive at
+    the axis; the Gram matrix pairs the normalized eigenvectors of the
+    negative modes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    vals, vecs = op.lowest(k)
+    vals, vecs = eigh_tridiagonal(op.main, op.off, select="i",
+                                  select_range=(0, k - 1))
+    # ascending eigenvalues: the negative modes are the first ones
+    U = vecs[:, :int(np.count_nonzero(vals < -NEGATIVE_TOL))]
+    weight = 2.0 * math.pi**2 * op.h  # |u|^2 sums to L2(R^4) with this
     fields, lams, eigs, resid = [], [], [], []
-    for i in range(k):
-        if vals[i] >= -tol:
-            continue
-        u = vecs[:, i]
-        res = float(np.linalg.norm(op.apply(u) - vals[i] * u)
-                    / np.linalg.norm(u))
-        lam = math.sqrt(-vals[i])
-        fields.append(op.eigenfield(u, lam))
+    for val, u in zip(vals, U.T):
+        resid.append(float(np.linalg.norm(op.apply(u) - val * u)
+                           / np.linalg.norm(u)))
+        Y = u / op.r**1.5
+        Y = Y / math.sqrt(weight * float(np.sum(u * u)))
+        lam = math.sqrt(-val)
+        fields.append(radial_eigenfield(op.r, -Y if Y[0] < 0 else Y, lam))
         lams.append(lam)
-        eigs.append(float(vals[i]))
-        resid.append(res)
-    # ascending eigenvalues: the negative modes are the first len(lams)
-    U = vecs[:, :len(lams)]
+        eigs.append(float(val))
     U = U / np.linalg.norm(U, axis=0)
     return SpectralResult(lams=lams, eigenvalues=eigs, fields=fields,
                           residuals=resid, gram=U.T @ U)
 
 
-def all_eigen_below(op: RadialOperator, cutoff: float):
-    """All (eigenvalue, vector) pairs with eigenvalue < cutoff (radial only)."""
-    vals, vecs = eigh_tridiagonal(op.main, op.off, select="v",
-                                  select_range=(-1e12, cutoff))
-    return vals, vecs
+def eigenpairs_between(op: RadialOperator, lo: float, hi: float) -> tuple:
+    """(eigenvalues, vectors) of every eigenpair with eigenvalue in
+    [lo, hi], densely from the tridiagonal matrix."""
+    return eigh_tridiagonal(op.main, op.off, select="v",
+                            select_range=(lo, hi))
 
 
-def kernel_count(op, near_zero_fields=None) -> dict:
+def kernel_count(op: RadialOperator, near_zero_fields=None) -> dict:
     """Count near-zero modes and align them with supplied generator fields.
 
     A mode is near zero below eps = max(h^2, 10 / R^2), covering both the
     stencil error and the Dirichlet shift of slowly decaying kernel elements
     while staying below the first continuum eigenvalue of the truncated
-    domain.  Alignment inner products are evaluated on the operator's
-    trusted window (TRUSTED_FRACTION of each extent) because the wall
-    visibly bends modes whose L2(ball) norm grows logarithmically.
+    domain.  Alignment inner products, in the unknowns r^{3/2} f(r), are
+    evaluated on the trusted window r <= TRUSTED_FRACTION * R because the
+    wall visibly bends modes whose L2(ball) norm grows logarithmically.
     """
-    eps, vals, vecs = op.near_zero()
+    eps = max(op.h * op.h, 10.0 / (op.r_max * op.r_max))
+    vals, vecs = eigenpairs_between(op, -eps, eps)
     out = {"count": int(len(vals)), "eps": float(eps),
            "eigenvalues": [float(v) for v in vals], "alignments": []}
+    window = op.r <= TRUSTED_FRACTION * op.r_max
     for f in near_zero_fields or ():
-        target, window = op.samples(f)
+        target = f.evaluate(cylinder_points(op.r, [0.0])) * op.r**1.5
         t = target[window] / np.linalg.norm(target[window])
         best = 0.0
         for i in range(len(vals)):

@@ -280,6 +280,25 @@ def test_csv_import_rejects_layouts_it_would_misplace(tmp_path, x1s, rs,
         load_field_csv(path)
 
 
+def test_csv_import_needs_rows_of_three_values(tmp_path):
+    """f = x1 + 10 r in rows of three values loads; a file without data
+    rows, or with rows of two or four values, raises ValueError."""
+    points = [(a, b) for a in range(4) for b in range(4)]
+    path = tmp_path / "f.csv"
+
+    def load(rows):
+        path.write_text("\n".join(["# cyl2d"] + [",".join(map(str, row))
+                                                for row in rows]) + "\n")
+        return load_field_csv(path)
+
+    good = load([(a, b, a + 10.0 * b) for a, b in points])
+    assert good.values.tolist() == [[a + 10.0 * b for b in range(4)]
+                                    for a in range(4)]
+    for rows in ([], points, [(a, b, a + 10.0 * b, 7.0) for a, b in points]):
+        with pytest.raises(ValueError, match="three values"):
+            load(rows)
+
+
 def test_pair_container_roundtrip(tmp_path, W):
     grid = Grid2DCyl(-6.0, 6.0, 121, 6.0, 61)
     p = FieldPair(W, zero_field())

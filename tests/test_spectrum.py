@@ -6,8 +6,8 @@ import pytest
 from wave4d import spectrum
 from wave4d.fields import FormulaField
 from wave4d.quadrature import QuadratureSpec
-from wave4d.spectrum import (all_eigen_below, assemble_cylindrical,
-                             assemble_radial, kernel_count, negative_spectrum,
+from wave4d.spectrum import (assemble_radial, eigenpairs_between,
+                             kernel_count, negative_spectrum,
                              rayleigh_quotient, shooting_rate,
                              verify_cancellation, verify_exponential_decay)
 from wave4d.states import (RationalRadial, _poly_from, dilate,
@@ -24,7 +24,7 @@ def test_free_laplacian_is_nonnegative():
     op = assemble_radial(_zero_profile(), r_max=20.0, n=1000)
     res = negative_spectrum(op, k=3)
     assert res.count == 0
-    vals, _ = all_eigen_below(op, 1.0)
+    vals, _ = eigenpairs_between(op, -1e12, 1.0)
     assert np.all(vals > 0)
 
 
@@ -90,21 +90,6 @@ def test_rate_self_convergence(W):
     assert math.log2(gaps[0] / gaps[1]) > 1.5
 
 
-def test_cylindrical_operator_symmetric(W):
-    op = assemble_cylindrical(W, length=12.0, r_max=12.0, n1=60, nr=60)
-    gap = op.matrix - op.matrix.T
-    assert abs(gap).max() == 0.0
-
-
-def test_sector_containment(W):
-    rad = assemble_radial(W, r_max=20.0, n=2000)
-    cyl = assemble_cylindrical(W, length=20.0, r_max=20.0, n1=140, nr=140)
-    lam_rad = negative_spectrum(rad, k=1).eigenvalues[0]
-    res_cyl = negative_spectrum(cyl, k=3, tol=0.02)
-    assert res_cyl.count == 1
-    assert res_cyl.eigenvalues[0] == pytest.approx(lam_rad, abs=5e-3)
-
-
 def test_kernel_count_radial(W, ground_eigen):
     op = assemble_radial(W, r_max=30.0, n=3000)
     kc = kernel_count(op, [symmetry_generator(W, "scaling")])
@@ -118,30 +103,17 @@ def test_kernel_count_free_laplacian():
     assert kc["count"] == 0
 
 
-def test_kernel_count_cylindrical_contains_translation(W):
-    op = assemble_cylindrical(W, length=20.0, r_max=20.0, n1=120, nr=120)
-    kc = kernel_count(op, [symmetry_generator(W, "translation_1"),
-                           symmetry_generator(W, "scaling")])
-    assert kc["count"] >= 2
-    assert min(kc["alignments"]) >= 0.99
-
-
 def test_rayleigh_quotient_consistency(W):
     op = assemble_radial(W, r_max=30.0, n=2000)
-    vals, vecs = all_eigen_below(op, -1e-10)
+    vals, vecs = eigenpairs_between(op, -1e12, -1e-10)
     for i in range(len(vals)):
         assert rayleigh_quotient(op, vecs[:, i]) == pytest.approx(
             vals[i], abs=1e-9)
 
 
-@pytest.mark.parametrize("sector, k, tol", [("radial", 1, 1e-10),
-                                             ("cylindrical", 3, 0.02)],
-                         ids=["radial", "cylindrical"])
-def test_orthonormality(W, sector, k, tol):
-    """The Gram matrix pairs the computed eigenvectors in both sectors."""
-    op = (assemble_radial(W, r_max=30.0, n=2000) if sector == "radial" else
-          assemble_cylindrical(W, length=20.0, r_max=20.0, n1=120, nr=120))
-    res = negative_spectrum(op, k=k, tol=tol)
+def test_orthonormality(W):
+    """The Gram matrix pairs the computed negative eigenvectors."""
+    res = negative_spectrum(assemble_radial(W, r_max=30.0, n=2000), k=1)
     assert np.allclose(res.gram, np.eye(res.count), atol=1e-10)
 
 
@@ -208,6 +180,3 @@ def test_cancellation_identities(W, rng):
 def test_sector_mismatch_rejected(Qs):
     with pytest.raises(ValueError):
         assemble_radial(Qs)
-    with pytest.raises(ValueError):
-        assemble_cylindrical(FormulaField(lambda X: np.zeros(X.shape[0]),
-                                          symmetry="full"))
