@@ -1,8 +1,8 @@
 """Numerical laboratory for the multi-soliton machinery of the focusing
 cubic wave equation in four space dimensions: stationary states and their
 symmetry group, linearized spectral theory, interaction decay laws,
-modulation decomposition, refined energy functionals, and a cylindrical
-finite-difference evolver with bootstrap monitors."""
+modulation decomposition, refined energy functionals, and a cylindrical and
+radial finite-difference evolver with bootstrap monitors."""
 
 from .fields import (FieldPair, FormulaField, Grid2DCyl, PolyRadialField,
                      SampledField, ScalarField, hardy_sobolev_check,

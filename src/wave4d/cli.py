@@ -126,7 +126,7 @@ def write_csv(path: Path, header, rows) -> None:
 
 def criterion(name, value, threshold, kind="le") -> dict:
     ops = {"le": lambda v, t: v <= t, "ge": lambda v, t: v >= t,
-           "eq": lambda v, t: v == t}
+           "gt": lambda v, t: v > t, "eq": lambda v, t: v == t}
     return dict(name=name, value=value, threshold=threshold, kind=kind,
                 passed=bool(ops[kind](value, threshold)))
 
@@ -387,9 +387,12 @@ def run_shoot(cfg: dict, outdir: Path) -> int:
 
     rep = shooting_experiment(T=cfg["T"], t_end=cfg["t_end"],
                               bracket=tuple(cfg["bracket"]), h=cfg["h"])
+    interior = max(r["exit_tau"] for r in rep["sweep"][1:-1])
     crit = [
         criterion("optimum persists >= 2x bracket ends", rep["gain"], 2.0,
                   "ge"),
+        criterion("best interior sweep exit above both bracket ends",
+                  interior, max(rep["edge_exit"]), "gt"),
     ]
     return finish(outdir, "shoot", cfg, rep, crit)
 

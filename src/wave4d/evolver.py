@@ -1,38 +1,38 @@
-"""Leapfrog evolution of the focusing cubic wave equation in the cylindrical
-reduction u(t, x1, rbar), rbar = |(x2,x3,x4)|.
+"""Leapfrog evolution of the focusing cubic wave equation on a grid of
+fields: the cylindrical reduction u(t, x1, rbar), rbar = |(x2,x3,x4)|
+(Grid2DCyl), for moving solitons, or the radial grid u(t, r), r = |x|
+(GridRadial), for the radial data of a soliton at rest.
 
-The Laplacian is d11 + drr + (2/r) dr with the regularized axis limit
-(2/r) dr -> 2 drr, so the axis row uses 3 drr.  Each evolver builds this
-stencil once as a five-diagonal sparse operator on the flattened grid
+A grid names its axes as (nodes, spacing, dimension d: 1 for the line x1,
+3 or 4 for a radius) and its pinned edges, and every helper here serves
+both kinds from those.  The Laplacian sums over the axes the second
+difference plus (d - 1)/r dr, whose axis limit (d - 1) drr makes the axis
+row d drr (3 drr on the cylinder, 4 drr on the radial grid).  Each evolver
+builds it once as a sparse operator on the flattened grid
 (laplacian_operator), so a force evaluation is one sparse product plus the
 cube, formed as u*u*u.  Time stepping is kick-drift leapfrog with the cubic
 term frozen at integer steps (second order), at the constant time step
-dt = CFL min(h1, hr).  The three open edges (both x1 ends and rbar = R) are
-pinned to a background callable's values, the soliton sum for every run
-here, and domains are sized so that radiation does not reach them during
-the monitored window.  A field magnitude above the blow-up guard terminates
-the run with a status instead of propagating NaNs (the focusing
-nonlinearity does blow up for large data).
+dt = CFL times the smallest spacing.  The edges (both x1 ends and rbar = R;
+r = R) are pinned to a background callable's values, the soliton sum for
+every run here, and domains are sized so that radiation does not reach
+them during the monitored window.  A field magnitude above the blow-up
+guard terminates the run with a status instead of propagating NaNs.
 
 Monitors evaluate conserved quantities, the energy-space distance to the
 soliton sum, grid-based modulation parameters, exponential-direction
-pairings and the bootstrap-inequality margins on grid snapshots.  The
-shooting experiment integrates backward in time (through exact time
-reflection of the data) from well-prepared states with a prescribed
-outgoing amplitude and bisects on the amplitude that maximizes the time
-spent inside the deviation tube.  Edge values depend on t only through
-the soliton centers, so they are evaluated again only when the centers
-move.  GridBasis samples the soliton sum as one more column of the
-decomposition basis's one sampling.  Both only translate in a speed-ell
-configuration, so GridBasis keys its samplings on the sub-grid phase
-ell t / h1 mod 1: a later time at a kept phase is served by an index shift
-along x1, with only the exposed rows sampled afresh (once in all for
-solitons at rest).
+pairings and the bootstrap-inequality margins on cylinder snapshots.  The
+shooting experiment integrates backward in time (exact time reflection),
+on the radial grid, and bisects on the outgoing amplitude that maximizes
+the time spent inside the deviation tube.  Edge values are evaluated again
+only when the soliton centers move.  GridBasis samples the soliton sum as
+one more column of the decomposition basis's one sampling.  Both only
+translate in a speed-ell configuration, so GridBasis keys its samplings on
+the sub-grid phase ell t / h1 mod 1: a later time at a kept phase is served
+by an index shift along x1, with only the exposed rows sampled afresh.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -40,8 +40,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
 
-from .fields import (FieldPair, Grid2DCyl, ScalarField, cylinder_points,
-                     pair_sampler, pair_sum)
+from .fields import (FieldPair, Grid2DCyl, GridRadial, ScalarField,
+                     cylinder_points, pair_sampler, pair_sum)
 from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _soliton_pairs, _split_z, \
     _z_columns, basis_pairs, build_initial_data, exp_direction_family
@@ -52,6 +52,8 @@ from .states import ground_state, symmetry_generator
 BLOWUP_FACTOR = 1e3
 # dt / min(h1, hr); the stencil is stable up to 0.5
 CFL = 0.4
+# the area of the unit sphere S^(d-1) of a radial axis of dimension d
+_SPHERE_AREA = {3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 # soliton_center fits its parabola over 2 * CENTER_HALF_WIDTH + 1 axis points
 CENTER_HALF_WIDTH = 6
 # a GridBasis keeps the samplings of this many sub-grid phases; two times
@@ -66,101 +68,98 @@ MODE_RETRIES = 2
 MODE_AMPLITUDE_CAP = 0.02
 
 
-def eval_on_grid(f: ScalarField, grid: Grid2DCyl) -> np.ndarray:
-    return f.evaluate(cylinder_points(grid.x1, grid.r)).reshape(grid.n1,
-                                                                 grid.nr)
+def eval_on_grid(f: ScalarField, grid) -> np.ndarray:
+    return f.evaluate(grid.points()).reshape(grid.shape)
 
 
 # no wave4d caller; benchmark/tracing.py wraps it by name
-def grad_on_grid(f: ScalarField, grid: Grid2DCyl):
-    """(d/dx1, d/drbar) arrays of an exact-gradient field on the grid."""
-    g = f.gradient(cylinder_points(grid.x1, grid.r))
-    return (g[:, 0].reshape(grid.n1, grid.nr),
-            g[:, 1].reshape(grid.n1, grid.nr))
+def grad_on_grid(f: ScalarField, grid):
+    """Per grid axis, the array of an exact-gradient field's derivative."""
+    g = f.gradient(grid.points())
+    return tuple(g[:, k].reshape(grid.shape) for k in range(len(grid.shape)))
 
 
 @functools.lru_cache(maxsize=4)
-def grid_weights(grid: Grid2DCyl) -> np.ndarray:
-    """Trapezoid weights of the measure 4 pi rbar^2 drbar dx1, built once
-    per grid and returned read-only."""
-    w1 = np.full(grid.n1, grid.h1)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    wr = np.full(grid.nr, grid.hr)
-    wr[0] *= 0.5
-    wr[-1] *= 0.5
-    w = 4.0 * math.pi * np.outer(w1, wr * grid.r**2)
+def grid_weights(grid) -> np.ndarray:
+    """Trapezoid weights of the measure, 4 pi rbar^2 drbar dx1 or
+    2 pi^2 r^3 dr, built once per grid and returned read-only."""
+    w, area = np.ones(()), 1.0
+    for nodes, h, dim in grid.axes:
+        wa = np.full(len(nodes), h)
+        wa[[0, -1]] *= 0.5
+        if dim > 1:
+            wa, area = wa * nodes**(dim - 1), _SPHERE_AREA[dim]
+        w = np.multiply.outer(w, wa)
+    w = area * w
     w.flags.writeable = False
     return w
 
 
-def grid_gradient(arr: np.ndarray, grid: Grid2DCyl):
-    """(d/dx1, d/drbar): np.gradient's edge_order=2 formulas, bit for bit,
-    without its temporaries.  Central differences run on the flat arrays;
-    the one-sided edges then overwrite the entries that wrap a row end."""
-    a, out = arr.ravel(), np.empty((2, *arr.shape))
-    for axis, h, k in ((0, grid.h1, arr.shape[1]), (1, grid.hr, 1)):
+def grid_gradient(arr: np.ndarray, grid) -> np.ndarray:
+    """d/d(axis) per grid axis: np.gradient's edge_order=2 formulas, bit
+    for bit, without its temporaries.  Central differences run on the flat
+    arrays; the one-sided edges then overwrite the entries that wrap."""
+    a, out = arr.ravel(), np.empty((arr.ndim, *arr.shape))
+    for axis, (_, h, _) in enumerate(grid.axes):
+        k = math.prod(arr.shape[axis + 1:])
         inner = out[axis].ravel()[k:-k]
         np.subtract(a[2 * k:], a[:-2 * k], out=inner)
         inner /= 2.0 * h
         f, e = np.moveaxis(arr, axis, 0), np.moveaxis(out[axis], axis, 0)
         e[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
         e[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
-    return out[0], out[1]
+    return out
 
 
 # one kept, so a finished grid's diagonals do not add to the next's peak
 @functools.lru_cache(maxsize=1)
-def laplacian_operator(grid: Grid2DCyl) -> sparse.dia_matrix:
-    """The grid Laplacian d11 + drr + (2/rbar) drbar as one five-diagonal
-    operator on the flattened grid (index i * nr + j, offsets 0, +-1, +-nr).
-
-    Interior rows carry the x1 second difference and interior columns the
-    radial one; the axis column is 3 drr with the even reflection
-    u(-hr) = u(hr).  The open edges (rows 0 and n1 - 1, column nr - 1) get
-    no term along their normal: the step sets their values, but v_sync
-    still reads the force there.  Cached per grid, read-only.
-    """
-    n1, nr = grid.n1, grid.nr
-    i1, ir = 1.0 / grid.h1**2, 1.0 / grid.hr**2
-    inner = slice(1, -1)
-    # radial coefficients per column j: u[j - 1], u[j], u[j + 1]
-    r_lo, r_mid, r_hi = np.zeros(nr), np.zeros(nr), np.zeros(nr)
-    r_lo[inner] = ir - 1.0 / (grid.r[inner] * grid.hr)
-    r_mid[inner] = -2.0 * ir
-    r_hi[inner] = ir + 1.0 / (grid.r[inner] * grid.hr)
-    r_mid[0], r_hi[0] = -6.0 * ir, 6.0 * ir
-    # x1 coefficients per row i: u[i -+ 1] and u[i]
-    x_side, x_mid = np.zeros(n1), np.zeros(n1)
-    x_side[inner], x_mid[inner] = i1, -2.0 * i1
-    # row-indexed diagonals, so entry k multiplies u[k + offset]
-    mid = (x_mid[:, None] + r_mid[None, :]).ravel()
-    lo, hi = np.tile(r_lo, n1), np.tile(r_hi, n1)
-    side = np.repeat(x_side, nr)
-    op = sparse.diags([mid, hi[:-1], lo[1:], side[:-nr], side[nr:]],
-                      [0, 1, -1, nr, -nr], format="dia")
+def laplacian_operator(grid) -> sparse.dia_matrix:
+    """The grid Laplacian as one sparse operator on the flattened grid: per
+    axis the second difference at offsets 0 and +-its stride, plus
+    (d - 1)/r dr on a radial axis of dimension d, whose axis node is d drr
+    with the even reflection u(-h) = u(h).  The pinned edges get no term
+    along their normal: the step sets their values, but v_sync still reads
+    the force there.  Cached per grid, read-only."""
+    shape, mid, diags, offsets = grid.shape, 0.0, [], []
+    # the last axis first: the cylinder's stored results sum in that order
+    for axis in reversed(range(len(shape))):
+        nodes, h, dim = grid.axes[axis]
+        lo, c, hi = np.zeros((3, len(nodes)))  # of u[j - 1], u[j], u[j + 1]
+        inner, ih = slice(1, -1), 1.0 / h**2
+        first = 0.5 * (dim - 1) / (nodes[inner] * h) if dim > 1 else 0.0
+        lo[inner], c[inner], hi[inner] = ih - first, -2.0 * ih, ih + first
+        if dim > 1:
+            c[0], hi[0] = -2.0 * dim * ih, 2.0 * dim * ih
+        along = [-1 if a == axis else 1 for a in range(len(shape))]
+        lo, c, hi = (np.broadcast_to(x.reshape(along), shape).ravel()
+                     for x in (lo, c, hi))
+        k = math.prod(shape[axis + 1:])
+        mid = mid + c
+        diags += [hi[:-k], lo[k:]]
+        offsets += [k, -k]
+    op = sparse.diags([mid, *diags], [0, *offsets], format="dia")
     op.data.flags.writeable = False
     return op
 
 
 class CylWaveEvolver:
-    """Leapfrog integrator for d_tt u = Delta u + u^3 on a cylinder grid,
-    with time step dt = CFL min(h1, hr).
+    """Leapfrog integrator for d_tt u = Delta u + u^3 on either grid kind,
+    with time step dt = CFL times the smallest grid spacing.
 
-    background is a callable t -> (row_lo, row_hi, col_rmax) with the field
-    values on the three open edges; each step pins the edges to them (right
-    for soliton backgrounds, whose static tails an outgoing condition would
-    wrongly radiate away).  A free wave takes zero edges.
+    background is a callable t -> the field values on grid.edges, in order;
+    each step pins the edges to them (right for soliton backgrounds, whose
+    static tails an outgoing condition would wrongly radiate away).  A free
+    wave takes zero edges.
 
     The step drifts into a buffer that it then swaps with u, so the array
     ev.u is written again two steps later: a caller that keeps it copies it.
     """
 
-    def __init__(self, grid: Grid2DCyl, u0: np.ndarray, v0: np.ndarray,
+    def __init__(self, grid, u0: np.ndarray, v0: np.ndarray,
                  background, t0: float = 0.0):
         self.grid = grid
         self.laplacian_op = laplacian_operator(grid)
-        self.dt = CFL * min(grid.h1, grid.hr)
+        self.dt = CFL * min(h for _, h, _ in grid.axes)
         self.t = float(t0)
         self.u = np.array(u0, dtype=float)
         self._u_new, self._scratch = np.empty((2, *self.u.shape))
@@ -181,12 +180,12 @@ class CylWaveEvolver:
         u, dt = self.u, self.dt
         u_new = np.multiply(self.v_half, dt, out=self._u_new)
         u_new += u
-        u_new[0, :], u_new[-1, :], u_new[:, -1] = self.background(self.t + dt)
+        for e, value in zip(self.grid.edges, self.background(self.t + dt)):
+            u_new[e] = value
         self.force = self.rhs(u_new)
         self.v_half += np.multiply(self.force, dt, out=self._scratch)
-        self.v_half[0, :] = (u_new[0, :] - u[0, :]) / dt
-        self.v_half[-1, :] = (u_new[-1, :] - u[-1, :]) / dt
-        self.v_half[:, -1] = (u_new[:, -1] - u[:, -1]) / dt
+        for e in self.grid.edges:
+            self.v_half[e] = (u_new[e] - u[e]) / dt
         self.u, self._u_new = u_new, u
         self.t += dt
         # a NaN propagates through max and min and fails both tests
@@ -196,16 +195,6 @@ class CylWaveEvolver:
 
     def v_sync(self) -> np.ndarray:
         return self.v_half - 0.5 * self.dt * self.force
-
-    def reflected(self) -> "CylWaveEvolver":
-        """Time-reflected copy; forward-evolving it retraces the past.  It
-        shares the operator, the last force and the background (valid for
-        static backgrounds) and owns its arrays and step buffers."""
-        out = copy.copy(self)
-        out.u = self.u.copy()
-        out._u_new, out._scratch = np.empty((2, *out.u.shape))
-        out.v_half = -(self.v_half - self.dt * self.force)
-        return out
 
     def run_until(self, t_end: float, callback=None,
                   cadence: float | None = None) -> str:
@@ -236,12 +225,13 @@ def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
 
 
 def grid_h_norm_sq(du, dv, grid) -> float:
-    d1, dr = grid_gradient(du, grid)
-    d1 *= d1
-    d1 += np.multiply(dr, dr, out=dr)
-    d1 += np.multiply(dv, dv, out=dr)
-    d1 *= grid_weights(grid)
-    return float(np.sum(d1))
+    acc, *rest = grid_gradient(du, grid)
+    acc *= acc
+    for d in rest:
+        acc += np.multiply(d, d, out=d)
+    acc += dv * dv
+    acc *= grid_weights(grid)
+    return float(np.sum(acc))
 
 
 def _by_centers(cfg: MultiSolitonConfig, sample):
@@ -421,12 +411,10 @@ class MonitorSeries:
         return float(np.max(np.abs(vals - vals[0])) / scale)
 
 
-def soliton_background(cfg: MultiSolitonConfig, grid: Grid2DCyl):
-    """Edge-value callback pinning the boundary to the soliton sum,
+def soliton_background(cfg: MultiSolitonConfig, grid):
+    """Edge-value callback pinning grid.edges to the soliton sum,
     evaluated again only when the soliton centers move."""
-    edge_pts = (cylinder_points([grid.x1_min], grid.r),
-                cylinder_points([grid.x1_max], grid.r),
-                cylinder_points(grid.x1, [grid.r_max]))
+    edge_pts = [grid.points(e) for e in grid.edges]
 
     def edges(t: float):
         Q = cfg.traveling_profiles(t)
@@ -615,6 +603,9 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     radius 0.12) is recorded; the exit side flips across an optimal
     amplitude, which bisection brackets, and persistence is maximal near it
     (the mechanism that makes the topological selection of initial data work).
+
+    W, the data and the Z- partner are radial, so every run steps the
+    radial grid (report key "grid") of spacing h and radius T - t_end + 10.
     """
     lam, Y = ground_eigenpair() if lam_Y is None else lam_Y
     cfg = single_soliton_config(0.0)
@@ -624,7 +615,8 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     built = build_initial_data(cfg, T, np.array([[s_ref]]), dirs, spec,
                                enforce_ball=False)
     tau_max = T - t_end
-    grid = default_grid_for(0.0, tau_max, margin=10.0, h=h)
+    r_max = tau_max + 10.0
+    grid = GridRadial(r_max, int(round(r_max / h)) + 1)
     w = grid_weights(grid)
     w_arr = eval_on_grid(cfg.profiles[0], grid)
     phi1 = eval_on_grid(built["phi"].first, grid)
@@ -641,15 +633,15 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
         v0 = -(scale * phi2)  # time reflection of (u, v)
         ev = CylWaveEvolver(grid, u0, v0, t0=0.0, background=bg)
         rec = dict(exit_tau=tau_max, exit_sign=0.0, a_exit=0.0, s=s)
+        last = -1.0
         while ev.t < tau_max and ev.status == "running":
             ev.step()
-            if ev.t - rec.get("_last", -1.0) >= 0.25:
-                rec["_last"] = ev.t
+            if ev.t - last >= 0.25:
+                last = ev.t
                 v = ev.v_sync()
                 du = ev.u - w_arr
                 dev = math.sqrt(max(grid_h_norm_sq(du, v, grid), 0.0))
-                zr = float(np.einsum("ij,ij->", du, zw1)
-                           + np.einsum("ij,ij->", v, zw2))
+                zr = float(np.vdot(du, zw1) + np.vdot(v, zw2))
                 rec["a_exit"] = zr * zr
                 rec["exit_sign"] = math.copysign(1.0, zr) if zr else 0.0
                 if dev > 0.12:
@@ -657,7 +649,6 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                     break
         if ev.status == "blowup":
             rec["exit_tau"] = min(rec["exit_tau"], ev.t)
-        rec.pop("_last", None)
         return rec
 
     runs = {}  # amplitude -> record: no amplitude runs twice
@@ -692,4 +683,6 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
                 edge_exit=(r_lo["exit_tau"], r_hi["exit_tau"]),
                 gain=best["exit_tau"] / max(r_lo["exit_tau"],
                                             r_hi["exit_tau"], 1e-9),
-                threshold_scale=threshold_scale, T=T, t_end=t_end)
+                threshold_scale=threshold_scale, T=T, t_end=t_end,
+                grid=dict(kind="radial", points=grid.n, h=grid.h,
+                          r_max=grid.r_max))

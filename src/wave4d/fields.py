@@ -542,6 +542,20 @@ class Grid2DCyl:
     r_max: float
     nr: int
 
+    edges = (np.s_[0, :], np.s_[-1, :], np.s_[:, -1])
+
+    def points(self, at=np.s_[:, :]) -> np.ndarray:
+        i, j = at
+        return cylinder_points(self.x1[i], self.r[j])
+
+    @property
+    def shape(self):
+        return self.n1, self.nr
+
+    @property
+    def axes(self):
+        return (self.x1, self.h1, 1), (self.r, self.hr, 3)
+
     def __post_init__(self):
         if self.x1_max <= self.x1_min or self.r_max <= 0:
             raise ValueError("empty grid ranges")
@@ -563,6 +577,36 @@ class Grid2DCyl:
     @property
     def hr(self):
         return self.r_max / (self.nr - 1)
+
+
+@dataclass(frozen=True)
+class GridRadial:
+    """Uniform grid of r = |x| in [0, r_max] for radial fields on R^4, at
+    the points (r, 0, 0, 0): one axis of dimension 4, pinned at r_max."""
+
+    r_max: float
+    n: int
+
+    edges = (np.s_[-1:],)
+
+    def points(self, at=np.s_[:]) -> np.ndarray:
+        return cylinder_points(self.r[at], [0.0])
+
+    @property
+    def shape(self):
+        return (self.n,)
+
+    @property
+    def axes(self):
+        return ((self.r, self.h, 4),)
+
+    @property
+    def r(self):
+        return np.linspace(0.0, self.r_max, self.n)
+
+    @property
+    def h(self):
+        return self.r_max / (self.n - 1)
 
 
 def cylinder_points(x1, r) -> np.ndarray:

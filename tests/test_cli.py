@@ -80,12 +80,26 @@ def test_schema_covers_all_suites():
         assert s in CONFIG_SCHEMA["properties"]
 
 
-def test_shoot_suite_artifacts(tmp_path, ground_eigen):
-    # exercised through the runner module for speed; the CLI wraps the same
-    # function with schema-checked parameters
-    from wave4d.cli import DEFAULTS
+def test_shoot_suite_artifacts(tmp_path):
+    """The shoot suite reports both halves of criterion 11, its 7-point
+    sweep over the default bracket and the radial grid that made it."""
+    import numpy as np
 
-    assert DEFAULTS["shoot"]["T"] == 20.0
+    assert main(["--out", str(tmp_path), "shoot"]) == 0
+    summary = json.loads((tmp_path / "shoot_summary.json").read_text())
+    rows = {c["name"]: c for c in summary["criteria"]}
+    assert set(rows) == {"optimum persists >= 2x bracket ends",
+                         "best interior sweep exit above both bracket ends"}
+    assert all(c["passed"] for c in rows.values())
+    res = json.loads((tmp_path / "shoot_results.json").read_text())
+    taus = [r["exit_tau"] for r in res["sweep"]]
+    assert [r["s"] for r in res["sweep"]] == list(np.linspace(-6e-3, 6e-3, 7))
+    unimodal = rows["best interior sweep exit above both bracket ends"]
+    assert unimodal["value"] == max(taus[1:-1])
+    assert unimodal["threshold"] == max(res["edge_exit"]) \
+        == max(taus[0], taus[-1])
+    assert res["gain"] == rows["optimum persists >= 2x bracket ends"]["value"]
+    assert res["grid"] == dict(kind="radial", points=201, h=0.12, r_max=24.0)
 
 
 def test_interactions_suite(tmp_path):

@@ -196,7 +196,6 @@ TEST_ONLY = {
     "require": PUBLIC,  # raises ToleranceNotReached
     "rotate": PUBLIC,
     "rotation_matrix": PUBLIC,
-    "reflected": HELPER,
     "symmetric_generator_ids": HELPER,
     "symmetry_rank": HELPER,
     "zero_pair": HELPER,
