@@ -150,14 +150,15 @@ def finish(outdir: Path, suite: str, cfg: dict, results: dict,
 # ---------------------------------------------------------------------------
 
 def run_states(cfg: dict, outdir: Path) -> int:
+    from .fields import GridRadial, stationary_residual_norm
     from .fitting import check_decay
-    from .states import (ground_state, kelvin, radial_residual_norm,
-                         surrogate_excited_state, symmetry_generator)
+    from .states import (ground_state, kelvin, surrogate_excited_state,
+                         symmetry_generator)
 
     W = ground_state()
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    residuals = [radial_residual_norm(W, cfg["r_max"], n)
+    residuals = [stationary_residual_norm(W, GridRadial(cfg["r_max"], n + 1))
                  for n in cfg["grid_sizes"]]
     orders = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)]

@@ -1,22 +1,18 @@
 """Leapfrog evolution of the focusing cubic wave equation on a grid of
 fields: the cylindrical reduction u(t, x1, rbar), rbar = |(x2,x3,x4)|
 (Grid2DCyl), for moving solitons, or the radial grid u(t, r), r = |x|
-(GridRadial), for the radial data of a soliton at rest.
+(GridRadial), for the radial data of a soliton at rest.  The grids and
+their operators live in fields.
 
-A grid names its axes as (nodes, spacing, dimension d: 1 for the line x1,
-3 or 4 for a radius) and its pinned edges, and every helper here serves
-both kinds from those.  The Laplacian sums over the axes the second
-difference plus (d - 1)/r dr, whose axis limit (d - 1) drr makes the axis
-row d drr (3 drr on the cylinder, 4 drr on the radial grid).  Each evolver
-builds it once as a sparse operator on the flattened grid
-(laplacian_operator), so a force evaluation is one sparse product plus the
-cube, formed as u*u*u.  Time stepping is kick-drift leapfrog with the cubic
-term frozen at integer steps (second order), at the constant time step
-dt = CFL times the smallest spacing.  The edges (both x1 ends and rbar = R;
-r = R) are pinned to a background callable's values, the soliton sum for
-every run here, and domains are sized so that radiation does not reach
-them during the monitored window.  A field magnitude above the blow-up
-guard terminates the run with a status instead of propagating NaNs.
+A force evaluation is one product with the grid's cached sparse Laplacian
+(fields.laplacian_operator) plus the cube, formed as u*u*u.  Time stepping
+is kick-drift leapfrog with the cubic term frozen at integer steps (second
+order), at the constant time step dt = CFL times the smallest spacing.  The
+grid's edges (both x1 ends and rbar = R; r = R) are pinned to a background
+callable's values, the soliton sum for every run here, and domains are
+sized so that radiation does not reach them during the monitored window.  A
+field magnitude above the blow-up guard terminates the run with a status
+instead of propagating NaNs.
 
 Monitors evaluate conserved quantities, the energy-space distance to the
 soliton sum, grid-based modulation parameters, exponential-direction
@@ -33,15 +29,14 @@ by an index shift along x1, with only the exposed rows sampled afresh.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
 
 from .fields import (FieldPair, Grid2DCyl, GridRadial, ScalarField,
-                     cylinder_points, pair_sampler, pair_sum)
+                     eval_on_grid, grid_gradient, grid_h_norm_sq,
+                     grid_weights, laplacian_operator, pair_sampler, pair_sum)
 from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _soliton_pairs, _split_z, \
     _z_columns, basis_pairs, build_initial_data, exp_direction_family
@@ -52,8 +47,6 @@ from .states import ground_state, symmetry_generator
 BLOWUP_FACTOR = 1e3
 # dt / min(h1, hr); the stencil is stable up to 0.5
 CFL = 0.4
-# the area of the unit sphere S^(d-1) of a radial axis of dimension d
-_SPHERE_AREA = {3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 # soliton_center fits its parabola over 2 * CENTER_HALF_WIDTH + 1 axis points
 CENTER_HALF_WIDTH = 6
 # a GridBasis keeps the samplings of this many sub-grid phases; two times
@@ -68,78 +61,11 @@ MODE_RETRIES = 2
 MODE_AMPLITUDE_CAP = 0.02
 
 
-def eval_on_grid(f: ScalarField, grid) -> np.ndarray:
-    return f.evaluate(grid.points()).reshape(grid.shape)
-
-
 # no wave4d caller; benchmark/tracing.py wraps it by name
 def grad_on_grid(f: ScalarField, grid):
     """Per grid axis, the array of an exact-gradient field's derivative."""
     g = f.gradient(grid.points())
     return tuple(g[:, k].reshape(grid.shape) for k in range(len(grid.shape)))
-
-
-@functools.lru_cache(maxsize=4)
-def grid_weights(grid) -> np.ndarray:
-    """Trapezoid weights of the measure, 4 pi rbar^2 drbar dx1 or
-    2 pi^2 r^3 dr, built once per grid and returned read-only."""
-    w, area = np.ones(()), 1.0
-    for nodes, h, dim in grid.axes:
-        wa = np.full(len(nodes), h)
-        wa[[0, -1]] *= 0.5
-        if dim > 1:
-            wa, area = wa * nodes**(dim - 1), _SPHERE_AREA[dim]
-        w = np.multiply.outer(w, wa)
-    w = area * w
-    w.flags.writeable = False
-    return w
-
-
-def grid_gradient(arr: np.ndarray, grid) -> np.ndarray:
-    """d/d(axis) per grid axis: np.gradient's edge_order=2 formulas, bit
-    for bit, without its temporaries.  Central differences run on the flat
-    arrays; the one-sided edges then overwrite the entries that wrap."""
-    a, out = arr.ravel(), np.empty((arr.ndim, *arr.shape))
-    for axis, (_, h, _) in enumerate(grid.axes):
-        k = math.prod(arr.shape[axis + 1:])
-        inner = out[axis].ravel()[k:-k]
-        np.subtract(a[2 * k:], a[:-2 * k], out=inner)
-        inner /= 2.0 * h
-        f, e = np.moveaxis(arr, axis, 0), np.moveaxis(out[axis], axis, 0)
-        e[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
-        e[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
-    return out
-
-
-# one kept, so a finished grid's diagonals do not add to the next's peak
-@functools.lru_cache(maxsize=1)
-def laplacian_operator(grid) -> sparse.dia_matrix:
-    """The grid Laplacian as one sparse operator on the flattened grid: per
-    axis the second difference at offsets 0 and +-its stride, plus
-    (d - 1)/r dr on a radial axis of dimension d, whose axis node is d drr
-    with the even reflection u(-h) = u(h).  The pinned edges get no term
-    along their normal: the step sets their values, but v_sync still reads
-    the force there.  Cached per grid, read-only."""
-    shape, mid, diags, offsets = grid.shape, 0.0, [], []
-    # the last axis first: the cylinder's stored results sum in that order
-    for axis in reversed(range(len(shape))):
-        nodes, h, dim = grid.axes[axis]
-        lo, c, hi = np.zeros((3, len(nodes)))  # of u[j - 1], u[j], u[j + 1]
-        inner, ih = slice(1, -1), 1.0 / h**2
-        first = 0.5 * (dim - 1) / (nodes[inner] * h) if dim > 1 else 0.0
-        lo[inner], c[inner], hi[inner] = ih - first, -2.0 * ih, ih + first
-        if dim > 1:
-            c[0], hi[0] = -2.0 * dim * ih, 2.0 * dim * ih
-        along = [-1 if a == axis else 1 for a in range(len(shape))]
-        lo, c, hi = (np.broadcast_to(x.reshape(along), shape).ravel()
-                     for x in (lo, c, hi))
-        k = math.prod(shape[axis + 1:])
-        mid = mid + c
-        diags += [hi[:-k], lo[k:]]
-        offsets += [k, -k]
-    op = sparse.diags([mid, *diags], [0, *offsets], format="dia")
-    op.data.flags.writeable = False
-    return op
 
 
 class CylWaveEvolver:
@@ -222,16 +148,6 @@ def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
     e = 0.5 * (d1**2 + dr**2 + v**2) - 0.25 * u**4
     p = v * d1
     return float(np.sum(e * w)), float(np.sum(p * w))
-
-
-def grid_h_norm_sq(du, dv, grid) -> float:
-    acc, *rest = grid_gradient(du, grid)
-    acc *= acc
-    for d in rest:
-        acc += np.multiply(d, d, out=d)
-    acc += dv * dv
-    acc *= grid_weights(grid)
-    return float(np.sum(acc))
 
 
 def _by_centers(cfg: MultiSolitonConfig, sample):
@@ -327,7 +243,7 @@ class GridBasis:
         step = max(_BLOCK_POINTS // grid.nr, 1)
         for b_lo in range(lo, hi, step):
             b_hi = min(b_lo + step, hi)
-            X = cylinder_points(grid.x1[b_lo:b_hi], grid.r)
+            X = grid.points(np.s_[b_lo:b_hi, :])
             out = F[:, b_lo * grid.nr:b_hi * grid.nr]
             l2, h, zq = sample(X)
             out[:nb] = l2[:, :, 0].T

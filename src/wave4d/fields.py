@@ -23,18 +23,34 @@ needs:
   each distinct leaf once and takes its value and gradient together where
   they are read.
 
-Sampled fields live on the cylindrical grid :class:`Grid2DCyl` with
-piecewise-cubic interpolation and are serialized in a self-describing .npz
-container (layout in :func:`save_field`).
+Two uniform grids carry the discretization.  :class:`Grid2DCyl` holds
+fields of (x1, rbar), rbar = |(x2,x3,x4)|, at the points (x1, rbar, 0, 0),
+pinned on both x1 ends and at rbar = R; :class:`GridRadial` holds radial
+fields of r = |x| at (r, 0, 0, 0), pinned at r = R.  A grid names its axes
+as (nodes, spacing, dimension d: 1 for the line x1, 3 or 4 for a radius),
+its pinned edges and its points, and every grid operator serves both kinds
+from those: :func:`eval_on_grid` samples a field, :func:`grid_weights` is
+the trapezoid rule of the measure, :func:`grid_gradient` the second-order
+derivative per axis, :func:`grid_h_norm_sq` the squared energy norm, and
+:func:`laplacian_operator` the sparse second-order Laplacian, which sums
+over the axes the second difference plus (d - 1)/r dr, with d drr on the
+axis of a radius.  :func:`stationary_residual_norm` measures Delta_h f + f^3
+with it over the inner nodes.
+
+Sampled fields live on the cylindrical grid with piecewise-cubic
+interpolation and are serialized in a self-describing .npz container
+(layout in :func:`save_field`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
@@ -54,6 +70,8 @@ _FD_STEP = 1e-3
 # 4th-order central difference coefficients at offsets -2h..2h
 _FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD4_COEFFS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+# the area of the unit sphere S^(d-1) of a radial axis of dimension d
+_SPHERE_AREA = {3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
 
 
 class SymmetryMismatch(ValueError):
@@ -529,7 +547,7 @@ class RadialExpField(ScalarField):
 
 
 # ---------------------------------------------------------------------------
-# sampled fields on cylindrical grids
+# grids and their operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -557,7 +575,8 @@ class Grid2DCyl:
         return (self.x1, self.h1, 1), (self.r, self.hr, 3)
 
     def __post_init__(self):
-        if self.x1_max <= self.x1_min or self.r_max <= 0:
+        # written so that a NaN bound fails too
+        if not (self.x1_max > self.x1_min and self.r_max > 0):
             raise ValueError("empty grid ranges")
         if self.n1 < 4 or self.nr < 4:
             raise ValueError("need at least 4 nodes per axis")
@@ -592,6 +611,12 @@ class GridRadial:
     def points(self, at=np.s_[:]) -> np.ndarray:
         return cylinder_points(self.r[at], [0.0])
 
+    def __post_init__(self):
+        if not self.r_max > 0:  # a NaN r_max fails too
+            raise ValueError("empty grid range")
+        if self.n < 4:
+            raise ValueError("need at least 4 nodes")
+
     @property
     def shape(self):
         return (self.n,)
@@ -616,6 +641,98 @@ def cylinder_points(x1, r) -> np.ndarray:
     P[:, 0] = X1.ravel()
     P[:, 1] = R.ravel()
     return P
+
+
+def eval_on_grid(f: ScalarField, grid) -> np.ndarray:
+    return f.evaluate(grid.points()).reshape(grid.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def grid_weights(grid) -> np.ndarray:
+    """Trapezoid weights of the measure, 4 pi rbar^2 drbar dx1 or
+    2 pi^2 r^3 dr, built once per grid and returned read-only."""
+    w, area = np.ones(()), 1.0
+    for nodes, h, dim in grid.axes:
+        wa = np.full(len(nodes), h)
+        wa[[0, -1]] *= 0.5
+        if dim > 1:
+            wa, area = wa * nodes**(dim - 1), _SPHERE_AREA[dim]
+        w = np.multiply.outer(w, wa)
+    w = area * w
+    w.flags.writeable = False
+    return w
+
+
+def grid_gradient(arr: np.ndarray, grid) -> np.ndarray:
+    """d/d(axis) per grid axis: np.gradient's edge_order=2 formulas, bit
+    for bit, without its temporaries.  Central differences run on the flat
+    arrays; the one-sided edges then overwrite the entries that wrap."""
+    a, out = arr.ravel(), np.empty((arr.ndim, *arr.shape))
+    for axis, (_, h, _) in enumerate(grid.axes):
+        k = math.prod(arr.shape[axis + 1:])
+        inner = out[axis].ravel()[k:-k]
+        np.subtract(a[2 * k:], a[:-2 * k], out=inner)
+        inner /= 2.0 * h
+        f, e = np.moveaxis(arr, axis, 0), np.moveaxis(out[axis], axis, 0)
+        e[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+        e[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out
+
+
+def grid_h_norm_sq(du, dv, grid) -> float:
+    acc, *rest = grid_gradient(du, grid)
+    acc *= acc
+    for d in rest:
+        acc += np.multiply(d, d, out=d)
+    acc += dv * dv
+    acc *= grid_weights(grid)
+    return float(np.sum(acc))
+
+
+# one kept, so a finished grid's diagonals do not add to the next's peak
+@functools.lru_cache(maxsize=1)
+def laplacian_operator(grid) -> sparse.dia_matrix:
+    """The grid Laplacian as one sparse operator on the flattened grid: per
+    axis the second difference at offsets 0 and +-its stride, plus
+    (d - 1)/r dr on a radial axis of dimension d, whose axis node is d drr
+    with the even reflection u(-h) = u(h).  The pinned edges get no term
+    along their normal: the evolver sets their values, but v_sync still
+    reads the force there.  Cached per grid, read-only."""
+    shape, mid, diags, offsets = grid.shape, 0.0, [], []
+    # the last axis first: the cylinder's stored results sum in that order
+    for axis in reversed(range(len(shape))):
+        nodes, h, dim = grid.axes[axis]
+        lo, c, hi = np.zeros((3, len(nodes)))  # of u[j - 1], u[j], u[j + 1]
+        inner, ih = slice(1, -1), 1.0 / h**2
+        first = 0.5 * (dim - 1) / (nodes[inner] * h) if dim > 1 else 0.0
+        lo[inner], c[inner], hi[inner] = ih - first, -2.0 * ih, ih + first
+        if dim > 1:
+            c[0], hi[0] = -2.0 * dim * ih, 2.0 * dim * ih
+        along = [-1 if a == axis else 1 for a in range(len(shape))]
+        lo, c, hi = (np.broadcast_to(x.reshape(along), shape).ravel()
+                     for x in (lo, c, hi))
+        k = math.prod(shape[axis + 1:])
+        mid = mid + c
+        diags += [hi[:-k], lo[k:]]
+        offsets += [k, -k]
+    op = sparse.diags([mid, *diags], [0, *offsets], format="dia")
+    op.data.flags.writeable = False
+    return op
+
+
+def stationary_residual_norm(f: ScalarField, grid) -> float:
+    """Weighted L2 norm of Delta_h f + f^3 over the inner nodes: the pinned
+    edges are left out, and the axis has zero measure."""
+    u = eval_on_grid(f, grid)
+    res = (laplacian_operator(grid) @ u.ravel()).reshape(grid.shape) + u**3
+    for e in grid.edges:
+        res[e] = 0.0
+    return float(np.sqrt(np.sum(res**2 * grid_weights(grid))))
+
+
+# ---------------------------------------------------------------------------
+# sampled fields on cylindrical grids
+# ---------------------------------------------------------------------------
 
 
 def _stencil_derivative(values, h, axis):
@@ -750,8 +867,7 @@ def _grid_of(z) -> Grid2DCyl:
 
 
 def _sample_on(f: ScalarField, grid) -> SampledField:
-    values = f.evaluate(cylinder_points(grid.x1, grid.r))
-    return SampledField(grid, values.reshape(grid.n1, grid.nr), decay=f.decay)
+    return SampledField(grid, eval_on_grid(f, grid), decay=f.decay)
 
 
 def load_field_csv(path) -> SampledField:
@@ -804,10 +920,6 @@ def pair_sum(pairs, coeffs=None) -> FieldPair:
     component one flat combination."""
     return FieldPair(sum_field([p.first for p in pairs], coeffs),
                      sum_field([p.second for p in pairs], coeffs))
-
-
-def zero_pair() -> FieldPair:
-    return FieldPair(zero_field(), zero_field())
 
 
 def _check_compatible(*fields):

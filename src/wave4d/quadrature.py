@@ -58,11 +58,6 @@ def join_symmetry(*tags: str) -> str:
     return max(tags, key=lambda t: _SYM_ORDER[t])
 
 
-def symmetry_rank(tag: str) -> int:
-    """Position in the radial < cylindrical < bicylindrical < full order."""
-    return _SYM_ORDER[tag]
-
-
 class ToleranceNotReached(RuntimeError):
     """Raised by QuadratureResult.require() when refinement did not converge."""
 

@@ -32,7 +32,6 @@ from .fields import (
     SampledField,
     ScalarField,
     _unit,
-    cylinder_points,
     load_field,
     load_field_csv,
 )
@@ -432,58 +431,3 @@ def kernel_basis(Q: ScalarField) -> KernelBasis:
                                  for f in [psi] + keep_fields]
     return KernelBasis(slow=psi, fields=keep_fields, ids=keep_ids,
                        gram=Gfull, rank=len(keep_ids), dropped=dropped)
-
-
-def symmetric_generator_ids(Q: ScalarField, symmetry: str) -> list:
-    """Generator ids whose fields stay within the given symmetry class."""
-    from .quadrature import symmetry_rank
-
-    out = []
-    for gid in GENERATOR_IDS:
-        g = symmetry_generator(Q, gid)
-        if getattr(g, "is_zero", False):
-            continue
-        if symmetry_rank(g.symmetry) <= symmetry_rank(symmetry):
-            out.append(gid)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# stationary-equation residuals on grids
-# ---------------------------------------------------------------------------
-
-def radial_residual_norm(f: ScalarField, r_max: float, n: int) -> float:
-    """L2(r^3 dr) norm of -(S'' + 3 S'/r) - S^3 with 2nd-order stencils."""
-    h = r_max / n
-    r = (np.arange(1, n) * h)
-    X = cylinder_points(r, [0.0])
-    S = f.evaluate(X)
-    Xp = X.copy(); Xp[:, 0] += h
-    Xm = X.copy(); Xm[:, 0] -= h
-    Sp, Sm = f.evaluate(Xp), f.evaluate(np.abs(Xm))
-    lap = (Sp - 2 * S + Sm) / h**2 + (3.0 / r) * (Sp - Sm) / (2 * h)
-    res = -lap - S**3
-    w = 2 * math.pi**2 * r**3 * h
-    return float(np.sqrt(np.sum(res**2 * w)))
-
-
-def cylindrical_residual_norm(f: ScalarField, x1_range, r_max: float,
-                              n1: int, nr: int) -> float:
-    """Same residual for x1-dependent profiles on a cylindrical grid."""
-    x1 = np.linspace(*x1_range, n1)
-    h1 = x1[1] - x1[0]
-    hr = r_max / nr
-    rb = (np.arange(1, nr) * hr)
-
-    def sample(xs, rs):
-        return f.evaluate(cylinder_points(xs, rs)).reshape(xs.size, rs.size)
-
-    S = sample(x1, rb)
-    lap = np.zeros_like(S)
-    lap[1:-1, :] += (S[2:, :] - 2 * S[1:-1, :] + S[:-2, :]) / h1**2
-    Sp = sample(x1, rb + hr)
-    Sm = sample(x1, rb - hr)
-    lap += (Sp - 2 * S + Sm) / hr**2 + (2.0 / rb)[None, :] * (Sp - Sm) / (2 * hr)
-    res = (-lap - S**3)[1:-1, :]
-    w = 4 * math.pi * rb**2 * hr * h1
-    return float(np.sqrt(np.sum(res**2 * w[None, :])))

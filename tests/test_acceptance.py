@@ -11,11 +11,12 @@ import numpy as np
 
 from wave4d.boosts import build_exp_directions, pair_vector
 from wave4d.energy import coercivity_probe
-from wave4d.evolver import (CylWaveEvolver, GridBasis, eval_on_grid, evolve,
-                            grid_h_norm_sq, measure_mode_rates,
-                            shooting_experiment, single_soliton_config,
-                            soliton_background)
-from wave4d.fields import Grid2DCyl, inner_pair_l2, norm_pair
+from wave4d.evolver import (CylWaveEvolver, GridBasis, evolve,
+                            measure_mode_rates, shooting_experiment,
+                            single_soliton_config, soliton_background)
+from wave4d.fields import (Grid2DCyl, GridRadial, eval_on_grid,
+                           grid_h_norm_sq, inner_pair_l2, norm_pair,
+                           stationary_residual_norm)
 from wave4d.fitting import fit_loglog
 from wave4d.interactions import (g_part_norms, interaction_rate_table,
                                  sigma_rate, slow_pairing_lawcheck,
@@ -26,8 +27,7 @@ from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (assemble_radial, negative_spectrum,
                              shooting_rate, verify_cancellation,
                              verify_exponential_decay)
-from wave4d.states import (GENERATOR_IDS, kelvin, radial_residual_norm,
-                           symmetry_generator)
+from wave4d.states import GENERATOR_IDS, kelvin, symmetry_generator
 
 
 def _report(num, name, ok, detail=""):
@@ -37,7 +37,8 @@ def _report(num, name, ok, detail=""):
 
 
 def test_criterion_01_stationary_suite(W, rng):
-    res = [radial_residual_norm(W, 20.0, n) for n in (200, 400, 800)]
+    res = [stationary_residual_norm(W, GridRadial(20.0, n + 1))
+           for n in (200, 400, 800)]
     orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
     KW = kelvin(W)
     pts = rng.normal(scale=3.0, size=(1000, 4))

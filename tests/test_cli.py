@@ -48,6 +48,13 @@ def test_unknown_suite_rejected(tmp_path):
         main(["--out", str(tmp_path), "nonsense"])
 
 
+def test_states_rejects_an_empty_radial_range(tmp_path):
+    """The residual grid [0, r_max] needs r_max > 0; at r_max = -5 it
+    would take its residuals at negative radii."""
+    with pytest.raises(ValueError):
+        main(["--out", str(tmp_path), "states", "--r_max", "-5"])
+
+
 def test_report_rendering_idempotent(tmp_path):
     out = tmp_path
     summary = dict(suite="demo", criteria=[

@@ -5,13 +5,13 @@ import pytest
 
 from wave4d.boosts import pair_vector, traveling_pair
 from wave4d.evolver import (CylWaveEvolver, GridBasis, bootstrap_margins,
-                            default_grid_for, eval_on_grid, evolve,
-                            grid_energy_momentum, grid_gradient,
-                            grid_h_norm_sq, grid_modulation, grid_weights,
-                            laplacian_operator, measure_mode_rates,
+                            default_grid_for, evolve, grid_energy_momentum,
+                            grid_modulation, measure_mode_rates,
                             shooting_experiment, single_soliton_config,
                             soliton_background, soliton_center)
-from wave4d.fields import Grid2DCyl, GridRadial, pair_sum
+from wave4d.fields import (Grid2DCyl, GridRadial, eval_on_grid,
+                           grid_gradient, grid_h_norm_sq, grid_weights,
+                           laplacian_operator, pair_sum)
 from wave4d.modulation import (ModulationState, _soliton_pairs,
                                build_initial_data, exp_direction_family)
 from wave4d.quadrature import QuadratureSpec

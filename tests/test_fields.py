@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wave4d.fields import (AffineField, Combination, FieldPair, FormulaField,
-                           Grid2DCyl, PolyRadialField, RadialExpField,
-                           SampledField, SymmetryMismatch, cylinder_points,
-                           hardy_sobolev_check, inner_hdot1, inner_l2,
-                           inner_pair_h, inner_pair_l2, integrate_field,
-                           load_field, load_field_csv, load_pair, norm_hdot1,
-                           norm_l2, norm_pair, pair_sampler, pairing_block,
-                           save_field, save_pair, zero_field, zero_pair)
+                           Grid2DCyl, GridRadial, PolyRadialField,
+                           RadialExpField, SampledField, SymmetryMismatch,
+                           cylinder_points, hardy_sobolev_check, inner_hdot1,
+                           inner_l2, inner_pair_h, inner_pair_l2,
+                           integrate_field, load_field, load_field_csv,
+                           load_pair, norm_hdot1, norm_l2, norm_pair,
+                           pair_sampler, pairing_block, save_field, save_pair,
+                           zero_field)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import (GENERATOR_IDS, RationalRadial, dilate,
                            ground_state, symmetry_generator)
@@ -80,7 +81,7 @@ def test_l2_norm_of_w_squared(W):
 
 
 def test_pair_norm_and_trivial_cases(W):
-    assert norm_pair(zero_pair()) == 0.0
+    assert norm_pair(FieldPair(zero_field(), zero_field())) == 0.0
     p = FieldPair(W, zero_field())
     assert norm_pair(p) ** 2 == pytest.approx(W4_ORACLE, rel=1e-9)
 
@@ -278,6 +279,20 @@ def test_csv_import_rejects_layouts_it_would_misplace(tmp_path, x1s, rs,
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError):
         load_field_csv(path)
+
+
+@pytest.mark.parametrize("kind,args", [
+    (GridRadial, (-1.0, 2)), (GridRadial, (0.0, 11)),
+    (GridRadial, (math.nan, 11)), (GridRadial, (5.0, 3)),
+    (Grid2DCyl, (1.0, -1.0, 11, 5.0, 11)),
+    (Grid2DCyl, (-1.0, math.nan, 11, 5.0, 11)),
+    (Grid2DCyl, (-1.0, 1.0, 11, -5.0, 11)),
+    (Grid2DCyl, (-1.0, 1.0, 3, 5.0, 11))],
+    ids=["radial_negative", "radial_zero", "radial_nan", "radial_3_nodes",
+         "cyl_x1_reversed", "cyl_x1_nan", "cyl_negative_r", "cyl_3_nodes"])
+def test_grids_reject_empty_ranges_and_too_few_nodes(kind, args):
+    with pytest.raises(ValueError):
+        kind(*args)
 
 
 def test_csv_import_needs_rows_of_three_values(tmp_path):

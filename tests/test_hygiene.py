@@ -137,7 +137,6 @@ IDENTITY = "a paper identity, awaiting its report row (ROADMAP item 4)"
 REFERENCE = "a reference that a test compares against"
 IMPORT_PATH = "the import path of a computed profile"
 PUBLIC = "public: wave4d/__init__.py re-exports it or what calls it"
-HELPER = "a test's helper; ROADMAP item 4 gives it a report row or deletes it"
 
 # every definition reached only from tests, with the reason it stays
 TEST_ONLY = {
@@ -157,7 +156,6 @@ TEST_ONLY = {
     "EnergyReport": IDENTITY,
     "_ramp_norms": IDENTITY,
     "conserved_energy_momentum": IDENTITY,
-    "cylindrical_residual_norm": IDENTITY,
     "energy_functionals": IDENTITY,
     "exp_direction_decay_check": IDENTITY,
     "laplacian": IDENTITY,
@@ -196,9 +194,6 @@ TEST_ONLY = {
     "require": PUBLIC,  # raises ToleranceNotReached
     "rotate": PUBLIC,
     "rotation_matrix": PUBLIC,
-    "symmetric_generator_ids": HELPER,
-    "symmetry_rank": HELPER,
-    "zero_pair": HELPER,
 }
 
 

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wave4d.fields import (FormulaField, Grid2DCyl, SampledField,
-                           cylinder_points, save_field)
+from wave4d.fields import (FormulaField, Grid2DCyl, GridRadial,
+                           SampledField, cylinder_points, save_field,
+                           stationary_residual_norm)
 from wave4d.fitting import check_decay
 from wave4d.states import (GENERATOR_IDS, SingularTransform, SurrogateSpec,
-                           TransformParams, apply_transform,
-                           cylindrical_residual_norm, dilate, ground_state,
-                           kelvin, kernel_basis, load_profile,
-                           radial_residual_norm, rotate, rotation_matrix,
-                           surrogate_excited_state, surrogate_seed,
-                           symmetric_generator_ids, symmetry_generator,
-                           translate)
+                           TransformParams, apply_transform, dilate,
+                           ground_state, kelvin, kernel_basis, load_profile,
+                           rotate, rotation_matrix, surrogate_excited_state,
+                           surrogate_seed, symmetry_generator, translate)
 
 
 def test_ground_state_values(W):
@@ -24,8 +22,48 @@ def test_ground_state_values(W):
     assert W.meta["pde_solution"] is True
 
 
+def _radial_grid(n):
+    """n cells of [0, 20]: the residual is taken at r = h, ..., 20 - h."""
+    return GridRadial(20.0, n + 1)
+
+
+def _cylinder(n):
+    """n nodes of [-10, 10] by n // 2 cells of [0, 8]."""
+    return Grid2DCyl(-10.0, 10.0, n, 8.0, n // 2 + 1)
+
+
+def _radial_reference(f, r_max, n):
+    """L2(2 pi^2 r^3 dr) norm of -(S'' + 3 S'/r) - S^3 at r = h, ...,
+    r_max - h, h = r_max / n, by second-order slice stencils."""
+    h = r_max / n
+    r = np.arange(n + 1) * h
+    S = f.evaluate(cylinder_points(r, [0.0]))
+    lap = ((S[2:] - 2 * S[1:-1] + S[:-2]) / h**2
+           + 3.0 / r[1:-1] * (S[2:] - S[:-2]) / (2 * h))
+    res = -lap - S[1:-1]**3
+    return float(np.sqrt(np.sum(res**2 * 2 * math.pi**2 * r[1:-1]**3 * h)))
+
+
+def _cylindrical_reference(f, x1_range, r_max, n1, nr):
+    """The same residual on the (x1, rbar) grid of n1 nodes by nr cells, at
+    the inner x1 rows and at rbar = hr, ..., r_max - hr, in
+    L2(4 pi rbar^2 drbar dx1)."""
+    x1 = np.linspace(*x1_range, n1)
+    h1, hr = x1[1] - x1[0], r_max / nr
+    rb = np.arange(nr + 1) * hr
+    S = f.evaluate(cylinder_points(x1, rb)).reshape(n1, nr + 1)
+    c = S[1:-1, 1:-1]
+    lap = ((S[2:, 1:-1] - 2 * c + S[:-2, 1:-1]) / h1**2
+           + (S[1:-1, 2:] - 2 * c + S[1:-1, :-2]) / hr**2
+           + 2.0 / rb[1:-1] * (S[1:-1, 2:] - S[1:-1, :-2]) / (2 * hr))
+    res = -lap - c**3
+    w = 4 * math.pi * rb[1:-1]**2 * hr * h1
+    return float(np.sqrt(np.sum(res**2 * w)))
+
+
 def test_stationary_residual_refines_at_stencil_order(W):
-    res = [radial_residual_norm(W, 20.0, n) for n in (200, 400, 800)]
+    res = [stationary_residual_norm(W, _radial_grid(n))
+           for n in (200, 400, 800)]
     orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
 
@@ -33,12 +71,25 @@ def test_stationary_residual_refines_at_stencil_order(W):
 def test_transformed_states_remain_stationary(W):
     # dilation keeps the profile radial; translation along x1 does not
     f = dilate(W, 1.7)
-    res = [radial_residual_norm(f, 20.0, n) for n in (200, 400)]
+    res = [stationary_residual_norm(f, _radial_grid(n)) for n in (200, 400)]
     assert math.log2(res[0] / res[1]) >= 1.8
     g = translate(W, np.array([0.8, 0.0, 0.0, 0.0]))
-    res = [cylindrical_residual_norm(g, (-10.0, 10.0), 8.0, n, n // 2)
-           for n in (160, 320)]
+    res = [stationary_residual_norm(g, _cylinder(n)) for n in (160, 320)]
     assert math.log2(res[0] / res[1]) >= 1.8
+
+
+def test_stationary_residual_matches_the_slice_stencils(W):
+    """The grid operator's residual leaves out the same nodes and sums the
+    same stencil as the slice references: on W on the radial grid, and on
+    W moved along x1 on the cylinder, where the x1 edge rows are pinned."""
+    for n in (200, 400, 800):
+        got = stationary_residual_norm(W, _radial_grid(n))
+        assert got == pytest.approx(_radial_reference(W, 20.0, n), rel=1e-8)
+    g = translate(W, np.array([0.8, 0.0, 0.0, 0.0]))
+    for n in (160, 320):
+        got = stationary_residual_norm(g, _cylinder(n))
+        ref = _cylindrical_reference(g, (-10.0, 10.0), 8.0, n, n // 2)
+        assert got == pytest.approx(ref, rel=1e-8)
 
 
 def test_kelvin_closed_forms(W, rng):
@@ -271,11 +322,24 @@ def test_kernel_basis_ranks(W, Qs):
     assert "rotation_23" in kbQ.dropped
 
 
-def test_symmetric_generator_subsets(W, Qs):
-    assert symmetric_generator_ids(W, "cylindrical") == [
-        "scaling", "translation_1", "conformal_1"]
-    ids = symmetric_generator_ids(Qs, "bicylindrical")
-    assert "conformal_4" in ids and "rotation_14" in ids
+def test_generator_symmetry_tags(W, Qs):
+    """The symmetry tag of every nonzero generator: rotations of the radial
+    W vanish, and the x4-odd surrogate keeps only rotation_14 about e1."""
+    def tags(f):
+        gens = {gid: symmetry_generator(f, gid) for gid in GENERATOR_IDS}
+        return {gid: g.symmetry for gid, g in gens.items()
+                if not getattr(g, "is_zero", False)}
+
+    cyl, bicyl, full = "cylindrical", "bicylindrical", "full"
+    assert tags(W) == dict(
+        scaling="radial", translation_1=cyl, translation_2=full,
+        translation_3=full, translation_4=bicyl, conformal_1=cyl,
+        conformal_2=full, conformal_3=full, conformal_4=bicyl)
+    assert tags(Qs) == dict(
+        scaling=bicyl, translation_1=bicyl, translation_2=full,
+        translation_3=full, translation_4=bicyl, rotation_14=cyl,
+        rotation_24=full, rotation_34=full, conformal_1=bicyl,
+        conformal_2=full, conformal_3=full, conformal_4=bicyl)
 
 
 def test_check_decay_examples(W, Qs):
