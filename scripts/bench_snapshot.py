@@ -5,11 +5,11 @@ BENCH_<n>.json.
     python3 scripts/bench_snapshot.py [--checkout DIR]
 
 Each workload runs through the checkout's ``benchmark/run.py`` (default
-checkout: this repository), at seed 1 for the benchmark's 15 s: once with
-``--trace 0`` for the end-to-end metrics, then three times with
-``--trace 1`` for the per-layer ones.  A single traced run is one sample at
-whatever load it met, so the snapshot keeps each per-layer metric's three
-values and their median.  Every snapshot runs the same way, so any two
+checkout: this repository), at seed 1 for the benchmark's 15 s: five times
+with ``--trace 0`` for the end-to-end metrics, then three times with
+``--trace 1`` for the per-layer ones.  A single run is one sample at
+whatever load it met, so the snapshot keeps each metric's values, their
+median and their quartiles.  Every snapshot runs the same way, so any two
 compare.
 Then the checkout's ``scripts/run_all_suites.py`` runs once into a temporary
 directory; the snapshot keeps each suite's wall time, the exit status and a
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("projection", "dynamics", "laws")
 SEED = 1
 SECONDS = 15.0
+END_TO_END_RUNS = 5
 TRACED_RUNS = 3
 
 
@@ -70,15 +71,16 @@ def _run(checkout: Path, workload: str, trace: int) -> dict:
     return result
 
 
-def _traced(checkout: Path, workload: str) -> dict:
-    """The verdicts of TRACED_RUNS traced runs, and per layer metric its
-    values and their median."""
-    runs = [_run(checkout, workload, 1) for _ in range(TRACED_RUNS)]
+def _runs(checkout: Path, workload: str, trace: int, count: int) -> dict:
+    """The verdicts of count runs, and per metric its values, their median
+    and their quartiles."""
+    runs = [_run(checkout, workload, trace) for _ in range(count)]
     metrics = {}
     for name, m in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4)
         metrics[name] = dict(values=values, median=statistics.median(values),
-                             unit=m["unit"])
+                             quartiles=[q1, q3], unit=m["unit"])
     return dict(runs=[{k: r[k] for k in ("correct", "attempted", "failed")}
                       for r in runs], metrics=metrics)
 
@@ -124,8 +126,8 @@ def main(argv=None) -> int:
         seed=SEED, seconds=SECONDS, workloads={})
     for workload in WORKLOADS:
         snapshot["workloads"][workload] = dict(
-            end_to_end=_run(checkout, workload, 0),
-            per_layer=_traced(checkout, workload))
+            end_to_end=_runs(checkout, workload, 0, END_TO_END_RUNS),
+            per_layer=_runs(checkout, workload, 1, TRACED_RUNS))
     snapshot["suites"] = _suites(checkout)
 
     path = next_path(ROOT)

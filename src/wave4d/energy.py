@@ -247,6 +247,41 @@ def zeta_smallness(cutoff: CutoffChiN, gamma: float, t: float) -> dict:
 # coercivity probes
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Bump(ScalarField):
+    """amp e^(-((x1 - c)/a)^2 - rbar^2/b^2) (1 + alpha x1 + beta rbar^2),
+    rbar = |(x2, x3, x4)|; its jet takes the exponential and rbar^2 once for
+    the value and the gradient."""
+
+    c: float
+    a: float
+    b: float
+    amp: float
+    alpha: float
+    beta: float
+    symmetry: str = "cylindrical"
+
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        x1, rb2 = X[:, 0], np.sum(X[:, 1:] ** 2, axis=1)
+        e = self.amp * np.exp(-((x1 - self.c) / self.a) ** 2
+                              - rb2 / self.b**2)
+        poly = 1.0 + self.alpha * x1 + self.beta * rb2
+        g = None
+        if gradient:
+            g = np.empty_like(X)
+            g[:, 0] = e * (self.alpha
+                           - 2.0 * (x1 - self.c) / self.a**2 * poly)
+            g[:, 1:] = e[:, None] * X[:, 1:] * (
+                2.0 * self.beta - 2.0 * poly / self.b**2)[:, None]
+        return (e * poly if value else None), g
+
+    def evaluate(self, X):
+        return self.jet(X, gradient=False)[0]
+
+    def gradient(self, X):
+        return self.jet(X, value=False)[1]
+
+
 def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     """Seeded smooth localized cylindrical pair."""
     def bump():
@@ -254,25 +289,8 @@ def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
         a = rng.uniform(1.0, 3.0)
         b = rng.uniform(1.0, 3.0)
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-        alpha = rng.uniform(-0.5, 0.5)
-        beta = rng.uniform(-0.2, 0.2)
-
-        def fn(X, c=c, a=a, b=b, amp=amp, alpha=alpha, beta=beta):
-            rb2 = np.sum(X[:, 1:] ** 2, axis=1)
-            return (amp * np.exp(-((X[:, 0] - c) / a) ** 2 - rb2 / b**2)
-                    * (1.0 + alpha * X[:, 0] + beta * rb2))
-
-        def grad(X, c=c, a=a, b=b, amp=amp, alpha=alpha, beta=beta):
-            rb2 = np.sum(X[:, 1:] ** 2, axis=1)
-            e = amp * np.exp(-((X[:, 0] - c) / a) ** 2 - rb2 / b**2)
-            poly = 1.0 + alpha * X[:, 0] + beta * rb2
-            g = np.zeros_like(X)
-            g[:, 0] = e * (alpha - 2.0 * (X[:, 0] - c) / a**2 * poly)
-            g[:, 1:] = e[:, None] * X[:, 1:] * (2.0 * beta
-                                                - 2.0 * poly / b**2)[:, None]
-            return g
-
-        return FormulaField(fn, grad, symmetry="cylindrical", decay=None)
+        return _Bump(c, a, b, amp, rng.uniform(-0.5, 0.5),
+                     rng.uniform(-0.2, 0.2))
 
     return FieldPair(bump(), bump())
 
@@ -284,11 +302,15 @@ class _ProjectedForm:
     directions.  For a pair v the coefficients s solve M s = cons(v), with
     rows pairing against the kernel pairs (energy pairing) and the Z
     partners (L2).  Every pair is sampled once on the fixed node set of
-    spec by ``fields.pair_sampler``, in its "h" and "l2" features: they give
-    cons(v), and since features are linear in the pair, the projected pair
-    v - sum_k s_k c_k has the features Sv - Sc s, whose weighted products
-    are its form and norm.  The correctors' Sc and M are taken once, so a
-    probe sample costs one sampling of v.
+    spec by ``fields.pair_sampler``, in its "h" and "l2" features, each
+    flat over (feature, node).  The constraint rows are the weighted
+    features of the kernel pairs and of the Z partners, (constraint,
+    feature.node), so cons(v) is one product with each.  Features are
+    linear in the pair, so the projected pair v - sum_k s_k c_k has the
+    features of v less the correctors' stacks, (feature.node, corrector),
+    times s, whose weighted sums are its form and norm.  The rows, the
+    stacks and M are taken once, so a probe sample costs one sampling of v
+    and four matrix-vector products.
     """
 
     def __init__(self, ell: float, Q: ScalarField, kernel_fields,
@@ -301,43 +323,48 @@ class _ProjectedForm:
               if gamma is not None else 1.0)
         self.w_zeta = w * z2
         self.w_pot = w * 3.0 * boost_profile(Q, ell).evaluate(self.X) ** 2
-        self.Sc_h, self.Sc_l2, z_l2 = pair_sampler(
+        h, l2, z_l2 = pair_sampler(
             [("h", self.correctors), ("l2", self.correctors),
              ("l2", [directions["+"].z_pair, directions["-"].z_pair])])(self.X)
         # constraint rows: energy pairing with the kernel pairs, L2 pairing
         # with the Z partners
-        self.kern_rows = (w[:, None, None]
-                          * self.Sc_h[:, :len(kernel_fields)])
-        self.z_rows = w[:, None, None] * z_l2
+        n_kernel = len(kernel_fields)
+        self.kern_rows = (h[:n_kernel] * w).reshape(n_kernel, -1)
+        self.z_rows = (z_l2 * w).reshape(len(z_l2), -1)
+        self.Sc_h = h.reshape(len(h), -1).T
+        self.Sc_l2 = l2.reshape(len(l2), -1).T
         self.M = self._constraints(self.Sc_h, self.Sc_l2)
 
     def _constraints(self, h, l2) -> np.ndarray:
-        """Constraint pairings (rows, n) with the pairs whose features are
-        h and l2."""
-        return np.concatenate([np.einsum("pik,pjk->ij", self.kern_rows, h),
-                               np.einsum("pik,pjk->ij", self.z_rows, l2)])
+        """Constraint pairings with the pairs whose flat features are the
+        columns of h and l2 (or with the one pair of vectors h and l2)."""
+        return np.concatenate([self.kern_rows @ h, self.z_rows @ l2])
+
+    def _features(self, u: FieldPair) -> tuple:
+        """The flat "h" and "l2" features of u at the nodes."""
+        h, l2 = pair_sampler([("h", [u]), ("l2", [u])])(self.X)
+        return h.ravel(), l2.ravel()
 
     def _form(self, h, l2) -> tuple:
-        """(H_ell form, norm) of the pair whose features at the nodes are
-        h and l2; both carry the weight when one is set."""
-        norm = self.w_zeta @ np.einsum("pk,pk->p", h, h)
-        cross = 2.0 * self.w_zeta @ (h[:, 4] * h[:, 0])
-        pot = self.w_pot @ l2[:, 0] ** 2
+        """(H_ell form, norm) of the pair whose flat features at the nodes
+        are h and l2; both carry the weight when one is set."""
+        h = h.reshape(-1, len(self.X))
+        norm = self.w_zeta @ np.sum(h * h, axis=0)
+        cross = 2.0 * self.w_zeta @ (h[4] * h[0])
+        pot = self.w_pot @ l2[:len(self.X)] ** 2
         return float(norm + self.ell * cross - pot), float(norm)
 
     def form_and_norm(self, u: FieldPair) -> tuple:
         """(H_ell form, squared norm) of u itself, unprojected; both carry
         the weight when one is set."""
-        h, l2 = pair_sampler([("h", [u]), ("l2", [u])])(self.X)
-        return self._form(h[:, 0], l2[:, 0])
+        return self._form(*self._features(u))
 
     def __call__(self, v: FieldPair) -> tuple:
         """(projected form, projected norm, coefficients s, constraints)."""
-        h, l2 = pair_sampler([("h", [v]), ("l2", [v])])(self.X)
-        cons = self._constraints(h, l2)[:, 0]
+        h, l2 = self._features(v)
+        cons = self._constraints(h, l2)
         s = np.linalg.solve(self.M, cons)
-        Fp, Np = self._form(h[:, 0] - np.einsum("pik,i->pk", self.Sc_h, s),
-                            l2[:, 0] - np.einsum("pik,i->pk", self.Sc_l2, s))
+        Fp, Np = self._form(h - self.Sc_h @ s, l2 - self.Sc_l2 @ s)
         return Fp, Np, s, cons
 
 
@@ -361,10 +388,11 @@ def coercivity_probe(ell: float, Q: ScalarField, kernel_fields,
 
     Random localized pairs are projected against the kernel pairs (energy
     pairing) and the exponential-direction partners (L2 pairing); the form
-    is then evaluated through precomputed bilinear blocks on the fixed node
-    set of spec (an adaptive spec raises ValueError), so each sample costs
-    one evaluation of the pair.  gamma switches to the weighted form with
-    the same projection penalty structure.
+    is then evaluated through the correctors' features and constraint rows,
+    taken once on the fixed node set of spec (an adaptive spec raises
+    ValueError), so each sample costs one evaluation of the pair.  gamma
+    switches to the weighted form with the same projection penalty
+    structure.
     """
     spec = spec or QuadratureSpec(scheme="fixed", nodes=10, r_max=30.0)
     proj = _ProjectedForm(ell, Q, kernel_fields, directions, gamma, spec)

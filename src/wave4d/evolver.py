@@ -246,10 +246,10 @@ class GridBasis:
             X = grid.points(np.s_[b_lo:b_hi, :])
             out = F[:, b_lo * grid.nr:b_hi * grid.nr]
             l2, h, zq = sample(X)
-            out[:nb] = l2[:, :, 0].T
+            out[:nb] = l2[:, 0]
             # "h" features: d1, dr, d3, d4, second
-            out[nb:4 * nb] = h[:, :, (0, 1, 4)].reshape(len(X), -1).T
-            out[4 * nb:] = zq.reshape(len(X), -1).T
+            out[nb:4 * nb] = h[:, (0, 1, 4)].reshape(3 * nb, -1)
+            out[4 * nb:] = zq.reshape(len(zq) * 2, -1)
 
     def _move(self, F, t: float, k: int):
         """Move every column of F by k x1 rows in place, the translation of

@@ -20,8 +20,10 @@ needs:
   map x -> diag(scale) x + shift, or its derivative along one axis (a
   traveling pair's second component).  The one sampler
   :func:`pair_sampler` serves every pairing: per batch of points it maps
-  each distinct leaf once and takes its value and gradient together where
-  they are read.
+  each distinct leaf once, takes its value and gradient together where
+  they are read, and forms the features from those reads by matrix
+  products; :func:`pairing_block` contracts row and column features with
+  the quadrature weights in one more product per pairing kind.
 
 Two uniform grids carry the discretization.  :class:`Grid2DCyl` holds
 fields of (x1, rbar), rbar = |(x2,x3,x4)|, at the points (x1, rbar, 0, 0),
@@ -1011,25 +1013,35 @@ _WIDTH = {"h": 5, "l2": 2}
 
 
 def pair_sampler(groups):
-    """X -> [(N, len(pairs), _WIDTH[kind]) features of each group] for
-    groups of (kind, pairs) and (N, 4) points X.
+    """X -> [(len(pairs), _WIDTH[kind], N) features of each group] for
+    groups of (kind, pairs) and (N, 4) points X: per pair, per feature, its
+    values at the points.
 
     Leaves of one base field under one map share one jet: X is mapped once
     and the base gives its value and gradient together, each only where a
     feature reads it, so a component paired only in L2 is never
-    differentiated.  A feature is then the sum of its leaves' reads.
+    differentiated.  A batch's reads fill two read matrices, one row per
+    distinct read: the values (Lv, N) and the gradients (Lg, 4, N).  A
+    feature is a combination of its leaves' reads, so each slot of a
+    group's stack (the four gradient entries of an "h" first component, or
+    one value) is one product of a coefficient matrix, built here once,
+    with one read matrix.  Features are formed node by node, never through
+    pairings of the leaves.
     """
-    sources, stacks = {}, []
+    sources, rows, plans = {}, {"value": {}, "gradient": {}}, []
 
     def read(leaf, part):
-        """Register one part ("value" or "gradient") of a leaf; its key."""
-        key = (_leaf_key(leaf), part)
+        """Register one part ("value" or "gradient") of a leaf; its row in
+        that part's read matrix."""
+        key = _leaf_key(leaf)
+        if key in rows[part]:
+            return rows[part][key]
         # a derivative leaf's own gradient is taken whole, by the leaf
         whole = not isinstance(leaf, AffineField) or (
             part == "gradient" and leaf.derivative is not None)
-        src = sources.setdefault((id(leaf),) if whole else key[0][:3], [
+        src = sources.setdefault((id(leaf),) if whole else key[:3], [
             leaf if whole else leaf.base, None if whole else leaf,
-            False, False, {}])
+            False, False, []])
         # r maps the source's gradient to the read; None reads its value
         if part == "value" and (whole or leaf.derivative is None):
             r = None
@@ -1038,32 +1050,50 @@ def pair_sampler(groups):
         else:  # the gradient itself, or through the leaf's chain rule
             r = (lambda g: g) if whole else leaf._chain
         src[2 if r is None else 3] = True
-        src[4][key] = r
-        return key
+        row = rows[part][key] = len(rows[part])
+        src[4].append((part, row, r))
+        return row
 
     for kind, pairs in groups:
         k = _WIDTH[kind]
-        first = ("gradient", slice(0, 4)) if kind == "h" else ("value", 0)
-        stacks.append((len(pairs), k, [
-            (i, at, c, read(leaf, part))
-            for i, p in enumerate(pairs)
-            for (part, at), comp in ((first, p.first),
-                                     (("value", k - 1), p.second))
-            for c, leaf in _terms(comp)]))
+        first = ("gradient", 0) if kind == "h" else ("value", 0)
+        slots = {first: [], ("value", k - 1): []}
+        for i, p in enumerate(pairs):
+            for slot, comp in ((first, p.first), (("value", k - 1), p.second)):
+                slots[slot] += [(i, c, read(leaf, slot[0]))
+                                for c, leaf in _terms(comp)]
+        plans.append((len(pairs), k, slots))
+    # per group and slot (part, first feature, coefficients (pairs, reads))
+    stacks = []
+    for n, k, slots in plans:
+        mats = []
+        for (part, at), terms in slots.items():
+            C = np.zeros((n, len(rows[part])))
+            for i, c, row in terms:
+                C[i, row] += c
+            mats.append((part, at, C))
+        stacks.append((n, k, mats))
 
     def sample(X):
-        reads = {}
+        N = X.shape[0]
+        V = np.empty((len(rows["value"]), N))
+        G = np.empty((len(rows["gradient"]), 4, N))
         for field, mapping, value, grad, rs in sources.values():
             v, g = field.jet(X if mapping is None else mapping._map(X),
                              value, grad)
-            reads.update((key, v if r is None else r(g))
-                         for key, r in rs.items())
+            for part, row, r in rs:
+                if part == "gradient":
+                    G[row] = r(g).T
+                else:
+                    V[row] = v if r is None else r(g)
+        reads = {"value": V, "gradient": G.reshape(len(G), 4 * N)}
         out = []
-        for n, k, terms in stacks:
-            S = np.zeros((X.shape[0], n, k))
-            for i, at, c, key in terms:
-                S[:, i, at] += c * reads[key]
-            out.append(S)
+        for n, k, mats in stacks:
+            S = np.empty((n, k * N))
+            for part, at, C in mats:
+                width = 4 if part == "gradient" else 1
+                np.matmul(C, reads[part], out=S[:, at * N:(at + width) * N])
+            out.append(S.reshape(n, k, N))
         return out
 
     return sample
@@ -1077,9 +1107,11 @@ def pairing_block(rows, cols, kind,
     (Hdot1 on first components, L2 on second); kind may also be a sequence
     of them, one per column.  Per batch of quadrature nodes one
     :func:`pair_sampler` forms a row's features of every kind among the
-    columns and a column's of its own kind only, and each kind's
-    (N, len(rows), columns of that kind) block is one stacked matrix
-    product, so the cost is linear in the basis size.
+    columns and a column's of its own kind only, and the integrand hands
+    each kind's (row features, column features) to the quadrature, which
+    contracts them over features and nodes, with the weights, in one matrix
+    product; no per-node block of pairings is formed, and the cost is
+    linear in the basis size.
     """
     spec = spec or QuadratureSpec()
     kinds = [kind] * len(cols) if isinstance(kind, str) else list(kind)
@@ -1097,32 +1129,24 @@ def pairing_block(rows, cols, kind,
     groups = {k: [j for j, kj in enumerate(kinds) if kj == k]
               for k in dict.fromkeys(kinds)}
     # per kind the rows' stack, then its columns' unless they are the rows
-    requests, stacks = [], {}
+    requests, stacks = [], []
     for k, idx in groups.items():
         kcols = [cols[j] for j in idx]
         same = len(kcols) == len(rows) and all(
             a is b for a, b in zip(kcols, rows))
-        stacks[k] = (len(requests), len(requests) + (not same))
+        stacks.append((len(requests), len(requests) + (not same)))
         requests += [(k, rows)] + ([] if same else [(k, kcols)])
     sample = pair_sampler(requests)
-    # a kind whose columns are one run is formed in place: the block is a
-    # batch's largest array
-    where = {k: slice(idx[0], idx[-1] + 1)
-             if idx[-1] - idx[0] == len(idx) - 1 else idx
-             for k, idx in groups.items()}
 
     def fn(X):
         feats = sample(X)
-        out = np.empty((X.shape[0],) + shape)
-        for k, at in where.items():
-            R, C = (feats[i] for i in stacks[k])
-            if isinstance(at, slice):
-                np.matmul(R, C.transpose(0, 2, 1), out=out[:, :, at])
-            else:
-                out[:, :, at] = R @ C.transpose(0, 2, 1)
-        return out
+        return [(feats[r], feats[c]) for r, c in stacks]
 
-    return np.asarray(integrate_callable(fn, sym, spec).value)
+    out = np.empty(shape)
+    # the kinds' column blocks, side by side, in the order of groups
+    out[:, [j for idx in groups.values() for j in idx]] = \
+        integrate_callable(fn, sym, spec).value
+    return out
 
 
 def norm_l4(f: ScalarField, spec: QuadratureSpec | None = None) -> float:

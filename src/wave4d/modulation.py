@@ -28,8 +28,10 @@ decompose pass over [phi] + Z+- explicitly.  The passes stream through
 ``integrate_callable`` in batches of at most 2,048 nodes.  On the
 criterion-8 data (nodes 6, r_max 25: 46,872 nodes a pass) a decompose batch
 maps each of its 14 distinct leaves once and holds, per node, 52 leaf reads
-(values and gradient entries), 57 features and the 77 entries of the block:
-about 0.9, 0.9 and 1.3 MB a batch.
+(values and gradient entries) and 57 features, about 0.9 MB each a batch;
+the block is contracted from the features without a per-node block, through
+weighted copies of one kind's stacks at a time (at most 70 entries a node,
+1.1 MB, for the energy rows and columns).
 """
 
 from __future__ import annotations

@@ -45,8 +45,9 @@ SYM_FULL = "full"
 _SYM_ORDER = {SYM_RADIAL: 0, SYM_CYL: 1, SYM_BICYL: 2, SYM_FULL: 3}
 
 # points per integrand call: enough slabs that the per-call work of walking
-# the field trees is amortized, few enough that the largest per-point result
-# (pairing_block's (N, n, m) block) keeps the peak memory flat
+# the field trees is amortized, few enough that the largest per-batch arrays
+# (a pair sampler's leaf reads and feature stacks, about 0.9 MB each in the
+# decompose block) keep the peak memory flat
 _BATCH_POINTS = 2048
 
 
@@ -200,7 +201,16 @@ def gauss_panels(breaks: np.ndarray, n: int):
 
 
 def _wsum(vals, w):
-    """Weighted sum over the leading point axis of (N,) or (N, ...) values."""
+    """Weighted sum over the points of (N,) or (N, ...) values, or of a list
+    of factor pairs (R_k, C_k), shaped (n, ..., N) and (m_k, ..., N) with the
+    points last: the (n, sum m_k) matrix whose k-th column block is
+    sum R_k[i, ..., p] w_p C_k[j, ..., p], one product per pair.  The
+    weights are nonnegative, and each factor takes sqrt(w), so that a
+    factor paired with itself gives a symmetric block."""
+    if isinstance(vals, list):
+        sw = np.sqrt(w)
+        return np.hstack([(R * sw).reshape(len(R), -1)
+                          @ (C * sw).reshape(len(C), -1).T for R, C in vals])
     vals = np.asarray(vals)
     if vals.ndim == 1:
         return float(np.dot(vals, w))
@@ -212,7 +222,13 @@ def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
     r_max = spec.r_max
     if r_max is None:
         r_max = default_r_max(decay, spec.abs_tol)
-    if x1_range is None:
+    if x1_range is not None:
+        lo, hi = x1_range
+        # written so that a NaN bound fails too
+        if not (hi > lo) or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"x1_range {x1_range} is not a finite interval "
+                             "with lo < hi")
+    else:
         span = max((abs(c) for c in spec.x1_centers), default=0.0)
         x1_range = (-r_max - span, r_max + span)
     return r_max, x1_range
@@ -301,10 +317,12 @@ def integrate_callable(
 
     fn maps an (N, 4) array of points to N values (or an (N, ...) stack of
     integrands evaluated together, in which case value/error are arrays of
-    the trailing shape) and must honor the declared symmetry.  It is called
-    once per batch of consecutive x1 slabs (once in all for the radial
-    reduction), so each call sees up to ``_BATCH_POINTS`` points, or one
-    slab where a slab alone is larger.
+    the trailing shape, or a list of per-point factor pairs, which
+    :func:`_wsum` contracts into one matrix) and must honor the declared
+    symmetry.  It is called once per batch of consecutive x1 slabs (once in
+    all for the radial reduction), so each call sees up to
+    ``_BATCH_POINTS`` points, or one slab where a slab alone is larger.
+    x1_range, when given, must be finite with lo < hi.
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")

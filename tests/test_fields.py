@@ -14,7 +14,7 @@ from wave4d.fields import (AffineField, Combination, FieldPair, FormulaField,
                            integrate_field, load_field, load_field_csv,
                            load_pair, norm_hdot1, norm_l2, norm_pair,
                            pair_sampler, pairing_block, save_field, save_pair,
-                           zero_field)
+                           sum_field, zero_field)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import (GENERATOR_IDS, RationalRadial, dilate,
                            ground_state, symmetry_generator)
@@ -381,6 +381,71 @@ def test_mixed_kind_block_equals_single_kind_blocks(profile, symmetry,
             pairing_block(rows, cols, bad, fast_spec)
 
 
+def _pointwise_entries(rows, cols, kinds):
+    """X -> the (N, rows, cols) integrands of pairing_block, each entry
+    formed at the nodes from the components' own values and gradients."""
+    def fn(X):
+        jets = {id(f): f.jet(X) for p in list(rows) + list(cols)
+                for f in (p.first, p.second)}
+        out = np.empty((len(X), len(rows), len(cols)))
+        for i, p in enumerate(rows):
+            (f1, g1), (f2, _) = jets[id(p.first)], jets[id(p.second)]
+            for j, (q, kind) in enumerate(zip(cols, kinds)):
+                (h1, k1), (h2, _) = jets[id(q.first)], jets[id(q.second)]
+                first = np.sum(g1 * k1, axis=1) if kind == "h" else f1 * h1
+                out[:, i, j] = first + f2 * h2
+        return out
+    return fn
+
+
+def test_pairing_block_keeps_the_digits_of_a_cancelling_difference(
+        W, fast_spec):
+    """A row f_delta - f, with f_delta = f dilated by 1 + 1e-8, pairs with
+    itself as one pass of the difference formed at the nodes does: its
+    features are formed node by node.  Pairing the two leaves first and
+    combining their pairings after would leave about eight digits of
+    ||f_delta - f||^2, which is 1e-16 of the leaves' own."""
+    diff = dilate(W, 1.0 + 1e-8) - W
+    assert len(diff.terms) == 2
+    row = FieldPair(diff, diff)
+    for kind in ("h", "l2"):
+        got = pairing_block([row], [row], kind, fast_spec)[0, 0]
+        ref = integrate_callable(_pointwise_entries([row], [row], [kind]),
+                                 row.symmetry, fast_spec).value[0, 0]
+        assert 0.0 < ref < 1e-14 * pairing_block(
+            [FieldPair(W, W)], [FieldPair(W, W)], kind, fast_spec)[0, 0]
+        assert got == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.sampled_from([("h", "l2", "h", "l2"), ("l2", "h", "h", "l2"),
+                              ("h", "l2", "l2", "h")]))
+def test_pairing_block_equals_one_pass_of_pointwise_products(
+        W, fast_spec, scheme, seed, kinds):
+    """On random combinations of W and its cylindrical generators, with
+    kinds whose columns interleave, pairing_block equals one
+    integrate_callable pass of the entries formed at the nodes, on a fixed
+    spec and on the default adaptive one."""
+    basis = [W] + [symmetry_generator(W, g)
+                   for g in ("scaling", "translation_1", "conformal_1")]
+    rng = np.random.default_rng(seed)
+
+    def pair():
+        return FieldPair(*(sum_field(basis, rng.normal(size=len(basis)))
+                           for _ in range(2)))
+
+    rows, cols = [pair() for _ in range(2)], [pair() for _ in range(4)]
+    spec = fast_spec if scheme == "fixed" else QuadratureSpec()
+    got = pairing_block(rows, cols, list(kinds), spec)
+    ref = integrate_callable(_pointwise_entries(rows, cols, kinds),
+                             join_symmetry(*[p.symmetry for p in cols]),
+                             spec).value
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
 def test_self_pairings_sample_once_per_slab(W, fast_spec):
     calls = {"value": 0, "gradient": 0}
 
@@ -546,5 +611,5 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
                 terms = comp.terms if isinstance(comp, Combination) \
                     else ((1.0, comp),)
                 for c, leaf in terms:
-                    ref[:, i, at] += c * _product_read(leaf, X, part)
+                    ref[i, at] += (c * _product_read(leaf, X, part)).T
         assert np.array_equal(got, ref)

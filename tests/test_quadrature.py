@@ -299,6 +299,20 @@ def _gauss(X):
     return np.exp(-np.sum(X * X, axis=1))
 
 
+def test_x1_range_must_be_a_finite_increasing_interval():
+    """The cylindrical integral of e^(-|x|^2) over (-10, 10) is pi^2; a
+    reversed, empty, NaN or infinite x1_range raises instead of returning a
+    number (the reversed one read 0.1754, the NaN one nan)."""
+    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=10.0)
+    assert integrate_callable(_gauss, "cylindrical", spec,
+                              x1_range=(-10.0, 10.0)).value == \
+        pytest.approx(math.pi**2, rel=2e-6)
+    for bad in ((10.0, -10.0), (0.0, math.nan), (math.nan, 0.0),
+                (1.0, 1.0), (-math.inf, 10.0)):
+        with pytest.raises(ValueError, match="x1_range"):
+            integrate_callable(_gauss, "cylindrical", spec, x1_range=bad)
+
+
 def test_bicylindrical_closed_form_integral():
     """int x4^2 exp(-|x|^2) dx over R^4 = pi^2 / 2."""
     spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=12.0)
@@ -393,8 +407,8 @@ def _integrand_kinds():
 
     def blocks(X):
         H, L = sample(X)
-        h = np.einsum("pik,pjk->pij", H, H)
-        l2 = np.einsum("pik,pjk->pij", L, L)
+        h = np.einsum("ikp,jkp->pij", H, H)
+        l2 = np.einsum("ikp,jkp->pij", L, L)
         return np.concatenate([h.reshape(len(X), -1),
                                l2.reshape(len(X), -1)], axis=1)
 
