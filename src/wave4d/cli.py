@@ -245,8 +245,7 @@ def run_interactions(cfg: dict, outdir: Path) -> int:
     from .quadrature import QuadratureSpec
 
     mcfg = _interaction_config(cfg["profile"], cfg["speeds"])
-    spec = QuadratureSpec(scheme="fixed", nodes=cfg["nodes"],
-                          r_max=cfg["r_max"])
+    spec = QuadratureSpec(nodes=cfg["nodes"], r_max=cfg["r_max"])
     table = verify_G_norms(mcfg, cfg["times"], spec)
     fit = table["g1_fit"]
     rows = [(r["t"], r["g1"], math.exp(fit.intercept) * r["t"] ** fit.slope,
@@ -275,8 +274,7 @@ def run_modulate(cfg: dict, outdir: Path) -> int:
     from .spectrum import ground_eigenpair
 
     mcfg = _interaction_config(cfg["profile"], cfg["speeds"])
-    spec = QuadratureSpec(scheme="fixed", nodes=cfg["nodes"],
-                          r_max=cfg["r_max"])
+    spec = QuadratureSpec(nodes=cfg["nodes"], r_max=cfg["r_max"])
     T = cfg["time"]
     dirs = exp_direction_family(mcfg, [ground_eigenpair()])
     if cfg["pair_file"]:
@@ -321,14 +319,12 @@ def run_energy(cfg: dict, outdir: Path) -> int:
           symmetry_generator(W, "translation_1")]
     rep = coercivity_probe(cfg["ell"], W, kf, dirs,
                            n_samples=cfg["samples"], seed=cfg["seed"],
-                           spec=QuadratureSpec(scheme="fixed", nodes=8,
-                                               r_max=25.0),
+                           spec=QuadratureSpec(nodes=8, r_max=25.0),
                            negative_field=Y)
     rep_w = coercivity_probe(cfg["ell"], W, kf, dirs,
                              n_samples=cfg["samples"], seed=cfg["seed"],
                              gamma=cfg["gamma"],
-                             spec=QuadratureSpec(scheme="fixed", nodes=8,
-                                                 r_max=25.0))
+                             spec=QuadratureSpec(nodes=8, r_max=25.0))
     chi = CutoffChiN(tuple(cfg["speeds"]))
     zs = {t: zeta_smallness(chi, cfg["gamma"], t)
           for t in (1e3, 2e3, 4e3, 8e3)}

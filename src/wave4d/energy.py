@@ -389,12 +389,11 @@ def coercivity_probe(ell: float, Q: ScalarField, kernel_fields,
     Random localized pairs are projected against the kernel pairs (energy
     pairing) and the exponential-direction partners (L2 pairing); the form
     is then evaluated through the correctors' features and constraint rows,
-    taken once on the fixed node set of spec (an adaptive spec raises
-    ValueError), so each sample costs one evaluation of the pair.  gamma
-    switches to the weighted form with the same projection penalty
-    structure.
+    taken once on the node set of spec, so each sample costs one
+    evaluation of the pair.  gamma switches to the weighted form with the
+    same projection penalty structure.
     """
-    spec = spec or QuadratureSpec(scheme="fixed", nodes=10, r_max=30.0)
+    spec = spec or QuadratureSpec(nodes=10, r_max=30.0)
     proj = _ProjectedForm(ell, Q, kernel_fields, directions, gamma, spec)
     rng = np.random.default_rng(seed)
     ratios = []
@@ -419,7 +418,7 @@ def weighted_form_identity_gap(v: FieldPair, ell: float, Q: ScalarField,
                                zeta: WeightZeta) -> dict:
     """Term-by-term check that the weighted form equals the form of v*zeta
     plus the three commutator integrals (all returned separately)."""
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=30.0)
+    spec = QuadratureSpec(nodes=12, r_max=30.0)
     Ql = boost_profile(Q, ell)
     w = zeta.field()
 

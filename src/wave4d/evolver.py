@@ -526,7 +526,7 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     lam, Y = ground_eigenpair() if lam_Y is None else lam_Y
     cfg = single_soliton_config(0.0)
     dirs = exp_direction_family(cfg, [(lam, Y)])
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
+    spec = QuadratureSpec(nodes=8, r_max=25.0)
     s_ref = 1e-4
     built = build_initial_data(cfg, T, np.array([[s_ref]]), dirs, spec,
                                enforce_ball=False)

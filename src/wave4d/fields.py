@@ -447,10 +447,9 @@ class PolyRadialField(ScalarField):
             dec = self.decay + other.decay + 2
         return PolyRadialField(terms, decay=dec)
 
-    def integrate_exact(self, r_max=None, spec: QuadratureSpec | None = None
-                        ) -> QuadratureResult:
-        """Integral over R^4 via sphere moments and adaptive 1D quadrature."""
-        spec = spec or QuadratureSpec()
+    def integrate_exact(self, r_max=None) -> QuadratureResult:
+        """Integral over R^4 via sphere moments and adaptive 1D quadrature
+        (scipy's ``quad``, whose error estimates add up to the error)."""
         total, err = 0.0, 0.0
         for m, S in self.terms:
             ang = moment(m, 4)
@@ -461,8 +460,7 @@ class PolyRadialField(ScalarField):
                         np.inf if r_max is None else r_max, limit=200)
             total += ang * v
             err += abs(ang) * e
-        conv = err <= max(spec.abs_tol, spec.rel_tol * abs(total))
-        return QuadratureResult(total, err, conv)
+        return QuadratureResult(total, err)
 
 
 def _monomial(X, m):
@@ -934,10 +932,10 @@ def _check_compatible(*fields):
 
 def integrate_field(f: ScalarField) -> QuadratureResult:
     """Integral of f over R^4 (exact angular path for monomial-radial fields)."""
-    spec = QuadratureSpec()
     if f.poly_radial_terms() is not None:
-        return f.integrate_exact(r_max=spec.r_max, spec=spec)
-    return integrate_callable(f.evaluate, f.symmetry, spec, decay=f.decay)
+        return f.integrate_exact()
+    return integrate_callable(f.evaluate, f.symmetry, QuadratureSpec(),
+                              decay=f.decay)
 
 
 def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
@@ -956,7 +954,7 @@ def _inner(f: ScalarField, g: ScalarField, spec, exact, sample,
     f once when g is f."""
     spec = spec or QuadratureSpec()
     if _pairs_exactly(f, g):
-        return exact(f, g).integrate_exact(r_max=spec.r_max, spec=spec).value
+        return exact(f, g).integrate_exact(r_max=spec.r_max).value
     _check_compatible(f, g)
 
     def fn(X):

@@ -15,15 +15,13 @@ The reduced domains are covered by geometrically graded panels (width
 Gauss-Legendre rule per panel.  The bicylindrical reduction writes the
 transverse half-plane in polar form, rbar = |(x2,x3,x4)| and u = x4/rbar, and
 integrates u with one Gauss-Legendre rule on [-1, 1]; that rule is exact for
-the contract above.  Adaptive mode doubles the per-panel node count (and the
-angular one) until the difference between successive levels meets the
-requested tolerance.
+the contract above.
 
-Every level is built by one routine as batches of (points, weights): each
-batch holds the slabs of consecutive x1 nodes, one slab per node, up to
+A pass is built by one routine as batches of (points, weights): each batch
+holds the slabs of consecutive x1 nodes, one slab per node, up to
 ``_BATCH_POINTS`` points (the radial reduction is a single slab).
 :func:`integrate_callable` sums an integrand over the batches, one call per
-batch, and :func:`node_set` concatenates the batches of a fixed spec, so
+batch, and :func:`node_set` concatenates the batches of a spec, so
 fields can be sampled once and paired by weighted matrix products.  Exact
 angular integrals of monomial weights use the closed-form sphere moments in
 :func:`moment`.
@@ -44,6 +42,10 @@ SYM_FULL = "full"
 # linear refinement order: each tag's reduction can represent the previous ones
 _SYM_ORDER = {SYM_RADIAL: 0, SYM_CYL: 1, SYM_BICYL: 2, SYM_FULL: 3}
 
+# tail budget of a decay-derived truncation radius: the <x>^-p tail bound
+# stays below a tenth of it
+_TAIL_TOL = 1e-8
+
 # points per integrand call: enough slabs that the per-call work of walking
 # the field trees is amortized, few enough that the largest per-batch arrays
 # (a pair sampler's leaf reads and feature stacks, about 0.9 MB each in the
@@ -59,46 +61,36 @@ def join_symmetry(*tags: str) -> str:
     return max(tags, key=lambda t: _SYM_ORDER[t])
 
 
-class ToleranceNotReached(RuntimeError):
-    """Raised by QuadratureResult.require() when refinement did not converge."""
-
-    def __init__(self, result: "QuadratureResult"):
-        super().__init__(
-            f"quadrature tolerance not reached: value={result.value:.6e} "
-            f"error={result.error:.2e}"
-        )
-        self.result = result
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme and resolution for integrals over R^4.
+    """Resolution of a Gauss-panel pass over R^4.
 
     r_max=None derives the truncation radius from the integrand's declared
     decay exponent p (|f| <= C <x>^-p, p > 4) so that the tail bound
-    2*pi^2 * R^(4-p)/(p-4) stays below abs_tol/10.  The bound, and the tail
-    part of the reported error, normalize the far-field constant to C = 1;
-    callers with large far-field constants should pass an explicit r_max.
+    2*pi^2 * R^(4-p)/(p-4) stays below a tenth of ``_TAIL_TOL``.  The bound,
+    reported as the pass's error, normalizes the far-field constant to
+    C = 1; callers with large far-field constants should pass an explicit
+    r_max.  ``scheme`` names the one scheme there is, "fixed".
     """
 
-    scheme: str = "adaptive"  # "adaptive" | "fixed"
+    scheme: str = "fixed"
     nodes: int = 12           # Gauss-Legendre nodes per panel per axis
     r_max: float | None = None
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-7
-    max_refinements: int = 3
     x1_centers: tuple = ()    # extra panel grading centers along x1
     core: float = 1.0         # width of the first panel at the origin/centers
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("node count must be >= 2")
-        if self.core <= 0:
-            raise ValueError("core width must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.r_max is not None and self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        # each check is written so that NaN fails it
+        if self.scheme != "fixed":
+            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
+        if not (isinstance(self.nodes, (int, np.integer)) and self.nodes >= 2):
+            raise ValueError("node count must be an integer >= 2")
+        if not 0.0 < self.core < math.inf:
+            raise ValueError("core width must be positive and finite")
+        if self.r_max is not None and not 0.0 < self.r_max < math.inf:
+            raise ValueError("r_max must be positive and finite")
+        if not all(math.isfinite(c) for c in self.x1_centers):
+            raise ValueError("x1_centers must be finite")
 
     def with_centers(self, centers) -> "QuadratureSpec":
         return replace(self, x1_centers=tuple(float(c) for c in centers))
@@ -107,16 +99,9 @@ class QuadratureSpec:
 @dataclass
 class QuadratureResult:
     value: float
-    error: float
-    converged: bool
-    levels: int = 1
+    error: float  # a pass's tail bound; quad's estimate on the exact path
 
     def __float__(self) -> float:
-        return self.value
-
-    def require(self) -> float:
-        if not self.converged:
-            raise ToleranceNotReached(self)
         return self.value
 
 
@@ -142,12 +127,12 @@ def sphere_area(dim: int = 4) -> float:
     return moment(np.zeros(dim, dtype=int), dim)
 
 
-def default_r_max(decay: float | None, abs_tol: float) -> float:
-    """Truncation radius making the <x>^-decay tail bound <= abs_tol/10."""
+def default_r_max(decay: float | None) -> float:
+    """Truncation radius making the <x>^-decay tail bound <= _TAIL_TOL/10."""
     if decay is None or decay <= 4.0:
         return 80.0
     p = float(decay)
-    r = (20.0 * math.pi**2 / ((p - 4.0) * abs_tol)) ** (1.0 / (p - 4.0))
+    r = (20.0 * math.pi**2 / ((p - 4.0) * _TAIL_TOL)) ** (1.0 / (p - 4.0))
     return float(min(max(r, 20.0), 1000.0))
 
 
@@ -221,7 +206,7 @@ def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
     """(r_max, x1_range) of a pass: explicit values, else from the spec."""
     r_max = spec.r_max
     if r_max is None:
-        r_max = default_r_max(decay, spec.abs_tol)
+        r_max = default_r_max(decay)
     if x1_range is not None:
         lo, hi = x1_range
         # written so that a NaN bound fails too
@@ -234,9 +219,9 @@ def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
     return r_max, x1_range
 
 
-def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
+def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
            x1_range: tuple):
-    """(points, weights) of one level in batches of consecutive x1 nodes.
+    """(points, weights) of a pass in batches of consecutive x1 nodes.
 
     The radial reduction is a single slab of points on the x1 axis.  The
     others tensor each x1 node with the transverse nodes into a slab, and
@@ -247,26 +232,26 @@ def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
     half-plane (bicylindrical), or a tensor box in (x2, x3, x4) (full).
     Weights carry the Jacobian of the reduction, so a slab's integral is its
     weighted sum.
-    The u rule has ``nodes`` Gauss-Legendre points on [-1, 1], so a
+    The u rule has ``spec.nodes`` Gauss-Legendre points on [-1, 1], so a
     bicylindrical slab is exact for integrands that are polynomials in x4 of
     degree <= 2*nodes - 1 with coefficients depending on (x1, rbar).  The
     first radial panel and the first x1 panel on each side of every center
     are ``spec.core`` wide.
     """
-    rb, wr = gauss_panels(geometric_breaks(r_max, spec.core), nodes)
+    rb, wr = gauss_panels(geometric_breaks(r_max, spec.core), spec.nodes)
     if symmetry == SYM_RADIAL:
         X = np.zeros((rb.size, 4))
         X[:, 0] = rb
         yield X, sphere_area(4) * wr * rb**3
         return
     x1, w1 = gauss_panels(axis_breaks(*x1_range, spec.x1_centers, spec.core),
-                          nodes)
+                          spec.nodes)
     if symmetry == SYM_CYL:
         base = np.zeros((rb.size, 4))
         base[:, 1] = rb
         wt = 4.0 * math.pi * wr * rb**2
     elif symmetry == SYM_BICYL:
-        u, wu = np.polynomial.legendre.leggauss(nodes)
+        u, wu = np.polynomial.legendre.leggauss(spec.nodes)
         R, U = np.meshgrid(rb, u, indexing="ij")
         base = np.zeros((R.size, 4))
         base[:, 1] = (R * np.sqrt(1.0 - U * U)).ravel()
@@ -274,7 +259,7 @@ def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
         wt = np.outer(2.0 * math.pi * wr * rb**2, wu).ravel()
     else:
         xt, wx = gauss_panels(axis_breaks(-r_max, r_max, (0.0,), spec.core),
-                              nodes)
+                              spec.nodes)
         base = np.zeros((xt.size**3, 4))
         base[:, 1:] = np.stack(np.meshgrid(xt, xt, xt, indexing="ij"),
                                axis=-1).reshape(-1, 3)
@@ -289,7 +274,7 @@ def _slabs(symmetry: str, spec: QuadratureSpec, nodes: int, r_max: float,
 
 
 def node_set(symmetry: str, spec: QuadratureSpec) -> tuple:
-    """All (points, weights) of a fixed spec, batches concatenated in order.
+    """All (points, weights) of a spec, batches concatenated in order.
 
     A field sampled once on these points integrates (or pairs with another)
     as a weighted sum, giving the values integrate_callable gives on the
@@ -299,10 +284,8 @@ def node_set(symmetry: str, spec: QuadratureSpec) -> tuple:
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
-    if spec.scheme != "fixed":
-        raise ValueError("a node set needs a fixed spec")
     r_max, x1_range = _resolve(spec, None, None)
-    pts, wts = zip(*_slabs(symmetry, spec, spec.nodes, r_max, x1_range))
+    pts, wts = zip(*_slabs(symmetry, spec, r_max, x1_range))
     return np.concatenate(pts), np.concatenate(wts)
 
 
@@ -313,40 +296,22 @@ def integrate_callable(
     decay: float | None = None,
     x1_range: tuple | None = None,
 ) -> QuadratureResult:
-    """Integrate fn over R^4.
+    """Integrate fn over R^4 in one pass at spec's resolution.
 
     fn maps an (N, 4) array of points to N values (or an (N, ...) stack of
-    integrands evaluated together, in which case value/error are arrays of
+    integrands evaluated together, in which case the value is an array of
     the trailing shape, or a list of per-point factor pairs, which
     :func:`_wsum` contracts into one matrix) and must honor the declared
     symmetry.  It is called once per batch of consecutive x1 slabs (once in
     all for the radial reduction), so each call sees up to
     ``_BATCH_POINTS`` points, or one slab where a slab alone is larger.
-    x1_range, when given, must be finite with lo < hi.
+    x1_range, when given, must be finite with lo < hi.  The error is the
+    tail bound of the decay at the truncation radius.
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
     r_max, x1_range = _resolve(spec, decay, x1_range)
-
-    def level(nodes):
-        total = 0.0
-        for X, w in _slabs(symmetry, spec, nodes, r_max, x1_range):
-            total = total + _wsum(fn(X), w)
-        return total
-
-    tail = tail_bound(decay, r_max)
-    val = level(spec.nodes)
-    if spec.scheme == "fixed":
-        return QuadratureResult(val, tail, True, 1)
-    nodes, levels = spec.nodes, 1
-    err = math.inf
-    for _ in range(spec.max_refinements):
-        nodes *= 2
-        new = level(nodes)
-        err = float(np.max(np.abs(np.asarray(new) - np.asarray(val))))
-        val = new
-        levels += 1
-        scale = float(np.max(np.abs(np.asarray(val))))
-        if err + tail <= max(spec.abs_tol, spec.rel_tol * scale):
-            return QuadratureResult(val, err + tail, True, levels)
-    return QuadratureResult(val, err + tail, False, levels)
+    total = 0.0
+    for X, w in _slabs(symmetry, spec, r_max, x1_range):
+        total = total + _wsum(fn(X), w)
+    return QuadratureResult(total, tail_bound(decay, r_max))

@@ -101,16 +101,24 @@ def radial_eigenfield(r: np.ndarray, values: np.ndarray,
     def tail(rr):
         return a_t * np.exp(-lam * (rr - r_t)) * (r_t / rr) ** 1.5
 
-    # Y^(k) / tail for k = 0, 1, 2, at rs = max(r, 1e-9)
+    # Y^(k) / tail for k = 0, 1, 2, at rs > r_t > 0
     factors = (lambda rs: 1.0, lambda rs: -lam - 1.5 / rs,
                lambda rs: (lam + 1.5 / rs) ** 2 + 1.5 / rs**2)
 
     def part(k):
-        """Y^(k): the spline's inside the trusted radius, the tail's beyond."""
+        """Y^(k): the spline's inside the trusted radius, the tail's beyond,
+        each evaluated on its own points only."""
         inside = spline.derivative(k)
-        return lambda rr: np.where(
-            rr <= r_t, inside(np.minimum(rr, r_t)),
-            tail(np.maximum(rr, r_t)) * factors[k](np.maximum(rr, 1e-9)))
+
+        def at(rr):
+            rr = np.asarray(rr, dtype=float)
+            out = np.empty(rr.shape)
+            near = rr <= r_t
+            out[near] = inside(rr[near])
+            far = rr[~near]
+            out[~near] = tail(far) * factors[k](far)
+            return out
+        return at
 
     return RadialExpField(tuple(map(part, range(3))), trusted_radius=r_t,
                           decay=50.0, name=f"Y(lam={lam:.4f})")
@@ -292,7 +300,7 @@ def verify_cancellation(f1: ScalarField, f2: ScalarField, f3: ScalarField,
     fields = [f1, f2, f3, q]
     if all(f.poly_radial_terms() is not None for f in fields):
         prod = f1.product(f2).product(f3).product(q)
-        val = prod.integrate_exact(r_max=spec.r_max, spec=spec).value
+        val = prod.integrate_exact(r_max=spec.r_max).value
         scale = _abs_scale_poly(prod, spec)
         return val, scale
     from .quadrature import integrate_callable, join_symmetry

@@ -26,7 +26,7 @@ def ground_eigen(W):
 
 @pytest.fixture(scope="session")
 def fast_spec():
-    return QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
+    return QuadratureSpec(nodes=8, r_max=25.0)
 
 
 @pytest.fixture

@@ -110,14 +110,14 @@ def test_criterion_04_exponential_directions(W, ground_eigen):
     from wave4d.boosts import z_identity_residual
 
     lam, Y = ground_eigen
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=25.0)
+    spec = QuadratureSpec(nodes=12, r_max=25.0)
     worst_resid = 0.0
     worst_orth = 0.0
     for ell in (0.0, 0.3, 0.6):
         dirs = build_exp_directions(Y, lam, ell)
         for key in ("+", "-"):
             worst_resid = max(worst_resid, z_identity_residual(
-                dirs[key], W, QuadratureSpec(scheme="fixed", nodes=8,
+                dirs[key], W, QuadratureSpec(nodes=8,
                                              r_max=18.0), fd_step=5e-3))
             zn = math.sqrt(inner_pair_l2(dirs[key].z_pair,
                                          dirs[key].z_pair, spec))
@@ -137,7 +137,7 @@ def test_criterion_05_interaction_rates():
         [(1.0, 3.0), (0.5, 2.5), (1.5, 3.0),      # alpha2 > 2: -2 a1
          (1.5, 1.5), (1.2, 1.8), (1.8, 1.9),      # alpha2 < 2: 4 - 2(a1+a2)
          (1.0, 2.0), (0.5, 2.0), (1.5, 2.0)],     # alpha2 = 2: log law
-        times, spec=QuadratureSpec(scheme="fixed", nodes=10))
+        times, spec=QuadratureSpec(nodes=10))
     gaps, coeffs = [], []
     for r in rows:
         if r["law"] == "power":
@@ -150,7 +150,7 @@ def test_criterion_05_interaction_rates():
 
 
 def test_criterion_06_g1_law(W, Qs):
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=40.0)
+    spec = QuadratureSpec(nodes=8, r_max=40.0)
     times = [10.0, 20.0, 40.0, 80.0]
     cfg_s = two_soliton_config(
         Qs, symmetry_generator(Qs, "conformal_4"),
@@ -170,7 +170,7 @@ def test_criterion_06_g1_law(W, Qs):
 def test_criterion_07_log_law(Qs):
     psi = symmetry_generator(Qs, "conformal_4")
     times = [20.0, 40.0, 80.0, 160.0, 320.0]
-    spec = QuadratureSpec(scheme="fixed", nodes=10)
+    spec = QuadratureSpec(nodes=10)
     worst = 0.0
     for ell in (0.0, 0.6):
         fit = slow_pairing_lawcheck(psi, ell, times, sigma=0.1, spec=spec)
@@ -184,7 +184,7 @@ def test_criterion_07_log_law(Qs):
 
 
 def test_criterion_08_modulation_roundtrip(Qs, ground_eigen):
-    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=25.0)
+    spec = QuadratureSpec(nodes=6, r_max=25.0)
     cfg = two_soliton_config(
         Qs, symmetry_generator(Qs, "conformal_4"),
         [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")])
@@ -211,7 +211,7 @@ def test_criterion_09_coercivity(W, ground_eigen):
     lam, Y = ground_eigen
     kf = [symmetry_generator(W, "scaling"),
           symmetry_generator(W, "translation_1")]
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=25.0)
+    spec = QuadratureSpec(nodes=8, r_max=25.0)
     plain_ok = True
     control = math.inf
     details = []

@@ -35,7 +35,7 @@ def test_boost_gradient_norm_change_of_variables(W):
     ell = 0.6
     s = math.sqrt(1 - ell * ell)
     f = boost_profile(W, ell)
-    spec = QuadratureSpec(scheme="fixed", nodes=14, r_max=400.0)
+    spec = QuadratureSpec(nodes=14, r_max=400.0)
     # int (d1 f_ell)^2 = s / (1 - ell^2) * int (d1 W)^2, etc.
     d1sq = W4 / 4.0  # each axis carries a quarter of the gradient norm
     expected = s * (d1sq / (1 - ell * ell) + 3.0 * d1sq)
@@ -51,7 +51,7 @@ def test_pair_vector_structure(W):
     # second component vanishes at the profile maximum
     assert p.second(np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
     # pair norm is even and continuous in the speed
-    spec = QuadratureSpec(scheme="fixed", nodes=10, r_max=150.0)
+    spec = QuadratureSpec(nodes=10, r_max=150.0)
     norms = {ell: norm_pair(pair_vector(W, ell, 1), spec)
              for ell in (-0.6, -0.3, 0.0, 0.3, 0.6)}
     assert norms[0.3] == pytest.approx(norms[-0.3], rel=1e-10)
@@ -78,7 +78,7 @@ def test_h_ell_block_decoupling_at_zero_speed(W, rng):
 def test_h_ell_kernel_residual_refines(W):
     """H_ell applied to a boosted kernel pair vanishes at stencil order."""
     g = symmetry_generator(W, "scaling")
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=12.0)
+    spec = QuadratureSpec(nodes=8, r_max=12.0)
     resids = []
     for step in (2e-2, 1e-2):
         out = apply_H_ell(pair_vector(g, 0.4, 1), 0.4, W, fd_step=step)
@@ -89,7 +89,7 @@ def test_h_ell_kernel_residual_refines(W):
 
 
 def test_quadratic_form_value(W):
-    spec = QuadratureSpec(scheme="fixed", nodes=14, r_max=500.0)
+    spec = QuadratureSpec(nodes=14, r_max=500.0)
     v = FieldPair(W, zero_field())
     # int |grad W|^2 - 3 int W^4 = -2 * (32 pi^2 / 3)
     assert quadratic_form_H(v, 0.0, W, spec) == pytest.approx(-2 * W4,
@@ -129,7 +129,7 @@ def test_exp_direction_gradients_match_fd(ground_eigen, rng):
 def test_z_identity(ground_eigen, W, ell):
     lam, Y = ground_eigen
     dirs = build_exp_directions(Y, lam, ell)
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=18.0)
+    spec = QuadratureSpec(nodes=8, r_max=18.0)
     for key in ("+", "-"):
         assert z_identity_residual(dirs[key], W, spec, fd_step=5e-3) < 1e-3
 
@@ -149,7 +149,7 @@ def test_kernel_z_orthogonality(ground_eigen, W):
     lam, Y = ground_eigen
     ell = 0.3
     dirs = build_exp_directions(Y, lam, ell)
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=25.0)
+    spec = QuadratureSpec(nodes=12, r_max=25.0)
     for gid in ("scaling", "translation_1", "conformal_1"):
         kp = pair_vector(symmetry_generator(W, gid), ell, 1)
         scale = norm_pair(kp, spec) * math.sqrt(
@@ -164,7 +164,7 @@ def test_j_antisymmetry(ground_eigen, rng):
     d = build_exp_directions(Y, lam, 0.4)["+"]
     v = d.pair
     jv = FieldPair(v.second, v.first * (-1.0))
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=15.0)
+    spec = QuadratureSpec(nodes=8, r_max=15.0)
     scale = inner_pair_l2(v, v, spec)
     assert abs(inner_pair_l2(jv, v, spec)) <= 1e-10 * scale
 

@@ -54,7 +54,7 @@ def test_cutoff_properties(speeds):
 
 
 def test_conserved_energy_of_ground_state(W):
-    spec = QuadratureSpec(scheme="fixed", nodes=14, r_max=1000.0)
+    spec = QuadratureSpec(nodes=14, r_max=1000.0)
     E, P = conserved_energy_momentum(FieldPair(W, zero_field()), spec)
     # the u^4/4 potential: E(W) = (1/2 - 1/4) int W^4, since
     # int |grad W|^2 = int W^4
@@ -68,14 +68,14 @@ def test_conserved_energy_of_ground_state(W):
 def test_boosted_energy_follows_the_lorentz_law(W, ell):
     """E(W_ell) = E(W) / sqrt(1 - ell^2) and P = -ell E.  The r_max = 200
     domain truncates about 1e-3 of E (E(W) itself reads 1.2e-3 low)."""
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=200.0)
+    spec = QuadratureSpec(nodes=12, r_max=200.0)
     E, P = conserved_energy_momentum(pair_vector(W, ell, 1), spec)
     assert E == pytest.approx(W4 / 4 / math.sqrt(1.0 - ell**2), rel=2e-3)
     assert P == pytest.approx(-ell * E, rel=2e-3)
 
 
 def test_boosted_momentum_sign(W):
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=200.0)
+    spec = QuadratureSpec(nodes=12, r_max=200.0)
     for ell in (0.4, -0.4):
         p = pair_vector(W, ell, 1)
         _, P1 = conserved_energy_momentum(p, spec)
@@ -90,7 +90,7 @@ def wcfg(W):
 
 
 def test_functionals_trivial_cases(wcfg):
-    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=20.0)
+    spec = QuadratureSpec(nodes=6, r_max=20.0)
     rep = energy_functionals(FieldPair(zero_field(), zero_field()), wcfg,
                              10.0, spec=spec)
     assert rep.energy == pytest.approx(0.0, abs=1e-12)
@@ -124,7 +124,7 @@ def test_functionals_match_raw_field_formula(wcfg):
                              speeds=(-0.4, 0.4), a=(0.02, -0.01),
                              b=((0.01,), (-0.02,)))
     t = 10.0
-    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=20.0)
+    spec = QuadratureSpec(nodes=6, r_max=20.0)
     bump = FormulaField(lambda X: np.exp(-0.1 * np.sum(X * X, axis=1)),
                         symmetry="cylindrical")
     phi = FieldPair(bump, bump * 0.5)
@@ -165,8 +165,7 @@ def test_functionals_match_raw_field_formula(wcfg):
 def test_localized_norms_partition_and_bound(wcfg, rng):
     chi = CutoffChiN((-0.4, 0.4))
     t = 10.0
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=15.0,
-                          x1_centers=(6.5,))
+    spec = QuadratureSpec(nodes=12, r_max=15.0, x1_centers=(6.5,))
     # a bump supported inside the right plateau (the ramp ends at 3.9)
     bump = FormulaField(
         lambda X: np.exp(-4.0 * ((X[:, 0] - 6.5) ** 2
@@ -235,8 +234,7 @@ def test_coercivity_probe(W, ground_eigen, ell):
     kf = [symmetry_generator(W, "scaling"),
           symmetry_generator(W, "translation_1")]
     rep = coercivity_probe(ell, W, kf, dirs, n_samples=30, seed=5,
-                           spec=QuadratureSpec(scheme="fixed", nodes=8,
-                                               r_max=25.0),
+                           spec=QuadratureSpec(nodes=8, r_max=25.0),
                            negative_field=Y)
     assert rep.c_min > 0.0
     assert rep.negative_control < 0.0
@@ -258,8 +256,7 @@ def test_projected_form_blocks_match_explicit_projection(W, ground_eigen,
     kf = [symmetry_generator(W, "scaling"),
           symmetry_generator(W, "translation_1")]
     proj = _ProjectedForm(ell, W, kf, build_exp_directions(Y, lam, ell),
-                          gamma, QuadratureSpec(scheme="fixed", nodes=8,
-                                                r_max=25.0))
+                          gamma, QuadratureSpec(nodes=8, r_max=25.0))
     gen = np.random.default_rng(7)
     for _ in range(3):
         v = _random_bump_pair(gen)
@@ -274,14 +271,6 @@ def test_projected_form_blocks_match_explicit_projection(W, ground_eigen,
             assert F >= 0.0
 
 
-def test_projected_form_needs_fixed_spec(W, ground_eigen):
-    lam, Y = ground_eigen
-    kf = [symmetry_generator(W, "scaling")]
-    with pytest.raises(ValueError):
-        _ProjectedForm(0.0, W, kf, build_exp_directions(Y, lam, 0.0), None,
-                       QuadratureSpec(nodes=8, r_max=25.0))
-
-
 def test_weighted_coercivity_gamma_sweep(W, ground_eigen):
     """c_est(gamma) is reported per weight exponent; positivity holds for
     the smallest exponent and degrades as the weight strengthens (the
@@ -294,8 +283,7 @@ def test_weighted_coercivity_gamma_sweep(W, ground_eigen):
     for gamma in (0.025, 0.05, 0.1):
         rep = coercivity_probe(0.0, W, kf, dirs, n_samples=15, seed=9,
                                gamma=gamma,
-                               spec=QuadratureSpec(scheme="fixed", nodes=8,
-                                                   r_max=25.0))
+                               spec=QuadratureSpec(nodes=8, r_max=25.0))
         mins[gamma] = rep.c_min
     assert mins[0.025] > 0.0
     assert mins[0.025] > mins[0.05] > mins[0.1]
@@ -309,7 +297,7 @@ def test_kernel_pair_neutrality(W, ground_eigen):
     ell = 0.3
     # the kernel-pair densities decay slowly; the cancellation needs a
     # large truncation radius before the tail stops dominating
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=300.0)
+    spec = QuadratureSpec(nodes=12, r_max=300.0)
     for gid in ("scaling", "translation_1"):
         kp = pair_vector(symmetry_generator(W, gid), ell, 1)
         val = quadratic_form_H(kp, ell, W, spec)

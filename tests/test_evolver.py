@@ -153,8 +153,7 @@ def test_cylinder_and_radial_runs_agree_at_second_order(ground_eigen):
     cfg = single_soliton_config(0.0)
     dirs = exp_direction_family(cfg, [ground_eigen])
     phi = build_initial_data(cfg, 20.0, np.array([[1e-4]]), dirs,
-                             QuadratureSpec(scheme="fixed", nodes=8,
-                                            r_max=25.0),
+                             QuadratureSpec(nodes=8, r_max=25.0),
                              enforce_ball=False)["phi"]
     gaps = []
     for h in (0.24, 0.12):
@@ -576,7 +575,7 @@ def test_grid_modulation_matches_quadrature_decomposition(W, ground_eigen):
                               eval_on_grid(u.second, grid), basis, t)
     dirs = exp_direction_family(cfg, [ground_eigen])
     st_quad = decompose(u, cfg, t,
-                        QuadratureSpec(scheme="fixed", nodes=10, r_max=20.0),
+                        QuadratureSpec(nodes=10, r_max=20.0),
                         directions=dirs)
     assert st_grid.a[0] == pytest.approx(st_quad.a[0], rel=1e-3)
     assert st_grid.a[0] == pytest.approx(0.01, rel=1e-2)

@@ -25,7 +25,7 @@ W4_ORACLE = 2 * math.pi**2 * quad(
 
 
 def test_w4_integral_matches_independent_oracle(W):
-    v = integrate_field(W.product(W).product(W).product(W)).require()
+    v = integrate_field(W.product(W).product(W).product(W)).value
     assert v == pytest.approx(W4_ORACLE, rel=1e-10)
     assert v == pytest.approx(32 * math.pi**2 / 3, rel=1e-10)
 
@@ -104,7 +104,7 @@ def test_mixed_bubble_scales_pair_by_quadrature(W, Qs, monkeypatch):
     import wave4d.fields as fields
 
     t4 = symmetry_generator(W, "translation_4")
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=1000.0)
+    spec = QuadratureSpec(nodes=12, r_max=1000.0)
     assert inner_l2(t4, Qs, spec) == pytest.approx(-4.49990, rel=1e-4)
     assert inner_hdot1(t4, Qs, spec) == pytest.approx(-3.96393, rel=1e-4)
 
@@ -117,6 +117,25 @@ def test_mixed_bubble_scales_pair_by_quadrature(W, Qs, monkeypatch):
     # odd against even in x4: exactly zero through the angular moments
     q4 = symmetry_generator(Qs, "translation_4")
     assert inner_l2(q4, Qs) == 0.0 and inner_hdot1(q4, Qs) == 0.0
+
+
+def test_mixed_scale_pairing_on_the_default_spec(W, Qs, monkeypatch):
+    """On the default spec the mixed-scale L2 pairing is one pass, at the
+    truncation radius its decay gives (1000 for the r^-6 integrand), so it
+    equals the explicit r_max = 1000 value."""
+    import wave4d.fields as fields
+
+    t4 = symmetry_generator(W, "translation_4")
+    ref = inner_l2(t4, Qs, QuadratureSpec(nodes=12, r_max=1000.0))
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return integrate_callable(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "integrate_callable", counted)
+    assert inner_l2(t4, Qs) == pytest.approx(ref, rel=1e-6)
+    assert len(passes) == 1
 
 
 def _gaussian(c, w, amp):
@@ -140,7 +159,7 @@ def test_inner_products_bilinear_symmetric(a, b):
     f = _gaussian(0.5, 1.5, 1.0)
     g = _gaussian(-1.0, 2.0, 0.7)
     h = _gaussian(1.5, 1.0, -0.4)
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=12.0)
+    spec = QuadratureSpec(nodes=8, r_max=12.0)
     combo = sum_field([g, h], [a, b])
     for inner in (inner_l2, inner_hdot1):
         lhs = inner(f, combo, spec)
@@ -156,7 +175,7 @@ def test_scale_covariance_of_critical_norms(lam):
     """lam f(lam x) preserves the gradient L2 norm and the L4 norm in 4D."""
     W = ground_state()
     f = dilate(W, lam)
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=300.0)
+    spec = QuadratureSpec(nodes=12, r_max=300.0)
     base = math.sqrt(W4_ORACLE)
     assert norm_hdot1(f, spec) == pytest.approx(base, rel=2e-3)
     sob, har = hardy_sobolev_check(f, spec)
@@ -166,7 +185,7 @@ def test_scale_covariance_of_critical_norms(lam):
 
 
 def test_hardy_sobolev_values(W):
-    spec = QuadratureSpec(scheme="fixed", nodes=14, r_max=800.0)
+    spec = QuadratureSpec(nodes=14, r_max=800.0)
     sob, har = hardy_sobolev_check(W, spec)
     assert sob == pytest.approx(W4_ORACLE ** -0.25, rel=2e-3)
     # int W^2/|x|^2 = 8 pi^2 in closed form
@@ -417,17 +436,17 @@ def test_pairing_block_keeps_the_digits_of_a_cancelling_difference(
         assert got == pytest.approx(ref, rel=1e-6)
 
 
-@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@pytest.mark.parametrize("spec_kind", ["fixed", "default"])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kinds=st.sampled_from([("h", "l2", "h", "l2"), ("l2", "h", "h", "l2"),
                               ("h", "l2", "l2", "h")]))
 def test_pairing_block_equals_one_pass_of_pointwise_products(
-        W, fast_spec, scheme, seed, kinds):
+        W, fast_spec, spec_kind, seed, kinds):
     """On random combinations of W and its cylindrical generators, with
     kinds whose columns interleave, pairing_block equals one
     integrate_callable pass of the entries formed at the nodes, on a fixed
-    spec and on the default adaptive one."""
+    spec and on the default one."""
     basis = [W] + [symmetry_generator(W, g)
                    for g in ("scaling", "translation_1", "conformal_1")]
     rng = np.random.default_rng(seed)
@@ -437,7 +456,7 @@ def test_pairing_block_equals_one_pass_of_pointwise_products(
                            for _ in range(2)))
 
     rows, cols = [pair() for _ in range(2)], [pair() for _ in range(4)]
-    spec = fast_spec if scheme == "fixed" else QuadratureSpec()
+    spec = fast_spec if spec_kind == "fixed" else QuadratureSpec()
     got = pairing_block(rows, cols, list(kinds), spec)
     ref = integrate_callable(_pointwise_entries(rows, cols, kinds),
                              join_symmetry(*[p.symmetry for p in cols]),

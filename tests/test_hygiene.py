@@ -179,7 +179,6 @@ TEST_ONLY = {
     "save_pair": IMPORT_PATH,
     "KernelBasis": PUBLIC,
     "SingularTransform": PUBLIC,
-    "ToleranceNotReached": PUBLIC,
     "TransformParams": PUBLIC,
     "apply_transform": PUBLIC,
     "dilate": PUBLIC,
@@ -191,7 +190,6 @@ TEST_ONLY = {
     "norm_hdot1": PUBLIC,
     "norm_l2": PUBLIC,
     "norm_l4": PUBLIC,
-    "require": PUBLIC,  # raises ToleranceNotReached
     "rotate": PUBLIC,
     "rotation_matrix": PUBLIC,
 }

@@ -15,7 +15,7 @@ from wave4d.interactions import (GAssembly, MultiSolitonConfig, cutoff_bump,
 from wave4d.quadrature import QuadratureSpec, integrate_callable
 from wave4d.states import symmetry_generator
 
-SPEC = QuadratureSpec(scheme="fixed", nodes=8, r_max=40.0)
+SPEC = QuadratureSpec(nodes=8, r_max=40.0)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ def test_interaction_rate_laws():
         [(1.0, 3.0), (0.5, 2.5), (1.5, 3.0),
          (1.5, 1.5), (1.2, 1.8), (1.8, 1.9),
          (1.0, 2.0), (0.5, 2.0), (1.5, 2.0)],
-        times, spec=QuadratureSpec(scheme="fixed", nodes=10))
+        times, spec=QuadratureSpec(nodes=10))
     for r in rows:
         if r["law"] == "power":
             assert abs(r["fit"].slope - r["expected"]) <= 0.3, r
@@ -252,8 +252,7 @@ def test_slow_pairing_log_law(Qs):
     times = [20.0, 40.0, 80.0, 160.0, 320.0]
     for ell in (0.0, 0.6):
         fit = slow_pairing_lawcheck(psi, ell, times, sigma=0.1,
-                                    spec=QuadratureSpec(scheme="fixed",
-                                                        nodes=10))
+                                    spec=QuadratureSpec(nodes=10))
         expected = sigma_rate(ell)
         assert abs(fit.slope - expected) / expected < 0.05
         assert fit.r_squared > 0.999
@@ -264,7 +263,7 @@ def test_slow_pairing_cross_term_bounded(Qs):
     times = [10.0, 20.0, 40.0, 80.0, 160.0]
     vals = slow_pairing_series(psi, -0.5, 0.1, times, other=psi,
                                other_ell=0.5,
-                               spec=QuadratureSpec(scheme="fixed", nodes=10))
+                               spec=QuadratureSpec(nodes=10))
     assert max(abs(v) for v in vals) < 1.0
     # growth across a decade stays within an O(1) band
     assert abs(vals[-1] - vals[0]) < 0.2

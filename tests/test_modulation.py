@@ -16,7 +16,7 @@ from wave4d.modulation import (GramIllConditioned, ModulationState,
 from wave4d.quadrature import QuadratureSpec
 from wave4d.states import symmetry_generator
 
-SPEC = QuadratureSpec(scheme="fixed", nodes=6, r_max=25.0)
+SPEC = QuadratureSpec(nodes=6, r_max=25.0)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def test_gram_off_diagonal_decay(cfg):
     for t in times:
         # the domain must cover the region between the solitons, whose
         # midfield carries the two-center t^-2 law
-        sp = QuadratureSpec(scheme="fixed", nodes=8, r_max=0.75 * t + 20.0)
+        sp = QuadratureSpec(nodes=8, r_max=0.75 * t + 20.0)
         g = gram_system(cfg, t, sp)
         # entry pairing the two slow directions of different solitons
         cross.append(abs(g.matrix[0, 1]))

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wave4d import quadrature
-from wave4d.quadrature import (QuadratureSpec, ToleranceNotReached,
-                               abs_moment, axis_breaks, default_r_max,
-                               gauss_panels, geometric_breaks,
+from wave4d.quadrature import (QuadratureSpec, abs_moment, axis_breaks,
+                               default_r_max, gauss_panels, geometric_breaks,
                                integrate_callable, join_symmetry, moment,
                                node_set, sphere_area, tail_bound)
 
@@ -42,8 +41,8 @@ def test_panel_rule_matches_adaptive_1d_oracle():
 
 
 def test_default_r_max_enforces_tail_budget():
-    tol = 1e-8
-    r = default_r_max(8.0, tol)
+    tol = quadrature._TAIL_TOL
+    r = default_r_max(8.0)
     assert tail_bound(8.0, r) <= tol / 10.0 + 1e-20
 
 
@@ -52,14 +51,13 @@ def test_default_r_max_enforces_tail_budget():
 def test_reduction_agree_on_radial_integrand(symmetry):
     spec = QuadratureSpec(r_max=200.0, nodes=12)
     res = integrate_callable(w4, symmetry, spec, decay=8.0)
-    assert res.converged
     assert res.value == pytest.approx(TARGET_W4, rel=1e-4)
 
 
 def test_tensor_quadrature_consistency_on_five_integrands():
     """Cylindrical reduction against full tensor quadrature, shared domain."""
-    spec_c = QuadratureSpec(scheme="fixed", r_max=24.0, nodes=10)
-    spec_f = QuadratureSpec(scheme="fixed", r_max=24.0, nodes=6)
+    spec_c = QuadratureSpec(r_max=24.0, nodes=10)
+    spec_f = QuadratureSpec(r_max=24.0, nodes=6)
     integrands = [
         w4,
         lambda X: np.exp(-np.sum(X * X, axis=1)),
@@ -75,7 +73,7 @@ def test_tensor_quadrature_consistency_on_five_integrands():
 
 
 def test_vector_integrand_matches_scalar_path():
-    spec = QuadratureSpec(scheme="fixed", r_max=60.0, nodes=10)
+    spec = QuadratureSpec(r_max=60.0, nodes=10)
 
     def stacked(X):
         return np.stack([w4(X), 2.0 * w4(X)], axis=1)
@@ -86,27 +84,12 @@ def test_vector_integrand_matches_scalar_path():
     assert v[1] == pytest.approx(2 * s, rel=1e-13)
 
 
-def test_adaptive_reports_failure_and_require_raises():
-    # two coarse levels cannot settle an oscillatory integrand to 1e-14
-    def wiggly(X):
-        r = np.sqrt(np.sum(X * X, axis=1))
-        return np.sin(3.0 * r) ** 2 * np.exp(-r)
-
-    spec = QuadratureSpec(r_max=10.0, nodes=2, max_refinements=1,
-                          abs_tol=1e-14, rel_tol=1e-14)
-    res = integrate_callable(wiggly, "radial", spec)
-    assert not res.converged
-    with pytest.raises(ToleranceNotReached):
-        res.require()
-
-
 @pytest.mark.parametrize("symmetry", ["radial", "cylindrical",
                                       "bicylindrical", "full"])
 def test_node_set_sums_like_integrate_callable(symmetry):
     """The concatenated node set gives the pass's value as a weighted sum,
     and integrate_callable's calls, all of one size here, cover it."""
-    spec = QuadratureSpec(scheme="fixed", nodes=3, r_max=6.0,
-                          x1_centers=(1.5,))
+    spec = QuadratureSpec(nodes=3, r_max=6.0, x1_centers=(1.5,))
 
     def fn(X):
         return np.exp(-np.sum(X * X, axis=1))
@@ -129,12 +112,12 @@ def test_node_set_sums_like_integrate_callable(symmetry):
 SYMMETRIES = ["radial", "cylindrical", "bicylindrical", "full"]
 
 
-def _batch_spec(scheme):
+def _batch_spec(case):
     # full: 512-point slabs at nodes 2 batch four to a call, and the
-    # 4096-point slabs of the adaptive levels go alone
-    return QuadratureSpec(scheme=scheme, nodes=2, r_max=2.0,
-                          x1_centers=(-1.0, 2.0), max_refinements=2,
-                          abs_tol=1e-300, rel_tol=1e-300)
+    # 4096-point slabs at nodes 4 go alone.  The case ids are those of the
+    # fixed and the adaptive pass that covered these two node counts.
+    return QuadratureSpec(nodes={"fixed": 2, "adaptive": 4}[case], r_max=2.0,
+                          x1_centers=(-1.0, 2.0))
 
 
 def _smooth(X):
@@ -150,63 +133,57 @@ def _recorded(fn, calls):
     return counted
 
 
-def _slab_sizes(symmetry, spec):
-    """Points per x1 slab of each level integrate_callable runs on spec."""
-    sizes = []
-    for level in range(spec.max_refinements + 1):
-        fixed = QuadratureSpec(scheme="fixed", nodes=spec.nodes * 2**level,
-                               r_max=spec.r_max, x1_centers=spec.x1_centers)
-        X, _ = node_set(symmetry, fixed)
-        sizes.append(int(np.sum(X[:, 0] == X[0, 0])))
-        if spec.scheme == "fixed":
-            break
-    return sizes
+def _slab_size(symmetry, spec):
+    """Points per x1 slab of the pass integrate_callable runs on spec."""
+    X, _ = node_set(symmetry, spec)
+    return int(np.sum(X[:, 0] == X[0, 0]))
 
 
-@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@pytest.mark.parametrize("case", ["fixed", "adaptive"])
 @pytest.mark.parametrize("symmetry", SYMMETRIES)
-def test_batched_pass_matches_slab_by_slab_sum(symmetry, scheme,
-                                               monkeypatch):
+def test_batched_pass_matches_slab_by_slab_sum(symmetry, case, monkeypatch):
     """Batching x1 slabs into one call changes a pass only at round-off."""
-    spec = _batch_spec(scheme)
+    spec = _batch_spec(case)
+    alone = _slab_size(symmetry, spec) > quadrature._BATCH_POINTS
     batched_calls, slab_calls = [], []
     batched = integrate_callable(_recorded(_smooth, batched_calls), symmetry,
                                  spec)
     monkeypatch.setattr(quadrature, "_BATCH_POINTS", 1)
     slabs = integrate_callable(_recorded(_smooth, slab_calls), symmetry, spec)
-    assert (batched.levels, batched.converged) == (slabs.levels,
-                                                   slabs.converged)
     np.testing.assert_allclose(batched.value, slabs.value, rtol=1e-13,
                                atol=0.0)
     if symmetry == "radial":
-        assert len(batched_calls) == len(slab_calls) == batched.levels
+        assert len(batched_calls) == len(slab_calls) == 1
+    elif alone:
+        # a slab over the budget goes alone in both passes
+        assert len(batched_calls) == len(slab_calls)
     else:
         assert len(batched_calls) < len(slab_calls)
 
 
-@pytest.mark.parametrize("scheme", ["fixed", "adaptive"])
+@pytest.mark.parametrize("case", ["fixed", "adaptive"])
 @pytest.mark.parametrize("symmetry", SYMMETRIES)
-def test_batches_hold_whole_slabs_within_the_budget(symmetry, scheme):
+def test_batches_hold_whole_slabs_within_the_budget(symmetry, case):
     """No call exceeds the point budget unless it is one slab alone, and no
     slab is split between calls."""
-    spec = _batch_spec(scheme)
+    spec = _batch_spec(case)
     calls = []
     integrate_callable(_recorded(_smooth, calls), symmetry, spec)
-    sizes = set(_slab_sizes(symmetry, spec))
+    size = _slab_size(symmetry, spec)
     for X in calls:
         slab = int(np.sum(X[:, 0] == X[0, 0]))
-        assert slab in sizes
+        assert slab == size
         assert len(X) % slab == 0
         assert len(X) <= quadrature._BATCH_POINTS or len(X) == slab
-    if symmetry == "full" and scheme == "adaptive":
+    if symmetry == "full" and case == "adaptive":
+        assert size == 4096
         assert any(len(X) > quadrature._BATCH_POINTS for X in calls)
 
 
 @pytest.mark.parametrize("symmetry", SYMMETRIES)
 def test_node_set_matches_per_slab_construction_bitwise(symmetry,
                                                         monkeypatch):
-    spec = QuadratureSpec(scheme="fixed", nodes=4, r_max=8.0,
-                          x1_centers=(-2.0, 1.5), core=0.5)
+    spec = QuadratureSpec(nodes=4, r_max=8.0, x1_centers=(-2.0, 1.5), core=0.5)
     if symmetry == "full":
         spec = _batch_spec("fixed")
     X, w = node_set(symmetry, spec)
@@ -217,30 +194,10 @@ def test_node_set_matches_per_slab_construction_bitwise(symmetry,
     assert np.sum(w) == np.sum(w1)
 
 
-@pytest.mark.parametrize("symmetry", SYMMETRIES)
-def test_each_x1_node_is_sampled_once_per_level(symmetry):
-    """The calls of an adaptive pass, in order, are the node sets of its
-    levels: every x1 node once per level, and no call spans two levels."""
-    spec = _batch_spec("adaptive")
-    calls = []
-    res = integrate_callable(_recorded(_smooth, calls), symmetry, spec)
-    assert res.levels == spec.max_refinements + 1
-    bounds = np.cumsum([len(X) for X in calls])
-    seen = np.concatenate(calls)
-    start = 0
-    for level in range(res.levels):
-        fixed = QuadratureSpec(scheme="fixed", nodes=spec.nodes * 2**level,
-                               r_max=spec.r_max, x1_centers=spec.x1_centers)
-        X, _ = node_set(symmetry, fixed)
-        np.testing.assert_array_equal(seen[start:start + len(X)], X)
-        start += len(X)
-        assert start in bounds
-    assert start == len(seen)
-
-
 def test_node_set_rejects_adaptive_spec():
-    with pytest.raises(ValueError):
-        node_set("cylindrical", QuadratureSpec())
+    # a spec naming any scheme but "fixed" is refused before any node set
+    with pytest.raises(ValueError, match="unknown quadrature scheme"):
+        node_set("cylindrical", QuadratureSpec(scheme="adaptive"))
 
 
 def test_axis_breaks_cover_centers():
@@ -277,8 +234,7 @@ def test_split_windows_sum_to_unsplit_integral():
     """Cuts away from the cores change only the panels they cut, so the
     split sum matches even for cores far narrower than one panel."""
     centers = (-5.0, 5.0)
-    spec = QuadratureSpec(scheme="fixed", nodes=8, r_max=20.0,
-                          x1_centers=centers)
+    spec = QuadratureSpec(nodes=8, r_max=20.0, x1_centers=centers)
 
     def fn(X):
         rb2 = np.sum(X[:, 1:] ** 2, axis=1)
@@ -303,7 +259,7 @@ def test_x1_range_must_be_a_finite_increasing_interval():
     """The cylindrical integral of e^(-|x|^2) over (-10, 10) is pi^2; a
     reversed, empty, NaN or infinite x1_range raises instead of returning a
     number (the reversed one read 0.1754, the NaN one nan)."""
-    spec = QuadratureSpec(scheme="fixed", nodes=6, r_max=10.0)
+    spec = QuadratureSpec(nodes=6, r_max=10.0)
     assert integrate_callable(_gauss, "cylindrical", spec,
                               x1_range=(-10.0, 10.0)).value == \
         pytest.approx(math.pi**2, rel=2e-6)
@@ -315,7 +271,7 @@ def test_x1_range_must_be_a_finite_increasing_interval():
 
 def test_bicylindrical_closed_form_integral():
     """int x4^2 exp(-|x|^2) dx over R^4 = pi^2 / 2."""
-    spec = QuadratureSpec(scheme="fixed", nodes=12, r_max=12.0)
+    spec = QuadratureSpec(nodes=12, r_max=12.0)
     value = integrate_callable(lambda X: X[:, 3] ** 2 * _gauss(X),
                                "bicylindrical", spec).value
     assert value == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
@@ -324,7 +280,7 @@ def test_bicylindrical_closed_form_integral():
 @pytest.mark.parametrize("nodes", [3, 6, 8])
 def test_bicylindrical_odd_integrand_vanishes(nodes):
     """Odd in x4 integrates to zero at any degree: the u rule is symmetric."""
-    spec = QuadratureSpec(scheme="fixed", nodes=nodes, r_max=10.0,
+    spec = QuadratureSpec(nodes=nodes, r_max=10.0,
                           x1_centers=(-1.0, 2.0), core=0.3)
 
     def odd(X):
@@ -342,8 +298,7 @@ def test_bicylindrical_rule_is_exact_up_to_degree_2m_minus_1(nodes):
     cylindrical nodes (the mean of u^k over [-1, 1]) for every even
     k <= 2m - 1, to round-off (odd k vanish on both sides); at k = 2m the u
     rule is no longer exact."""
-    spec = QuadratureSpec(scheme="fixed", nodes=nodes, r_max=8.0,
-                          x1_centers=(0.5,), core=0.5)
+    spec = QuadratureSpec(nodes=nodes, r_max=8.0, x1_centers=(0.5,), core=0.5)
 
     def h(X):
         return np.exp(-0.5 * np.sum(X * X, axis=1)) / (1.0 + X[:, 0] ** 2)
@@ -447,8 +402,23 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=1)
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
+        QuadratureSpec(scheme="adaptive")
     with pytest.raises(ValueError):
         QuadratureSpec(r_max=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(core=0.0)
+    # non-finite and non-integer input, which would give a NaN or a silently
+    # wrong pass: 7.007 for the cylindrical integral of exp(-|x|^2) (pi^2)
+    # at nodes 4 and r_max 6 with core NaN
+    for bad in (dict(nodes=4.5), dict(nodes=4.0), dict(r_max=math.nan),
+                dict(r_max=math.inf), dict(core=math.nan),
+                dict(core=math.inf), dict(x1_centers=(0.0, math.nan)),
+                dict(x1_centers=(math.inf,))):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    spec = QuadratureSpec(nodes=np.int64(4), r_max=6.0)
+    value = integrate_callable(lambda X: np.exp(-np.sum(X * X, axis=1)),
+                               "cylindrical", spec).value
+    assert value == pytest.approx(math.pi**2, rel=1e-3)
+    with pytest.raises(ValueError):
+        spec.with_centers([math.nan])

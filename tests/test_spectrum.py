@@ -8,7 +8,8 @@ from wave4d.fields import FormulaField
 from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (assemble_radial, eigenpairs_between,
                              kernel_count, negative_spectrum,
-                             rayleigh_quotient, shooting_rate,
+                             radial_eigenfield, rayleigh_quotient,
+                             shooting_rate,
                              verify_cancellation, verify_exponential_decay)
 from wave4d.states import (RationalRadial, _poly_from, dilate,
                            symmetry_generator)
@@ -122,6 +123,37 @@ def test_eigenfield_decay_rate(ground_eigen):
     fit = verify_exponential_decay(Y1, lam1)
     assert abs(-fit.slope - lam1) / lam1 < 0.10
     assert fit.r_squared > 0.999
+
+
+def test_eigenfield_parts_equal_the_two_branch_form():
+    """Each part evaluates the spline only on the points inside the trusted
+    radius and the tail only beyond it; bit for bit, that is the form that
+    evaluates both branches on every point and picks one."""
+    from scipy.interpolate import CubicSpline
+
+    r = np.linspace(0.05, 12.0, 240)
+    values = np.exp(-r) / (1.0 + r * r)
+    lam = 1.1
+    Y = radial_eigenfield(r, values, lam)
+    r_t = Y.trusted_radius
+    spline = CubicSpline(np.concatenate([-r[::-1], r]),
+                         np.concatenate([values[::-1], values]))
+    a_t = float(spline(r_t))
+
+    def two_branch(k, rr):
+        far, rs = np.maximum(rr, r_t), np.maximum(rr, 1e-9)
+        tail = a_t * np.exp(-lam * (far - r_t)) * (r_t / far) ** 1.5
+        factor = (1.0, -lam - 1.5 / rs,
+                  (lam + 1.5 / rs) ** 2 + 1.5 / rs**2)[k]
+        return np.where(rr <= r_t, spline.derivative(k)(np.minimum(rr, r_t)),
+                        tail * factor)
+
+    edge = np.array([np.nextafter(r_t, 0.0), r_t, np.nextafter(r_t, np.inf)])
+    for rr in (edge, np.concatenate([np.linspace(0.0, 20.0, 101), edge]),
+               np.linspace(0.0, r_t, 50),
+               np.linspace(edge[2], 20.0, 50)):
+        for k, part in enumerate(Y.radial_parts):
+            np.testing.assert_array_equal(part(rr), two_branch(k, rr))
 
 
 def test_decay_check_requires_rate():
