@@ -3,7 +3,10 @@
 One JSON config file holds per-suite sections; flags override file values
 (flag > file > default).  ``DEFAULTS`` is the one table of suite values: the
 config schema and each suite's flags are read off it, a value's JSON type
-being that of its default.  Every run exits nonzero iff an asserted
+being that of its default.  A config file that breaks the schema (an
+integer key must hold a JSON integer, not 8.0), or a non-positive h, T,
+time or samples, ends the run before any work with a message on standard
+error and exit status 2.  Every other run exits nonzero iff an asserted
 criterion failed, and writes into the output directory
 
 - ``<suite>_resolved_config.json``: the fully resolved configuration;
@@ -28,7 +31,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 DEFAULTS = {
     "states": dict(r_max=20.0, grid_sizes=[200, 400, 800],
@@ -48,6 +50,8 @@ SUITES = tuple(DEFAULTS)
 
 # keys whose string value is one of a fixed set, wherever they appear
 _CHOICES = {"profile": ["surrogate", "ground"]}
+# keys whose value must be a positive finite number, wherever they appear
+_POSITIVE = ("h", "T", "time", "samples")
 
 _JSON_TYPES = {float: "number", int: "integer", str: "string"}
 
@@ -81,9 +85,17 @@ class ConfigError(ValueError):
 def load_config(path: str | None) -> dict:
     if not path:
         return {}
+    # a run without a config file does not load jsonschema
+    from jsonschema import Draft202012Validator, validators
+
     with open(path) as fh:
         data = json.load(fh)
-    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(data),
+    # JSON Schema counts 8.0 as an integer; a suite needs a Python int
+    strict = validators.extend(
+        Draft202012Validator,
+        type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: type(value) is int))
+    errors = sorted(strict(CONFIG_SCHEMA).iter_errors(data),
                     key=lambda e: list(e.absolute_path))
     if errors:
         msgs = [f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: "
@@ -96,6 +108,11 @@ def resolve(suite: str, file_cfg: dict, overrides: dict) -> dict:
     cfg = dict(DEFAULTS[suite])
     cfg.update(file_cfg.get(suite, {}))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    bad = [f"{k} = {cfg[k]!r}" for k in _POSITIVE
+           if k in cfg and not 0 < cfg[k] < math.inf]
+    if bad:
+        raise ConfigError(f"{suite}: {', '.join(bad)}: "
+                          "must be positive and finite")
     return cfg
 
 
@@ -474,13 +491,12 @@ def main(argv=None) -> int:
     outdir = Path(args.out or os.environ.get("WAVE4D_OUT", "wave4d_out"))
     if args.suite == "report":
         return run_report(outdir)
+    overrides = {key: getattr(args, key) for key in DEFAULTS[args.suite]}
     try:
-        file_cfg = load_config(args.config)
+        cfg = resolve(args.suite, load_config(args.config), overrides)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    overrides = {key: getattr(args, key) for key in DEFAULTS[args.suite]}
-    cfg = resolve(args.suite, file_cfg, overrides)
     return RUNNERS[args.suite](cfg, outdir)
 
 

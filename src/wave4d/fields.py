@@ -53,8 +53,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
-from scipy.interpolate import RegularGridInterpolator
 
 from .quadrature import (
     SYM_BICYL,
@@ -450,6 +448,9 @@ class PolyRadialField(ScalarField):
     def integrate_exact(self, r_max=None) -> QuadratureResult:
         """Integral over R^4 via sphere moments and adaptive 1D quadrature
         (scipy's ``quad``, whose error estimates add up to the error)."""
+        # scipy.integrate loads scipy's optimizer stack: imported on use
+        from scipy.integrate import quad
+
         total, err = 0.0, 0.0
         for m, S in self.terms:
             ang = moment(m, 4)
@@ -778,6 +779,9 @@ class SampledField(ScalarField):
         self._grad_interp = None
 
     def _interpolator(self, values, parity=1.0):
+        # scipy.interpolate loads scipy's optimizer stack: imported on use
+        from scipy.interpolate import RegularGridInterpolator
+
         return RegularGridInterpolator(
             (self.grid.x1, _reflect(self.grid.r, -1.0)),
             _reflect(values, parity), method="cubic", bounds_error=False,

@@ -14,8 +14,11 @@ them, to have a residual under -Delta - 3 W^2 that refines at order
 :func:`negative_spectrum` takes the k lowest eigenpairs by index and
 :func:`kernel_count` the near-zero window through
 :func:`eigenpairs_between`.  A radial eigenfield is a
-:class:`fields.RadialExpField` on its spline radial parts (Y, Y', Y''), the
-data the exponential directions of :mod:`boosts` are built from.
+:class:`fields.RadialExpField` on its radial parts (Y, Y', Y''), the data
+the exponential directions of :mod:`boosts` are built from.  Inside its
+trusted radius they are the not-a-knot cubic spline through the eigenvector
+samples (:func:`not_a_knot_spline`: one banded solve for the knot slopes)
+and its derivatives, each a piecewise coefficient array.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
@@ -23,6 +26,8 @@ two routes share nothing but the profile.  The oracle steps with Hairer's
 Fortran eighth-order Dormand-Prince code (DOP853) behind scipy's ``ode``,
 and each right-hand-side call samples q^2 through the profile's radial
 function on a Python float, not through the point-array ``evaluate``.
+scipy.integrate and scipy.optimize load scipy's optimizer stack, so the
+oracle imports them when it first runs, not the module.
 """
 
 from __future__ import annotations
@@ -32,10 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .fields import RadialExpField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
@@ -87,14 +89,78 @@ def assemble_radial(q: ScalarField, r_max: float = 30.0,
     return RadialOperator(r=r, h=h, main=main, off=off, r_max=r_max)
 
 
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """Piecewise polynomial on increasing knots x: on [x[i], x[i+1]] it is
+    sum_j c[j, i] (t - x[i])^(d - j), d = len(c) - 1.  The first and last
+    pieces extend beyond the ends."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def derivative(self, k: int = 1) -> PiecewisePoly:
+        """The k-th derivative: the same knots, with each piece's
+        coefficients differentiated."""
+        c = self.c
+        for _ in range(k):
+            c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
+        return PiecewisePoly(self.x, c)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        # the piece of t: how many inner knots lie at or below it
+        i = np.searchsorted(self.x[1:-1], t, side="right")
+        s = t - self.x.take(i)
+        out = self.c[0].take(i)
+        for row in self.c[1:]:
+            out *= s
+            out += row.take(i)
+        return out
+
+
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
+    """The not-a-knot cubic spline through (x, y), x increasing, n >= 4
+    knots: twice continuously differentiable, with a continuous third
+    derivative at x[1] and x[-2].  The knot slopes s solve one tridiagonal
+    system, the one scipy's ``CubicSpline`` solves."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 knots")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # banded rows: upper diagonal, diagonal, lower diagonal
+    A = np.zeros((3, len(x)))
+    A[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[2, :-2] = dx[1:]
+    b = np.empty(len(x))
+    b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot ends: the first two pieces are one cubic, as are the last two
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[2, -2] = dx[-2], d
+    b[-1] = (dx[-1]**2 * slope[-2]
+             + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    # Hermite form of each piece from its end values and slopes
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return PiecewisePoly(x, np.stack([t / dx, (slope - s[:-1]) / dx - t,
+                                      s[:-1], y[:-1]]))
+
+
 def radial_eigenfield(r: np.ndarray, values: np.ndarray,
                       lam: float) -> RadialExpField:
-    """Radial field from eigenvector samples: even cubic spline inside, a
-    matched e^{-lam r} r^{-3/2} tail beyond the trusted radius; a
-    RadialExpField with (kappa, a, b) = (0, 1, 0)."""
+    """Radial field from eigenvector samples: inside the trusted radius, the
+    not-a-knot cubic spline through the samples mirrored to -r, so that it
+    is even; beyond, a matched e^{-lam r} r^{-3/2} tail.  A RadialExpField
+    with (kappa, a, b) = (0, 1, 0), whose radial parts Y, Y', Y'' take the
+    spline's derivatives as coefficient arrays."""
     rs = np.concatenate([-r[::-1], r])
     vs = np.concatenate([values[::-1], values])
-    spline = CubicSpline(rs, vs)
+    spline = not_a_knot_spline(rs, vs)
     r_t = r[-1] - min(4.0 / max(lam, 0.2), 0.3 * r[-1])
     a_t = float(spline(r_t))
 
@@ -229,6 +295,15 @@ def verify_exponential_decay(Y: ScalarField, lam: float) -> DecayFit:
     return fit_exponential(rr, vals, poly_correction=1.5)
 
 
+def ode(rhs):
+    """scipy's ``ode`` integrator on rhs.  scipy.integrate loads scipy's
+    optimizer stack, which only the oracle needs, so it is imported here,
+    when the oracle first integrates."""
+    from scipy.integrate import ode as scipy_ode
+
+    return scipy_ode(rhs)
+
+
 def shooting_rate(q: ScalarField) -> float:
     """Independent oracle for the ground rate lam_1 of -Delta - 3 q^2.
 
@@ -248,6 +323,8 @@ def shooting_rate(q: ScalarField) -> float:
     terms = q.poly_radial_terms()
     if terms is None:
         raise TypeError("shooting oracle needs a monomial-radial profile")
+    from scipy.optimize import brentq
+
     def qsq(r):
         # a radial field has only m = 0 terms: q(r e1) sums their radial parts
         v = 0.0

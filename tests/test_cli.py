@@ -236,3 +236,62 @@ def test_removed_keys_are_rejected(tmp_path, capsys, suite, key):
     assert key in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["--out", str(tmp_path / "o"), suite, f"--{key}", "7"])
+
+
+@pytest.mark.parametrize("suite,key", [("interactions", "nodes"),
+                                       ("energy", "seed")])
+def test_integer_keys_refuse_a_float(tmp_path, capsys, suite, key):
+    """JSON Schema's "integer" takes 8.0; a suite would then die on it with
+    a traceback (QuadratureSpec's ValueError, SeedSequence's TypeError)."""
+    cfg_file = tmp_path / "float.json"
+    cfg_file.write_text(json.dumps({suite: {key: 8.0}}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(cfg_file))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                 suite]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,key,value", [
+    ("shoot", "h", "0"), ("shoot", "T", "-1"), ("evolve", "h", "nan"),
+    ("modulate", "time", "-5"), ("energy", "samples", "0")])
+def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
+                                                     key, value):
+    """h = 0 divided by zero, time = -5 raised a complex T**-3.5 and
+    samples = 0 reduced an empty array; each now ends as one message line,
+    from a flag and from a config file alike."""
+    out = tmp_path / "o"
+    assert main(["--out", str(out), suite, f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key} = " in err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({suite: {key: float(value)
+                                            if key != "samples"
+                                            else int(value)}}))
+    assert main(["--config", str(cfg_file), "--out", str(out), suite]) == 2
+    assert f"{key} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):
+    """The package, the command line, the ground eigenpair every workload
+    sets up and a suite run without a config file import neither scipy's
+    optimizer stack nor jsonschema; their users import them."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import wave4d, wave4d.cli\n"
+        "from wave4d import cli, spectrum\n"
+        "spectrum.ground_eigenpair()\n"
+        "assert cli.main(['--out', sys.argv[2], 'states']) == 0\n"
+        "assert cli.main(['--out', sys.argv[2], 'shoot', '--h', '0']) == 2\n"
+        "print(sorted({'scipy.integrate', 'scipy.interpolate',\n"
+        "              'scipy.optimize', 'jsonschema'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(src),
+                          str(tmp_path)], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"

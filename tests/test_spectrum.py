@@ -8,8 +8,8 @@ from wave4d.fields import FormulaField
 from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (assemble_radial, eigenpairs_between,
                              kernel_count, negative_spectrum,
-                             radial_eigenfield, rayleigh_quotient,
-                             shooting_rate,
+                             not_a_knot_spline, radial_eigenfield,
+                             rayleigh_quotient, shooting_rate,
                              verify_cancellation, verify_exponential_decay)
 from wave4d.states import (RationalRadial, _poly_from, dilate,
                            symmetry_generator)
@@ -129,15 +129,13 @@ def test_eigenfield_parts_equal_the_two_branch_form():
     """Each part evaluates the spline only on the points inside the trusted
     radius and the tail only beyond it; bit for bit, that is the form that
     evaluates both branches on every point and picks one."""
-    from scipy.interpolate import CubicSpline
-
     r = np.linspace(0.05, 12.0, 240)
     values = np.exp(-r) / (1.0 + r * r)
     lam = 1.1
     Y = radial_eigenfield(r, values, lam)
     r_t = Y.trusted_radius
-    spline = CubicSpline(np.concatenate([-r[::-1], r]),
-                         np.concatenate([values[::-1], values]))
+    spline = not_a_knot_spline(np.concatenate([-r[::-1], r]),
+                               np.concatenate([values[::-1], values]))
     a_t = float(spline(r_t))
 
     def two_branch(k, rr):
@@ -154,6 +152,34 @@ def test_eigenfield_parts_equal_the_two_branch_form():
                np.linspace(edge[2], 20.0, 50)):
         for k, part in enumerate(Y.radial_parts):
             np.testing.assert_array_equal(part(rr), two_branch(k, rr))
+
+
+def _mirrored_cell_centers():
+    """The knots radial_eigenfield builds on the suites' grid r_max = 25,
+    n = 1500: the cell centers and their mirror images at -r."""
+    r = (np.arange(1500) + 0.5) * (25.0 / 1500)
+    return np.concatenate([-r[::-1], r])
+
+
+@pytest.mark.parametrize("x", [
+    _mirrored_cell_centers(),
+    np.sort(np.random.default_rng(3).uniform(-3.0, 7.0, 60))],
+    ids=["mirrored_uniform", "non_uniform"])
+def test_not_a_knot_spline_matches_scipy(x):
+    """Value, first and second derivative equal scipy's not-a-knot
+    CubicSpline to 1e-14 of their largest size, at the knots, between them
+    and beyond both ends."""
+    from scipy.interpolate import CubicSpline
+
+    y = np.exp(-np.abs(x)) / (1.0 + x * x) + 0.1 * np.sin(3.0 * x)
+    t = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 10_001), x])
+    ours, ref = not_a_knot_spline(x, y), CubicSpline(x, y)
+    for k in range(3):
+        want = ref.derivative(k)(t)
+        err = np.max(np.abs(ours.derivative(k)(t) - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="4 knots"):
+        not_a_knot_spline(x[:3], y[:3])
 
 
 def test_decay_check_requires_rate():
