@@ -31,12 +31,14 @@ from .fields import (
     FormulaField,
     RadialExpField,
     ScalarField,
+    feature_degree,
     inner_pair_l2,
     sum_field,
     zero_field,
 )
 from .fitting import sup_on_spheres
-from .quadrature import SYM_CYL, QuadratureSpec, integrate_callable, join_symmetry
+from .quadrature import (SYM_CYL, QuadratureSpec, integrate_callable,
+                         join_symmetry, product_degree, sum_degree)
 from .states import translate
 
 
@@ -149,8 +151,11 @@ def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
                 + 2.0 * ell * v2 * g1[:, 0]
                 - 3.0 * Ql.evaluate(X) ** 2 * v1 * v1)
 
-    return integrate_callable(fn, join_symmetry(v.symmetry, Ql.symmetry),
-                              spec, decay=None).value
+    dh, dq, d1 = feature_degree(v, "h"), Ql.x4_degree, v.first.x4_degree
+    return integrate_callable(
+        fn, join_symmetry(v.symmetry, Ql.symmetry), spec, decay=None,
+        x4_degree=sum_degree(product_degree(dh, dh),
+                             product_degree(dq, dq, d1, d1))).value
 
 
 @dataclass

@@ -50,8 +50,13 @@ SUITES = tuple(DEFAULTS)
 
 # keys whose string value is one of a fixed set, wherever they appear
 _CHOICES = {"profile": ["surrogate", "ground"]}
-# keys whose value must be a positive finite number, wherever they appear
-_POSITIVE = ("h", "T", "time", "samples")
+# keys whose value must be a positive finite number, wherever they appear,
+# and r_max where it truncates a quadrature pass (a suite with nodes); the
+# grid suites check their own r_max
+_POSITIVE = ("h", "T", "time", "samples", "t1", "cadence")
+# keys with a least value, wherever they appear: a Gauss rule needs two
+# nodes, and a seed is a non-negative integer
+_LEAST = {"nodes": 2, "seed": 0}
 
 _JSON_TYPES = {float: "number", int: "integer", str: "string"}
 
@@ -108,11 +113,13 @@ def resolve(suite: str, file_cfg: dict, overrides: dict) -> dict:
     cfg = dict(DEFAULTS[suite])
     cfg.update(file_cfg.get(suite, {}))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    bad = [f"{k} = {cfg[k]!r}" for k in _POSITIVE
+    positive = _POSITIVE + (("r_max",) if "nodes" in cfg else ())
+    bad = [f"{k} = {cfg[k]!r} must be positive and finite" for k in positive
            if k in cfg and not 0 < cfg[k] < math.inf]
+    bad += [f"{k} = {cfg[k]!r} must be >= {least}"
+            for k, least in _LEAST.items() if k in cfg and not cfg[k] >= least]
     if bad:
-        raise ConfigError(f"{suite}: {', '.join(bad)}: "
-                          "must be positive and finite")
+        raise ConfigError(f"{suite}: {', '.join(bad)}")
     return cfg
 
 

@@ -26,12 +26,13 @@ from .fields import (
     FieldPair,
     FormulaField,
     ScalarField,
+    feature_degree,
     pair_sampler,
     zero_field,
 )
 from .interactions import GAssembly, MultiSolitonConfig
 from .quadrature import (QuadratureSpec, integrate_callable, join_symmetry,
-                         node_set)
+                         node_set, product_degree, sum_degree)
 
 
 @dataclass
@@ -137,7 +138,11 @@ def conserved_energy_momentum(u: FieldPair,
         p1 = v2 * g[:, 0]
         return np.stack([e, p1], axis=1)
 
-    vals = integrate_callable(fn, u.symmetry, spec).value
+    dh, d1 = feature_degree(u, "h"), u.first.x4_degree
+    vals = integrate_callable(
+        fn, u.symmetry, spec,
+        x4_degree=sum_degree(product_degree(dh, dh),
+                             product_degree(*4 * [d1]))).value
     return float(vals[0]), float(vals[1])
 
 
@@ -168,8 +173,16 @@ def energy_functionals(phi: FieldPair, cfg: MultiSolitonConfig, t: float,
                         * (cfg.speeds[nn] - chi) * dpsi)
         return np.stack(cols, axis=1)
 
+    # chi depends on x1 alone; the quartic in RUV + phi1 bounds the G2 and
+    # RUV terms, and d1 of Psi_n has at most one more degree than Psi_n
+    dh = feature_degree(phi, "h")
+    dr = sum_degree(asm.x4_degree, phi.first.x4_degree)
+    degree = sum_degree(
+        product_degree(dh, dh), product_degree(*4 * [dr]),
+        *(product_degree(dh, psi.x4_degree, 1) for psi in asm.Psi))
     window = cfg.x1_window(t, sp)
-    vals = np.asarray(integrate_callable(fn, sym, sp, x1_range=window).value)
+    vals = np.asarray(integrate_callable(fn, sym, sp, x1_range=window,
+                                         x4_degree=degree).value)
     omega, omega_c = localized_norms(phi, cutoff, t, window, spec=sp)
     return EnergyReport(t=t, energy=float(vals[0]), momentum=float(vals[1]),
                         coupling=float(vals[2]),
@@ -192,11 +205,13 @@ def _ramp_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, intervals,
         return np.stack([plain + 2.0 * cutoff(t, X[:, 0]) * g[:, 0] * p2,
                          plain], axis=1)
 
+    dh = feature_degree(phi, "h")
     total = np.zeros(2)
     for lo, hi in intervals:
         if hi > lo:
             total += np.asarray(integrate_callable(
-                fn, phi.symmetry, spec, x1_range=(lo, hi)).value)
+                fn, phi.symmetry, spec, x1_range=(lo, hi),
+                x4_degree=product_degree(dh, dh)).value)
     return total
 
 

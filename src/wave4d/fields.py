@@ -64,6 +64,8 @@ from .quadrature import (
     integrate_callable,
     join_symmetry,
     moment,
+    product_degree,
+    sum_degree,
 )
 
 _FD_STEP = 1e-3
@@ -94,6 +96,12 @@ class ScalarField:
     asymptote: float | None = None
     # length scale of the profile's core, when known (None reads as 1)
     core: float | None = None
+
+    @property
+    def x4_degree(self) -> int | None:
+        """Degree in x4 at fixed (x1, |(x2,x3,x4)|), None when unknown: 0 for
+        a radial or cylindrical field, which depends on (x1, rbar) alone."""
+        return 0 if self.symmetry in (SYM_RADIAL, SYM_CYL) else None
 
     def evaluate(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -187,6 +195,19 @@ class AffineField(ScalarField):
         self._cols = [(j, self.scale[j], self.shift[j]) for j in range(4)
                       if self.scale[j] != 1.0 or self.shift[j] != 0.0]
 
+    @property
+    def x4_degree(self) -> int | None:
+        """The base's degree, one more for a derivative along x1 or x4:
+        a map that shifts x1 alone and scales x2..x4 alike keeps |x| a
+        function of (x1, rbar) and x4 a multiple of x4.  Any other map, or
+        a derivative along x2 or x3, has no polynomial degree."""
+        s = self.scale
+        if np.any(self.shift[1:]) or not s[1] == s[2] == s[3] \
+                or self.derivative in (1, 2):
+            return None
+        return product_degree(self.base.x4_degree,
+                              int(self.derivative is not None))
+
     def _map(self, X):
         Y = X.copy()
         for j, a, b in self._cols:
@@ -228,6 +249,11 @@ class Combination(ScalarField):
     symmetry: str = SYM_FULL
     decay: float | None = None
     asymptote: float | None = None
+
+    @property
+    def x4_degree(self) -> int | None:
+        """The largest degree among the leaves (0 with none)."""
+        return sum_degree(*(leaf.x4_degree for _, leaf in self.terms))
 
     def evaluate(self, x):
         X = _as_points(x)
@@ -298,14 +324,25 @@ class RationalRadial:
         self.kappa = float(kappa)
         self.terms = {(int(a), int(b)): c for (a, b), c in terms.items()
                       if c != 0.0}
+        if any(a < 0 or b < 0 for a, b in self.terms):
+            raise ValueError("powers of r and B must be >= 0")
+        # the largest powers of r and of B a term takes
+        self._top = (max((a for a, _ in self.terms), default=0),
+                     max((b for _, b in self.terms), default=0))
 
     def __call__(self, r):
         """The sum at r: a float in plain arithmetic at a float (the oracle
-        calls it so), an array of r's shape at an array."""
+        calls it so), an array of r's shape at an array.  The powers of r
+        and B are built once, by repeated products, and serve every term."""
         B = 1.0 / (1.0 - 0.5 * self.kappa * r * r)
+        ra, Bb = [1.0], [1.0]
+        for _ in range(self._top[0]):
+            ra.append(ra[-1] * r)
+        for _ in range(self._top[1]):
+            Bb.append(Bb[-1] * B)
         out = 0.0 * r
         for (a, b), c in self.terms.items():
-            out = out + c * r**a * B**b
+            out = out + c * ra[a] * Bb[b]
         return out
 
     def deriv(self) -> "RationalRadial":
@@ -385,6 +422,11 @@ class PolyRadialField(ScalarField):
             self.symmetry = SYM_BICYL
         else:
             self.symmetry = SYM_FULL
+
+    @property
+    def x4_degree(self) -> int:
+        """The largest power of x4 among the terms."""
+        return max((int(m[3]) for m, _ in self.terms), default=0)
 
     def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
         """Value and gradient from one evaluation of r and each radial part:
@@ -939,7 +981,7 @@ def integrate_field(f: ScalarField) -> QuadratureResult:
     if f.poly_radial_terms() is not None:
         return f.integrate_exact()
     return integrate_callable(f.evaluate, f.symmetry, QuadratureSpec(),
-                              decay=f.decay)
+                              decay=f.decay, x4_degree=f.x4_degree)
 
 
 def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
@@ -952,10 +994,11 @@ def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
 
 
 def _inner(f: ScalarField, g: ScalarField, spec, exact, sample,
-           extra_decay: float) -> float:
-    """Integral of sample(f) . sample(g): exactly as exact(f, g) in the
-    RationalRadial algebra when both allow it, else by quadrature, sampling
-    f once when g is f."""
+           order: int) -> float:
+    """Integral of sample(f) . sample(g), sample taking derivatives of the
+    given order: exactly as exact(f, g) in the RationalRadial algebra when
+    both allow it, else by quadrature, sampling f once when g is f.  Each
+    derivative adds one to a factor's decay and to its x4 degree."""
     spec = spec or QuadratureSpec()
     if _pairs_exactly(f, g):
         return exact(f, g).integrate_exact(r_max=spec.r_max).value
@@ -967,21 +1010,22 @@ def _inner(f: ScalarField, g: ScalarField, spec, exact, sample,
                          else sample(g, X).reshape(len(X), -1))
 
     decay = None if f.decay is None or g.decay is None else \
-        f.decay + g.decay + extra_decay
-    return integrate_callable(fn, join_symmetry(f.symmetry, g.symmetry), spec,
-                              decay=decay).value
+        f.decay + g.decay + 2 * order
+    return integrate_callable(
+        fn, join_symmetry(f.symmetry, g.symmetry), spec, decay=decay,
+        x4_degree=product_degree(f.x4_degree, g.x4_degree, 2 * order)).value
 
 
 def inner_l2(f: ScalarField, g: ScalarField,
              spec: QuadratureSpec | None = None) -> float:
     return _inner(f, g, spec, PolyRadialField.product,
-                  lambda h, X: h.evaluate(X), 0.0)
+                  lambda h, X: h.evaluate(X), 0)
 
 
 def inner_hdot1(f: ScalarField, g: ScalarField,
                 spec: QuadratureSpec | None = None) -> float:
     return _inner(f, g, spec, PolyRadialField.grad_dot,
-                  lambda h, X: h.gradient(X), 2.0)
+                  lambda h, X: h.gradient(X), 1)
 
 
 def norm_l2(f: ScalarField) -> float:
@@ -1012,6 +1056,14 @@ def norm_pair(p: FieldPair, spec: QuadratureSpec | None = None) -> float:
 # features per pair of each pairing kind: "h" reads the first component's
 # gradient and the second component, "l2" the two components
 _WIDTH = {"h": 5, "l2": 2}
+
+
+def feature_degree(p: FieldPair, kind: str) -> int | None:
+    """The largest x4 degree among the features a pairing of kind reads
+    from p; a gradient ("h" first component) has one more than its field,
+    and a product of two features the sum of theirs."""
+    return sum_degree(product_degree(p.first.x4_degree, int(kind == "h")),
+                      p.second.x4_degree)
 
 
 def pair_sampler(groups):
@@ -1144,10 +1196,15 @@ def pairing_block(rows, cols, kind,
         feats = sample(X)
         return [(feats[r], feats[c]) for r, c in stacks]
 
+    # per kind a row feature times a column feature
+    degree = sum_degree(*(product_degree(
+        sum_degree(*(feature_degree(p, k) for p in rows)),
+        sum_degree(*(feature_degree(cols[j], k) for j in idx)))
+        for k, idx in groups.items()))
     out = np.empty(shape)
     # the kinds' column blocks, side by side, in the order of groups
     out[:, [j for idx in groups.values() for j in idx]] = \
-        integrate_callable(fn, sym, spec).value
+        integrate_callable(fn, sym, spec, x4_degree=degree).value
     return out
 
 
@@ -1155,7 +1212,8 @@ def norm_l4(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
     dec = None if f.decay is None else 4 * f.decay
     v = integrate_callable(lambda X: f.evaluate(X) ** 4, f.symmetry, spec,
-                           decay=dec).value
+                           decay=dec,
+                           x4_degree=product_degree(*4 * [f.x4_degree])).value
     return max(v, 0.0) ** 0.25
 
 
@@ -1173,6 +1231,7 @@ def hardy_sobolev_check(f: ScalarField,
         return f.evaluate(X) ** 2 / r2
 
     dec = None if f.decay is None else 2 * f.decay + 2
-    hardy = math.sqrt(max(integrate_callable(over_x2, f.symmetry, spec,
-                                             decay=dec).value, 0.0))
+    hardy = math.sqrt(max(integrate_callable(
+        over_x2, f.symmetry, spec, decay=dec,
+        x4_degree=product_degree(f.x4_degree, f.x4_degree)).value, 0.0))
     return (l4 / gnorm, hardy / gnorm)

@@ -28,7 +28,8 @@ import numpy as np
 from .boosts import traveling_profile
 from .fields import FormulaField, ScalarField, sum_field
 from .fitting import DecayFit, fit_log_linear, fit_loglog
-from .quadrature import QuadratureSpec, integrate_callable, join_symmetry
+from .quadrature import (QuadratureSpec, integrate_callable, join_symmetry,
+                         product_degree, sum_degree)
 from .states import translate
 
 PARAM_THRESHOLD = 0.1
@@ -145,16 +146,19 @@ class GAssembly:
         self.symmetry = join_symmetry(
             *[f.symmetry for f in self.Q + self.Psi
               + [p for row in self.Phi for p in row]])
+        # the per-soliton corrections w_n = a_n Psi_n + sum_k b_nk Phi_nk:
+        # a field whose coefficient is zero drops out of its combination,
+        # so it is not sampled
+        self.w = [sum_field([psi] + phi, [a] + list(b)) for psi, phi, a, b
+                  in zip(self.Psi, self.Phi, cfg.a, cfg.b)]
+        # of R + U + V, the largest among the fields sampled; a part is a
+        # cubic in them
+        self.x4_degree = sum_degree(*[f.x4_degree for f in self.Q + self.w])
 
     def _componentwise(self, X):
-        """(q, w): the profiles Q_n and the per-soliton corrections
-        w_n = a_n Psi_n + sum_k b_nk Phi_nk at X.  A field whose
-        coefficient is zero drops out of its combination, so it is not
-        sampled."""
+        """(q, w): the profiles Q_n and the corrections w_n at X."""
         return (np.stack([f.evaluate(X) for f in self.Q]),
-                np.stack([sum_field([psi] + phi, [a] + list(b)).evaluate(X)
-                          for psi, phi, a, b
-                          in zip(self.Psi, self.Phi, self.cfg.a, self.cfg.b)]))
+                np.stack([w.evaluate(X) for w in self.w]))
 
     def parts(self, X) -> dict:
         """G, G1, G2 (per soliton), G3 (four mixed parts) and the sum
@@ -219,7 +223,9 @@ def g_part_norms(cfg: MultiSolitonConfig, t: float,
     asm = GAssembly(cfg, t)
     sp = cfg.quad_spec(t, spec)
     vals = integrate_callable(asm.squared_stack, asm.symmetry, sp,
-                              x1_range=cfg.x1_window(t, sp)).value
+                              x1_range=cfg.x1_window(t, sp),
+                              x4_degree=product_degree(
+                                  *6 * [asm.x4_degree])).value
     vals = np.sqrt(np.maximum(np.asarray(vals), 0.0))
     n = cfg.n
     return dict(t=t, g1=float(vals[0]),
@@ -275,19 +281,20 @@ def pairwise_q_norm(cfg: MultiSolitonConfig, t: float,
             ln, lm = cfg.speeds[n], cfg.speeds[m]
             lo, hi = cfg.x1_window(t, sp)
             sym = join_symmetry(Qn.symmetry, Qm.symmetry)
+            deg = product_degree(*4 * [Qn.x4_degree], *2 * [Qm.x4_degree])
+
+            def over(a, b):
+                return integrate_callable(fn, sym, sp, x1_range=(a, b),
+                                          x4_degree=deg).value
+
             if not split:
-                total += math.sqrt(max(integrate_callable(
-                    fn, sym, sp, x1_range=(lo, hi)).value, 0.0))
+                total += math.sqrt(max(over(lo, hi), 0.0))
                 continue
             # region boundary |y1| = |l_n - l_m| t / 2 in the n-frame
             half = 0.5 * abs(ln - lm) * t * math.sqrt(1.0 - ln * ln)
             c = ln * t
-            inner = integrate_callable(fn, sym, sp,
-                                       x1_range=(c - half, c + half)).value
-            outer = (integrate_callable(fn, sym, sp,
-                                        x1_range=(lo, c - half)).value
-                     + integrate_callable(fn, sym, sp,
-                                          x1_range=(c + half, hi)).value)
+            inner = over(c - half, c + half)
+            outer = over(lo, c - half) + over(c + half, hi)
             details.append(dict(n=n, m=m, inner=inner, outer=outer))
             total += math.sqrt(max(inner + outer, 0.0))
     return (total, details) if split else total
@@ -371,7 +378,10 @@ def localized_pairing(f: ScalarField, psi: ScalarField, ell: float,
     sp = replace(spec, r_max=max(spec.r_max or 0.0, reach))
     sym = join_symmetry(f.symmetry, psi.symmetry)
     lo, hi = min(centers) - reach, max(centers) + reach
-    return integrate_callable(fn, sym, sp, x1_range=(lo, hi)).value
+    # xi depends on (x1, rbar) alone
+    return integrate_callable(
+        fn, sym, sp, x1_range=(lo, hi),
+        x4_degree=product_degree(f.x4_degree, psi.x4_degree)).value
 
 
 def slow_pairing_series(slow: ScalarField, ell: float, sigma: float, times,

@@ -25,10 +25,13 @@ side h, and, because phi = dev - sum c_k f_k with G c = h, also
 ||phi||^2 = H_dd - c.h and (phi, Z+-)_L2 = (dev, Z+-)_L2 - c.(f, Z+-)_L2.
 Only where that subtraction cancels (phi much smaller than dev) does
 decompose pass over [phi] + Z+- explicitly.  The passes stream through
-``integrate_callable`` in batches of at most 2,048 nodes.  On the
-criterion-8 data (nodes 6, r_max 25: 46,872 nodes a pass) a decompose batch
-maps each of its 14 distinct leaves once and holds, per node, 52 leaf reads
-(values and gradient entries) and 57 features, about 0.9 MB each a batch;
+``integrate_callable`` in batches of at most 2,048 nodes, each block with
+the x4 degree its pairs give (``fields.feature_degree``), so the
+bicylindrical u rule takes only the points that degree needs.  On the
+criterion-8 data (nodes 6, r_max 25; degree 6, so 4 u points and 31,248
+nodes a pass) a decompose batch maps each of its 14 distinct leaves once
+and holds, per node, 52 leaf reads (values and gradient entries) and 57
+features, about 0.9 MB each a batch;
 the block is contracted from the features without a per-node block, through
 weighted copies of one kind's stacks at a time (at most 70 entries a node,
 1.1 MB, for the energy rows and columns).

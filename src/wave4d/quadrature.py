@@ -5,17 +5,20 @@ symmetry:
 
 * ``radial``          f = f(|x|)
 * ``cylindrical``     f = f(x1, |(x2,x3,x4)|)
-* ``bicylindrical``   f = f(x1, x4, |(x2,x3)|), a polynomial in x4 of degree
-                      <= 2*nodes - 1 whose coefficients depend on
-                      (x1, |(x2,x3,x4)|)
+* ``bicylindrical``   f = f(x1, x4, |(x2,x3)|), a polynomial in x4 whose
+                      coefficients depend on (x1, |(x2,x3,x4)|)
 * ``full``            no symmetry, tensor quadrature on a box
 
 The reduced domains are covered by geometrically graded panels (width
 ``spec.core`` near the origin/centers, doubling outward) with a fixed
 Gauss-Legendre rule per panel.  The bicylindrical reduction writes the
 transverse half-plane in polar form, rbar = |(x2,x3,x4)| and u = x4/rbar, and
-integrates u with one Gauss-Legendre rule on [-1, 1]; that rule is exact for
-the contract above.
+integrates u with one Gauss-Legendre rule on [-1, 1].  A pass that declares
+its integrand's degree d in x4 (``x4_degree``) takes ceil((d + 1)/2) u
+points, never more than ``spec.nodes``, the fewest that are exact for degree
+d; an integrand of unknown degree (None) takes ``spec.nodes`` points, exact
+up to degree 2*nodes - 1.  :func:`product_degree` and :func:`sum_degree`
+combine the degrees of fields into an integrand's.
 
 A pass is built by one routine as batches of (points, weights): each batch
 holds the slabs of consecutive x1 nodes, one slab per node, up to
@@ -29,6 +32,7 @@ angular integrals of monomial weights use the closed-form sphere moments in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -175,9 +179,18 @@ def axis_breaks(lo: float, hi: float, centers=(),
     return np.asarray(sorted(pts))
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once
+    per n (a pass takes up to three rules) and returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(breaks: np.ndarray, n: int):
     """Gauss-Legendre nodes/weights on each [breaks[i], breaks[i+1]] panel."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg, wg = _legendre(n)
     a = breaks[:-1][:, None]
     b = breaks[1:][:, None]
     x = (0.5 * (b - a) * xg[None, :] + 0.5 * (b + a)).ravel()
@@ -202,6 +215,18 @@ def _wsum(vals, w):
     return np.tensordot(w, vals, axes=(0, 0))
 
 
+def product_degree(*degrees) -> int | None:
+    """x4 degree of a product of factors of the given degrees: their sum,
+    unknown (None) when one factor's is."""
+    return None if None in degrees else sum(degrees)
+
+
+def sum_degree(*degrees) -> int | None:
+    """x4 degree of a sum of terms of the given degrees: the largest (0 for
+    no terms), unknown (None) when one term's is."""
+    return None if None in degrees else max(degrees, default=0)
+
+
 def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
     """(r_max, x1_range) of a pass: explicit values, else from the spec."""
     r_max = spec.r_max
@@ -220,7 +245,7 @@ def _resolve(spec: QuadratureSpec, decay, x1_range) -> tuple:
 
 
 def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
-           x1_range: tuple):
+           x1_range: tuple, x4_degree: int | None = None):
     """(points, weights) of a pass in batches of consecutive x1 nodes.
 
     The radial reduction is a single slab of points on the x1 axis.  The
@@ -232,11 +257,13 @@ def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
     half-plane (bicylindrical), or a tensor box in (x2, x3, x4) (full).
     Weights carry the Jacobian of the reduction, so a slab's integral is its
     weighted sum.
-    The u rule has ``spec.nodes`` Gauss-Legendre points on [-1, 1], so a
-    bicylindrical slab is exact for integrands that are polynomials in x4 of
-    degree <= 2*nodes - 1 with coefficients depending on (x1, rbar).  The
-    first radial panel and the first x1 panel on each side of every center
-    are ``spec.core`` wide.
+    The u rule has ceil((x4_degree + 1)/2) Gauss-Legendre points on
+    [-1, 1], at most ``spec.nodes``, or ``spec.nodes`` when the degree is
+    None (unknown).  A bicylindrical slab is thus exact for integrands that
+    are polynomials in x4 of the declared degree, or of degree
+    <= 2*nodes - 1 when none is declared, with coefficients depending on
+    (x1, rbar).  The first radial panel and the first x1 panel on each side
+    of every center are ``spec.core`` wide.
     """
     rb, wr = gauss_panels(geometric_breaks(r_max, spec.core), spec.nodes)
     if symmetry == SYM_RADIAL:
@@ -251,7 +278,9 @@ def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
         base[:, 1] = rb
         wt = 4.0 * math.pi * wr * rb**2
     elif symmetry == SYM_BICYL:
-        u, wu = np.polynomial.legendre.leggauss(spec.nodes)
+        m = spec.nodes if x4_degree is None else \
+            min(spec.nodes, x4_degree // 2 + 1)
+        u, wu = _legendre(m)
         R, U = np.meshgrid(rb, u, indexing="ij")
         base = np.zeros((R.size, 4))
         base[:, 1] = (R * np.sqrt(1.0 - U * U)).ravel()
@@ -295,6 +324,7 @@ def integrate_callable(
     spec: QuadratureSpec,
     decay: float | None = None,
     x1_range: tuple | None = None,
+    x4_degree: int | None = None,
 ) -> QuadratureResult:
     """Integrate fn over R^4 in one pass at spec's resolution.
 
@@ -305,13 +335,16 @@ def integrate_callable(
     symmetry.  It is called once per batch of consecutive x1 slabs (once in
     all for the radial reduction), so each call sees up to
     ``_BATCH_POINTS`` points, or one slab where a slab alone is larger.
-    x1_range, when given, must be finite with lo < hi.  The error is the
-    tail bound of the decay at the truncation radius.
+    x1_range, when given, must be finite with lo < hi.  x4_degree, when
+    given, is fn's degree as a polynomial in x4 and sizes the bicylindrical
+    u rule (see :func:`_slabs`); like decay, it describes this integrand
+    only.  The error is the tail bound of the decay at the truncation
+    radius.
     """
     if symmetry not in _SYM_ORDER:
         raise ValueError(f"unknown symmetry tag {symmetry!r}")
     r_max, x1_range = _resolve(spec, decay, x1_range)
     total = 0.0
-    for X, w in _slabs(symmetry, spec, r_max, x1_range):
+    for X, w in _slabs(symmetry, spec, r_max, x1_range, x4_degree):
         total = total + _wsum(fn(X), w)
     return QuadratureResult(total, tail_bound(decay, r_max))

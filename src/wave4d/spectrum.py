@@ -41,7 +41,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .fields import RadialExpField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
-from .quadrature import SYM_RADIAL, QuadratureSpec
+from .quadrature import (SYM_RADIAL, QuadratureSpec, integrate_callable,
+                         join_symmetry, product_degree)
 from .states import ground_state
 
 # kernel_count aligns modes on the inner TRUSTED_FRACTION of the domain
@@ -380,8 +381,6 @@ def verify_cancellation(f1: ScalarField, f2: ScalarField, f3: ScalarField,
         val = prod.integrate_exact(r_max=spec.r_max).value
         scale = _abs_scale_poly(prod, spec)
         return val, scale
-    from .quadrature import integrate_callable, join_symmetry
-
     sym = join_symmetry(*[f.symmetry for f in fields])
 
     def fn(X):
@@ -389,7 +388,10 @@ def verify_cancellation(f1: ScalarField, f2: ScalarField, f3: ScalarField,
                 * q.evaluate(X))
 
     dec = sum(f.decay for f in fields) if all(f.decay for f in fields) else None
-    val = integrate_callable(fn, sym, spec, decay=dec).value
+    # |fn| is no polynomial in x4: its pass keeps the spec's u rule
+    val = integrate_callable(
+        fn, sym, spec, decay=dec,
+        x4_degree=product_degree(*[f.x4_degree for f in fields])).value
     scale = integrate_callable(lambda X: np.abs(fn(X)), sym, spec,
                                decay=dec).value
     return val, scale

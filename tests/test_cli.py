@@ -254,20 +254,25 @@ def test_integer_keys_refuse_a_float(tmp_path, capsys, suite, key):
 
 @pytest.mark.parametrize("suite,key,value", [
     ("shoot", "h", "0"), ("shoot", "T", "-1"), ("evolve", "h", "nan"),
-    ("modulate", "time", "-5"), ("energy", "samples", "0")])
+    ("modulate", "time", "-5"), ("energy", "samples", "0"),
+    ("interactions", "nodes", "1"), ("interactions", "r_max", "-3"),
+    ("energy", "seed", "-1"), ("evolve", "t1", "-1")])
 def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
                                                      key, value):
     """h = 0 divided by zero, time = -5 raised a complex T**-3.5 and
-    samples = 0 reduced an empty array; each now ends as one message line,
-    from a flag and from a config file alike."""
+    samples = 0 reduced an empty array; nodes = 1 and r_max = -3 raised
+    from QuadratureSpec, seed = -1 from SeedSequence and t1 = -1 a
+    LinAlgError in np.polyfit.  Each now ends as one message line, from a
+    flag and from a config file alike."""
     out = tmp_path / "o"
     assert main(["--out", str(out), suite, f"--{key}", value]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{key} = " in err
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({suite: {key: float(value)
-                                            if key != "samples"
-                                            else int(value)}}))
+    cfg_file.write_text(json.dumps({suite: {key: int(value)
+                                            if key in ("samples", "nodes",
+                                                       "seed")
+                                            else float(value)}}))
     assert main(["--config", str(cfg_file), "--out", str(out), suite]) == 2
     assert f"{key} = " in capsys.readouterr().err
     assert not out.exists()

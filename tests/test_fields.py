@@ -632,3 +632,54 @@ def test_diagonal_affine_leaves_equal_the_matrix_product(W, ground_eigen,
                 for c, leaf in terms:
                     ref[i, at] += (c * _product_read(leaf, X, part)).T
         assert np.array_equal(got, ref)
+
+
+def test_x4_degree_of_each_field_family(W, Qs, ground_eigen):
+    """Radial and cylindrical fields have degree 0 by their symmetry, a
+    monomial-radial field its largest power of x4, a map that shifts x1
+    alone its base's (one more for a derivative leaf), a combination the
+    largest among the leaves it keeps; other maps and other bicylindrical
+    fields have none (None)."""
+    from wave4d.boosts import (build_exp_directions, traveling_pair,
+                               traveling_profile)
+    from wave4d.states import translate
+
+    def formula(symmetry):
+        return FormulaField(lambda X: X[:, 0], symmetry=symmetry)
+
+    assert [formula(s).x4_degree for s in ("radial", "cylindrical",
+                                           "bicylindrical", "full")] == \
+        [0, 0, None, None]
+    lam, Y = ground_eigen
+    direction = build_exp_directions(Y, lam, 0.4)["+"].pair
+    assert (Y.x4_degree, direction.first.base.x4_degree) == (0, 0)
+    assert direction.first.base.symmetry == "cylindrical"
+    assert SampledField(Grid2DCyl(-2.0, 2.0, 5, 2.0, 5),
+                        np.zeros((5, 5))).x4_degree == 0
+    psi = symmetry_generator(Qs, "conformal_4")
+    assert (W.x4_degree, Qs.x4_degree, psi.x4_degree) == (0, 1, 2)
+
+    moving = traveling_pair(Qs, 0.5, 10.0)
+    leaf = moving.first
+    assert (leaf.x4_degree, dilate(Qs, 2.0).x4_degree) == (1, 1)
+    assert translate(Qs, [3.0, 0.0, 0.0, 0.0]).x4_degree == 1
+    # a shift along x4 makes |x| no polynomial in u = x4 / rbar
+    assert translate(Qs, [0.0, 0.0, 0.0, 0.5]).x4_degree is None
+    assert translate(leaf, [0.0, 0.3, 0.0, 0.0]).x4_degree is None
+    squeezed = AffineField(Qs, np.array([1.0, 1.0, 1.0, 2.0]), np.zeros(4),
+                           symmetry="bicylindrical")
+    assert squeezed.x4_degree is None
+    (_, derivative), = moving.second.terms
+    assert derivative.derivative == 0 and derivative.x4_degree == 2
+    assert AffineField(Qs, np.ones(4), np.zeros(4),
+                       derivative=1).x4_degree is None
+
+    odd = formula("bicylindrical")
+    assert sum_field([Qs, W]).x4_degree == 1
+    assert sum_field([leaf, psi, W]).x4_degree == 2
+    assert zero_field().x4_degree == 0
+    assert sum_field([Qs, odd]).x4_degree is None
+    # zero coefficients drop their leaves, and their degrees with them
+    assert sum_field([Qs, psi, odd], [1.0, 0.0, 0.0]).x4_degree == 1
+    assert sum_field([psi, odd], [0.0, 0.0]).x4_degree == 0
+    assert traveling_profile(Qs, 0.5, 3.0, -1).x4_degree == 1

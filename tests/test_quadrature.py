@@ -317,6 +317,126 @@ def test_bicylindrical_rule_is_exact_up_to_degree_2m_minus_1(nodes):
             assert abs(bicyl - cyl) > 1e-6 * cyl
 
 
+def _passes(monkeypatch, module) -> list:
+    """Spy on the passes module makes: (declared x4 degree, points) each."""
+    seen = []
+
+    def spy(fn, *args, x4_degree=None, **kwargs):
+        seen.append([x4_degree, 0])
+
+        def counted(X):
+            seen[-1][1] += len(X)
+            return fn(X)
+        return integrate_callable(counted, *args, x4_degree=x4_degree,
+                                  **kwargs)
+    monkeypatch.setattr(module, "integrate_callable", spy)
+    return seen
+
+
+def _points(symmetry, spec, x4_degree=None) -> int:
+    return sum(len(X) for X, _ in quadrature._slabs(
+        symmetry, spec, spec.r_max, (-spec.r_max, spec.r_max), x4_degree))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_declared_degree_sizes_the_u_rule(k):
+    """A pass declaring degree 2k - 1 in x4 takes k u points, so
+    x4^(2k-2) h(x1, rbar) integrates exactly (like h rbar^(2k-2) / (2k-1)
+    on the cylindrical nodes) and x4^(2k) h does not; declaring 2k takes
+    k + 1 points, and no declared degree takes spec.nodes."""
+    spec = QuadratureSpec(nodes=8, r_max=8.0, x1_centers=(0.5,), core=0.5)
+    slab = _points("bicylindrical", spec) // spec.nodes
+    assert _points("bicylindrical", spec, 2 * k - 1) == k * slab
+    assert _points("bicylindrical", spec, 2 * k) == (k + 1) * slab
+    assert _points("bicylindrical", spec, 99) == spec.nodes * slab
+
+    def h(X):
+        return np.exp(-0.5 * np.sum(X * X, axis=1)) / (1.0 + X[:, 0] ** 2)
+
+    for j in (2 * k - 2, 2 * k):
+        bicyl = integrate_callable(lambda X: X[:, 3] ** j * h(X),
+                                   "bicylindrical", spec,
+                                   x4_degree=2 * k - 1).value
+        cyl = integrate_callable(
+            lambda X: np.sum(X[:, 1:] ** 2, axis=1) ** (j / 2) * h(X)
+            / (j + 1), "cylindrical", spec).value
+        if j < 2 * k:
+            assert bicyl == pytest.approx(cyl, rel=1e-13)
+        else:
+            assert abs(bicyl - cyl) > 1e-6 * cyl
+
+
+def test_a_pass_with_a_field_of_unknown_degree_keeps_spec_nodes(
+        Qs, monkeypatch):
+    """A pairing block over surrogate pairs derives its degree and takes
+    fewer u points; one bicylindrical field without a degree among its pairs
+    puts the pass back on spec.nodes points."""
+    from wave4d import fields
+    from wave4d.boosts import traveling_pair
+    from wave4d.fields import FieldPair, FormulaField, zero_field
+
+    spec = QuadratureSpec(nodes=6, r_max=6.0)
+    p = traveling_pair(Qs, 0.5, 0.0)
+    odd = FieldPair(FormulaField(lambda X: X[:, 3] * np.exp(
+        -np.sum(X * X, axis=1)), symmetry="bicylindrical"), zero_field())
+    seen = _passes(monkeypatch, fields)
+    fields.pairing_block([p], [p], "h", spec)
+    fields.pairing_block([p, odd], [p, odd], "h", spec)
+    fields.pairing_block([p], [odd], "l2", spec)
+    slab = _points("bicylindrical", spec) // spec.nodes
+    # Q has degree 1 and its derivative leaf 2: an "h" feature reads 2
+    assert seen == [[4, 3 * slab], [None, 6 * slab], [None, 6 * slab]]
+
+
+def test_laws_passes_derive_degree_six(monkeypatch):
+    """The surrogate G parts are cubics in Q_n (degree 1) and the
+    corrections w_n, whose zero coefficients drop their fields; pairwise
+    Q_n^4 Q_m^2 has degree 6 too.  So each laws pass takes 4 u points, and
+    with nonzero corrections (conformal_4 of Q has degree 2) the G parts
+    need 7."""
+    from wave4d import interactions
+    from wave4d.states import surrogate_excited_state, symmetry_generator
+
+    Q = surrogate_excited_state()
+    gens = [symmetry_generator(Q, g)
+            for g in ("conformal_4", "scaling", "translation_1")]
+    cfg = interactions.two_soliton_config(Q, gens[0], gens[1:])
+    spec = QuadratureSpec(nodes=8, r_max=10.0)
+    seen = _passes(monkeypatch, interactions)
+    interactions.g_part_norms(cfg, 10.0, spec)
+    interactions.pairwise_q_norm(cfg, 10.0, spec, split=True)
+    assert [d for d, _ in seen] == [6] * 7
+    seen.clear()
+    moved = interactions.two_soliton_config(Q, gens[0], gens[1:],
+                                            a=(0.01, 0.0))
+    interactions.g_part_norms(moved, 10.0, spec)
+    assert [d for d, _ in seen] == [12]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                          st.floats(0.5, 2.0)), min_size=1, max_size=3),
+       st.integers(1, 2))
+def test_degree_sized_pass_equals_the_nodes_sized_pass(factors, terms):
+    """The square of a product of monomial-radial fields x1^i x4^j B^b
+    (each a sum of up to two such terms) integrates to 1e-13 relative on
+    the u rule its degree sizes, as on spec.nodes points."""
+    from wave4d.fields import PolyRadialField, RationalRadial
+
+    f = None
+    for i, j, c in factors:
+        g = PolyRadialField([((i, 0, 0, j + n), RationalRadial(
+            -0.25, {(0, i + j + n + 3): c / (1 + n)})) for n in range(terms)])
+        f = g if f is None else f.product(g)
+    f = f.product(f)
+    assert f.x4_degree == 2 * sum(j + terms - 1 for _, j, _ in factors)
+    spec = QuadratureSpec(nodes=8, r_max=12.0)
+    sized = integrate_callable(f.evaluate, f.symmetry, spec,
+                               x4_degree=f.x4_degree).value
+    full = integrate_callable(f.evaluate, f.symmetry, spec).value
+    assert sized == pytest.approx(full, rel=1e-13)
+
+
 def _angular_mean(fn, x1, rbar, m):
     """Half the integral over u in [-1, 1] of fn at (x1, rbar sqrt(1-u^2),
     0, rbar u) for each (x1, rbar), by m-point Gauss-Legendre in u; the
