@@ -4,10 +4,12 @@ One JSON config file holds per-suite sections; flags override file values
 (flag > file > default).  ``DEFAULTS`` is the one table of suite values: the
 config schema and each suite's flags are read off it, a value's JSON type
 being that of its default.  A config file that breaks the schema (an
-integer key must hold a JSON integer, not 8.0), or a non-positive h, T,
-time or samples, ends the run before any work with a message on standard
-error and exit status 2.  Every other run exits nonzero iff an asserted
-criterion failed, and writes into the output directory
+integer key must hold a JSON integer, not 8.0), or a value out of its
+domain (an h, T, time, samples, t1, cadence or r_max that is not positive
+and finite, nodes below 2, a negative seed), ends the run before any work
+with a message on standard error and exit status 2.  Every other run exits
+nonzero iff an asserted criterion failed, and writes into the output
+directory
 
 - ``<suite>_resolved_config.json``: the fully resolved configuration;
 - ``<suite>_results.json``: the machine-readable results;
@@ -50,10 +52,8 @@ SUITES = tuple(DEFAULTS)
 
 # keys whose string value is one of a fixed set, wherever they appear
 _CHOICES = {"profile": ["surrogate", "ground"]}
-# keys whose value must be a positive finite number, wherever they appear,
-# and r_max where it truncates a quadrature pass (a suite with nodes); the
-# grid suites check their own r_max
-_POSITIVE = ("h", "T", "time", "samples", "t1", "cadence")
+# keys whose value must be a positive finite number, wherever they appear
+_POSITIVE = ("h", "T", "time", "samples", "t1", "cadence", "r_max")
 # keys with a least value, wherever they appear: a Gauss rule needs two
 # nodes, and a seed is a non-negative integer
 _LEAST = {"nodes": 2, "seed": 0}
@@ -113,8 +113,7 @@ def resolve(suite: str, file_cfg: dict, overrides: dict) -> dict:
     cfg = dict(DEFAULTS[suite])
     cfg.update(file_cfg.get(suite, {}))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    positive = _POSITIVE + (("r_max",) if "nodes" in cfg else ())
-    bad = [f"{k} = {cfg[k]!r} must be positive and finite" for k in positive
+    bad = [f"{k} = {cfg[k]!r} must be positive and finite" for k in _POSITIVE
            if k in cfg and not 0 < cfg[k] < math.inf]
     bad += [f"{k} = {cfg[k]!r} must be >= {least}"
             for k, least in _LEAST.items() if k in cfg and not cfg[k] >= least]

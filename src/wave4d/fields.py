@@ -340,10 +340,15 @@ class RationalRadial:
             ra.append(ra[-1] * r)
         for _ in range(self._top[1]):
             Bb.append(Bb[-1] * B)
-        out = 0.0 * r
+        out = None
         for (a, b), c in self.terms.items():
-            out = out + c * ra[a] * Bb[b]
-        return out
+            term = c * ra[a] * Bb[b]
+            if out is None:
+                # a constant first term is a float: it takes r's shape
+                out = term + 0.0 * r if a == b == 0 else term
+            else:
+                out += term
+        return 0.0 * r if out is None else out
 
     def deriv(self) -> "RationalRadial":
         out = {}
@@ -432,20 +437,25 @@ class PolyRadialField(ScalarField):
         """Value and gradient from one evaluation of r and each radial part:
         grad(x^m S) = sum_j m_j x^(m - e_j) S e_j + x^m (S'/r) x."""
         r = np.sqrt(np.einsum("ij,ij->i", X, X))
-        rs = np.where(r > 0, r, 1.0)
-        v = np.zeros(X.shape[0]) if value else None
+        rs = np.where(r > 0, r, 1.0) if gradient else None
         g = np.zeros_like(X) if gradient else None
+        v = None  # the value sum starts from its first term
         for (m, S), dS in zip(self.terms, self._derivs):
             mono = _monomial(X, m)
             radial = S(r)
             if value:
-                v += mono * radial
+                if v is None:
+                    v = mono * radial
+                else:
+                    v += mono * radial
             if gradient:
                 dradial = dS(r)
                 for j in range(4):
                     if m[j]:
                         g[:, j] += m[j] * _monomial(X, m - _unit(j)) * radial
                     g[:, j] += mono * X[:, j] * dradial / rs
+        if value and v is None:
+            v = np.zeros(X.shape[0])
         return v, g
 
     def evaluate(self, x):
@@ -507,12 +517,14 @@ class PolyRadialField(ScalarField):
 
 
 def _monomial(X, m):
-    """x^m at the (N, 4) points X."""
-    out = np.ones(X.shape[0])
+    """x^m at the (N, 4) points X.  A lone degree-1 axis is returned as its
+    column of X, a view: callers must not write into the result."""
+    out = None
     for i in range(4):
         if m[i]:
-            out *= X[:, i] ** m[i]
-    return out
+            f = X[:, i] if m[i] == 1 else X[:, i] ** m[i]
+            out = f if out is None else out * f
+    return np.ones(X.shape[0]) if out is None else out
 
 
 def _unit(j):

@@ -261,43 +261,66 @@ def pairwise_q_norm(cfg: MultiSolitonConfig, t: float,
                     spec: QuadratureSpec | None = None,
                     split: bool = False):
     """sum_{n != n'} ||Q_n^2 Q_n'||_L2, optionally with the two-region
-    split of each squared integral (inner/outer in the n-frame)."""
+    split of each squared integral (inner/outer in the n-frame).
+
+    The integrand samples each profile once per batch and stacks
+    Q_n^4 Q_m^2 over the ordered pairs (n, m), n != m, so one pass per x1
+    window serves every pair.  Unsplit, one pass covers the window
+    [lo, hi] of :meth:`MultiSolitonConfig.x1_window`.  Split, the region
+    of pair (n, m) is |x1 - l_n t| <= half = |l_n - l_m| t sqrt(1 - l_n^2)
+    / 2, and the passes run between consecutive points of {lo, hi} and
+    every pair's region bounds; a pair's inner part sums the windows inside
+    its region and its outer part the others.  A region bound outside
+    (lo, hi) raises ValueError.
+    """
     if cfg.n < 2:
         return (0.0, []) if split else 0.0
     Q = cfg.traveling_profiles(t)
+    pairs = [(n, m) for n in range(cfg.n) for m in range(cfg.n) if m != n]
+    ns, ms = (list(i) for i in zip(*pairs))
+
+    def fn(X):
+        q2 = np.stack([f.evaluate(X) ** 2 for f in Q], axis=1)
+        q4 = q2 * q2
+        return q4[:, ns] * q2[:, ms]
+
+    sp = cfg.quad_spec(t, spec)
+    lo, hi = cfg.x1_window(t, sp)
+    sym = join_symmetry(*[f.symmetry for f in Q])
+    deg = sum_degree(*[product_degree(*4 * [Q[n].x4_degree],
+                                      *2 * [Q[m].x4_degree])
+                       for n, m in pairs])
+
+    def over(a, b):
+        return integrate_callable(fn, sym, sp, x1_range=(a, b),
+                                  x4_degree=deg).value
+
+    if not split:
+        return sum(math.sqrt(max(v, 0.0)) for v in over(lo, hi))
+    regions = []
+    for n, m in pairs:
+        ln, lm = cfg.speeds[n], cfg.speeds[m]
+        # region boundary |y1| = |l_n - l_m| t / 2 in the n-frame
+        half = 0.5 * abs(ln - lm) * t * math.sqrt(1.0 - ln * ln)
+        regions.append((ln * t - half, ln * t + half))
+    if not all(lo < b < hi for r in regions for b in r):
+        raise ValueError(f"a region bound of {regions} lies outside the "
+                         f"x1 window ({lo}, {hi})")
+    cuts = sorted({lo, hi}.union(*regions))
+    windows = [(a, b, over(a, b)) for a, b in zip(cuts, cuts[1:])]
     total = 0.0
     details = []
-    for n in range(cfg.n):
-        for m in range(cfg.n):
-            if m == n:
-                continue
-            Qn, Qm = Q[n], Q[m]
-
-            def fn(X):
-                qn2 = Qn.evaluate(X) ** 2
-                return qn2 * qn2 * Qm.evaluate(X) ** 2
-
-            sp = cfg.quad_spec(t, spec)
-            ln, lm = cfg.speeds[n], cfg.speeds[m]
-            lo, hi = cfg.x1_window(t, sp)
-            sym = join_symmetry(Qn.symmetry, Qm.symmetry)
-            deg = product_degree(*4 * [Qn.x4_degree], *2 * [Qm.x4_degree])
-
-            def over(a, b):
-                return integrate_callable(fn, sym, sp, x1_range=(a, b),
-                                          x4_degree=deg).value
-
-            if not split:
-                total += math.sqrt(max(over(lo, hi), 0.0))
-                continue
-            # region boundary |y1| = |l_n - l_m| t / 2 in the n-frame
-            half = 0.5 * abs(ln - lm) * t * math.sqrt(1.0 - ln * ln)
-            c = ln * t
-            inner = over(c - half, c + half)
-            outer = over(lo, c - half) + over(c + half, hi)
-            details.append(dict(n=n, m=m, inner=inner, outer=outer))
-            total += math.sqrt(max(inner + outer, 0.0))
-    return (total, details) if split else total
+    for k, ((n, m), (a_in, b_in)) in enumerate(zip(pairs, regions)):
+        inner = outer = 0.0
+        for a, b, v in windows:
+            if a_in <= a and b <= b_in:
+                inner += v[k]
+            else:
+                outer += v[k]
+        details.append(dict(n=n, m=m, inner=float(inner),
+                            outer=float(outer)))
+        total += math.sqrt(max(inner + outer, 0.0))
+    return total, details
 
 
 def interaction_integral(f1: ScalarField, f2: ScalarField,

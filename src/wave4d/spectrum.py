@@ -4,12 +4,12 @@ One sector is solved: the radial one, where the operator reduces to
 -(d2/dr2 + (3/r) d/dr) - 3 q(r)^2 on (0, R) with a Dirichlet wall at R.  A
 finite-volume discretization on cell centers conserves the r^3 flux exactly
 at the axis and is symmetrized by the measure weight, giving a symmetric
-tridiagonal matrix solved densely (deterministic, all eigenvalues
-available).  The non-radial kernel (the translation and conformal
-generators) is checked directly instead: acceptance criterion 2 requires
-each of the 15 generators that does not vanish on W, translation_1 among
-them, to have a residual under -Delta - 3 W^2 that refines at order
->= 1.8.
+tridiagonal matrix whose eigenpairs ``eigh_tridiagonal`` selects by index
+or by eigenvalue window, deterministically.  The non-radial kernel (the
+translation and conformal generators) is checked directly instead:
+acceptance criterion 2 requires each of the 15 generators that does not
+vanish on W, translation_1 among them, to have a residual under
+-Delta - 3 W^2 that refines at order >= 1.8.
 
 :func:`negative_spectrum` takes the k lowest eigenpairs by index and
 :func:`kernel_count` the near-zero window through
@@ -22,10 +22,14 @@ and its derivatives, each a piecewise coefficient array.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
-two routes share nothing but the profile.  The oracle steps with Hairer's
-Fortran eighth-order Dormand-Prince code (DOP853) behind scipy's ``ode``,
-and each right-hand-side call samples q^2 through the profile's radial
-function on a Python float, not through the point-array ``evaluate``.
+two routes share nothing but the profile.  It bisects on the far-field
+value Y(25; lam) scaled by e^{-25 lam}, which keeps each sign and the root
+but leaves a well-scaled function, and integrates each lam at most once,
+so the bracket ends serve the straddle check and the bisection alike.  The
+oracle steps with Hairer's Fortran eighth-order Dormand-Prince code
+(DOP853) behind scipy's ``ode``, and each right-hand-side call samples q^2
+through the profile's radial function on a Python float, not through the
+point-array ``evaluate``.
 scipy.integrate and scipy.optimize load scipy's optimizer stack, so the
 oracle imports them when it first runs, not the module.
 """
@@ -309,8 +313,10 @@ def shooting_rate(q: ScalarField) -> float:
     """Independent oracle for the ground rate lam_1 of -Delta - 3 q^2.
 
     Integrates the radial ODE outward from a series start at r0 = 1e-3 to
-    r = 25 and bisects (brentq) on the sign of the far-field value, with lam
-    in [0.2, 2.5]; returns lam with eigenvalue -lam^2.  q must be a radial
+    r = 25 and bisects (brentq) on the sign of the far-field value
+    Y(25; lam) e^{-25 lam}, with lam in [0.2, 2.5]; returns lam with
+    eigenvalue -lam^2.  Each lam is integrated once: the straddle check's
+    two ends are the ones brentq starts from.  q must be a radial
     monomial-radial field: a non-radial profile raises ValueError and one
     without monomial-radial terms TypeError, both before any integration.
     q^2 is sampled through the profile's radial functions on a Python float,
@@ -334,24 +340,28 @@ def shooting_rate(q: ScalarField) -> float:
         return v * v
 
     q0sq = qsq(0.0)
-    r0 = 1e-3
+    r0, r1 = 1e-3, 25.0
 
+    @functools.lru_cache(maxsize=None)
     def miss(lam):
         lam2 = lam * lam
 
         def rhs(r, y):
-            Y, dY = y
+            # scipy passes an ndarray: unpacked as floats, not numpy scalars
+            Y, dY = y.tolist()
             return [dY, -(3.0 / r) * dY + (lam2 - 3.0 * qsq(r)) * Y]
 
         c = (lam2 - 3.0 * q0sq) / 8.0
         solver = ode(rhs).set_integrator("dop853", rtol=ORACLE_RTOL,
                                          atol=1e-13, nsteps=ORACLE_NSTEPS)
         solver.set_initial_value([1.0 + c * r0 * r0, 2 * c * r0], r0)
-        y = solver.integrate(25.0)
+        y = solver.integrate(r1)
         if not solver.successful():
             raise RuntimeError(f"DOP853 failed at lam={lam!r} "
                                f"(return code {solver.get_return_code()})")
-        return float(y[0])
+        # Y grows like e^{lam r} away from the root; the positive factor
+        # keeps its sign and root and leaves brentq a well-scaled function
+        return float(y[0]) * math.exp(-r1 * lam)
 
     lo, hi = 0.2, 2.5
     flo, fhi = miss(lo), miss(hi)

@@ -48,11 +48,14 @@ def test_unknown_suite_rejected(tmp_path):
         main(["--out", str(tmp_path), "nonsense"])
 
 
-def test_states_rejects_an_empty_radial_range(tmp_path):
+def test_states_rejects_an_empty_radial_range(tmp_path, capsys):
     """The residual grid [0, r_max] needs r_max > 0; at r_max = -5 it
-    would take its residuals at negative radii."""
-    with pytest.raises(ValueError):
-        main(["--out", str(tmp_path), "states", "--r_max", "-5"])
+    would take its residuals at negative radii.  The run ends before any
+    work, with one message line and exit status 2."""
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "states", "--r_max", "-5"]) == 2
+    assert "r_max = -5.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_rendering_idempotent(tmp_path):
@@ -256,13 +259,15 @@ def test_integer_keys_refuse_a_float(tmp_path, capsys, suite, key):
     ("shoot", "h", "0"), ("shoot", "T", "-1"), ("evolve", "h", "nan"),
     ("modulate", "time", "-5"), ("energy", "samples", "0"),
     ("interactions", "nodes", "1"), ("interactions", "r_max", "-3"),
-    ("energy", "seed", "-1"), ("evolve", "t1", "-1")])
+    ("energy", "seed", "-1"), ("evolve", "t1", "-1"),
+    ("spectrum", "r_max", "-3")])
 def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
                                                      key, value):
     """h = 0 divided by zero, time = -5 raised a complex T**-3.5 and
     samples = 0 reduced an empty array; nodes = 1 and r_max = -3 raised
-    from QuadratureSpec, seed = -1 from SeedSequence and t1 = -1 a
-    LinAlgError in np.polyfit.  Each now ends as one message line, from a
+    from QuadratureSpec, seed = -1 from SeedSequence, t1 = -1 a
+    LinAlgError in np.polyfit and spectrum's r_max = -3 a math domain
+    error.  Each now ends as one message line, from a
     flag and from a config file alike."""
     out = tmp_path / "o"
     assert main(["--out", str(out), suite, f"--{key}", value]) == 2

@@ -493,11 +493,14 @@ def test_self_pairings_sample_once_per_slab(W, fast_spec):
 
 def test_radial_parts_agree_on_floats_and_arrays(W, Qs):
     """A radial part called on a float returns a plain float, and on an
-    array an array of r's shape, with the same numbers either way; a part
-    with no terms (the derivative of a constant) gives zeros of r's shape."""
+    array an array of r's shape, with the same numbers either way, also
+    when the sum starts from a constant term; a part with no terms (the
+    derivative of a constant) gives zeros of r's shape."""
     r = np.linspace(0.0, 30.0, 2016)
     parts = [S for prof in (W, Qs) for _, S in prof.poly_radial_terms()]
     parts += [S.deriv() for S in parts] + [S.deriv().deriv() for S in parts]
+    parts += [RationalRadial(-0.25, {(0, 0): 2.0}),
+              RationalRadial(-0.25, {(0, 0): 2.0, (2, 1): 1.0})]
     for S in parts:
         values = S(r)
         assert values.shape == r.shape

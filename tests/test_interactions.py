@@ -247,6 +247,68 @@ def test_pairwise_total_is_converged_at_laws_nodes(surrogate_cfg, t):
         fine, rel=1e-6)
 
 
+def _pairwise_per_pair(cfg, t, spec):
+    """Reference split of pairwise_q_norm: each ordered pair (n, m)
+    integrates Q_n^4 Q_m^2 in its own passes, one over its inner region
+    |x1 - l_n t| <= half and two over the outer ranges, on the spec's full
+    u rule.  Rows (n, m, inner, outer, unsplit)."""
+    Q = cfg.traveling_profiles(t)
+    sp = cfg.quad_spec(t, spec)
+    lo, hi = cfg.x1_window(t, sp)
+    rows = []
+    for n in range(cfg.n):
+        for m in range(cfg.n):
+            if m == n:
+                continue
+            qn, qm = Q[n], Q[m]
+
+            def over(a, b):
+                return integrate_callable(
+                    lambda X: qn.evaluate(X) ** 4 * qm.evaluate(X) ** 2,
+                    qn.symmetry, sp, x1_range=(a, b)).value
+
+            ln, lm = cfg.speeds[n], cfg.speeds[m]
+            half = 0.5 * abs(ln - lm) * t * math.sqrt(1.0 - ln * ln)
+            c = ln * t
+            rows.append((n, m, over(c - half, c + half),
+                         over(lo, c - half) + over(c + half, hi),
+                         over(lo, hi)))
+    return rows
+
+
+@pytest.mark.parametrize("t", [10.0, 40.0])
+def test_fused_pairwise_equals_the_per_pair_passes(Qs, t):
+    """At unequal speeds the two pairs' regions are no mirror images, so
+    each region bound of one pair cuts the other pair's outer range; the
+    fused windows still give every pair's inner and outer parts, and both
+    totals, of the per-pair passes to 1e-12.  A cut splits the x1 panel
+    it falls in, which moves a part by that panel's quadrature error:
+    1.2e-11 of the (1, 0) outer part at 8 nodes, round-off from 10 nodes
+    on, so the comparison runs at 12."""
+    slow = symmetry_generator(Qs, "conformal_4")
+    kernels = [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")]
+    cfg = two_soliton_config(Qs, slow, kernels, speeds=(-0.3, 0.6))
+    spec = replace(SPEC, nodes=12)
+    ref = _pairwise_per_pair(cfg, t, spec)
+    total, details = pairwise_q_norm(cfg, t, spec, split=True)
+    assert [(d["n"], d["m"]) for d in details] == [r[:2] for r in ref]
+    # abs=0: the parts are far below approx's default absolute 1e-12
+    for d, (_, _, inner, outer, _) in zip(details, ref):
+        assert d["inner"] == pytest.approx(inner, rel=1e-12, abs=0.0)
+        assert d["outer"] == pytest.approx(outer, rel=1e-12, abs=0.0)
+    assert total == pytest.approx(
+        sum(math.sqrt(i + o) for _, _, i, o, _ in ref), rel=1e-12, abs=0.0)
+    assert pairwise_q_norm(cfg, t, spec) == pytest.approx(
+        sum(math.sqrt(u) for *_, u in ref), rel=1e-12, abs=0.0)
+
+
+def test_pairwise_split_rejects_a_region_past_the_window(surrogate_cfg):
+    """At t = 200 the regions reach 87 from the centers, past the window's
+    40: the split raises, as a reversed x1 range does."""
+    with pytest.raises(ValueError, match="outside the x1 window"):
+        pairwise_q_norm(surrogate_cfg, 200.0, SPEC, split=True)
+
+
 def test_slow_pairing_log_law(Qs):
     psi = symmetry_generator(Qs, "conformal_4")
     times = [20.0, 40.0, 80.0, 160.0, 320.0]

@@ -391,9 +391,11 @@ def test_a_pass_with_a_field_of_unknown_degree_keeps_spec_nodes(
 def test_laws_passes_derive_degree_six(monkeypatch):
     """The surrogate G parts are cubics in Q_n (degree 1) and the
     corrections w_n, whose zero coefficients drop their fields; pairwise
-    Q_n^4 Q_m^2 has degree 6 too.  So each laws pass takes 4 u points, and
-    with nonzero corrections (conformal_4 of Q has degree 2) the G parts
-    need 7."""
+    Q_n^4 Q_m^2 has degree 6 too.  So each laws pass takes 4 u points: the
+    G parts' one pass and the split's 5 windows, one per pair of
+    consecutive points of the x1 window's ends and the two pairs' region
+    bounds.  With nonzero corrections (conformal_4 of Q has degree 2) the
+    G parts need 7."""
     from wave4d import interactions
     from wave4d.states import surrogate_excited_state, symmetry_generator
 
@@ -405,7 +407,7 @@ def test_laws_passes_derive_degree_six(monkeypatch):
     seen = _passes(monkeypatch, interactions)
     interactions.g_part_norms(cfg, 10.0, spec)
     interactions.pairwise_q_norm(cfg, 10.0, spec, split=True)
-    assert [d for d, _ in seen] == [6] * 7
+    assert [d for d, _ in seen] == [6] * 6
     seen.clear()
     moved = interactions.two_soliton_config(Q, gens[0], gens[1:],
                                             a=(0.01, 0.0))

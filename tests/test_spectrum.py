@@ -81,6 +81,30 @@ def test_shooting_oracle_raises_when_the_step_budget_runs_out(W, monkeypatch):
         shooting_rate(W)
 
 
+def test_shooting_oracle_integrates_each_rate_once(W, monkeypatch):
+    """The bracket ends are integrated once, for the straddle check and
+    brentq alike, and the scaled miss Y(25) e^{-25 lam} takes brentq to
+    xtol 1e-10 in 12 integrations in all.  Each integration's lam is read
+    off its right-hand side: at r = 1, (Y, Y') = (1, 0) it returns
+    lam^2 - 3 W(1)^2 as Y''."""
+    seen = []
+    real = spectrum.ode
+
+    def counting(rhs):
+        seen.append(rhs(1.0, np.array([1.0, 0.0]))[1])
+        return real(rhs)
+
+    monkeypatch.setattr(spectrum, "ode", counting)
+    shooting_rate(W)
+    assert len(seen) <= 12
+    assert len(set(seen)) == len(seen)
+
+
+def test_shooting_oracle_value_is_pinned(W):
+    """The ground rate the oracle gave before its miss was scaled."""
+    assert shooting_rate(W) == pytest.approx(0.7655592023142896, abs=1e-10)
+
+
 def test_rate_self_convergence(W):
     lams = []
     for n in (1000, 2000, 4000):
