@@ -7,12 +7,15 @@ their operators live in fields.
 A force evaluation is one product with the grid's cached sparse Laplacian
 (fields.laplacian_operator) plus the cube, formed as u*u*u.  Time stepping
 is kick-drift leapfrog with the cubic term frozen at integer steps (second
-order), at the constant time step dt = CFL times the smallest spacing.  The
-grid's edges (both x1 ends and rbar = R; r = R) are pinned to a background
-callable's values, the soliton sum for every run here, and domains are
-sized so that radiation does not reach them during the monitored window.  A
-field magnitude above the blow-up guard terminates the run with a status
-instead of propagating NaNs.
+order).  The time step is dt = CFL times the smallest spacing; a run that
+monitors at a cadence steps at dt = cadence / ceil(cadence / (CFL h_min)),
+the largest step at or below that which divides the cadence, so monitor k
+falls at t0 + k cadence (time_step, monitor_times).  The grid's edges (both
+x1 ends and rbar = R; r = R) are pinned to a background callable's values,
+the soliton sum for every run here, and domains are sized so that
+radiation does not reach them during the monitored window.  A field
+magnitude above the blow-up guard terminates the run with a status instead
+of propagating NaNs.
 
 Monitors evaluate conserved quantities, the energy-space distance to the
 soliton sum, grid-based modulation parameters, exponential-direction
@@ -22,9 +25,11 @@ on the radial grid, and bisects on the outgoing amplitude that maximizes
 the time spent inside the deviation tube.  Edge values are evaluated again
 only when the soliton centers move.  GridBasis samples the soliton sum as
 one more column of the decomposition basis's one sampling.  Both only
-translate in a speed-ell configuration, so GridBasis keys its samplings on
-the sub-grid phase ell t / h1 mod 1: a later time at a kept phase is served
-by an index shift along x1, with only the exposed rows sampled afresh.
+translate in a speed-ell configuration, so a run hands GridBasis its
+monitor times and GridBasis samples each sub-grid phase ell t / h1 mod 1
+among them once, over the x1 rows those times read (the grid plus the rows
+beyond it that the solitons cross).  Each time is served the window of
+rows at its offset: a view of that sampling, never moved or rewritten.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import (FieldPair, Grid2DCyl, GridRadial, ScalarField,
-                     eval_on_grid, grid_gradient, grid_h_norm_sq,
-                     grid_weights, laplacian_operator, pair_sampler, pair_sum)
+                     cylinder_points, eval_on_grid, grid_gradient,
+                     grid_h_norm_sq, grid_weights, laplacian_operator,
+                     pair_sampler, pair_sum)
 from .interactions import MultiSolitonConfig
 from .modulation import ModulationState, _soliton_pairs, _split_z, \
     _z_columns, basis_pairs, build_initial_data, exp_direction_family
@@ -53,7 +59,7 @@ CENTER_HALF_WIDTH = 6
 # share a phase when the centers move by whole x1 rows to within PHASE_TOL
 KEPT_PHASES = 4
 PHASE_TOL = 1e-9
-# GridBasis samples a fresh grid in blocks of rows of about this many points
+# GridBasis samples its rows in blocks of about this many points
 _BLOCK_POINTS = 4096
 # measure_mode_rates halves a seed amplitude up to MODE_RETRIES times for a
 # fit window; the growing mode's window ends below MODE_AMPLITUDE_CAP
@@ -70,7 +76,8 @@ def grad_on_grid(f: ScalarField, grid):
 
 class CylWaveEvolver:
     """Leapfrog integrator for d_tt u = Delta u + u^3 on either grid kind,
-    with time step dt = CFL times the smallest grid spacing.
+    with time step time_step(grid, cadence): run_until calls its callback
+    every cadence.
 
     background is a callable t -> the field values on grid.edges, in order;
     each step pins the edges to them (right for soliton backgrounds, whose
@@ -82,10 +89,11 @@ class CylWaveEvolver:
     """
 
     def __init__(self, grid, u0: np.ndarray, v0: np.ndarray,
-                 background, t0: float = 0.0):
+                 background, t0: float = 0.0, cadence: float | None = None):
         self.grid = grid
         self.laplacian_op = laplacian_operator(grid)
-        self.dt = CFL * min(h for _, h, _ in grid.axes)
+        self.dt = time_step(grid, cadence)
+        self.cadence = cadence
         self.t = float(t0)
         self.u = np.array(u0, dtype=float)
         self._u_new, self._scratch = np.empty((2, *self.u.shape))
@@ -122,21 +130,50 @@ class CylWaveEvolver:
     def v_sync(self) -> np.ndarray:
         return self.v_half - 0.5 * self.dt * self.force
 
-    def run_until(self, t_end: float, callback=None,
-                  cadence: float | None = None) -> str:
+    def run_until(self, t_end: float, callback=None) -> str:
+        """Step to the first step time at or past t_end, calling
+        callback(self) at monitor_times(self.t, t_end, self.dt,
+        self.cadence): now, every cadence, and at the end."""
+        if callback and self.cadence is None:
+            raise ValueError("a monitored run needs the evolver's cadence")
         if self.status == "done":
             self.status = "running"  # resuming a completed run is fine
-        next_cb = self.t if callback else math.inf
-        while self.t < t_end - 1e-12:
-            if callback and self.t >= next_cb - 1e-12:
+        n, every = _schedule(self.t, t_end, self.dt, self.cadence)
+        for j in range(n):
+            if callback and j % every == 0:
                 callback(self)
-                next_cb += cadence
             if self.step() != "running":
                 return self.status
         if callback:
             callback(self)
         self.status = "done"
         return self.status
+
+
+def time_step(grid, cadence: float | None = None) -> float:
+    """CFL times the smallest grid spacing; with a cadence, the largest step
+    at or below that which divides the cadence."""
+    dt = CFL * min(h for _, h, _ in grid.axes)
+    if cadence is None:
+        return dt
+    n = math.ceil(cadence / dt)
+    # cadence / dt can round down onto a whole n whose step exceeds dt
+    return cadence / (n if cadence / n <= dt else n + 1)
+
+
+def _schedule(t0: float, t_end: float, dt: float, cadence) -> tuple:
+    """(the steps from t0 to the first step time at or past t_end, the
+    steps per cadence or None)."""
+    n = max(math.ceil((t_end - t0) / dt - 1e-9), 0)
+    return n, None if cadence is None else round(cadence / dt)
+
+
+def monitor_times(t0: float, t_end: float, dt: float,
+                  cadence: float) -> list:
+    """The times at which a run from t0 to t_end at step dt calls its
+    monitor: t0 + k cadence before the end, and the end."""
+    n, every = _schedule(t0, t_end, dt, cadence)
+    return [t0 + j * dt for j in (*range(0, n, every), n)]
 
 
 def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
@@ -171,16 +208,20 @@ class GridBasis:
     decomposition.  The directions of each speed are built once.
 
     sample(t) takes every column, the soliton sum q among them, from one
-    pair_sampler, and keys its grid samplings on the sub-grid phase of the
-    soliton centers.  A time whose centers lie a whole number k of x1 rows
-    from those of a kept sampling is served from it: its columns move k
-    rows in place and only the k rows that exposes are sampled (k = 0 at
-    rest, so a run at rest samples once).  A time at a new phase samples the
-    whole grid and evicts the oldest of KEPT_PHASES kept phases.  Solitons
-    of different speeds share a phase only while their centers stand still.
-    G and cond(G) are formed per served time, since they depend on where the
-    grid truncates the moved fields.  Later times of its phase move a served
-    sampling's arrays, so a caller that keeps them copies them.
+    pair_sampler.  In a speed-ell configuration the columns at t are those
+    at t0 moved along x1, and times whose centers all lie the same whole
+    number k of x1 rows from those at t0 share t0's sub-grid phase (k = 0
+    at rest).  plan(times) names the times a run will ask for.  The first
+    time asked at a phase samples it once, over the grid's x1 rows and the
+    rows beyond the grid that the phase's planned times read, continuing
+    the grid's spacing; every time at that phase is then served the window
+    of rows at its offset k, a view of that one sampling.  A time that no
+    kept sampling covers samples afresh the same way, and evicts the oldest
+    of KEPT_PHASES kept samplings.  Solitons of different speeds share a
+    phase only while their centers stand still.  A sampling is read-only
+    and nothing moves it, so callers may keep served arrays.  G and cond(G)
+    are formed per served time, since they depend on where the grid
+    truncates the fields.
     """
 
     cfg: MultiSolitonConfig
@@ -191,7 +232,20 @@ class GridBasis:
         self.directions = exp_direction_family(self.cfg, self.rates_fields)
         self._n_basis = len(self.cfg.slow) + sum(map(len, self.cfg.kernels))
         self._n_z = 2 * sum(map(len, self.directions))
-        self._kept = []  # [t0, rows moved since t0, columns, sampling]
+        self._times = []  # the planned times
+        # [t0, its x1 rows, columns, last served offset, its serving]
+        self._kept = []
+
+    def plan(self, times):
+        """Drop every kept sampling and expect times next: each phase among
+        them is sampled once, over every row they read."""
+        self._times = list(times)
+        self._kept.clear()
+
+    def drop_samplings(self):
+        """Forget the plan and every kept sampling; the next time samples
+        afresh."""
+        self.plan([])
 
     def sample(self, t: float) -> dict:
         """The grid sampling at t: the soliton sum q = (q1, q2); per basis
@@ -201,76 +255,71 @@ class GridBasis:
         and cond(G).  At the grid points (x1, rbar, 0, 0) the gradient of
         a cylindrically symmetric field is (d1, dr, 0, 0), so those two
         columns carry it."""
-        h1 = self.grid.h1
+        n1 = self.grid.n1
         for kept in self._kept:
-            t0, k0, F, s = kept
-            moved = [ell * (t - t0) / h1 for ell in self.cfg.speeds]
-            k = round(moved[0])
-            if all(abs(x - k) <= PHASE_TOL for x in moved):
-                if k != k0:
-                    self._move(F, t, k - k0)
-                    kept[1] = k
-                    self._gram(s)
+            t0, rows, F, k_served, s = kept
+            k = self._rows_moved(t0, t)
+            if k == k_served:
                 return s
+            # at t, grid row i reads row i - k of the sampling at t0
+            if k is not None and rows.start <= -k and n1 - k <= rows.stop:
+                kept[3:] = k, self._serve(F, -k - rows.start)
+                return kept[4]
+        ks = [0] + [k for u in self._times
+                    if (k := self._rows_moved(t, u)) is not None]
+        rows = range(-max(ks), n1 - min(ks))
         if len(self._kept) == KEPT_PHASES:
             del self._kept[0]
-        grid, nb = self.grid, self._n_basis
-        F = np.empty((4 * nb + 2 * self._n_z + 2, grid.n1 * grid.nr))
-        self._fill(F, t, 0, grid.n1)
-        s = dict(first=F[:nb], H=F[nb:4 * nb].reshape(nb, 3, -1),
-                 Z=F[4 * nb:-2].reshape(self._n_z, 2, -1),
-                 q=tuple(F[-2:].reshape(2, grid.n1, grid.nr)))
-        self._gram(s)
-        self._kept.append([t, 0, F, s])
-        return s
+        F = self._fill(t, rows)
+        self._kept.append([t, rows, F, 0, self._serve(F, -rows.start)])
+        return self._kept[-1][4]
 
-    def drop_samplings(self):
-        """Forget every kept phase; the next time samples afresh."""
-        self._kept.clear()
+    def _rows_moved(self, t0: float, t: float):
+        """k when every soliton center at t lies k whole x1 rows (to within
+        PHASE_TOL) from where it is at t0, else None."""
+        moved = [ell * (t - t0) / self.grid.h1 for ell in self.cfg.speeds]
+        k = round(moved[0])
+        return k if all(abs(x - k) <= PHASE_TOL for x in moved) else None
 
-    def _fill(self, F, t: float, lo: int, hi: int):
-        """Sample x1 rows lo:hi of every column of F at time t, in the
-        layout of sample(): the first components, then (d1, dr, second) per
-        basis pair, then (first, second) per Z+- column and of the soliton
-        sum q.  The rows go in blocks of about _BLOCK_POINTS points, which
-        bounds the evaluation temporaries."""
+    def _fill(self, t: float, rows: range) -> np.ndarray:
+        """Every column at time t on the x1 rows in rows, counted from the
+        grid's first row (a range that holds 0 to n1 - 1), in the layout of
+        sample(): the first components, then (d1, dr, second) per basis
+        pair, then (first, second) per Z+- column and of the soliton sum q.
+        The rows go in blocks of about _BLOCK_POINTS points, which bounds
+        the evaluation temporaries.  Returned read-only."""
         cfg, grid, nb = self.cfg, self.grid, self._n_basis
+        # the grid's own rows, and beyond them its spacing continued
+        x1 = grid.x1[0] + grid.h1 * np.arange(rows.start, rows.stop)
+        x1[-rows.start:grid.n1 - rows.start] = grid.x1
         basis = basis_pairs(cfg, t)[0]
         q = pair_sum(_soliton_pairs(cfg, t))
         sample = pair_sampler([("l2", basis), ("h", basis),
                                ("l2", _z_columns(cfg, self.directions, t)
                                 + [q])])
+        F = np.empty((4 * nb + 2 * self._n_z + 2, len(x1) * grid.nr))
         step = max(_BLOCK_POINTS // grid.nr, 1)
-        for b_lo in range(lo, hi, step):
-            b_hi = min(b_lo + step, hi)
-            X = grid.points(np.s_[b_lo:b_hi, :])
-            out = F[:, b_lo * grid.nr:b_hi * grid.nr]
-            l2, h, zq = sample(X)
+        for b_lo in range(0, len(x1), step):
+            l2, h, zq = sample(cylinder_points(x1[b_lo:b_lo + step], grid.r))
+            out = F[:, b_lo * grid.nr:(b_lo + step) * grid.nr]
             out[:nb] = l2[:, 0]
             # "h" features: d1, dr, d3, d4, second
             out[nb:4 * nb] = h[:, (0, 1, 4)].reshape(3 * nb, -1)
             out[4 * nb:] = zq.reshape(len(zq) * 2, -1)
+        F.flags.writeable = False
+        return F
 
-    def _move(self, F, t: float, k: int):
-        """Move every column of F by k x1 rows in place, the translation of
-        the fields by k h1, and sample the rows that exposes at time t."""
-        grid = self.grid
-        m = abs(k) * grid.nr
-        # row by row: numpy moves overlapping 1-D data without a temporary
-        for col in F:
-            if k > 0:
-                col[m:] = col[:-m]
-            else:
-                col[:-m] = col[m:]
-        lo, hi = (0, min(k, grid.n1)) if k > 0 else (max(grid.n1 + k, 0),
-                                                   grid.n1)
-        self._fill(F, t, lo, hi)
-
-    def _gram(self, s: dict):
-        H = s["H"]
-        w = grid_weights(self.grid).ravel()
-        s["G"] = np.einsum("icp,jcp->ij", H * w, H)
-        s["cond"] = float(np.linalg.cond(s["G"]))
+    def _serve(self, F: np.ndarray, row: int) -> dict:
+        """sample()'s dict on the grid's n1 rows of F from row on: views
+        of F, plus G and cond(G)."""
+        grid, nb = self.grid, self._n_basis
+        W = F[:, row * grid.nr:(row + grid.n1) * grid.nr]
+        H = W[nb:4 * nb].reshape(nb, 3, -1)
+        G = np.einsum("icp,jcp->ij", H * grid_weights(grid).ravel(), H)
+        return dict(first=W[:nb], H=H,
+                    Z=W[4 * nb:-2].reshape(self._n_z, 2, -1),
+                    q=tuple(W[-2:].reshape(2, grid.n1, grid.nr)), G=G,
+                    cond=float(np.linalg.cond(G)))
 
 
 def grid_modulation(u, v, basis: GridBasis, t: float) -> ModulationState:
@@ -361,10 +410,13 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
            basis: GridBasis, background, cadence: float = 0.5
            ) -> MonitorSeries:
     """Evolve initial data with its edges pinned to background and record
-    monitors at the requested cadence."""
+    monitors at t0 + k cadence and at t1; basis samples each sub-grid phase
+    of those times once."""
     u_arr = eval_on_grid(u0.first, grid)
     v_arr = eval_on_grid(u0.second, grid)
-    ev = CylWaveEvolver(grid, u_arr, v_arr, background, t0=t0)
+    ev = CylWaveEvolver(grid, u_arr, v_arr, background, t0=t0,
+                        cadence=cadence)
+    basis.plan(monitor_times(t0, t1, ev.dt, cadence))
     series = MonitorSeries()
 
     def monitor(e: CylWaveEvolver):
@@ -383,7 +435,7 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
         series.deviation.append(
             math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
 
-    status = ev.run_until(t1, callback=monitor, cadence=cadence)
+    status = ev.run_until(t1, callback=monitor)
     basis.drop_samplings()  # so no sampling outlives the run
     series.status = status
     return series
@@ -428,11 +480,15 @@ def single_soliton_config(ell: float) -> MultiSolitonConfig:
 
 def default_grid_for(ell: float, t_span: float, margin: float = 12.0,
                      h: float = 0.1) -> Grid2DCyl:
-    """Domain large enough that outgoing radiation cannot return."""
+    """Domain large enough that outgoing radiation cannot return, with x1
+    spacing h, so that a soliton moving ell cadence / h rows per monitor
+    repeats its sub-grid phase every q monitors when that is p / q rows
+    (2 in the evolve suite, 5 / 4 in the ell = 0.5 mode rates)."""
     lo = min(0.0, ell * t_span) - (t_span + margin)
     hi = max(0.0, ell * t_span) + (t_span + margin)
+    n1 = int(round((hi - lo) / h)) + 1
     r_max = t_span + margin
-    return Grid2DCyl(lo, hi, int(round((hi - lo) / h)) + 1,
+    return Grid2DCyl(lo, lo + (n1 - 1) * h, n1,
                      r_max, int(round(r_max / h)) + 1)
 
 
@@ -450,18 +506,20 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
     excites exactly the pairing of the opposite sign.
     """
     rate = lam * math.sqrt(1.0 - ell**2)
-    if t_max is None:
-        t_max = 4.2 / rate
+    if t_max is None:  # whole cadences, so that the last monitor is on one
+        t_max = cadence * math.ceil(4.2 / rate / cadence)
     grid = default_grid_for(ell, t_max, margin=10.0, h=h)
     cfg = single_soliton_config(ell)
     basis = GridBasis(cfg, grid, [(lam, Y)])
     bg = soliton_background(cfg, grid)
     dirs = basis.directions[0][0]
-    # copies: later samplings move the served arrays in place
-    w_u, w_v = (q.copy() for q in basis.sample(0.0)["q"])
+    # every run monitors at these times, so their phases are sampled once
+    basis.plan(monitor_times(0.0, t_max, time_step(grid, cadence), cadence))
+    w_u, w_v = basis.sample(0.0)["q"]
 
-    def z_series(du, dv, t_stop):
-        ev = CylWaveEvolver(grid, w_u + du, w_v + dv, t0=0.0, background=bg)
+    def z_series(du, dv):
+        ev = CylWaveEvolver(grid, w_u + du, w_v + dv, t0=0.0, background=bg,
+                            cadence=cadence)
         ts, zp, zm = [], [], []
 
         def monitor(e):
@@ -470,10 +528,10 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
             zp.append(float(st.z_plus[0, 0]))
             zm.append(float(st.z_minus[0, 0]))
 
-        ev.run_until(t_stop, callback=monitor, cadence=cadence)
+        ev.run_until(t_max, callback=monitor)
         return np.asarray(ts), np.asarray(zp), np.asarray(zm)
 
-    t_b, zp_b, zm_b = z_series(0.0, 0.0, t_max)
+    t_b, zp_b, zm_b = z_series(0.0, 0.0)
     out = {}
     for sign, key in ((+1, "growing"), (-1, "decaying")):
         d = dirs["+" if sign > 0 else "-"]
@@ -481,7 +539,7 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
         dv0 = eval_on_grid(d.pair.second, grid)
         attempt_eps = eps if sign > 0 else 8.0 * eps
         for _ in range(MODE_RETRIES + 1):
-            ts, zp, zm = z_series(attempt_eps * du0, attempt_eps * dv0, t_max)
+            ts, zp, zm = z_series(attempt_eps * du0, attempt_eps * dv0)
             base = zm_b if sign > 0 else zp_b
             z = np.abs((zm if sign > 0 else zp) - base[:len(ts)])
             ok = z > 1e-13

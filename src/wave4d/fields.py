@@ -553,11 +553,13 @@ def _safe_exp_product(vals, s):
 @dataclass
 class RadialExpField(ScalarField):
     """e^(kappa x1) (a Y(r) + b Y'(r) x1 / r), r = |x|, from the radial parts
-    (Y, Y', Y'') of a radial eigenfield: Y itself at (kappa, a, b) =
-    (0, 1, 0), and under a boost map each component of an exponential
-    direction.  One jet evaluates r, the parts and the weight once."""
+    of a radial eigenfield: Y itself at (kappa, a, b) = (0, 1, 0), and under
+    a boost map each component of an exponential direction.
+    radial_parts(r, orders) gives Y^(k)(r) for each k in orders (0, 1, 2:
+    Y, Y', Y''), so one jet evaluates r, the parts it reads and the weight
+    once."""
 
-    radial_parts: tuple
+    radial_parts: object  # (r, orders) -> [Y^(k)(r) for k in orders]
     kappa: float = 0.0
     a: float = 1.0
     b: float = 0.0
@@ -571,20 +573,23 @@ class RadialExpField(ScalarField):
     def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
         """With n = x / r and v the bracket, the gradient is the weight times
         a Y' n + b (Y'' n1 n + (Y'/r)(e1 - n1 n)) + kappa v e1."""
-        Y, dY, d2Y = self.radial_parts
         r = np.linalg.norm(X, axis=1)
         rs = np.maximum(r, 1e-12)
         n = X / rs[:, None] if gradient or self.b else None
-        d1 = None if n is None else dY(r)
+        with_v = value or (gradient and self.kappa)
+        orders = [k for k, read in ((0, with_v), (1, n is not None),
+                                    (2, gradient and self.b)) if read]
+        part = dict(zip(orders, self.radial_parts(r, orders)))
+        d1 = part.get(1)
         v = g = None
-        if value or (gradient and self.kappa):
-            v = self.a * Y(r)
+        if with_v:
+            v = self.a * part[0]
             if self.b:
                 v = v + self.b * d1 * n[:, 0]
         if gradient:
             g = (self.a * d1)[:, None] * n
             if self.b:
-                g += (self.b * (d2Y(r) - d1 / rs) * n[:, 0])[:, None] * n
+                g += (self.b * (part[2] - d1 / rs) * n[:, 0])[:, None] * n
                 g[:, 0] += self.b * d1 / rs
             if self.kappa:
                 g[:, 0] += self.kappa * v

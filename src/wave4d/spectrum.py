@@ -111,16 +111,24 @@ class PiecewisePoly:
             c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
         return PiecewisePoly(self.x, c)
 
-    def __call__(self, t):
+    def piece(self, t) -> tuple:
+        """(the piece i of each t, t - x[i]): what at_piece reads, so that
+        polynomials on the same knots share one lookup."""
         t = np.asarray(t, dtype=float)
         # the piece of t: how many inner knots lie at or below it
         i = np.searchsorted(self.x[1:-1], t, side="right")
-        s = t - self.x.take(i)
+        return i, t - self.x.take(i)
+
+    def at_piece(self, i, s):
+        """The value at offset s into piece i, by Horner's rule."""
         out = self.c[0].take(i)
         for row in self.c[1:]:
             out *= s
             out += row.take(i)
         return out
+
+    def __call__(self, t):
+        return self.at_piece(*self.piece(t))
 
 
 def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
@@ -162,7 +170,9 @@ def radial_eigenfield(r: np.ndarray, values: np.ndarray,
     not-a-knot cubic spline through the samples mirrored to -r, so that it
     is even; beyond, a matched e^{-lam r} r^{-3/2} tail.  A RadialExpField
     with (kappa, a, b) = (0, 1, 0), whose radial parts Y, Y', Y'' take the
-    spline's derivatives as coefficient arrays."""
+    spline's derivatives as coefficient arrays.  One call gives every part
+    a jet reads from one split at the trusted radius, one piece lookup and
+    one tail."""
     rs = np.concatenate([-r[::-1], r])
     vs = np.concatenate([values[::-1], values])
     spline = not_a_knot_spline(rs, vs)
@@ -176,23 +186,26 @@ def radial_eigenfield(r: np.ndarray, values: np.ndarray,
     factors = (lambda rs: 1.0, lambda rs: -lam - 1.5 / rs,
                lambda rs: (lam + 1.5 / rs) ** 2 + 1.5 / rs**2)
 
-    def part(k):
-        """Y^(k): the spline's inside the trusted radius, the tail's beyond,
-        each evaluated on its own points only."""
-        inside = spline.derivative(k)
+    inside = [spline.derivative(k) for k in range(3)]
 
-        def at(rr):
-            rr = np.asarray(rr, dtype=float)
-            out = np.empty(rr.shape)
-            near = rr <= r_t
-            out[near] = inside(rr[near])
-            far = rr[~near]
-            out[~near] = tail(far) * factors[k](far)
-            return out
-        return at
+    def parts(rr, orders) -> list:
+        """Y^(k) at rr for each k in orders: the spline's inside the trusted
+        radius, the tail's beyond, each evaluated on its own points only."""
+        rr = np.asarray(rr, dtype=float)
+        near = rr <= r_t
+        beyond = ~near
+        piece = spline.piece(rr[near])
+        far = rr[beyond]
+        at_far = tail(far)
+        out = []
+        for k in orders:
+            out.append(np.empty(rr.shape))
+            out[-1][near] = inside[k].at_piece(*piece)
+            out[-1][beyond] = at_far * factors[k](far)
+        return out
 
-    return RadialExpField(tuple(map(part, range(3))), trusted_radius=r_t,
-                          decay=50.0, name=f"Y(lam={lam:.4f})")
+    return RadialExpField(parts, trusted_radius=r_t, decay=50.0,
+                          name=f"Y(lam={lam:.4f})")
 
 
 @functools.lru_cache(maxsize=None)

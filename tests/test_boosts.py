@@ -205,8 +205,8 @@ def test_direction_weight_never_overflows_far_along_x1(ground_eigen):
     ell = 0.5
     d = build_exp_directions(Y, lam, ell)
     leaves = [f for s in "+-" for f in (d[s].pair.first, d[s].pair.second)]
-    slow = (lambda r: np.exp(-0.25 * r), lambda r: -0.25 * np.exp(-0.25 * r),
-            lambda r: 0.0625 * np.exp(-0.25 * r))
+    def slow(r, orders):
+        return [(-0.25) ** k * np.exp(-0.25 * r) for k in orders]
     leaves.append(AffineField(RadialExpField(slow, 0.5, 1.2, -0.3),
                               leaves[0].scale, np.zeros(4)))
     for leaf in leaves:

@@ -1,19 +1,22 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from wave4d.boosts import pair_vector, traveling_pair
-from wave4d.evolver import (CylWaveEvolver, GridBasis, bootstrap_margins,
-                            default_grid_for, evolve, grid_energy_momentum,
-                            grid_modulation, measure_mode_rates,
+from wave4d.evolver import (CFL, CylWaveEvolver, GridBasis,
+                            bootstrap_margins, default_grid_for, evolve,
+                            grid_energy_momentum, grid_modulation,
+                            measure_mode_rates, monitor_times,
                             shooting_experiment, single_soliton_config,
-                            soliton_background, soliton_center)
-from wave4d.fields import (Grid2DCyl, GridRadial, eval_on_grid,
-                           grid_gradient, grid_h_norm_sq, grid_weights,
-                           laplacian_operator, pair_sum)
+                            soliton_background, soliton_center, time_step)
+from wave4d.fields import (Grid2DCyl, GridRadial, cylinder_points,
+                           eval_on_grid, grid_gradient, grid_h_norm_sq,
+                           grid_weights, laplacian_operator, pair_sum)
 from wave4d.modulation import (ModulationState, _soliton_pairs,
-                               build_initial_data, exp_direction_family)
+                               build_initial_data, exp_direction_family,
+                               modulation_residuals)
 from wave4d.quadrature import QuadratureSpec
 
 
@@ -257,14 +260,15 @@ def _counted(monkeypatch, owner, attr) -> list:
 
 
 def _whole_grid_fills(monkeypatch) -> list:
-    """Wrap GridBasis._fill so that each sampling of the whole grid appends
-    its time."""
+    """Wrap GridBasis._fill so that each sampling appends its (time, first
+    row, end row); every sampling must cover the whole grid, so no sampling
+    fills only the rows of a move."""
     calls, inner = [], GridBasis._fill
 
-    def wrapper(self, F, t, lo, hi):
-        if (lo, hi) == (0, self.grid.n1):
-            calls.append(t)
-        return inner(self, F, t, lo, hi)
+    def wrapper(self, t, rows):
+        assert rows.start <= 0 and rows.stop >= self.grid.n1, rows
+        calls.append((t, rows.start, rows.stop))
+        return inner(self, t, rows)
     monkeypatch.setattr(GridBasis, "_fill", wrapper)
     return calls
 
@@ -316,7 +320,8 @@ def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
     bump = 1e-3 * np.exp(-(grid.x1[:, None] - 1.0) ** 2 - grid.r[None, :] ** 2)
     ev = CylWaveEvolver(grid, eval_on_grid(wp.first, grid) + bump,
                         np.zeros((grid.n1, grid.nr)),
-                        background=soliton_background(cfg, grid))
+                        background=soliton_background(cfg, grid),
+                        cadence=0.25)
     samplings, pairs = [], []
 
     def monitor(e):
@@ -326,7 +331,7 @@ def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
                                                         [ground_eigen]), e.t)))
         samplings.append(basis.sample(e.t))
 
-    ev.run_until(1.0, callback=monitor, cadence=0.25)
+    ev.run_until(1.0, callback=monitor)
     assert len(pairs) == 5
     assert all(s is samplings[0] for s in samplings)
     for got, ref in pairs:
@@ -337,11 +342,13 @@ def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
 
 def _monitor_times(grid, t1, cadence):
     """The monitor times of a run on grid, from run_until's own float
-    clock."""
+    clock; monitor_times gives them to 1e-12."""
     z = np.zeros((grid.n1, grid.nr))
     times = []
-    CylWaveEvolver(grid, z, z, _zero_edges(grid)).run_until(
-        t1, callback=lambda e: times.append(e.t), cadence=cadence)
+    ev = CylWaveEvolver(grid, z, z, _zero_edges(grid), cadence=cadence)
+    ev.run_until(t1, callback=lambda e: times.append(e.t))
+    np.testing.assert_allclose(times, monitor_times(0.0, t1, ev.dt, cadence),
+                               rtol=0.0, atol=1e-12)
     return times
 
 
@@ -357,28 +364,52 @@ def _assert_matches_fresh(got, fresh):
 
 def _mode_rate_grid(lam):
     """measure_mode_rates' t_max and grid at ell = 0.5, h = 0.1."""
-    t_max = 4.2 / (lam * math.sqrt(1.0 - 0.5**2))
+    t_max = 0.25 * math.ceil(4.2 / (lam * math.sqrt(1.0 - 0.5**2)) / 0.25)
     return t_max, default_grid_for(0.5, t_max, margin=10.0, h=0.1)
 
 
+def _served_digests(s: dict) -> list:
+    """Each array sample() served, checked to be a read-only view, with
+    the digest of its values."""
+    out = []
+    for a in (s["first"], s["H"], s["Z"], *s["q"]):
+        assert a.base is not None and not a.flags.writeable
+        out.append((a, hashlib.blake2b(np.ascontiguousarray(a)).digest()))
+    return out
+
+
+def _assert_unchanged(served: list):
+    for arrays in served:
+        for a, digest in arrays:
+            assert hashlib.blake2b(np.ascontiguousarray(a)).digest() == digest
+
+
 def _serve_and_compare(monkeypatch, basis, times):
-    """Serve times in order from basis, comparing each sampling with a
-    fresh one; returns the times of basis's own whole-grid samplings."""
+    """Plan times on basis and serve them in order, comparing each sampling
+    with a fresh one; every served array is a read-only view and is
+    unchanged after the later times are served.  Returns basis's own
+    samplings."""
     ref = GridBasis(basis.cfg, basis.grid, basis.rates_fields)
     fresh = {}
     for t in dict.fromkeys(times):
-        ref.drop_samplings()  # a dropped sampling is never moved
+        ref.drop_samplings()  # a fresh sampling of the grid's rows alone
         fresh[t] = ref.sample(t)
     calls = _whole_grid_fills(monkeypatch)
+    basis.plan(times)
+    served = []
     for t in times:
-        _assert_matches_fresh(basis.sample(t), fresh[t])
+        s = basis.sample(t)
+        _assert_matches_fresh(s, fresh[t])
+        served.append(_served_digests(s))
+    _assert_unchanged(served)
     return calls
 
 
 def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
-    """The evolve suite's monitors (ell = 0.4, cadence 0.5) fall on two
-    sub-grid phases and the ell = 0.5 mode-rate times of its three runs on
-    four; every other sampling is a row shift of one of those, and each
+    """The evolve suite's monitors (ell = 0.4, cadence 0.5) move the
+    soliton 2 x1 rows apiece and so share one sub-grid phase, and the
+    ell = 0.5 mode-rate times of its three runs (1.25 rows apiece) fall on
+    four; every other sampling is a row window of one of those, and each
     equals a fresh sampling."""
     cfg = single_soliton_config(0.4)
     grid = default_grid_for(0.4, 5.0, margin=10.0, h=0.1)
@@ -386,7 +417,8 @@ def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
     assert len(times) == 11
     calls = _serve_and_compare(monkeypatch, GridBasis(cfg, grid,
                                                       [ground_eigen]), times)
-    assert len(calls) == 2  # one per phase
+    # one sampling: the grid plus the 20 rows the soliton crosses behind it
+    assert calls == [(0.0, -20, grid.n1)]
 
     t_max, grid = _mode_rate_grid(ground_eigen[0])
     cfg = single_soliton_config(0.5)
@@ -397,37 +429,39 @@ def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
     assert len(calls) == 4
 
 
-def test_sampled_soliton_sum_is_the_pair_sum_on_the_grid(ground_eigen):
+def test_sampled_soliton_sum_is_the_pair_sum_on_the_grid(monkeypatch,
+                                                         ground_eigen):
     """At the evolve suite's monitors (ell = 0.4) the sampled soliton sum q
-    is eval_on_grid of pair_sum(_soliton_pairs(cfg, t)) bit for bit where
-    it is sampled at t: on the whole grid at a fresh phase, and on the rows
-    a row shift exposes at a served one, whose other rows are the phase's
-    last q moved along.  Everywhere it is that evaluation to 1e-12."""
+    is one sampling at t = 0 of pair_sum(_soliton_pairs(cfg, 0)), taken on
+    the grid's x1 rows and the 20 rows below them: at t = 0 it is
+    eval_on_grid bit for bit, and monitor k is served the window of rows
+    2 k below the grid's, bit for bit, a view of the same memory.
+    Everywhere it is the evaluation at t to 1e-12."""
     cfg = single_soliton_config(0.4)
     grid = default_grid_for(0.4, 5.0, margin=10.0, h=0.1)
     basis = GridBasis(cfg, grid, [ground_eigen])
-    phases = {}  # first time of a phase -> (rows moved, its last q)
-    for t in _monitor_times(grid, 5.0, 0.5):
+    times = _monitor_times(grid, 5.0, 0.5)
+    fills = _whole_grid_fills(monkeypatch)
+    basis.plan(times)
+    q0 = pair_sum(_soliton_pairs(cfg, 0.0))
+    x1 = np.concatenate([grid.x1[0] + grid.h1 * np.arange(-20, 0), grid.x1])
+    X = cylinder_points(x1, grid.r)
+    rows = np.stack([q0.first.evaluate(X), q0.second.evaluate(X)]).reshape(
+        2, len(x1), grid.nr)
+    first = None
+    for k, t in enumerate(times):
         q = pair_sum(_soliton_pairs(cfg, t))
         at_t = np.stack([eval_on_grid(q.first, grid),
                          eval_on_grid(q.second, grid)])
-        moved = {t0: 0.4 * (t - t0) / grid.h1 for t0 in phases}
-        t0 = next((t0 for t0, x in moved.items()
-                   if abs(x - round(x)) <= 1e-9), None)
-        if t0 is None:
-            phases[t] = (0, at_t)
-            expected = at_t
-        else:
-            k0, last = phases[t0]
-            k = round(moved[t0])
-            assert k > k0
-            expected = np.concatenate([at_t[:, :k - k0], last[:, :k0 - k]],
-                                      axis=1)
-            phases[t0] = (k, expected)
-        got = np.stack(basis.sample(t)["q"])
-        assert np.array_equal(got, expected), t
+        served = basis.sample(t)["q"]
+        got = np.stack(served)
+        assert np.array_equal(got, rows[:, 20 - 2 * k:20 - 2 * k + grid.n1])
+        if k == 0:
+            first = served
+            assert np.array_equal(got, at_t)
+        assert all(np.shares_memory(a, b) for a, b in zip(served, first))
         assert np.max(np.abs(got - at_t)) <= 1e-12 * np.max(np.abs(at_t))
-    assert len(phases) == 2  # 2 fresh samplings, 9 served ones
+    assert len(fills) == 1  # 1 fresh sampling, 10 windows of it
 
 
 def test_unrepeated_phases_sample_afresh(monkeypatch, W, ground_eigen):
@@ -457,8 +491,8 @@ def test_unrepeated_phases_sample_afresh(monkeypatch, W, ground_eigen):
 
 def test_mode_rate_seeds_keep_the_initial_soliton(monkeypatch, ground_eigen):
     """Each run of measure_mode_rates starts from the t = 0 soliton plus a
-    multiple of one direction, although later monitors move the served
-    samplings in place."""
+    multiple of one direction, served uncopied from the kept samplings that
+    the earlier runs' monitors also read."""
     import wave4d.evolver as evolver
 
     seeds = []
@@ -488,6 +522,71 @@ def test_mode_rate_seeds_keep_the_initial_soliton(monkeypatch, ground_eigen):
                 np.max(np.abs(v0 - q[1] - eps * eval_on_grid(d.second,
                                                              grid)))))
         assert best <= 1e-12 * np.max(np.abs(q[0]))
+
+
+@pytest.mark.parametrize("grid, cadence", [
+    (default_grid_for(0.4, 5.0, margin=10.0, h=0.1), 0.5),
+    (default_grid_for(0.5, 6.5, margin=10.0, h=0.1), 0.25),
+    (Grid2DCyl(-8.0, 8.0, 81, 8.0, 41), 0.25),
+    (GridRadial(24.0, 201), 0.5),
+    # 2.1 / 0.06 rounds to 35.0, but 2.1 / 35 exceeds 0.06 by an ulp
+    (GridRadial(1.5, 11), 2.1)],
+    ids=["evolve", "mode_rates", "coarse", "shoot", "rounding"])
+def test_time_step_divides_the_cadence_within_the_cfl_step(grid, cadence):
+    """Without a cadence the step is CFL h_min exactly; with one, it is the
+    largest step at or below CFL h_min that divides the cadence, and the
+    evolver steps at it."""
+    cfl = CFL * min(h for _, h, _ in grid.axes)
+    assert time_step(grid) == cfl
+    dt = time_step(grid, cadence)
+    n = round(cadence / dt)
+    assert dt <= cfl
+    assert abs(n * dt - cadence) <= 1e-12 * cadence
+    assert n == 1 or cadence / (n - 1) > cfl
+    z = np.zeros(grid.shape)
+    assert CylWaveEvolver(grid, z, z, _zero_edges(grid)).dt == cfl
+    assert CylWaveEvolver(grid, z, z, _zero_edges(grid),
+                          cadence=cadence).dt == dt
+
+
+def test_a_monitored_run_needs_a_cadence():
+    grid = GridRadial(8.0, 81)
+    z = np.zeros(grid.shape)
+    with pytest.raises(ValueError, match="cadence"):
+        CylWaveEvolver(grid, z, z, _zero_edges(grid)).run_until(
+            1.0, callback=lambda e: None)
+
+
+def test_evolve_suite_monitors_on_the_cadence_from_one_sampling(
+        monkeypatch, ground_eigen):
+    """The evolve suite's run (ell = 0.4, h = 0.1, to t = 5 at cadence 0.5)
+    steps 130 times at dt = 0.5 / 13 and monitors at k cadence to 1e-12, so
+    modulation_residuals takes its states (at CFL h = 0.04 they fell at 0,
+    0.52, 1.0, 1.52, ... and it raised).  Its basis samples once, on the
+    grid's rows and the 20 it crosses, and serves every monitor a read-only
+    view that later monitors leave as it was."""
+    ell = 0.4
+    cfg = single_soliton_config(ell)
+    grid = default_grid_for(ell, 5.0, margin=10.0, h=0.1)
+    fills = _whole_grid_fills(monkeypatch)
+    steps = _counted(monkeypatch, CylWaveEvolver, "step")
+    served, inner = [], GridBasis.sample
+
+    def sample(self, t):
+        s = inner(self, t)
+        served.append(_served_digests(s))
+        return s
+    monkeypatch.setattr(GridBasis, "sample", sample)
+    series = evolve(pair_vector(cfg.profiles[0], ell, 1), 0.0, 5.0, grid,
+                    basis=GridBasis(cfg, grid, [ground_eigen]), cadence=0.5,
+                    background=soliton_background(cfg, grid))
+    assert series.status == "done" and len(steps) == 130
+    np.testing.assert_allclose(series.times, 0.5 * np.arange(11), rtol=0.0,
+                               atol=1e-12)
+    assert len(modulation_residuals(series.states)["times"]) == 9
+    assert fills == [(0.0, -20, grid.n1)]
+    assert len(served) == 2 * 11  # the monitor's and the decomposition's
+    _assert_unchanged(served)
 
 
 def test_linear_regime_energy_drift():
@@ -542,7 +641,8 @@ def test_boosted_speed_and_conservation(W, ground_eigen):
 
 def test_evolve_speed_error_is_second_order(ground_eigen):
     """The evolve suite's run (ell = 0.4 to t = 5, cadence 0.5) misses the
-    speed by 2.33e-2 relative at h = 0.2 and by 6.15e-3 at h = 0.1."""
+    speed by 2.25e-2 relative at h = 0.2 (dt = 0.5 / 7) and by 6.13e-3 at
+    h = 0.1 (dt = 0.5 / 13)."""
     ell = 0.4
     cfg = single_soliton_config(ell)
     errors = []

@@ -433,7 +433,7 @@ def test_pairing_block_keeps_the_digits_of_a_cancelling_difference(
                                  row.symmetry, fast_spec).value[0, 0]
         assert 0.0 < ref < 1e-14 * pairing_block(
             [FieldPair(W, W)], [FieldPair(W, W)], kind, fast_spec)[0, 0]
-        assert got == pytest.approx(ref, rel=1e-6)
+        assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("spec_kind", ["fixed", "default"])

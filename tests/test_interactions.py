@@ -231,7 +231,7 @@ def test_pairwise_q_norm(surrogate_cfg, W):
         inner.append(sum(d["inner"] for d in details))
         outer.append(sum(d["outer"] for d in details))
         unsplit = pairwise_q_norm(surrogate_cfg, t, SPEC)
-        assert tot == pytest.approx(unsplit, rel=1e-9)
+        assert tot == pytest.approx(unsplit, rel=1e-9, abs=0.0)
     assert abs(fit_loglog(times, inner).slope + 8.0) < 0.8
     for t, i, o in zip(times, inner, outer):
         if t >= 20.0:
@@ -244,7 +244,7 @@ def test_pairwise_total_is_converged_at_laws_nodes(surrogate_cfg, t):
     pass to 1e-6: the angle is exact and the panels resolve the core."""
     fine = pairwise_q_norm(surrogate_cfg, t, replace(SPEC, nodes=32))
     assert pairwise_q_norm(surrogate_cfg, t, SPEC) == pytest.approx(
-        fine, rel=1e-6)
+        fine, rel=1e-6, abs=0.0)
 
 
 def _pairwise_per_pair(cfg, t, spec):

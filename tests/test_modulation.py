@@ -235,7 +235,7 @@ def test_decompose_matches_separate_pairings(cfg, dirs, data):
     if data == "slow_direction":
         assert st_.a[0] == pytest.approx(0.01, rel=1e-9)
     assert st_.remainder_norm == pytest.approx(
-        norm_pair(st_.remainder, cfg.quad_spec(t, SPEC)), rel=1e-12)
+        norm_pair(st_.remainder, cfg.quad_spec(t, SPEC)), rel=1e-12, abs=0.0)
     zp, zm = compute_z(st_.remainder, cfg, dirs, t, SPEC)
     np.testing.assert_allclose(st_.z_plus, zp, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(st_.z_minus, zm, rtol=1e-12, atol=0.0)
@@ -281,7 +281,7 @@ def test_decompose_passes_explicitly_only_on_cancellation(cfg, dirs, data,
         assert one_block <= 0.0 < H[0, 0]
     spec_c = cfg.quad_spec(t, SPEC)
     assert st_.remainder_norm == pytest.approx(
-        norm_pair(st_.remainder, spec_c), rel=1e-12)
+        norm_pair(st_.remainder, spec_c), rel=1e-12, abs=0.0)
     zp, zm = compute_z(st_.remainder, cfg, dirs, t, SPEC)
     np.testing.assert_allclose(st_.z_plus, zp, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(st_.z_minus, zm, rtol=1e-12, atol=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wave4d import spectrum
-from wave4d.fields import FormulaField
+from wave4d.fields import FormulaField, RadialExpField
 from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import (assemble_radial, eigenpairs_between,
                              kernel_count, negative_spectrum,
@@ -149,10 +149,10 @@ def test_eigenfield_decay_rate(ground_eigen):
     assert fit.r_squared > 0.999
 
 
-def test_eigenfield_parts_equal_the_two_branch_form():
-    """Each part evaluates the spline only on the points inside the trusted
-    radius and the tail only beyond it; bit for bit, that is the form that
-    evaluates both branches on every point and picks one."""
+def _two_branch_eigenfield():
+    """A radial eigenfield and the reference form of its radial parts:
+    each part on its own, with both branches evaluated on every point and
+    one picked."""
     r = np.linspace(0.05, 12.0, 240)
     values = np.exp(-r) / (1.0 + r * r)
     lam = 1.1
@@ -170,12 +170,61 @@ def test_eigenfield_parts_equal_the_two_branch_form():
         return np.where(rr <= r_t, spline.derivative(k)(np.minimum(rr, r_t)),
                         tail * factor)
 
+    return lam, Y, two_branch
+
+
+def test_eigenfield_parts_equal_the_two_branch_form():
+    """The parts evaluate the spline only on the points inside the trusted
+    radius and the tail only beyond it; bit for bit, that is the form that
+    evaluates both branches on every point and picks one, for every subset
+    of the parts in any order."""
+    _, Y, two_branch = _two_branch_eigenfield()
+    r_t = Y.trusted_radius
     edge = np.array([np.nextafter(r_t, 0.0), r_t, np.nextafter(r_t, np.inf)])
     for rr in (edge, np.concatenate([np.linspace(0.0, 20.0, 101), edge]),
                np.linspace(0.0, r_t, 50),
                np.linspace(edge[2], 20.0, 50)):
-        for k, part in enumerate(Y.radial_parts):
-            np.testing.assert_array_equal(part(rr), two_branch(k, rr))
+        for orders in ((0, 1, 2), (2, 0), (1,)):
+            for k, part in zip(orders, Y.radial_parts(rr, orders),
+                               strict=True):
+                np.testing.assert_array_equal(part, two_branch(k, rr))
+
+
+def test_eigenfield_jets_equal_the_per_part_form():
+    """Y and every leaf of the ell = 0.5 exponential directions and their
+    Z+- partners give, bit for bit, the values and gradients of the same
+    fields on parts evaluated one by one: at the origin, on the trusted
+    radius and beyond it."""
+    import dataclasses
+
+    from wave4d.boosts import build_exp_directions
+    from wave4d.fields import _terms
+
+    lam, Y, two_branch = _two_branch_eigenfield()
+    r_t = Y.trusted_radius
+
+    def per_part(rr, orders):
+        return [two_branch(k, rr) for k in orders]
+
+    X = np.random.default_rng(5).normal(size=(400, 4))
+    X *= np.linspace(0.0, 2.5 * r_t, 400)[:, None] / np.linalg.norm(
+        X, axis=1)[:, None]
+    X[0] = 0.0
+    X[1:5] = r_t * np.eye(4)
+    fields = [Y]
+    for d in build_exp_directions(Y, lam, 0.5).values():
+        for f in (d.pair.first, d.pair.second, d.z_pair.first,
+                  d.z_pair.second):
+            fields += [leaf for _, leaf in _terms(f)]
+    assert len(fields) == 1 + 4 * 2
+    for f in fields:
+        if isinstance(f, RadialExpField):
+            ref = dataclasses.replace(f, radial_parts=per_part)
+        else:
+            ref = dataclasses.replace(f, base=dataclasses.replace(
+                f.base, radial_parts=per_part))
+        np.testing.assert_array_equal(f.evaluate(X), ref.evaluate(X))
+        np.testing.assert_array_equal(f.gradient(X), ref.gradient(X))
 
 
 def _mirrored_cell_centers():
