@@ -15,6 +15,11 @@ boost map (so a translation composes into that leaf's map).  Their pairing
 partners Z~+- can be computed either as H_ell applied to the directions or
 from the closed-form J identity, and the two routes are compared as a
 consistency check.
+
+The H_ell form and its density are defined here once: the transported
+density |grad v1|^2 + v2^2 + 2 c (d1 v1) v2 at a speed c (ell, chi_N or 0),
+and :class:`HForm`, the form and norm on one node set, which the
+coercivity probe projects and :func:`quadratic_form_H` reads as it is.
 """
 
 from __future__ import annotations
@@ -31,14 +36,13 @@ from .fields import (
     FormulaField,
     RadialExpField,
     ScalarField,
-    feature_degree,
     inner_pair_l2,
+    pair_sampler,
     sum_field,
     zero_field,
 )
 from .fitting import sup_on_spheres
-from .quadrature import (SYM_CYL, QuadratureSpec, integrate_callable,
-                         join_symmetry, product_degree, sum_degree)
+from .quadrature import SYM_CYL, QuadratureSpec, join_symmetry, node_set
 from .states import translate
 
 
@@ -135,27 +139,56 @@ def apply_H_ell(v: FieldPair, ell: float, Q: ScalarField,
         sum_field([component_derivative(v.first, 0), v.second], [ell, 1.0]))
 
 
+def transported_density(h: np.ndarray, c) -> np.ndarray:
+    """|grad v1|^2 + v2^2 + 2 c (d1 v1) v2 per node, from a pair's "h"
+    features h = (d1 v1, ..., d4 v1, v2) along the first axis; the speed c
+    is a number, one value per node, or a column of k speeds for k rows."""
+    return np.sum(h * h, axis=0) + 2.0 * c * h[0] * h[4]
+
+
+class HForm:
+    """The H_ell form and the energy norm of pairs on the node set of spec
+    for their symmetry joined with Q_ell's.  A pair is sampled once, in its
+    "h" and "l2" features, each flat over (feature, node); its form sums
+    zeta^2 transported_density(h, ell) - 3 Q_ell^2 v1^2 and its norm
+    zeta^2 transported_density(h, 0), zeta = 1 unless a weight is given."""
+
+    def __init__(self, ell: float, Q: ScalarField, symmetry: str,
+                 spec: QuadratureSpec, zeta: ScalarField | None = None):
+        self.ell = ell
+        Ql = boost_profile(Q, ell)
+        self.X, self.w = node_set(join_symmetry(symmetry, Ql.symmetry), spec)
+        self.w_zeta = self.w if zeta is None else \
+            self.w * zeta.evaluate(self.X) ** 2
+        self.w_pot = self.w * 3.0 * Ql.evaluate(self.X) ** 2
+
+    def features(self, u: FieldPair) -> tuple:
+        """The flat "h" and "l2" features of u at the nodes."""
+        h, l2 = pair_sampler([("h", [u]), ("l2", [u])])(self.X)
+        return h.ravel(), l2.ravel()
+
+    def form(self, h, l2) -> tuple:
+        """(H_ell form, squared norm) of the pair whose flat features at
+        the nodes are h and l2."""
+        h = h.reshape(-1, len(self.X))
+        form, norm = transported_density(h, np.array([[self.ell], [0.0]]))
+        pot = self.w_pot @ l2[:len(self.X)] ** 2
+        return float(self.w_zeta @ form - pot), float(self.w_zeta @ norm)
+
+    def form_and_norm(self, u: FieldPair) -> tuple:
+        """(H_ell form, squared norm) of u."""
+        return self.form(*self.features(u))
+
+
 def quadratic_form_H(v: FieldPair, ell: float, Q: ScalarField,
                      spec: QuadratureSpec | None = None) -> float:
     """(H_ell v, v)_L2 in first-order form (no second derivatives):
 
-    integral of |grad v1|^2 - 3 Q_ell^2 v1^2 + v2^2 + 2 ell v2 d1(v1).
+    integral of |grad v1|^2 - 3 Q_ell^2 v1^2 + v2^2 + 2 ell v2 d1(v1),
+    the :class:`HForm` of v on the node set of spec.
     """
-    spec = spec or QuadratureSpec()
-    Ql = boost_profile(Q, ell)
-
-    def fn(X):
-        v1, g1 = v.first.jet(X)
-        v2 = v.second.evaluate(X)
-        return (np.einsum("ij,ij->i", g1, g1) + v2 * v2
-                + 2.0 * ell * v2 * g1[:, 0]
-                - 3.0 * Ql.evaluate(X) ** 2 * v1 * v1)
-
-    dh, dq, d1 = feature_degree(v, "h"), Ql.x4_degree, v.first.x4_degree
-    return integrate_callable(
-        fn, join_symmetry(v.symmetry, Ql.symmetry), spec, decay=None,
-        x4_degree=sum_degree(product_degree(dh, dh),
-                             product_degree(dq, dq, d1, d1))).value
+    return HForm(ell, Q, v.symmetry,
+                 spec or QuadratureSpec()).form_and_norm(v)[0]
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 One JSON config file holds per-suite sections; flags override file values
 (flag > file > default).  ``DEFAULTS`` is the one table of suite values: the
-config schema and each suite's flags are read off it, a value's JSON type
-being that of its default.  A config file that breaks the schema (an
-integer key must hold a JSON integer, not 8.0), or a value out of its
-domain (an h, T, time, samples, t1, cadence or r_max that is not positive
-and finite, nodes below 2, a negative seed), ends the run before any work
-with a message on standard error and exit status 2.  Every other run exits
+config check and each suite's flags are read off it, a value's JSON type
+being that of its default.  A config file with a suite or key that
+DEFAULTS does not hold or a value of another type (an integer key must
+hold a JSON integer, not 8.0), or a value out of its domain (an h, T,
+time, samples, t1, cadence or r_max that is not positive and finite, nodes
+below 2, a negative seed), ends the run before any work with a message on
+standard error and exit status 2.  Every other run exits
 nonzero iff an asserted criterion failed, and writes into the output
 directory
 
@@ -58,53 +59,49 @@ _POSITIVE = ("h", "T", "time", "samples", "t1", "cadence", "r_max")
 # nodes, and a seed is a non-negative integer
 _LEAST = {"nodes": 2, "seed": 0}
 
-_JSON_TYPES = {float: "number", int: "integer", str: "string"}
-
-
-def _key_schema(key: str, default) -> dict:
-    """JSON schema of one suite value, read off its default."""
-    if key in _CHOICES:
-        return {"enum": _CHOICES[key]}
-    if isinstance(default, list):
-        return {"type": "array",
-                "items": {"type": _JSON_TYPES[type(default[0])]}}
-    return {"type": _JSON_TYPES[type(default)]}
-
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        suite: {"type": "object", "additionalProperties": False,
-                "properties": {k: _key_schema(k, v)
-                               for k, v in defaults.items()}}
-        for suite, defaults in DEFAULTS.items()
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _config_errors(value, default=DEFAULTS, path=()) -> list:
+    """(path, message) of each part of a config value that its default does
+    not take.  DEFAULTS and its sections take their own keys only, a list
+    takes items of its default's item type, and any other value takes one
+    of its key's _CHOICES or the JSON type of its default: an int for an
+    integer (8.0 is not one), an int or a float for a number, a str for a
+    string, and never a boolean."""
+    if type(default) is dict:
+        if type(value) is not dict:
+            return [(path, f"{value!r} is not an object")]
+        return [e for k, v in value.items() for e in (
+            _config_errors(v, default[k], (*path, k)) if k in default
+            else [((*path, k), "unknown suite or key")])]
+    if type(default) is list:
+        if type(value) is not list:
+            return [(path, f"{value!r} is not an array")]
+        return [e for i, v in enumerate(value)
+                for e in _config_errors(v, default[0], (*path, i))]
+    choices = _CHOICES.get(path[-1])
+    if choices is not None:
+        return [] if value in choices else [
+            (path, f"{value!r} is not one of {choices}")]
+    types = (int, float) if type(default) is float else (type(default),)
+    return [] if type(value) in types else [
+        (path, f"{value!r} is not of the type of the default {default!r}")]
+
+
 def load_config(path: str | None) -> dict:
     if not path:
         return {}
-    # a run without a config file does not load jsonschema
-    from jsonschema import Draft202012Validator, validators
-
     with open(path) as fh:
         data = json.load(fh)
-    # JSON Schema counts 8.0 as an integer; a suite needs a Python int
-    strict = validators.extend(
-        Draft202012Validator,
-        type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-            "integer", lambda _, value: type(value) is int))
-    errors = sorted(strict(CONFIG_SCHEMA).iter_errors(data),
-                    key=lambda e: list(e.absolute_path))
+    # JSON object keys are strings and list indices integers, so paths
+    # compare position by position
+    errors = sorted(_config_errors(data))
     if errors:
-        msgs = [f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: "
-                f"{e.message}" for e in errors]
+        msgs = [f"{'/'.join(map(str, p)) or '<root>'}: {m}"
+                for p, m in errors]
         raise ConfigError("invalid config:\n  " + "\n  ".join(msgs))
     return data
 

@@ -12,6 +12,8 @@ the nonlinearity, and per-soliton ramp corrections; coercivity of the
 underlying quadratic form is probed on seeded random localized pairs after
 projecting out the kernel directions (energy pairing) and the exponential
 directions (L2 pairing), both in the plain and the <x>^-gamma weighted form.
+The ramp norms read ``boosts.transported_density`` at c = chi_N and 0,
+and the probe adds only the projection to ``boosts.HForm``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosts import boost_profile, pair_vector
+from .boosts import HForm, pair_vector, transported_density
 from .fields import (
     FieldPair,
     FormulaField,
@@ -31,8 +33,8 @@ from .fields import (
     zero_field,
 )
 from .interactions import GAssembly, MultiSolitonConfig
-from .quadrature import (QuadratureSpec, integrate_callable, join_symmetry,
-                         node_set, product_degree, sum_degree)
+from .quadrature import (SYM_CYL, QuadratureSpec, integrate_callable,
+                         join_symmetry, product_degree, sum_degree)
 
 
 @dataclass
@@ -194,16 +196,15 @@ def _ramp_norms(phi: FieldPair, cutoff: CutoffChiN, t: float, intervals,
                 spec: QuadratureSpec) -> np.ndarray:
     """(transported, plain) norms of phi over the x1 intervals.
 
-    The plain density is |grad phi1|^2 + phi2^2; the transported one adds
-    the 2 chi_N (d1 phi1) phi2 cross term.  Both come from one pass per
-    interval.
+    Both are ``transported_density`` of phi's "h" features, at c = chi_N
+    and at c = 0, from one pass per interval.
     """
+    sample = pair_sampler([("h", [phi])])
+
     def fn(X):
-        g = phi.first.gradient(X)
-        p2 = phi.second.evaluate(X)
-        plain = np.einsum("ij,ij->i", g, g) + p2 * p2
-        return np.stack([plain + 2.0 * cutoff(t, X[:, 0]) * g[:, 0] * p2,
-                         plain], axis=1)
+        h = sample(X)[0][0]
+        return np.stack([transported_density(h, cutoff(t, X[:, 0])),
+                         transported_density(h, 0.0)], axis=1)
 
     dh = feature_degree(phi, "h")
     total = np.zeros(2)
@@ -310,42 +311,37 @@ def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     return FieldPair(bump(), bump())
 
 
-class _ProjectedForm:
+class _ProjectedForm(HForm):
     """H_ell form and norm of a pair after projecting out the correctors.
 
     The correctors c_k are the boosted kernel pairs and the two exponential
     directions.  For a pair v the coefficients s solve M s = cons(v), with
     rows pairing against the kernel pairs (energy pairing) and the Z
-    partners (L2).  Every pair is sampled once on the fixed node set of
-    spec by ``fields.pair_sampler``, in its "h" and "l2" features, each
-    flat over (feature, node).  The constraint rows are the weighted
-    features of the kernel pairs and of the Z partners, (constraint,
-    feature.node), so cons(v) is one product with each.  Features are
-    linear in the pair, so the projected pair v - sum_k s_k c_k has the
-    features of v less the correctors' stacks, (feature.node, corrector),
-    times s, whose weighted sums are its form and norm.  The rows, the
-    stacks and M are taken once, so a probe sample costs one sampling of v
-    and four matrix-vector products.
+    partners (L2).  :class:`boosts.HForm` holds the cylindrical node set
+    of spec, the weights and the form; this adds the projection.  The
+    constraint rows are the weighted features of the kernel pairs and of
+    the Z partners, (constraint, feature.node), so cons(v) is one product
+    with each.  Features are linear in the pair, so the projected pair
+    v - sum_k s_k c_k has the features of v less the correctors' stacks,
+    (feature.node, corrector), times s, whose form and norm are the
+    projected ones.  The rows, the stacks and M are taken once, so a probe
+    sample costs one sampling of v and four matrix-vector products.
     """
 
     def __init__(self, ell: float, Q: ScalarField, kernel_fields,
                  directions, gamma: float | None, spec: QuadratureSpec):
-        self.ell = ell
+        super().__init__(ell, Q, SYM_CYL, spec,
+                         None if gamma is None else WeightZeta(gamma).field())
         self.correctors = [pair_vector(g, ell, 1) for g in kernel_fields] + [
             directions["+"].pair, directions["-"].pair]
-        self.X, w = node_set("cylindrical", spec)
-        z2 = (WeightZeta(gamma).field().evaluate(self.X) ** 2
-              if gamma is not None else 1.0)
-        self.w_zeta = w * z2
-        self.w_pot = w * 3.0 * boost_profile(Q, ell).evaluate(self.X) ** 2
         h, l2, z_l2 = pair_sampler(
             [("h", self.correctors), ("l2", self.correctors),
              ("l2", [directions["+"].z_pair, directions["-"].z_pair])])(self.X)
         # constraint rows: energy pairing with the kernel pairs, L2 pairing
         # with the Z partners
         n_kernel = len(kernel_fields)
-        self.kern_rows = (h[:n_kernel] * w).reshape(n_kernel, -1)
-        self.z_rows = (z_l2 * w).reshape(len(z_l2), -1)
+        self.kern_rows = (h[:n_kernel] * self.w).reshape(n_kernel, -1)
+        self.z_rows = (z_l2 * self.w).reshape(len(z_l2), -1)
         self.Sc_h = h.reshape(len(h), -1).T
         self.Sc_l2 = l2.reshape(len(l2), -1).T
         self.M = self._constraints(self.Sc_h, self.Sc_l2)
@@ -355,31 +351,12 @@ class _ProjectedForm:
         columns of h and l2 (or with the one pair of vectors h and l2)."""
         return np.concatenate([self.kern_rows @ h, self.z_rows @ l2])
 
-    def _features(self, u: FieldPair) -> tuple:
-        """The flat "h" and "l2" features of u at the nodes."""
-        h, l2 = pair_sampler([("h", [u]), ("l2", [u])])(self.X)
-        return h.ravel(), l2.ravel()
-
-    def _form(self, h, l2) -> tuple:
-        """(H_ell form, norm) of the pair whose flat features at the nodes
-        are h and l2; both carry the weight when one is set."""
-        h = h.reshape(-1, len(self.X))
-        norm = self.w_zeta @ np.sum(h * h, axis=0)
-        cross = 2.0 * self.w_zeta @ (h[4] * h[0])
-        pot = self.w_pot @ l2[:len(self.X)] ** 2
-        return float(norm + self.ell * cross - pot), float(norm)
-
-    def form_and_norm(self, u: FieldPair) -> tuple:
-        """(H_ell form, squared norm) of u itself, unprojected; both carry
-        the weight when one is set."""
-        return self._form(*self._features(u))
-
     def __call__(self, v: FieldPair) -> tuple:
         """(projected form, projected norm, coefficients s, constraints)."""
-        h, l2 = self._features(v)
+        h, l2 = self.features(v)
         cons = self._constraints(h, l2)
         s = np.linalg.solve(self.M, cons)
-        Fp, Np = self._form(h - self.Sc_h @ s, l2 - self.Sc_l2 @ s)
+        Fp, Np = self.form(h - self.Sc_h @ s, l2 - self.Sc_l2 @ s)
         return Fp, Np, s, cons
 
 
@@ -432,33 +409,24 @@ def coercivity_probe(ell: float, Q: ScalarField, kernel_fields,
 def weighted_form_identity_gap(v: FieldPair, ell: float, Q: ScalarField,
                                zeta: WeightZeta) -> dict:
     """Term-by-term check that the weighted form equals the form of v*zeta
-    plus the three commutator integrals (all returned separately)."""
+    plus the three commutator integrals (all returned separately); both
+    forms are :class:`boosts.HForm` forms on one node set."""
     spec = QuadratureSpec(nodes=12, r_max=30.0)
-    Ql = boost_profile(Q, ell)
     w = zeta.field()
-
-    def fn(X):
-        v1, g1 = v.first.jet(X)
-        v2 = v.second.evaluate(X)
-        q2 = 3.0 * Ql.evaluate(X) ** 2
-        z = w.evaluate(X)
-        gz = w.gradient(X)
-        lapz = zeta.laplacian(X)
-        # weighted form integrand (the localized-coercivity left side)
-        lhs = ((np.einsum("ij,ij->i", g1, g1) + v2 * v2
-                + 2.0 * ell * g1[:, 0] * v2) * z * z - q2 * v1 * v1)
-        # form of the weighted pair: grad(v1 z) = z grad v1 + v1 grad z
-        gvz = g1 * z[:, None] + v1[:, None] * gz
-        pair_form = (np.einsum("ij,ij->i", gvz, gvz) + (v2 * z) ** 2
-                     + 2.0 * ell * gvz[:, 0] * (v2 * z) - q2 * (v1 * z) ** 2)
-        # the three commutator integrals: pair_form = lhs + t1 + t2 + t3
-        t1 = -v1 * v1 * z * lapz
-        t2 = 2.0 * ell * v1 * v2 * z * gz[:, 0]
-        t3 = q2 * v1 * v1 * (1.0 - z * z)
-        return np.stack([lhs, pair_form, t1, t2, t3], axis=1)
-
-    vals = np.asarray(integrate_callable(fn, "cylindrical", spec).value)
-    lhs, pair_form, t1, t2, t3 = [float(x) for x in vals]
+    plain = HForm(ell, Q, SYM_CYL, spec)
+    weighted = HForm(ell, Q, SYM_CYL, spec, w)
+    X = plain.X
+    h, l2 = plain.features(v)
+    v1, v2 = l2.reshape(2, -1)
+    z, gz, lapz = w.evaluate(X), w.gradient(X), zeta.laplacian(X)
+    # the weighted pair's features: grad(v1 z) = z grad v1 + v1 grad z
+    hz = np.vstack([z * h.reshape(5, -1)[:4] + v1 * gz.T, z * v2])
+    lhs = weighted.form(h, l2)[0]
+    pair_form = plain.form(hz.ravel(), (z * l2.reshape(2, -1)).ravel())[0]
+    # the three commutator integrals: pair_form = lhs + t1 + t2 + t3
+    t1 = float(plain.w @ (-v1 * v1 * z * lapz))
+    t2 = float(plain.w @ (2.0 * ell * v1 * v2 * z * gz[:, 0]))
+    t3 = float(plain.w_pot @ (v1 * v1 * (1.0 - z * z)))
     return dict(weighted_form=lhs, pair_form=pair_form, laplacian_term=t1,
                 cross_term=t2, potential_term=t3,
                 gap=pair_form - (lhs + t1 + t2 + t3))

@@ -94,7 +94,8 @@ class CylWaveEvolver:
         self.laplacian_op = laplacian_operator(grid)
         self.dt = time_step(grid, cadence)
         self.cadence = cadence
-        self.t = float(t0)
+        # the clock is t0 + n dt, so step n falls where monitor_times puts it
+        self.t0, self.n, self.t = float(t0), 0, float(t0)
         self.u = np.array(u0, dtype=float)
         self._u_new, self._scratch = np.empty((2, *self.u.shape))
         self.force = self.rhs(self.u)  # rhs(u), kept from the last kick
@@ -112,16 +113,17 @@ class CylWaveEvolver:
         """Drift u with the half-step velocity, then kick the velocity with
         the force at the new position (v_half always leads u by dt/2)."""
         u, dt = self.u, self.dt
+        t = self.t0 + (self.n + 1) * dt
         u_new = np.multiply(self.v_half, dt, out=self._u_new)
         u_new += u
-        for e, value in zip(self.grid.edges, self.background(self.t + dt)):
+        for e, value in zip(self.grid.edges, self.background(t)):
             u_new[e] = value
         self.force = self.rhs(u_new)
         self.v_half += np.multiply(self.force, dt, out=self._scratch)
         for e in self.grid.edges:
             self.v_half[e] = (u_new[e] - u[e]) / dt
         self.u, self._u_new = u_new, u
-        self.t += dt
+        self.n, self.t = self.n + 1, t
         # a NaN propagates through max and min and fails both tests
         if not -BLOWUP_FACTOR <= u_new.min() <= u_new.max() <= BLOWUP_FACTOR:
             self.status = "blowup"

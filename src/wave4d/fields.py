@@ -23,7 +23,10 @@ needs:
   each distinct leaf once, takes its value and gradient together where
   they are read, and forms the features from those reads by matrix
   products; :func:`pairing_block` contracts row and column features with
-  the quadrature weights in one more product per pairing kind.
+  the quadrature weights in one more product per pairing kind.  A single
+  pairing of two fields (:func:`inner_l2`, :func:`inner_hdot1` and the
+  pair and norm forms built on them) is the one entry of a block, unless
+  both fields pair exactly in the RationalRadial algebra.
 
 Two uniform grids carry the discretization.  :class:`Grid2DCyl` holds
 fields of (x1, rbar), rbar = |(x2,x3,x4)|, at the points (x1, rbar, 0, 0),
@@ -49,7 +52,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -61,6 +64,7 @@ from .quadrature import (
     SYM_RADIAL,
     QuadratureResult,
     QuadratureSpec,
+    default_r_max,
     integrate_callable,
     join_symmetry,
     moment,
@@ -986,7 +990,8 @@ def pair_sum(pairs, coeffs=None) -> FieldPair:
 
 
 def _check_compatible(*fields):
-    tags = [f.symmetry for f in fields]
+    # the zero field, with no leaves, combines with every field
+    tags = [f.symmetry for f in fields if _terms(f)]
     if SYM_FULL in tags and any(t != SYM_FULL for t in tags):
         raise SymmetryMismatch(
             "cannot combine a full-4D field with a reduced-symmetry field; "
@@ -1010,39 +1015,32 @@ def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
     return len({S.kappa for _, S in tf + tg if not S.is_zero}) <= 1
 
 
-def _inner(f: ScalarField, g: ScalarField, spec, exact, sample,
-           order: int) -> float:
-    """Integral of sample(f) . sample(g), sample taking derivatives of the
-    given order: exactly as exact(f, g) in the RationalRadial algebra when
-    both allow it, else by quadrature, sampling f once when g is f.  Each
-    derivative adds one to a factor's decay and to its x4 degree."""
+def _inner(f: ScalarField, g: ScalarField, spec, exact, kind) -> float:
+    """The pairing of kind ("l2" or "h") of f and g: exactly as exact(f, g)
+    in the RationalRadial algebra when both allow it, else the one entry of
+    :func:`pairing_block` of the pairs (f, 0) and (g, 0), sampling f once
+    when g is f.  A spec with no r_max truncates where the product's decay
+    (each gradient adds one to its factor's) puts its tail bound."""
     spec = spec or QuadratureSpec()
     if _pairs_exactly(f, g):
         return exact(f, g).integrate_exact(r_max=spec.r_max).value
-    _check_compatible(f, g)
-
-    def fn(X):
-        a = sample(f, X).reshape(len(X), -1)
-        return np.einsum("ij,ij->i", a, a if g is f
-                         else sample(g, X).reshape(len(X), -1))
-
-    decay = None if f.decay is None or g.decay is None else \
-        f.decay + g.decay + 2 * order
-    return integrate_callable(
-        fn, join_symmetry(f.symmetry, g.symmetry), spec, decay=decay,
-        x4_degree=product_degree(f.x4_degree, g.x4_degree, 2 * order)).value
+    if spec.r_max is None:
+        spec = replace(spec, r_max=default_r_max(
+            None if f.decay is None or g.decay is None else
+            f.decay + g.decay + 2 * (kind == "h")))
+    p = FieldPair(f, zero_field())
+    q = p if g is f else FieldPair(g, zero_field())
+    return float(pairing_block([p], [q], kind, spec)[0, 0])
 
 
 def inner_l2(f: ScalarField, g: ScalarField,
              spec: QuadratureSpec | None = None) -> float:
-    return _inner(f, g, spec, PolyRadialField.product,
-                  lambda h, X: h.evaluate(X), 0)
+    return _inner(f, g, spec, PolyRadialField.product, "l2")
 
 
 def inner_hdot1(f: ScalarField, g: ScalarField,
                 spec: QuadratureSpec | None = None) -> float:
-    return _inner(f, g, spec, PolyRadialField.grad_dot,
-                  lambda h, X: h.gradient(X), 1)
+    return _inner(f, g, spec, PolyRadialField.grad_dot, "h")
 
 
 def norm_l2(f: ScalarField) -> float:

@@ -13,7 +13,7 @@ from wave4d.boosts import (Boost, apply_H_ell, boost_profile,
 from wave4d.fields import (AffineField, FieldPair, RadialExpField, inner_l2,
                            inner_pair_l2, norm_pair, zero_field)
 from wave4d.quadrature import QuadratureSpec
-from wave4d.states import symmetry_generator
+from wave4d.states import GENERATOR_IDS, symmetry_generator
 
 W4 = 32.0 * math.pi**2 / 3.0
 
@@ -22,6 +22,18 @@ def test_boost_validation():
     with pytest.raises(ValueError):
         Boost(1.0)
     assert Boost(0.6).gamma == pytest.approx(1.25)
+
+
+def test_zero_speed_pair_of_every_generator(W, Qs):
+    """The zero field combines with every symmetry: the ell = 0 pair of
+    each of the 15 generators of W and of Q is (generator, 0), full ones
+    included."""
+    for profile in (W, Qs):
+        for gid in GENERATOR_IDS:
+            g = symmetry_generator(profile, gid)
+            p = pair_vector(g, 0.0)
+            assert p.first is g and p.second.terms == ()
+            assert p.symmetry == g.symmetry
 
 
 def test_boost_identity_and_value(W):

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from wave4d.cli import (CONFIG_SCHEMA, ConfigError, load_config, main,
-                        resolve)
+from wave4d.cli import ConfigError, load_config, main, resolve
 
 
 def test_states_suite_artifacts_and_reproducibility(tmp_path):
@@ -82,12 +81,15 @@ def test_empty_report_is_success(tmp_path):
     assert main(["--out", str(tmp_path / "empty"), "report"]) == 0
 
 
-def test_schema_covers_all_suites():
+def test_schema_covers_all_suites(tmp_path):
+    """A config file holding every suite's defaults loads as it is."""
     from wave4d.cli import DEFAULTS, SUITES
 
     for s in SUITES:
         assert s in DEFAULTS
-        assert s in CONFIG_SCHEMA["properties"]
+    cfg_file = tmp_path / "defaults.json"
+    cfg_file.write_text(json.dumps(DEFAULTS))
+    assert load_config(str(cfg_file)) == DEFAULTS
 
 
 def test_shoot_suite_artifacts(tmp_path):
@@ -175,25 +177,28 @@ def test_modulate_runs_on_pair_file(tmp_path, W):
     assert abs(np.asarray(state["a"])).max() < 0.05
 
 
-def test_every_default_has_a_flag_and_schema_entry_of_its_type():
-    from wave4d.cli import DEFAULTS, build_parser
+def test_every_default_has_a_flag_and_schema_entry_of_its_type(tmp_path):
+    """Each key's config entry refuses a value of another JSON type than
+    its default's (per item for a list; a boolean is never a number), and
+    its flag parses the default's own text back to the default."""
+    from wave4d.cli import _CHOICES, DEFAULTS, build_parser
 
-    json_type = {float: "number", int: "integer", str: "string"}
+    other = {float: ["0.5", True, None], int: [8.0, True, "8"],
+             str: [1, None]}
+    cfg_file = tmp_path / "cfg.json"
     for suite, defaults in DEFAULTS.items():
-        props = CONFIG_SCHEMA["properties"][suite]["properties"]
-        assert set(props) == set(defaults)
         for key, default in defaults.items():
-            entry = props[key]
             if isinstance(default, list):
-                assert entry["type"] == "array"
-                assert entry["items"]["type"] == json_type[type(default[0])]
+                bad = [default[0]] + [[v] for v in other[type(default[0])]]
                 text = ",".join(map(str, default))
-            elif "enum" in entry:
-                assert default in entry["enum"]
-                text = default
             else:
-                assert entry["type"] == json_type[type(default)]
+                bad = other[type(default)] + (["other"] if key in _CHOICES
+                                              else [])
                 text = str(default)
+            for value in bad:
+                cfg_file.write_text(json.dumps({suite: {key: value}}))
+                with pytest.raises(ConfigError, match=key):
+                    load_config(str(cfg_file))
             # the flag parses the default's own text back to the default
             args = build_parser().parse_args([suite, f"--{key}={text}"])
             value = getattr(args, key)

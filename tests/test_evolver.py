@@ -562,7 +562,9 @@ def test_evolve_suite_monitors_on_the_cadence_from_one_sampling(
     """The evolve suite's run (ell = 0.4, h = 0.1, to t = 5 at cadence 0.5)
     steps 130 times at dt = 0.5 / 13 and monitors at k cadence to 1e-12, so
     modulation_residuals takes its states (at CFL h = 0.04 they fell at 0,
-    0.52, 1.0, 1.52, ... and it raised).  Its basis samples once, on the
+    0.52, 1.0, 1.52, ... and it raised).  The clock is t0 + n dt, so the
+    times are monitor_times' bit for bit (a clock summing dt read
+    4.999999999999991 at the last one).  Its basis samples once, on the
     grid's rows and the 20 it crosses, and serves every monitor a read-only
     view that later monitors leave as it was."""
     ell = 0.4
@@ -583,6 +585,7 @@ def test_evolve_suite_monitors_on_the_cadence_from_one_sampling(
     assert series.status == "done" and len(steps) == 130
     np.testing.assert_allclose(series.times, 0.5 * np.arange(11), rtol=0.0,
                                atol=1e-12)
+    assert series.times == monitor_times(0.0, 5.0, time_step(grid, 0.5), 0.5)
     assert len(modulation_residuals(series.states)["times"]) == 9
     assert fills == [(0.0, -20, grid.n1)]
     assert len(served) == 2 * 11  # the monitor's and the decomposition's

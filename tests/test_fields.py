@@ -482,13 +482,14 @@ def test_self_pairings_sample_once_per_slab(W, fast_spec):
     l2 = inner_l2(f, f, fast_spec)
     hd = inner_hdot1(f, f, fast_spec)
     assert calls == {"value": len(slabs), "gradient": len(slabs)}
-    # the same value as sampling each side apart
-    assert l2 == integrate_callable(
+    # the value of sampling each side apart, to the round-off of the
+    # block's sqrt(w) factors
+    assert l2 == pytest.approx(integrate_callable(
         lambda X: W.evaluate(X) * W.evaluate(X), "cylindrical",
-        fast_spec).value
-    assert hd == integrate_callable(
+        fast_spec).value, rel=1e-12, abs=0.0)
+    assert hd == pytest.approx(integrate_callable(
         lambda X: np.einsum("ij,ij->i", W.gradient(X), W.gradient(X)),
-        "cylindrical", fast_spec).value
+        "cylindrical", fast_spec).value, rel=1e-12, abs=0.0)
 
 
 def test_radial_parts_agree_on_floats_and_arrays(W, Qs):
