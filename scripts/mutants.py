@@ -56,6 +56,20 @@ DEFECTS = {
         "the traveling pair's velocity -ell d1 f_ell with the opposite sign",
         ["tests/test_energy.py::test_boosted_momentum_sign",
          "tests/test_evolver.py::test_boosted_speed_and_conservation"]),
+    "cylindrical_u_rule_by_degree": (
+        "src/wave4d/quadrature.py",
+        "    if symmetry == SYM_CYL:\n        x4_degree = 0\n",
+        "",
+        "a cylindrical pass sizes its u rule by the declared x4 degree, as a "
+        "bicylindrical one does, instead of taking the one point u = 0",
+        ["tests/test_fields.py::test_self_pairings_sample_once_per_slab"]),
+    "full_on_polar_rule": (
+        "src/wave4d/quadrature.py",
+        "if symmetry not in (SYM_RADIAL, SYM_CYL, SYM_BICYL):",
+        "if symmetry not in (SYM_RADIAL, SYM_CYL, SYM_BICYL, SYM_FULL):",
+        "a full integrand runs on the polar rule instead of being refused",
+        ["tests/test_quadrature.py::test_a_tag_with_no_reduction_has_no_pass",
+         "tests/test_fields.py::test_symmetry_mismatch_rejected"]),
 }
 
 

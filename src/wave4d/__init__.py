@@ -7,8 +7,7 @@ radial finite-difference evolver with bootstrap monitors."""
 from .fields import (FieldPair, FormulaField, Grid2DCyl, PolyRadialField,
                      SampledField, ScalarField, hardy_sobolev_check,
                      inner_hdot1, inner_l2, inner_pair_h, inner_pair_l2,
-                     integrate_field, load_field, load_field_csv,
-                     norm_hdot1, norm_l2, norm_pair, save_field)
+                     load_field, load_field_csv, norm_pair, save_field)
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_callable
 from .states import (GENERATOR_IDS, SurrogateSpec, TransformParams,
                      apply_transform, dilate, ground_state, kelvin,

@@ -3,14 +3,17 @@
 One JSON config file holds per-suite sections; flags override file values
 (flag > file > default).  ``DEFAULTS`` is the one table of suite values: the
 config check and each suite's flags are read off it, a value's JSON type
-being that of its default.  A config file with a suite or key that
-DEFAULTS does not hold or a value of another type (an integer key must
-hold a JSON integer, not 8.0), or a value out of its domain (an h, T,
-time, samples, t1, cadence or r_max that is not positive and finite, nodes
-below 2, a negative seed), ends the run before any work with a message on
-standard error and exit status 2.  Every other run exits
-nonzero iff an asserted criterion failed, and writes into the output
-directory
+being that of its default.  A config file that cannot be read or parsed,
+with a suite or key that DEFAULTS does not hold or a value of another type
+(an integer key must hold a JSON integer, not 8.0), or a value out of its
+domain (an h, T, time, samples, t1, cadence or r_max that is not positive
+and finite, nodes below 2, a negative seed), ends the run before any work
+with a message on standard error and exit status 2.  So does input that a
+suite's own checks refuse with a ValueError, such as a gamma outside
+(0, 1), a speed |ell| >= 1, speeds not increasing, too few times for a
+rate fit, k below 1 or a single grid size: one line on standard error,
+exit status 2.  Every other run exits nonzero iff an asserted criterion
+failed, and writes into the output directory
 
 - ``<suite>_resolved_config.json``: the fully resolved configuration;
 - ``<suite>_results.json``: the machine-readable results;
@@ -94,8 +97,11 @@ def _config_errors(value, default=DEFAULTS, path=()) -> list:
 def load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     # JSON object keys are strings and list indices integers, so paths
     # compare position by position
     errors = sorted(_config_errors(data))
@@ -175,6 +181,8 @@ def run_states(cfg: dict, outdir: Path) -> int:
     from .states import (ground_state, kelvin, surrogate_excited_state,
                          symmetry_generator)
 
+    if len(cfg["grid_sizes"]) < 2:
+        raise ValueError("grid_sizes needs two sizes or more for an order")
     W = ground_state()
     rng = np.random.default_rng(cfg["seed"])
     rows = []
@@ -500,7 +508,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return RUNNERS[args.suite](cfg, outdir)
+    try:
+        return RUNNERS[args.suite](cfg, outdir)
+    except ValueError as exc:
+        print(f"{args.suite}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

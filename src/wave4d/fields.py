@@ -2,8 +2,10 @@
 
 Fields carry a symmetry tag (radial / cylindrical about e1 / bicylindrical /
 full), an optional pointwise decay exponent p (|f| <= C <x>^-p), and evaluate
-on (N, 4) arrays of points.  Four families cover everything the laboratory
-needs:
+on (N, 4) arrays of points.  The tag picks the quadrature reduction of a
+pairing; a full field evaluates, but the quadrature has no pass for it, so
+pairing one outside the RationalRadial algebra raises ValueError.  Four
+families cover everything the laboratory needs:
 
 * :class:`FormulaField` wraps closed-form callables (optionally with an exact
   gradient; otherwise a 4th-order finite-difference fallback is used).
@@ -78,10 +80,6 @@ _FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD4_COEFFS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # the area of the unit sphere S^(d-1) of a radial axis of dimension d
 _SPHERE_AREA = {3: 4.0 * math.pi, 4: 2.0 * math.pi**2}
-
-
-class SymmetryMismatch(ValueError):
-    pass
 
 
 def _as_points(x) -> np.ndarray:
@@ -976,7 +974,6 @@ class FieldPair:
 
     def __post_init__(self):
         self.symmetry = join_symmetry(self.first.symmetry, self.second.symmetry)
-        _check_compatible(self.first, self.second)
 
     def plus(self, other: "FieldPair", coeff: float = 1.0) -> "FieldPair":
         return pair_sum([self, other], [1.0, coeff])
@@ -987,23 +984,6 @@ def pair_sum(pairs, coeffs=None) -> FieldPair:
     component one flat combination."""
     return FieldPair(sum_field([p.first for p in pairs], coeffs),
                      sum_field([p.second for p in pairs], coeffs))
-
-
-def _check_compatible(*fields):
-    # the zero field, with no leaves, combines with every field
-    tags = [f.symmetry for f in fields if _terms(f)]
-    if SYM_FULL in tags and any(t != SYM_FULL for t in tags):
-        raise SymmetryMismatch(
-            "cannot combine a full-4D field with a reduced-symmetry field; "
-            f"tags = {tags}")
-
-
-def integrate_field(f: ScalarField) -> QuadratureResult:
-    """Integral of f over R^4 (exact angular path for monomial-radial fields)."""
-    if f.poly_radial_terms() is not None:
-        return f.integrate_exact()
-    return integrate_callable(f.evaluate, f.symmetry, QuadratureSpec(),
-                              decay=f.decay, x4_degree=f.x4_degree)
 
 
 def _pairs_exactly(f: ScalarField, g: ScalarField) -> bool:
@@ -1041,14 +1021,6 @@ def inner_l2(f: ScalarField, g: ScalarField,
 def inner_hdot1(f: ScalarField, g: ScalarField,
                 spec: QuadratureSpec | None = None) -> float:
     return _inner(f, g, spec, PolyRadialField.grad_dot, "h")
-
-
-def norm_l2(f: ScalarField) -> float:
-    return math.sqrt(max(inner_l2(f, f), 0.0))
-
-
-def norm_hdot1(f: ScalarField, spec: QuadratureSpec | None = None) -> float:
-    return math.sqrt(max(inner_hdot1(f, f, spec), 0.0))
 
 
 def inner_pair_l2(p: FieldPair, q: FieldPair,
@@ -1191,9 +1163,7 @@ def pairing_block(rows, cols, kind,
     shape = (len(rows), len(cols))
     if 0 in shape:
         return np.zeros(shape)
-    every = list(rows) + list(cols)
-    _check_compatible(*[p.first for p in every])
-    sym = join_symmetry(*[p.symmetry for p in every])
+    sym = join_symmetry(*[p.symmetry for p in list(rows) + list(cols)])
 
     groups = {k: [j for j, kj in enumerate(kinds) if kj == k]
               for k in dict.fromkeys(kinds)}
@@ -1236,7 +1206,7 @@ def hardy_sobolev_check(f: ScalarField,
                         spec: QuadratureSpec | None = None) -> tuple:
     """Ratios (||f||_L4 / ||grad f||_L2, ||f/|x|||_L2 / ||grad f||_L2)."""
     spec = spec or QuadratureSpec()
-    gnorm = norm_hdot1(f, spec)
+    gnorm = math.sqrt(max(inner_hdot1(f, f, spec), 0.0))
     if gnorm == 0.0:
         return (0.0, 0.0)
     l4 = norm_l4(f, spec)

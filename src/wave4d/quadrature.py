@@ -1,28 +1,33 @@
 """Panel-based Gauss-Legendre quadrature over R^4 with symmetry reductions.
 
-Integrands on R^4 are reduced to 1D/2D/3D quadrature according to a declared
-symmetry:
+Integrands on R^4 are reduced according to a declared symmetry, on one of
+two reductions:
 
-* ``radial``          f = f(|x|)
-* ``cylindrical``     f = f(x1, |(x2,x3,x4)|)
-* ``bicylindrical``   f = f(x1, x4, |(x2,x3)|), a polynomial in x4 whose
-                      coefficients depend on (x1, |(x2,x3,x4)|)
-* ``full``            no symmetry, tensor quadrature on a box
+* the radial line, for ``radial`` f = f(|x|);
+* the polar half-plane (x1, rbar, u), rbar = |(x2,x3,x4)| and u = x4/rbar,
+  for ``cylindrical`` f = f(x1, rbar) and ``bicylindrical``
+  f = f(x1, x4, |(x2,x3)|), a polynomial in x4 whose coefficients depend on
+  (x1, rbar).
+
+``full`` (no symmetry) is a field tag with no pass: every integrand the
+construction forms is symmetric about e1, the solitons' axis of motion, and
+integrating a full one raises ValueError.
 
 The reduced domains are covered by geometrically graded panels (width
 ``spec.core`` near the origin/centers, doubling outward) with a fixed
-Gauss-Legendre rule per panel.  The bicylindrical reduction writes the
-transverse half-plane in polar form, rbar = |(x2,x3,x4)| and u = x4/rbar, and
-integrates u with one Gauss-Legendre rule on [-1, 1].  A pass that declares
-its integrand's degree d in x4 (``x4_degree``) takes ceil((d + 1)/2) u
-points, never more than ``spec.nodes``, the fewest that are exact for degree
-d; an integrand of unknown degree (None) takes ``spec.nodes`` points, exact
-up to degree 2*nodes - 1.  :func:`product_degree` and :func:`sum_degree`
-combine the degrees of fields into an integrand's.
+Gauss-Legendre rule per panel, and u takes one Gauss-Legendre rule on
+[-1, 1].  A bicylindrical pass that declares its integrand's degree d in x4
+(``x4_degree``) takes ceil((d + 1)/2) u points, never more than
+``spec.nodes``, the fewest that are exact for degree d; an integrand of
+unknown degree (None) takes ``spec.nodes`` points, exact up to degree
+2*nodes - 1.  A cylindrical pass takes the one point u = 0.
+:func:`product_degree` and :func:`sum_degree` combine the degrees of fields
+into an integrand's.
 
-A pass is built by one routine as batches of (points, weights): each batch
-holds the slabs of consecutive x1 nodes, one slab per node, up to
-``_BATCH_POINTS`` points (the radial reduction is a single slab).
+A pass is built by one routine, which also refuses a tag with no
+reduction, as batches of (points, weights): each batch holds the slabs of
+consecutive x1 nodes, one slab per node, up to ``_BATCH_POINTS`` points
+(the radial reduction is a single slab).
 :func:`integrate_callable` sums an integrand over the batches, one call per
 batch, and :func:`node_set` concatenates the batches of a spec, so
 fields can be sampled once and paired by weighted matrix products.  Exact
@@ -43,7 +48,8 @@ SYM_CYL = "cylindrical"
 SYM_BICYL = "bicylindrical"
 SYM_FULL = "full"
 
-# linear refinement order: each tag's reduction can represent the previous ones
+# linear refinement order: a field of each tag can represent those of the
+# previous ones (full has no quadrature pass)
 _SYM_ORDER = {SYM_RADIAL: 0, SYM_CYL: 1, SYM_BICYL: 2, SYM_FULL: 3}
 
 # tail budget of a decay-derived truncation radius: the <x>^-p tail bound
@@ -182,7 +188,8 @@ def axis_breaks(lo: float, hi: float, centers=(),
 @functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple:
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once
-    per n (a pass takes up to three rules) and returned read-only."""
+    per n (a pass takes up to two: the panels' and the u rule) and returned
+    read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -249,22 +256,27 @@ def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
     """(points, weights) of a pass in batches of consecutive x1 nodes.
 
     The radial reduction is a single slab of points on the x1 axis.  The
-    others tensor each x1 node with the transverse nodes into a slab, and
-    a batch stacks the slabs of as many consecutive nodes as fit in
-    ``_BATCH_POINTS`` points (at least one), in x1 order.  The transverse
-    nodes are rbar on the x2 axis (cylindrical), the polar pair
-    (rbar, u = x4/rbar) at (rbar sqrt(1-u^2), 0, rbar u) in the (x2, x4)
-    half-plane (bicylindrical), or a tensor box in (x2, x3, x4) (full).
-    Weights carry the Jacobian of the reduction, so a slab's integral is its
-    weighted sum.
+    polar reduction, for cylindrical and bicylindrical integrands, tensors
+    each x1 node with the polar pair (rbar, u = x4/rbar), at
+    (rbar sqrt(1-u^2), 0, rbar u) in the (x2, x4) half-plane, into a slab,
+    and a batch stacks the slabs of as many consecutive nodes as fit in
+    ``_BATCH_POINTS`` points (at least one), in x1 order.  Weights carry
+    the Jacobian of the reduction, so a slab's integral is its weighted sum.
+    Any other tag, ``full`` among them, raises ValueError.
     The u rule has ceil((x4_degree + 1)/2) Gauss-Legendre points on
     [-1, 1], at most ``spec.nodes``, or ``spec.nodes`` when the degree is
     None (unknown).  A bicylindrical slab is thus exact for integrands that
     are polynomials in x4 of the declared degree, or of degree
     <= 2*nodes - 1 when none is declared, with coefficients depending on
-    (x1, rbar).  The first radial panel and the first x1 panel on each side
-    of every center are ``spec.core`` wide.
+    (x1, rbar).  A cylindrical integrand has degree 0 whatever its caller
+    declares, and takes the one point u = 0 with weight 2.  The first
+    radial panel and the first x1 panel on each side of every center are
+    ``spec.core`` wide.
     """
+    if symmetry not in (SYM_RADIAL, SYM_CYL, SYM_BICYL):
+        raise ValueError(f"no quadrature pass for symmetry {symmetry!r}: "
+                         "a pass reduces radial, cylindrical or "
+                         "bicylindrical integrands")
     rb, wr = gauss_panels(geometric_breaks(r_max, spec.core), spec.nodes)
     if symmetry == SYM_RADIAL:
         X = np.zeros((rb.size, 4))
@@ -274,26 +286,15 @@ def _slabs(symmetry: str, spec: QuadratureSpec, r_max: float,
     x1, w1 = gauss_panels(axis_breaks(*x1_range, spec.x1_centers, spec.core),
                           spec.nodes)
     if symmetry == SYM_CYL:
-        base = np.zeros((rb.size, 4))
-        base[:, 1] = rb
-        wt = 4.0 * math.pi * wr * rb**2
-    elif symmetry == SYM_BICYL:
-        m = spec.nodes if x4_degree is None else \
-            min(spec.nodes, x4_degree // 2 + 1)
-        u, wu = _legendre(m)
-        R, U = np.meshgrid(rb, u, indexing="ij")
-        base = np.zeros((R.size, 4))
-        base[:, 1] = (R * np.sqrt(1.0 - U * U)).ravel()
-        base[:, 3] = (R * U).ravel()
-        wt = np.outer(2.0 * math.pi * wr * rb**2, wu).ravel()
-    else:
-        xt, wx = gauss_panels(axis_breaks(-r_max, r_max, (0.0,), spec.core),
-                              spec.nodes)
-        base = np.zeros((xt.size**3, 4))
-        base[:, 1:] = np.stack(np.meshgrid(xt, xt, xt, indexing="ij"),
-                               axis=-1).reshape(-1, 3)
-        wt = (wx[:, None, None] * wx[None, :, None]
-              * wx[None, None, :]).ravel()
+        x4_degree = 0
+    m = spec.nodes if x4_degree is None else \
+        min(spec.nodes, x4_degree // 2 + 1)
+    u, wu = _legendre(m)
+    R, U = np.meshgrid(rb, u, indexing="ij")
+    base = np.zeros((R.size, 4))
+    base[:, 1] = (R * np.sqrt(1.0 - U * U)).ravel()
+    base[:, 3] = (R * U).ravel()
+    wt = np.outer(2.0 * math.pi * wr * rb**2, wu).ravel()
     k = max(1, _BATCH_POINTS // len(base))
     for i in range(0, x1.size, k):
         x1b = x1[i:i + k]
@@ -311,8 +312,6 @@ def node_set(symmetry: str, spec: QuadratureSpec) -> tuple:
     r_max unset takes the truncation radius of decay None, so a pass given
     a decay agrees with the node set only when the spec sets r_max.
     """
-    if symmetry not in _SYM_ORDER:
-        raise ValueError(f"unknown symmetry tag {symmetry!r}")
     r_max, x1_range = _resolve(spec, None, None)
     pts, wts = zip(*_slabs(symmetry, spec, r_max, x1_range))
     return np.concatenate(pts), np.concatenate(wts)
@@ -341,8 +340,6 @@ def integrate_callable(
     only.  The error is the tail bound of the decay at the truncation
     radius.
     """
-    if symmetry not in _SYM_ORDER:
-        raise ValueError(f"unknown symmetry tag {symmetry!r}")
     r_max, x1_range = _resolve(spec, decay, x1_range)
     total = 0.0
     for X, w in _slabs(symmetry, spec, r_max, x1_range, x4_degree):

@@ -288,6 +288,28 @@ def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--config", "{missing}", "states"], ["--config", "{malformed}", "states"],
+    ["energy", "--gamma", "2"], ["energy", "--ell", "1.5"],
+    ["interactions", "--speeds", "0.5,-0.5"],
+    ["interactions", "--times", "10,20"], ["spectrum", "--k", "0"],
+    ["states", "--grid_sizes", "200"]],
+    ids=["missing_config", "malformed_config", "gamma", "ell", "speeds",
+         "times", "k", "grid_sizes"])
+def test_input_a_suite_refuses_exits_2_with_one_line(tmp_path, capsys, args):
+    """A config file that cannot be opened or parsed, and input that a
+    suite's own checks refuse, each printed a traceback and exited 1, the
+    status of a failed criterion.  Each now ends as one message line and
+    exit status 2, with no summary written."""
+    (tmp_path / "malformed.json").write_text("{bad")
+    out = tmp_path / "o"
+    args = [a.format(missing=tmp_path / "missing.json",
+                     malformed=tmp_path / "malformed.json") for a in args]
+    assert main(["--out", str(out)] + args) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(out.glob("*_summary.json"))
+
+
 def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):
     """The package, the command line, the ground eigenpair every workload
     sets up and a suite run without a config file import neither scipy's

@@ -8,13 +8,12 @@ from scipy.integrate import quad
 
 from wave4d.fields import (AffineField, Combination, FieldPair, FormulaField,
                            Grid2DCyl, GridRadial, PolyRadialField,
-                           RadialExpField, SampledField, SymmetryMismatch,
-                           cylinder_points, hardy_sobolev_check, inner_hdot1,
-                           inner_l2, inner_pair_h, inner_pair_l2,
-                           integrate_field, load_field, load_field_csv,
-                           load_pair, norm_hdot1, norm_l2, norm_pair,
-                           pair_sampler, pairing_block, save_field, save_pair,
-                           sum_field, zero_field)
+                           RadialExpField, SampledField, cylinder_points,
+                           hardy_sobolev_check, inner_hdot1, inner_l2,
+                           inner_pair_h, inner_pair_l2, load_field,
+                           load_field_csv, load_pair, norm_pair, pair_sampler,
+                           pairing_block, save_field, save_pair, sum_field,
+                           zero_field)
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
 from wave4d.states import (GENERATOR_IDS, RationalRadial, dilate,
                            ground_state, symmetry_generator)
@@ -25,7 +24,7 @@ W4_ORACLE = 2 * math.pi**2 * quad(
 
 
 def test_w4_integral_matches_independent_oracle(W):
-    v = integrate_field(W.product(W).product(W).product(W)).value
+    v = W.product(W).product(W).product(W).integrate_exact().value
     assert v == pytest.approx(W4_ORACLE, rel=1e-10)
     assert v == pytest.approx(32 * math.pi**2 / 3, rel=1e-10)
 
@@ -59,7 +58,7 @@ def test_products_and_gradient_pairings_stay_rational(W, Qs, rng):
 
 
 def test_zero_integrand(W):
-    assert integrate_field(zero_field()).value == 0.0
+    assert inner_l2(zero_field(), W) == 0.0
 
 
 def test_odd_integrand_vanishes(W):
@@ -72,12 +71,11 @@ def test_odd_integrand_vanishes(W):
 def test_hdot1_norm_equals_quartic_integral(W):
     # integration by parts against the stationary equation
     assert inner_hdot1(W, W) == pytest.approx(W4_ORACLE, rel=1e-10)
-    assert norm_hdot1(W) ** 2 == pytest.approx(W4_ORACLE, rel=1e-10)
 
 
 def test_l2_norm_of_w_squared(W):
-    assert norm_l2(W.product(W)) == pytest.approx(math.sqrt(W4_ORACLE),
-                                                  rel=1e-10)
+    WW = W.product(W)
+    assert inner_l2(WW, WW) == pytest.approx(W4_ORACLE, rel=1e-10)
 
 
 def test_pair_norm_and_trivial_cases(W):
@@ -177,7 +175,8 @@ def test_scale_covariance_of_critical_norms(lam):
     f = dilate(W, lam)
     spec = QuadratureSpec(nodes=12, r_max=300.0)
     base = math.sqrt(W4_ORACLE)
-    assert norm_hdot1(f, spec) == pytest.approx(base, rel=2e-3)
+    assert math.sqrt(inner_hdot1(f, f, spec)) == pytest.approx(base,
+                                                             rel=2e-3)
     sob, har = hardy_sobolev_check(f, spec)
     sob0, har0 = hardy_sobolev_check(W, spec)
     assert sob == pytest.approx(sob0, rel=2e-3)
@@ -195,11 +194,12 @@ def test_hardy_sobolev_values(W):
 
 
 def test_symmetry_mismatch_rejected(W):
+    """A full field pairs with no field: the quadrature has no pass for it."""
     full = FormulaField(lambda X: np.exp(-np.sum(X * X, axis=1)),
                         symmetry="full")
     cyl = FormulaField(lambda X: np.exp(-np.sum(X * X, axis=1)),
                        symmetry="cylindrical")
-    with pytest.raises(SymmetryMismatch):
+    with pytest.raises(ValueError, match="no quadrature pass"):
         inner_l2(full, cyl)
 
 
