@@ -70,6 +70,25 @@ DEFECTS = {
         "a full integrand runs on the polar rule instead of being refused",
         ["tests/test_quadrature.py::test_a_tag_with_no_reduction_has_no_pass",
          "tests/test_fields.py::test_symmetry_mismatch_rejected"]),
+    "sturm_off_not_squared": (
+        "src/wave4d/spectrum.py",
+        "    squares = off * off\n",
+        "    squares = off\n",
+        "the Sturm recurrence reads the off-diagonal where its square belongs",
+        ["tests/test_spectrum.py::"
+         "test_eigenpairs_match_lapack_on_the_radial_operators[set_up]",
+         "tests/test_spectrum.py::"
+         "test_eigenpairs_match_lapack_on_the_radial_operators[free_middle]"]),
+    "back_substitution_neighbour": (
+        "src/wave4d/spectrum.py",
+        "x1, x2 = (y - u * x1 - f * x2) / p, x1",
+        "x1, x2 = (y - u * x2 - f * x1) / p, x1",
+        "the tridiagonal solve's back substitution reads x_{i+2} through the "
+        "super-diagonal and x_{i+1} through the fill-in",
+        ["tests/test_spectrum.py::"
+         "test_not_a_knot_slopes_match_solve_banded[mirrored_uniform]",
+         "tests/test_spectrum.py::"
+         "test_eigenpairs_match_lapack_on_the_radial_operators[suite_kernel]"]),
 }
 
 

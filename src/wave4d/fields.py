@@ -41,7 +41,8 @@ the trapezoid rule of the measure, :func:`grid_gradient` the second-order
 derivative per axis, :func:`grid_h_norm_sq` the squared energy norm, and
 :func:`laplacian_operator` the sparse second-order Laplacian, which sums
 over the axes the second difference plus (d - 1)/r dr, with d drr on the
-axis of a radius.  :func:`stationary_residual_norm` measures Delta_h f + f^3
+axis of a radius; it imports scipy.sparse when it first builds one, so the
+evolver's first run loads it and importing this module does not.  :func:`stationary_residual_norm` measures Delta_h f + f^3
 with it over the inner nodes.
 
 Sampled fields live on the cylindrical grid with piecewise-cubic
@@ -57,7 +58,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .quadrature import (
     SYM_BICYL,
@@ -753,13 +753,17 @@ def grid_h_norm_sq(du, dv, grid) -> float:
 
 # one kept, so a finished grid's diagonals do not add to the next's peak
 @functools.lru_cache(maxsize=1)
-def laplacian_operator(grid) -> sparse.dia_matrix:
-    """The grid Laplacian as one sparse operator on the flattened grid: per
-    axis the second difference at offsets 0 and +-its stride, plus
-    (d - 1)/r dr on a radial axis of dimension d, whose axis node is d drr
-    with the even reflection u(-h) = u(h).  The pinned edges get no term
-    along their normal: the evolver sets their values, but v_sync still
-    reads the force there.  Cached per grid, read-only."""
+def laplacian_operator(grid):
+    """The grid Laplacian as one sparse operator (a scipy.sparse
+    ``dia_matrix``) on the flattened grid: per axis the second difference at
+    offsets 0 and +-its stride, plus (d - 1)/r dr on a radial axis of
+    dimension d, whose axis node is d drr with the even reflection
+    u(-h) = u(h).  The pinned edges get no term along their normal: the
+    evolver sets their values, but v_sync still reads the force there.
+    Cached per grid, read-only.  scipy.sparse is imported here, when the
+    first grid operator is built: importing the package loads no scipy."""
+    from scipy import sparse
+
     shape, mid, diags, offsets = grid.shape, 0.0, [], []
     # the last axis first: the cylinder's stored results sum in that order
     for axis in reversed(range(len(shape))):

@@ -4,21 +4,26 @@ One sector is solved: the radial one, where the operator reduces to
 -(d2/dr2 + (3/r) d/dr) - 3 q(r)^2 on (0, R) with a Dirichlet wall at R.  A
 finite-volume discretization on cell centers conserves the r^3 flux exactly
 at the axis and is symmetrized by the measure weight, giving a symmetric
-tridiagonal matrix whose eigenpairs ``eigh_tridiagonal`` selects by index
-or by eigenvalue window, deterministically.  The non-radial kernel (the
-translation and conformal generators) is checked directly instead:
-acceptance criterion 2 requires each of the 15 generators that does not
-vanish on W, translation_1 among them, to have a residual under
--Delta - 3 W^2 that refines at order >= 1.8.
+tridiagonal matrix.  The non-radial kernel (the translation and conformal
+generators) is checked directly instead: acceptance criterion 2 requires
+each of the 15 generators that does not vanish on W, translation_1 among
+them, to have a residual under -Delta - 3 W^2 that refines at order >= 1.8.
 
-:func:`negative_spectrum` takes the k lowest eigenpairs by index and
-:func:`kernel_count` the near-zero window through
+The package solves its tridiagonal systems itself, in numpy and Python
+floats.  :func:`solve_tridiagonal` is LAPACK dgtsv's Gaussian elimination
+with partial pivoting, one sweep down and one up.
+:func:`tridiagonal_eigenpairs` selects eigenpairs by eigenvalue window,
+deterministically: Sturm counts (:func:`sturm_count`, the inertia of an
+LDL^T factorization) bracket each wanted eigenvalue until it is alone, and
+Rayleigh-quotient iteration, one solve per step, converges its pair.
+:func:`negative_spectrum` keeps the negative modes among the k lowest and
+:func:`kernel_count` reads the near-zero window through
 :func:`eigenpairs_between`.  A radial eigenfield is a
 :class:`fields.RadialExpField` on its radial parts (Y, Y', Y''), the data
 the exponential directions of :mod:`boosts` are built from.  Inside its
 trusted radius they are the not-a-knot cubic spline through the eigenvector
-samples (:func:`not_a_knot_spline`: one banded solve for the knot slopes)
-and its derivatives, each a piecewise coefficient array.
+samples (:func:`not_a_knot_spline`: one tridiagonal solve for the knot
+slopes) and its derivatives, each a piecewise coefficient array.
 
 An independent shooting oracle (outward ODE integration plus bisection on
 the sign of the far-field value) cross-checks the negative eigenvalues; the
@@ -31,7 +36,8 @@ oracle steps with Hairer's Fortran eighth-order Dormand-Prince code
 through the profile's radial function on a Python float, not through the
 point-array ``evaluate``.
 scipy.integrate and scipy.optimize load scipy's optimizer stack, so the
-oracle imports them when it first runs, not the module.
+oracle imports them when it first runs, not the module; nothing else here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .fields import RadialExpField, ScalarField, cylinder_points
 from .fitting import DecayFit, fit_exponential
@@ -57,6 +62,12 @@ NEGATIVE_TOL = 1e-10
 ORACLE_RTOL = 1e-11
 # step budget of one oracle integration; one takes about 200 steps
 ORACLE_NSTEPS = 10_000
+# machine epsilon and the smallest normal float
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+# Rayleigh-quotient steps one eigenpair may take; the radial operators'
+# pairs take 3
+RQI_STEPS = 64
 
 
 @dataclass
@@ -92,6 +103,209 @@ def assemble_radial(q: ScalarField, r_max: float = 30.0,
     main = (f3[:-1] + f3[1:]) / (h * h * r**3) - 3.0 * qv**2
     off = -f3[1:-1] / (h * h * np.sqrt((r[:-1] * r[1:]) ** 3))
     return RadialOperator(r=r, h=h, main=main, off=off, r_max=r_max)
+
+
+def sturm_count(diag: list, squares: list, pivmin: float) -> int:
+    """How many eigenvalues of the symmetric tridiagonal with diagonal diag
+    lie at or below 0, squares holding its squared off-diagonal after a
+    leading 0: the negative pivots of its LDL^T factorization, p_i = diag_i
+    - squares_i / p_{i-1} (Sylvester's law of inertia).  Lists of Python
+    floats.  As in LAPACK dstebz, a pivot smaller than pivmin in magnitude
+    counts as -pivmin, so that no quotient divides by 0 or overflows."""
+    count, p = 0, 1.0
+    for d, q in zip(diag, squares):
+        p = d - q / p
+        if p < pivmin:
+            if p > -pivmin:
+                p = -pivmin
+            count += 1
+    return count
+
+
+def solve_tridiagonal(lower, diag, upper, b) -> np.ndarray:
+    """x with T x = b for the tridiagonal T with sub-diagonal lower,
+    diagonal diag and super-diagonal upper.
+
+    LAPACK dgtsv's Gaussian elimination with partial pivoting, in Python
+    floats: one sweep down exchanges rows i and i + 1 where the
+    sub-diagonal entry is the larger, which fills in a second
+    super-diagonal, and one sweep up back-substitutes through both.  As in
+    LAPACK dlagts, a pivot smaller in magnitude than EPS times T's largest
+    entry (EPS for T = 0) is raised to that size, keeping its sign, so that
+    inverse iteration at an eigenvalue gets a finite, huge x along its
+    eigenvector, and no quotient overflows.
+    """
+    return _TridiagonalSolver(lower, upper).solve(diag, b)
+
+
+class _TridiagonalSolver:
+    """solve_tridiagonal for one pair of off-diagonals and any diagonal:
+    what a run of Rayleigh-quotient steps reuses, as Python floats."""
+
+    def __init__(self, lower, upper):
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        self.lower, self.upper = lower.tolist(), upper.tolist() + [0.0]
+        self.big = np.abs(lower).tolist()
+        self.scale = max(float(np.max(np.abs(lower), initial=0.0)),
+                         float(np.max(np.abs(upper), initial=0.0)))
+
+    def solve(self, diag, b) -> np.ndarray:
+        diag = np.asarray(diag, dtype=float)
+        tiny = EPS * (max(self.scale, float(np.max(np.abs(diag)))) or 1.0)
+        diag, upper = diag.tolist(), self.upper
+        b = np.asarray(b, dtype=float).tolist()
+        # the rows of U: pivot, super-diagonal, second super-diagonal, right
+        # side
+        rows, p, u, y = [], diag[0], upper[0], b[0]
+        for lo, big, dn, un, bn in zip(self.lower, self.big, diag[1:],
+                                       upper[1:], b[1:]):
+            size = p if p >= 0.0 else -p
+            if size >= big or big < tiny:
+                if size < tiny:
+                    p = tiny if p >= 0.0 else -tiny
+                w = lo / p
+                rows.append((p, u, 0.0, y))
+                p, u, y = dn - w * u, un, bn - w * y
+            else:  # row i + 1 becomes the pivot row
+                w = p / lo
+                rows.append((lo, dn, un, bn))
+                p, u, y = u - w * dn, -w * un, y - w * bn
+        if -tiny < p < tiny:
+            p = tiny if p >= 0.0 else -tiny
+        rows.append((p, 0.0, 0.0, y))
+        x1 = x2 = 0.0  # x_{i+1}, x_{i+2}
+        xs = []
+        for p, u, f, y in reversed(rows):
+            x1, x2 = (y - u * x1 - f * x2) / p, x1
+            xs.append(x1)
+        xs.reverse()
+        return np.array(xs)
+
+
+def _unit_beside(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """v orthogonalized against Q's orthonormal columns (twice, which is
+    enough) and normalized."""
+    for _ in range(2 if Q.shape[1] else 0):
+        v = v - Q @ (Q.T @ v)
+    return v / np.linalg.norm(v)
+
+
+def tridiagonal_eigenpairs(main, off, lo: float, hi: float,
+                           limit: int | None = None) -> tuple:
+    """(eigenvalues, vectors) of the symmetric tridiagonal T with diagonal
+    main and off-diagonal off: every eigenpair with eigenvalue in (lo, hi],
+    or only the `limit` lowest of them, ascending, the vectors unit
+    columns.
+
+    It works on T / 2^e, 2^e the power of 2 with ||T|| < 2^e <= 2 ||T||
+    (||T|| bounded by Gershgorin's discs), which is exact and keeps every
+    quotient in range; its tolerances are in units of EPS 2^e.  Sturm
+    counts give the window's count and bisect it until each wanted
+    eigenvalue is alone in its bracket; eigenvalues closer than 4 EPS 2^e
+    share one.  Each bracket is halved further until its midpoint is 16
+    times nearer its eigenvalue than any other eigenvalue can be.  Each
+    pair then comes from Rayleigh-quotient iteration started at that
+    midpoint from a quasi-random vector, one
+    :func:`solve_tridiagonal` per step, its right side orthogonalized
+    against the window's earlier vectors.  A quotient outside the bracket
+    is not taken: a Sturm count halves the bracket and the next step starts
+    at its midpoint.  The iteration stops when the quotient's residual
+    ||T u - quotient u||, which each step reads off its solve, falls to
+    TOL = EPS 2^e.  Then the bracket, or two Sturm counts where the
+    quotient lies within 2 TOL of its ends, must confirm that the quotient
+    is eigenvalue j to 2 TOL.
+    """
+    main = np.asarray(main, dtype=float)
+    off = np.asarray(off, dtype=float)
+    n = len(main)
+    # Gershgorin radii: every eigenvalue lies in [floor, ceiling], and
+    # ||T|| <= max(|main| + radius)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    unit = 2.0 ** math.frexp(float(np.max(np.abs(main) + radius)))[1]
+    main, off, radius = main / unit, off / unit, radius / unit
+    lo, hi = lo / unit, hi / unit
+    squares = off * off
+    # LAPACK dstebz's pivmin
+    pivmin = TINY * max(1.0, float(np.max(squares, initial=0.0)))
+    floor, ceiling = np.min(main - radius), np.max(main + radius)
+    slack = 2.0 * EPS + pivmin
+    lo, hi = max(lo, floor - slack), min(hi, ceiling + slack)
+    if not lo < hi:
+        return np.empty(0), np.empty((n, 0))
+    squares = [0.0] + squares.tolist()
+
+    def count(sigma):
+        """How many eigenvalues lie at or below sigma."""
+        return sturm_count((main - sigma).tolist(), squares, pivmin)
+
+    # below the Gershgorin interval nothing lies, above it everything
+    first = 0 if lo < floor else count(lo)
+    top = n if hi > ceiling else count(hi)
+    last = top if limit is None else min(top, first + limit)
+    brackets, todo = {}, [(lo, hi, first, top)]
+    while todo:
+        a, b, ca, cb = todo.pop()
+        if ca >= min(cb, last):
+            continue
+        if cb - ca == 1 or b - a <= 4.0 * EPS:
+            brackets.update((j, (a, b)) for j in range(ca, cb))
+            continue
+        m = 0.5 * (a + b)
+        cm = count(m)
+        todo += [(m, b, cm, cb), (a, m, ca, cm)]
+    tol = EPS
+    solver = _TridiagonalSolver(off, off)
+    # start vectors sin((j + 1) i), one per eigenpair, in place of LAPACK
+    # dstein's random ones (numpy.random takes 11 ms to import); none is
+    # even or odd under the reflection i -> n + 1 - i, so a persymmetric T's
+    # eigenvectors of either parity are reached
+    index = np.arange(1, n + 1)
+    vals, vecs = [], np.empty((n, 0))
+    for j in range(first, last):
+        a, b = brackets[j]
+        # every other eigenvalue lies outside (outer_a, outer_b]: halve the
+        # bracket until its midpoint is 16 times nearer eigenvalue j than
+        # that, so that each inverse-iteration step gains that factor
+        outer_a, outer_b = a, b
+        while b - a > 4.0 * EPS:
+            m = 0.5 * (a + b)
+            if 8.0 * (b - a) <= min(m - outer_a, outer_b - m):
+                break
+            a, b = (m, b) if count(m) <= j else (a, m)
+        sigma, v = 0.5 * (a + b), np.sin((j + 1.0) * index)
+        for _ in range(RQI_STEPS):
+            v = _unit_beside(v, vecs)
+            x = solver.solve(main - sigma, v)
+            size = float(np.linalg.norm(x))
+            # (T - sigma) x = v gives x's Rayleigh quotient and, for
+            # u = x / size, ||T u - quotient u|| = sin(v, u) / size
+            cos = float(v @ x) / size
+            quotient = sigma + cos / size
+            v = x / size
+            if math.sqrt(max(0.0, 1.0 - cos * cos)) <= tol * size:
+                break
+            if a < quotient < b:
+                sigma = quotient
+            else:
+                m = 0.5 * (a + b)
+                a, b = (m, b) if count(m) <= j else (a, m)
+                sigma = 0.5 * (a + b)
+        else:
+            raise RuntimeError(f"eigenpair {j} did not converge in "
+                               f"{RQI_STEPS} Rayleigh-quotient steps")
+        inside = a + 2.0 * tol < quotient <= b - 2.0 * tol
+        if not (inside or count(quotient - 2.0 * tol) <= j
+                < count(quotient + 2.0 * tol)):
+            raise RuntimeError(f"eigenvalue {j} converged to {quotient!r}, "
+                               f"outside its bracket ({a!r}, {b!r}]")
+        vals.append(quotient)
+        # the last solve amplifies the earlier vectors of a cluster as much
+        # as v's own direction: project them out once more
+        vecs = np.column_stack([vecs, _unit_beside(v, vecs)])
+    return np.array(vals) * unit, vecs
 
 
 @dataclass(frozen=True)
@@ -135,29 +349,27 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
     """The not-a-knot cubic spline through (x, y), x increasing, n >= 4
     knots: twice continuously differentiable, with a continuous third
     derivative at x[1] and x[-2].  The knot slopes s solve one tridiagonal
-    system, the one scipy's ``CubicSpline`` solves."""
+    system, the one scipy's ``CubicSpline`` solves, by
+    :func:`solve_tridiagonal`."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if len(x) < 4:
         raise ValueError("a not-a-knot spline needs at least 4 knots")
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    # banded rows: upper diagonal, diagonal, lower diagonal
-    A = np.zeros((3, len(x)))
-    A[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[2, :-2] = dx[1:]
+    # the tridiagonal rows: sub-diagonal, diagonal, super-diagonal
+    lower, diag, upper = np.empty(len(dx)), np.empty(len(x)), np.empty(len(dx))
+    lower[:-1], diag[1:-1], upper[1:] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
     b = np.empty(len(x))
     b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     # not-a-knot ends: the first two pieces are one cubic, as are the last two
     d = x[2] - x[0]
-    A[1, 0], A[0, 1] = dx[1], d
+    diag[0], upper[0] = dx[1], d
     b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
     d = x[-1] - x[-3]
-    A[1, -1], A[2, -2] = dx[-2], d
+    diag[-1], lower[-1] = dx[-2], d
     b[-1] = (dx[-1]**2 * slope[-2]
              + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    s = solve_tridiagonal(lower, diag, upper, b)
     # Hermite form of each piece from its end values and slopes
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     return PiecewisePoly(x, np.stack([t / dx, (slope - s[:-1]) / dx - t,
@@ -233,8 +445,8 @@ class SpectralResult:
 
 
 def negative_spectrum(op: RadialOperator, k: int = 4) -> SpectralResult:
-    """The k lowest eigenpairs; eigenvalues below -NEGATIVE_TOL count as
-    negative.
+    """The negative modes among the k lowest eigenpairs: those with
+    eigenvalue below -NEGATIVE_TOL, the only ones it solves for.
 
     Each negative mode's field is normalized in L2(R^4) and positive at
     the axis; the Gram matrix pairs the normalized eigenvectors of the
@@ -242,10 +454,8 @@ def negative_spectrum(op: RadialOperator, k: int = 4) -> SpectralResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    vals, vecs = eigh_tridiagonal(op.main, op.off, select="i",
-                                  select_range=(0, k - 1))
-    # ascending eigenvalues: the negative modes are the first ones
-    U = vecs[:, :int(np.count_nonzero(vals < -NEGATIVE_TOL))]
+    vals, U = tridiagonal_eigenpairs(op.main, op.off, -math.inf,
+                                     -NEGATIVE_TOL, limit=k)
     weight = 2.0 * math.pi**2 * op.h  # |u|^2 sums to L2(R^4) with this
     fields, lams, eigs, resid = [], [], [], []
     for val, u in zip(vals, U.T):
@@ -264,9 +474,8 @@ def negative_spectrum(op: RadialOperator, k: int = 4) -> SpectralResult:
 
 def eigenpairs_between(op: RadialOperator, lo: float, hi: float) -> tuple:
     """(eigenvalues, vectors) of every eigenpair with eigenvalue in
-    [lo, hi], densely from the tridiagonal matrix."""
-    return eigh_tridiagonal(op.main, op.off, select="v",
-                            select_range=(lo, hi))
+    (lo, hi], ascending, from the tridiagonal matrix."""
+    return tridiagonal_eigenpairs(op.main, op.off, lo, hi)
 
 
 def kernel_count(op: RadialOperator, near_zero_fields=None) -> dict:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fields import (
     AffineField,
@@ -160,7 +159,11 @@ class TransformParams:
 
 
 def rotation_matrix(theta) -> np.ndarray:
-    """exp of the antisymmetric matrix with upper entries theta_ij."""
+    """exp of the antisymmetric matrix with upper entries theta_ij, by
+    scipy's ``expm``, imported here so that importing the package loads no
+    scipy."""
+    from scipy.linalg import expm
+
     th = np.asarray(theta, dtype=float)
     if th.shape != (6,):
         raise ValueError("need 6 rotation angles (ij), 1<=i<j<=4")

@@ -311,9 +311,11 @@ def test_input_a_suite_refuses_exits_2_with_one_line(tmp_path, capsys, args):
 
 
 def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):
-    """The package, the command line, the ground eigenpair every workload
-    sets up and a suite run without a config file import neither scipy's
-    optimizer stack nor jsonschema; their users import them."""
+    """The package, the command line and the ground eigenpair every
+    workload sets up import no scipy module at all: the package solves its
+    tridiagonal systems itself.  A suite run without a config file then
+    imports neither scipy's optimizer stack nor jsonschema; their users
+    import them."""
     import subprocess
     import sys
     from pathlib import Path
@@ -324,6 +326,7 @@ def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):
         "import wave4d, wave4d.cli\n"
         "from wave4d import cli, spectrum\n"
         "spectrum.ground_eigenpair()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "assert cli.main(['--out', sys.argv[2], 'states']) == 0\n"
         "assert cli.main(['--out', sys.argv[2], 'shoot', '--h', '0']) == 2\n"
         "print(sorted({'scipy.integrate', 'scipy.interpolate',\n"
@@ -331,4 +334,6 @@ def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(src),
                           str(tmp_path)], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"

