@@ -22,10 +22,13 @@ soliton sum, grid-based modulation parameters, exponential-direction
 pairings and the bootstrap-inequality margins on cylinder snapshots.  The
 shooting experiment integrates backward in time (exact time reflection),
 on the radial grid, and bisects on the outgoing amplitude that maximizes
-the time spent inside the deviation tube.  Edge values are evaluated again
-only when the soliton centers move.  GridBasis samples the soliton sum as
-one more column of the decomposition basis's one sampling.  Both only
-translate in a speed-ell configuration, so a run hands GridBasis its
+the time spent inside the deviation tube.  The single soliton of the evolve
+suite, the mode rates and the shooting experiment is the ground row of
+interactions.PROFILES (soliton_config).  The pinned edges are evaluated in
+one call per step, on all the edges' points joined; a configuration at rest
+is evaluated once, when its background is built.  GridBasis samples the
+soliton sum as one more column of the decomposition basis's one sampling.
+Both only translate in a speed-ell configuration, so a run hands GridBasis its
 monitor times and GridBasis samples each sub-grid phase ell t / h1 mod 1
 among them once, over the x1 rows those times read (the grid plus the rows
 beyond it that the solitons cross).  Each time is served the window of
@@ -43,12 +46,11 @@ from .fields import (FieldPair, Grid2DCyl, GridRadial, ScalarField,
                      cylinder_points, eval_on_grid, grid_gradient,
                      grid_h_norm_sq, grid_weights, laplacian_operator,
                      pair_sampler, pair_sum)
-from .interactions import MultiSolitonConfig
+from .interactions import MultiSolitonConfig, soliton_config
 from .modulation import ModulationState, _soliton_pairs, _split_z, \
     _z_columns, basis_pairs, build_initial_data, exp_direction_family
 from .quadrature import QuadratureSpec
 from .spectrum import ground_eigenpair
-from .states import ground_state, symmetry_generator
 
 BLOWUP_FACTOR = 1e3
 # dt / min(h1, hr); the stencil is stable up to 0.5
@@ -61,9 +63,7 @@ KEPT_PHASES = 4
 PHASE_TOL = 1e-9
 # GridBasis samples its rows in blocks of about this many points
 _BLOCK_POINTS = 4096
-# measure_mode_rates halves a seed amplitude up to MODE_RETRIES times for a
-# fit window; the growing mode's window ends below MODE_AMPLITUDE_CAP
-MODE_RETRIES = 2
+# measure_mode_rates fits the growing mode on amplitudes below this cap
 MODE_AMPLITUDE_CAP = 0.02
 
 
@@ -187,21 +187,6 @@ def grid_energy_momentum(u: np.ndarray, v: np.ndarray,
     e = 0.5 * (d1**2 + dr**2 + v**2) - 0.25 * u**4
     p = v * d1
     return float(np.sum(e * w)), float(np.sum(p * w))
-
-
-def _by_centers(cfg: MultiSolitonConfig, sample):
-    """t -> sample(t), taken again only when cfg.centers(t) moves.  Only
-    the last sampling is kept; it is dropped before the next is taken."""
-    kept = {}
-
-    def at(t: float):
-        centers = cfg.centers(t)
-        if centers not in kept:
-            kept.clear()
-            kept[centers] = sample(t)
-        return kept[centers]
-
-    return at
 
 
 @dataclass
@@ -379,15 +364,21 @@ class MonitorSeries:
 
 
 def soliton_background(cfg: MultiSolitonConfig, grid):
-    """Edge-value callback pinning grid.edges to the soliton sum,
-    evaluated again only when the soliton centers move."""
-    edge_pts = [grid.points(e) for e in grid.edges]
+    """Edge-value callback pinning grid.edges to the soliton sum.  Each
+    call evaluates every edge at once, on their points joined; a
+    configuration at rest is evaluated once, here."""
+    points = [grid.points(e) for e in grid.edges]
+    X = np.concatenate(points)
+    cuts = np.cumsum([len(P) for P in points])[:-1]
 
     def edges(t: float):
-        Q = cfg.traveling_profiles(t)
-        return tuple(sum(q.evaluate(P) for q in Q) for P in edge_pts)
+        values = sum(q.evaluate(X) for q in cfg.traveling_profiles(t))
+        return tuple(np.split(values, cuts))
 
-    return _by_centers(cfg, edges)
+    if any(cfg.speeds):
+        return edges
+    at_rest = edges(0.0)
+    return lambda t: at_rest
 
 
 def soliton_center(u: np.ndarray, grid: Grid2DCyl) -> float:
@@ -469,17 +460,6 @@ def bootstrap_margins(series: MonitorSeries, c0: float) -> dict:
                 all_hold=first_violation is None)
 
 
-def single_soliton_config(ell: float) -> MultiSolitonConfig:
-    """W traveling at speed ell, with the scaling generator as its slow
-    direction and translation_1 as its one kernel direction."""
-    W = ground_state()
-    return MultiSolitonConfig(
-        profiles=[W], speeds=[ell], signs=[1], a=np.zeros(1),
-        b=np.zeros((1, 1)),
-        slow=[symmetry_generator(W, "scaling")],
-        kernels=[[symmetry_generator(W, "translation_1")]])
-
-
 def default_grid_for(ell: float, t_span: float, margin: float = 12.0,
                      h: float = 0.1) -> Grid2DCyl:
     """Domain large enough that outgoing radiation cannot return, with x1
@@ -500,18 +480,19 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
                        ) -> dict:
     """Fitted exponential rates of both direction pairings.
 
-    Seeds W_ell + eps * direction, subtracts the unseeded baseline run (the
-    grid's quasistatic drift carries its own small pairings), and fits
-    log |z| on the window between the baseline floor and the nonlinear
-    amplitude cap.  The outgoing pairing decays at -rate and the incoming
-    one grows at +rate, rate = lam sqrt(1 - ell^2); the seeded direction
-    excites exactly the pairing of the opposite sign.
+    Seeds W_ell + eps * direction (8 eps for the decaying mode), subtracts
+    the unseeded baseline run (the grid's quasistatic drift carries its own
+    small pairings), and fits log |z| on the window between the baseline
+    floor and the nonlinear amplitude cap; a seeded run with no such window
+    raises RuntimeError.  The outgoing pairing decays at -rate and the
+    incoming one grows at +rate, rate = lam sqrt(1 - ell^2); the seeded
+    direction excites exactly the pairing of the opposite sign.
     """
     rate = lam * math.sqrt(1.0 - ell**2)
     if t_max is None:  # whole cadences, so that the last monitor is on one
         t_max = cadence * math.ceil(4.2 / rate / cadence)
     grid = default_grid_for(ell, t_max, margin=10.0, h=h)
-    cfg = single_soliton_config(ell)
+    cfg = soliton_config("ground", [ell])
     basis = GridBasis(cfg, grid, [(lam, Y)])
     bg = soliton_background(cfg, grid)
     dirs = basis.directions[0][0]
@@ -539,30 +520,25 @@ def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
         d = dirs["+" if sign > 0 else "-"]
         du0 = eval_on_grid(d.pair.first, grid)
         dv0 = eval_on_grid(d.pair.second, grid)
-        attempt_eps = eps if sign > 0 else 8.0 * eps
-        for _ in range(MODE_RETRIES + 1):
-            ts, zp, zm = z_series(attempt_eps * du0, attempt_eps * dv0)
-            base = zm_b if sign > 0 else zp_b
-            z = np.abs((zm if sign > 0 else zp) - base[:len(ts)])
-            ok = z > 1e-13
-            if sign > 0:
-                ok &= z < MODE_AMPLITUDE_CAP
-            else:
-                ok &= z > max(z[0] * math.exp(-3.0), 1e-13)
-                # drop trailing floor-dominated samples
-                below = np.nonzero(~ok)[0]
-                if below.size:
-                    ok[below[0]:] = False
-            if np.sum(ok) >= 4 and z[ok].max() / z[ok].min() >= math.e:
-                slope, _ = np.polyfit(ts[ok], np.log(z[ok]), 1)
-                out[key] = dict(rate=float(slope), eps=attempt_eps,
-                                expected=rate * sign,
-                                window=(float(ts[ok].min()),
-                                        float(ts[ok].max())))
-                break
-            attempt_eps *= 0.5
+        seed_eps = eps if sign > 0 else 8.0 * eps
+        ts, zp, zm = z_series(seed_eps * du0, seed_eps * dv0)
+        base = zm_b if sign > 0 else zp_b
+        z = np.abs((zm if sign > 0 else zp) - base[:len(ts)])
+        ok = z > 1e-13
+        if sign > 0:
+            ok &= z < MODE_AMPLITUDE_CAP
         else:
+            ok &= z > max(z[0] * math.exp(-3.0), 1e-13)
+            # drop trailing floor-dominated samples
+            below = np.nonzero(~ok)[0]
+            if below.size:
+                ok[below[0]:] = False
+        if np.sum(ok) < 4 or z[ok].max() / z[ok].min() < math.e:
             raise RuntimeError(f"no usable fit window for the {key} mode")
+        slope, _ = np.polyfit(ts[ok], np.log(z[ok]), 1)
+        out[key] = dict(rate=float(slope), eps=seed_eps,
+                        expected=rate * sign,
+                        window=(float(ts[ok].min()), float(ts[ok].max())))
     out["alpha"] = rate
     return out
 
@@ -582,9 +558,11 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
 
     W, the data and the Z- partner are radial, so every run steps the
     radial grid (report key "grid") of spacing h and radius T - t_end + 10.
+    A bracket whose ends both persist to the end, or exit on the same side,
+    cannot hold the optimum: it raises ValueError.
     """
     lam, Y = ground_eigenpair() if lam_Y is None else lam_Y
-    cfg = single_soliton_config(0.0)
+    cfg = soliton_config("ground", [0.0])
     dirs = exp_direction_family(cfg, [(lam, Y)])
     spec = QuadratureSpec(nodes=8, r_max=25.0)
     s_ref = 1e-4
@@ -638,10 +616,10 @@ def shooting_experiment(T: float = 20.0, bracket=(-6e-3, 6e-3),
     sweep = [record(float(s)) for s in np.linspace(lo, hi, n_sweep)]
     r_lo, r_hi = record(lo), record(hi)
     if r_lo["exit_tau"] >= tau_max and r_hi["exit_tau"] >= tau_max:
-        raise RuntimeError("both bracket ends persist to the end; "
-                           "widen the amplitude bracket")
+        raise ValueError("both bracket ends persist to the end; "
+                         "widen the amplitude bracket")
     if r_lo["exit_sign"] == r_hi["exit_sign"]:
-        raise RuntimeError("bracket ends exit on the same side; widen it")
+        raise ValueError("bracket ends exit on the same side; widen it")
     a, b = lo, hi
     sa = r_lo["exit_sign"]
     best = max([r_lo, r_hi], key=lambda r: r["exit_tau"])

@@ -18,40 +18,35 @@ class DecayFit:
     model: str = "loglog"
 
 
-def _r2(y, yhat):
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+def _line(x, u, v, model: str) -> DecayFit:
+    """Least-squares line v = slope * u + intercept with its r^2, over the
+    window of the samples x; u and v are transforms of x and y."""
+    if x.size < 3:
+        raise ValueError(f"need at least 3 samples, got {x.size}")
+    slope, intercept = np.polyfit(u, v, 1)
+    ss_res = float(np.sum((v - (slope * u + intercept)) ** 2))
+    ss_tot = float(np.sum((v - np.mean(v)) ** 2))
     if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
+        r2 = 1.0 if ss_res == 0.0 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return DecayFit(float(slope), float(intercept), r2,
+                    (float(x.min()), float(x.max())), model=model)
 
 
 def fit_loglog(x, y) -> DecayFit:
     """Fit log|y| = slope * log x + intercept (power-law rate)."""
     x = np.asarray(x, dtype=float)
     y = np.abs(np.asarray(y, dtype=float))
-    if x.size < 3:
-        raise ValueError(f"need at least 3 samples, got {x.size}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs positive samples")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return DecayFit(float(slope), float(intercept),
-                    _r2(ly, slope * lx + intercept),
-                    (float(x.min()), float(x.max())), model="loglog")
+    return _line(x, np.log(x), np.log(y), "loglog")
 
 
 def fit_log_linear(x, y) -> DecayFit:
     """Fit y = slope * log x + intercept (logarithmic growth laws)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ValueError(f"need at least 3 samples, got {x.size}")
-    lx = np.log(x)
-    slope, intercept = np.polyfit(lx, y, 1)
-    return DecayFit(float(slope), float(intercept),
-                    _r2(y, slope * lx + intercept),
-                    (float(x.min()), float(x.max())), model="log-linear")
+    return _line(x, np.log(x), np.asarray(y, dtype=float), "log-linear")
 
 
 def fit_exponential(x, y, poly_correction: float = 0.0) -> DecayFit:
@@ -64,15 +59,10 @@ def fit_exponential(x, y, poly_correction: float = 0.0) -> DecayFit:
     """
     x = np.asarray(x, dtype=float)
     y = np.abs(np.asarray(y, dtype=float))
-    if x.size < 3:
-        raise ValueError(f"need at least 3 samples, got {x.size}")
     if np.any(y <= 0):
         raise ValueError("exponential fit needs nonzero samples")
-    ly = np.log(y) + poly_correction * np.log(x)
-    slope, intercept = np.polyfit(x, ly, 1)
-    return DecayFit(float(slope), float(intercept),
-                    _r2(ly, slope * x + intercept),
-                    (float(x.min()), float(x.max())), model="exponential")
+    return _line(x, x, np.log(y) + poly_correction * np.log(x),
+                 "exponential")
 
 
 def sup_on_spheres(f, radii, n_dirs: int = 64, seed: int = 7):

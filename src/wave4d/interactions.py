@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .fields import FormulaField, ScalarField, sum_field
 from .fitting import DecayFit, fit_log_linear, fit_loglog
 from .quadrature import (QuadratureSpec, integrate_callable, join_symmetry,
                          product_degree, sum_degree)
-from .states import translate
+from .states import (ground_state, surrogate_excited_state,
+                     symmetry_generator, translate)
 
 PARAM_THRESHOLD = 0.1
 
@@ -128,6 +130,38 @@ def two_soliton_config(profile: ScalarField, slow: ScalarField, kernels,
         a=np.zeros(n) if a is None else np.asarray(a, dtype=float),
         b=np.zeros((n, k)) if b is None else np.asarray(b, dtype=float),
         slow=[slow] * n, kernels=[list(kernels)] * n)
+
+
+@dataclass(frozen=True)
+class SolitonProfile:
+    """A row of PROFILES: the profile's constructor, the generator id of
+    its slow direction, those of its kernel directions, and the power p of
+    its interaction law ||G1|| ~ t^-p."""
+
+    build: Callable[[], ScalarField]
+    slow: str
+    kernels: tuple
+    g1_power: int
+
+    def fields(self) -> tuple:
+        """(profile, slow field, [kernel fields]), built afresh."""
+        Q = self.build()
+        return (Q, symmetry_generator(Q, self.slow),
+                [symmetry_generator(Q, g) for g in self.kernels])
+
+
+PROFILES = {
+    "surrogate": SolitonProfile(surrogate_excited_state, "conformal_4",
+                                ("scaling", "translation_1"), 4),
+    "ground": SolitonProfile(ground_state, "scaling", ("translation_1",), 2),
+}
+
+
+def soliton_config(profile: str, speeds) -> MultiSolitonConfig:
+    """One soliton of PROFILES[profile] per speed, with the row's slow and
+    kernel directions and zero corrections."""
+    return two_soliton_config(*PROFILES[profile].fields(),
+                              speeds=tuple(speeds))
 
 
 class GAssembly:

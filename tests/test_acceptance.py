@@ -13,14 +13,15 @@ from wave4d.boosts import build_exp_directions, pair_vector
 from wave4d.energy import coercivity_probe
 from wave4d.evolver import (CylWaveEvolver, GridBasis, evolve,
                             measure_mode_rates, shooting_experiment,
-                            single_soliton_config, soliton_background)
+                            soliton_background)
 from wave4d.fields import (Grid2DCyl, GridRadial, eval_on_grid,
                            grid_h_norm_sq, inner_pair_l2, norm_pair,
                            stationary_residual_norm)
 from wave4d.fitting import fit_loglog
 from wave4d.interactions import (g_part_norms, interaction_rate_table,
                                  sigma_rate, slow_pairing_lawcheck,
-                                 slow_pairing_series, two_soliton_config)
+                                 slow_pairing_series, soliton_config,
+                                 two_soliton_config)
 from wave4d.modulation import build_initial_data, decompose, \
     exp_direction_family
 from wave4d.quadrature import QuadratureSpec
@@ -149,7 +150,7 @@ def test_criterion_05_interaction_rates():
             f"max_slope_gap={max(gaps):.2f} min_log_coeff={min(coeffs):.2f}")
 
 
-def test_criterion_06_g1_law(W, Qs):
+def test_criterion_06_g1_law(Qs):
     spec = QuadratureSpec(nodes=8, r_max=40.0)
     times = [10.0, 20.0, 40.0, 80.0]
     cfg_s = two_soliton_config(
@@ -157,9 +158,7 @@ def test_criterion_06_g1_law(W, Qs):
         [symmetry_generator(Qs, "scaling")])
     slope_s = fit_loglog(times, [g_part_norms(cfg_s, t, spec)["g1"]
                                  for t in times]).slope
-    cfg_w = two_soliton_config(
-        W, symmetry_generator(W, "scaling"),
-        [symmetry_generator(W, "translation_1")])
+    cfg_w = soliton_config("ground", (-0.5, 0.5))
     slope_w = fit_loglog(times, [g_part_norms(cfg_w, t, spec)["g1"]
                                  for t in times]).slope
     ok = -4.5 <= slope_s <= -3.5 and -2.5 <= slope_w <= -1.5
@@ -183,11 +182,9 @@ def test_criterion_07_log_law(Qs):
             f"slope_rel={worst:.3f} cross_sup={bound:.3f}")
 
 
-def test_criterion_08_modulation_roundtrip(Qs, ground_eigen):
+def test_criterion_08_modulation_roundtrip(ground_eigen):
     spec = QuadratureSpec(nodes=6, r_max=25.0)
-    cfg = two_soliton_config(
-        Qs, symmetry_generator(Qs, "conformal_4"),
-        [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")])
+    cfg = soliton_config("surrogate", (-0.5, 0.5))
     dirs = exp_direction_family(cfg, [ground_eigen])
     ratios = []
     worst_rel = 0.0
@@ -238,7 +235,7 @@ def test_criterion_09_coercivity(W, ground_eigen):
 
 def test_criterion_10_evolution_suite(W, ground_eigen):
     # stationary persistence at a fixed window with order-2 refinement
-    cfg0 = single_soliton_config(0.0)
+    cfg0 = soliton_config("ground", [0.0])
     devs = {}
     for h in (0.1, 0.05):
         grid = Grid2DCyl(-14.0, 14.0, int(28 / h) + 1, 14.0, int(14 / h) + 1)
@@ -253,7 +250,7 @@ def test_criterion_10_evolution_suite(W, ground_eigen):
 
     # boosted transport: speed, corrected conservation drift
     ell = 0.4
-    cfgb = single_soliton_config(ell)
+    cfgb = soliton_config("ground", [ell])
     grid = Grid2DCyl(-14.0, 18.0, 641, 14.0, 281)
     basis = GridBasis(cfgb, grid, [ground_eigen])
     series = evolve(pair_vector(W, ell, 1), 0.0, 6.0, grid, basis=basis,

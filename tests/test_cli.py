@@ -293,9 +293,10 @@ def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
     ["energy", "--gamma", "2"], ["energy", "--ell", "1.5"],
     ["interactions", "--speeds", "0.5,-0.5"],
     ["interactions", "--times", "10,20"], ["spectrum", "--k", "0"],
-    ["states", "--grid_sizes", "200"]],
+    ["states", "--grid_sizes", "200"],
+    ["shoot", "--bracket", "0.001,0.002"]],
     ids=["missing_config", "malformed_config", "gamma", "ell", "speeds",
-         "times", "k", "grid_sizes"])
+         "times", "k", "grid_sizes", "bracket"])
 def test_input_a_suite_refuses_exits_2_with_one_line(tmp_path, capsys, args):
     """A config file that cannot be opened or parsed, and input that a
     suite's own checks refuse, each printed a traceback and exited 1, the
@@ -308,6 +309,22 @@ def test_input_a_suite_refuses_exits_2_with_one_line(tmp_path, capsys, args):
     assert main(["--out", str(out)] + args) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert not list(out.glob("*_summary.json"))
+
+
+def test_spectrum_without_a_negative_mode_writes_its_summary(tmp_path):
+    """At r_max 2 the grid operator has no negative eigenvalue.  The run
+    died with an IndexError and wrote no summary; it now writes one and
+    exits 1, the count row failing at 0 and the rows that need lam_1
+    failing."""
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "spectrum", "--r_max", "2"]) == 1
+    summary = json.loads((out / "spectrum_summary.json").read_text())
+    rows = {c["name"]: c for c in summary["criteria"]}
+    count = rows["exactly one negative eigenvalue"]
+    assert count["value"] == 0 and not count["passed"]
+    assert not rows["grid vs shooting rate <= 1%"]["passed"]
+    assert not rows["eigenfield decay rate within 10%"]["passed"]
+    assert not summary["all_passed"]
 
 
 def test_set_up_and_a_plain_run_leave_the_optimizer_stack_unloaded(tmp_path):

@@ -9,11 +9,12 @@ from wave4d.evolver import (CFL, CylWaveEvolver, GridBasis,
                             bootstrap_margins, default_grid_for, evolve,
                             grid_energy_momentum, grid_modulation,
                             measure_mode_rates, monitor_times,
-                            shooting_experiment, single_soliton_config,
-                            soliton_background, soliton_center, time_step)
+                            shooting_experiment, soliton_background,
+                            soliton_center, time_step)
 from wave4d.fields import (Grid2DCyl, GridRadial, cylinder_points,
                            eval_on_grid, grid_gradient, grid_h_norm_sq,
                            grid_weights, laplacian_operator, pair_sum)
+from wave4d.interactions import soliton_config
 from wave4d.modulation import (ModulationState, _soliton_pairs,
                                build_initial_data, exp_direction_family,
                                modulation_residuals)
@@ -153,7 +154,7 @@ def test_cylinder_and_radial_runs_agree_at_second_order(ground_eigen):
     differ by 3.75e-4 at h = 0.24 and 9.2e-5 at h = 0.12.  A radial axis
     row of 3 drr still refines at order 2 here, but from 5.7e-3, so the
     bound at h = 0.24 is what catches it."""
-    cfg = single_soliton_config(0.0)
+    cfg = soliton_config("ground", [0.0])
     dirs = exp_direction_family(cfg, [ground_eigen])
     phi = build_initial_data(cfg, 20.0, np.array([[1e-4]]), dirs,
                              QuadratureSpec(nodes=8, r_max=25.0),
@@ -207,7 +208,7 @@ def test_in_place_step_matches_fresh_array_leapfrog(W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
     bump = 0.02 * np.exp(-((grid.x1[:, None] - 1.0) ** 2
                            + grid.r[None, :] ** 2))
-    bg = soliton_background(single_soliton_config(0.0), grid)
+    bg = soliton_background(soliton_config("ground", [0.0]), grid)
     u0, v0 = eval_on_grid(W, grid) + bump, -bump
     ev = CylWaveEvolver(grid, u0, v0, background=bg)
     for _ in range(50):
@@ -239,7 +240,7 @@ def test_time_reversal_second_order(grid):
 
 def test_v_sync_reuses_the_last_force(W):
     grid = Grid2DCyl(-8.0, 8.0, 161, 8.0, 81)
-    background = soliton_background(single_soliton_config(0.0), grid)
+    background = soliton_background(soliton_config("ground", [0.0]), grid)
     ev = CylWaveEvolver(grid, eval_on_grid(W, grid),
                         np.zeros((grid.n1, grid.nr)), background=background)
     for _ in range(7):
@@ -275,10 +276,10 @@ def _whole_grid_fills(monkeypatch) -> list:
 
 @pytest.mark.parametrize("ell", [0.0, 0.4])
 def test_background_edges_evaluated_when_the_centers_move(monkeypatch, ell):
-    """The pinned edges are a fresh per-t evaluation's values, bit for bit,
-    and are evaluated once across a run at rest and once per step when the
-    soliton moves."""
-    cfg = single_soliton_config(ell)
+    """The pinned edges equal each edge's own evaluation at t, bit for bit,
+    though all edges are evaluated in one call, once across a run at rest
+    and once per step when the soliton moves."""
+    cfg = soliton_config("ground", [ell])
     grid = default_grid_for(ell, 14.0, margin=10.0, h=0.12)  # 401 x 201
     evals = _counted(monkeypatch, cfg, "traveling_profiles")
     background = soliton_background(cfg, grid)
@@ -293,10 +294,12 @@ def test_background_edges_evaluated_when_the_centers_move(monkeypatch, ell):
     ev.run_until(1.2)
     assert len(steps) >= 25
     assert len(evals) == (1 if ell == 0.0 else len(steps))
+    fresh = soliton_config("ground", [ell])
     for t in (0.0, steps[0], steps[-1], 3.7, 14.0):
-        fresh = soliton_background(single_soliton_config(ell), grid)(t)
-        for got, ref in zip(background(t), fresh, strict=True):
-            assert np.array_equal(got, ref)
+        Q = fresh.traveling_profiles(t)
+        ref = [sum(q.evaluate(grid.points(e)) for q in Q) for e in grid.edges]
+        for got, want in zip(background(t), ref, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
@@ -304,7 +307,7 @@ def test_grid_basis_at_rest_samples_once(monkeypatch, ground_eigen):
     once, and every state is bit-identical to a fresh GridBasis's."""
     import wave4d.evolver as evolver
 
-    cfg = single_soliton_config(0.0)
+    cfg = soliton_config("ground", [0.0])
     grid = Grid2DCyl(-8.0, 8.0, 81, 8.0, 41)
     wp = pair_vector(cfg.profiles[0], 0.0, 1)
     grid_samples = _counted(monkeypatch, evolver, "eval_on_grid")
@@ -411,7 +414,7 @@ def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
     ell = 0.5 mode-rate times of its three runs (1.25 rows apiece) fall on
     four; every other sampling is a row window of one of those, and each
     equals a fresh sampling."""
-    cfg = single_soliton_config(0.4)
+    cfg = soliton_config("ground", [0.4])
     grid = default_grid_for(0.4, 5.0, margin=10.0, h=0.1)
     times = _monitor_times(grid, 5.0, 0.5)
     assert len(times) == 11
@@ -421,7 +424,7 @@ def test_phase_served_samplings_match_fresh_ones(monkeypatch, ground_eigen):
     assert calls == [(0.0, -20, grid.n1)]
 
     t_max, grid = _mode_rate_grid(ground_eigen[0])
-    cfg = single_soliton_config(0.5)
+    cfg = soliton_config("ground", [0.5])
     times = _monitor_times(grid, t_max, 0.25)
     calls = _serve_and_compare(monkeypatch, GridBasis(cfg, grid,
                                                       [ground_eigen]),
@@ -437,7 +440,7 @@ def test_sampled_soliton_sum_is_the_pair_sum_on_the_grid(monkeypatch,
     eval_on_grid bit for bit, and monitor k is served the window of rows
     2 k below the grid's, bit for bit, a view of the same memory.
     Everywhere it is the evaluation at t to 1e-12."""
-    cfg = single_soliton_config(0.4)
+    cfg = soliton_config("ground", [0.4])
     grid = default_grid_for(0.4, 5.0, margin=10.0, h=0.1)
     basis = GridBasis(cfg, grid, [ground_eigen])
     times = _monitor_times(grid, 5.0, 0.5)
@@ -464,25 +467,18 @@ def test_sampled_soliton_sum_is_the_pair_sum_on_the_grid(monkeypatch,
     assert len(fills) == 1  # 1 fresh sampling, 10 windows of it
 
 
-def test_unrepeated_phases_sample_afresh(monkeypatch, W, ground_eigen):
+def test_unrepeated_phases_sample_afresh(monkeypatch, ground_eigen):
     """A speed whose monitors never repeat a phase, and two solitons of
     different speeds, sample afresh at every time and still match."""
     grid = default_grid_for(0.37, 3.0, margin=10.0, h=0.1)
     times = _monitor_times(grid, 3.0, 0.5)
     calls = _serve_and_compare(
-        monkeypatch, GridBasis(single_soliton_config(0.37), grid,
+        monkeypatch, GridBasis(soliton_config("ground", [0.37]), grid,
                                [ground_eigen]), times)
     assert len(calls) == len(times)
 
-    from wave4d.interactions import MultiSolitonConfig
-    from wave4d.states import symmetry_generator
-
     # at ell = 0.25 both centers move by whole rows, but in opposite ways
-    two = MultiSolitonConfig(
-        profiles=[W, W], speeds=[-0.25, 0.25], signs=[1, 1],
-        a=np.zeros(2), b=np.zeros((2, 1)),
-        slow=[symmetry_generator(W, "scaling")] * 2,
-        kernels=[[symmetry_generator(W, "translation_1")]] * 2)
+    two = soliton_config("ground", (-0.25, 0.25))
     times = [0.0, 0.4, 0.8, 0.8, 1.2]
     calls = _serve_and_compare(monkeypatch,
                                GridBasis(two, grid, [ground_eigen]), times)
@@ -508,7 +504,7 @@ def test_mode_rate_seeds_keep_the_initial_soliton(monkeypatch, ground_eigen):
     assert len(seeds) >= 3
 
     _, grid = _mode_rate_grid(lam)
-    basis = GridBasis(single_soliton_config(0.5), grid, [ground_eigen])
+    basis = GridBasis(soliton_config("ground", [0.5]), grid, [ground_eigen])
     q = basis.sample(0.0)["q"]
     dirs = basis.directions[0][0]
     for u0, v0 in seeds:
@@ -568,7 +564,7 @@ def test_evolve_suite_monitors_on_the_cadence_from_one_sampling(
     grid's rows and the 20 it crosses, and serves every monitor a read-only
     view that later monitors leave as it was."""
     ell = 0.4
-    cfg = single_soliton_config(ell)
+    cfg = soliton_config("ground", [ell])
     grid = default_grid_for(ell, 5.0, margin=10.0, h=0.1)
     fills = _whole_grid_fills(monkeypatch)
     steps = _counted(monkeypatch, CylWaveEvolver, "step")
@@ -613,7 +609,7 @@ def test_stationary_persistence_and_order(W):
     devs = {}
     for h in (0.1, 0.05):
         grid = Grid2DCyl(-14.0, 14.0, int(28 / h) + 1, 14.0, int(14 / h) + 1)
-        cfg = single_soliton_config(0.0)
+        cfg = soliton_config("ground", [0.0])
         wp = pair_vector(W, 0.0, 1)
         ev = CylWaveEvolver(grid, eval_on_grid(wp.first, grid),
                             eval_on_grid(wp.second, grid),
@@ -630,7 +626,7 @@ def test_stationary_persistence_and_order(W):
 
 def test_boosted_speed_and_conservation(W, ground_eigen):
     ell = 0.4
-    cfg = single_soliton_config(ell)
+    cfg = soliton_config("ground", [ell])
     grid = Grid2DCyl(-14.0, 18.0, 641, 14.0, 281)  # h = 0.05
     basis = GridBasis(cfg, grid, [ground_eigen])
     series = evolve(pair_vector(W, ell, 1), 0.0, 6.0, grid, basis=basis,
@@ -647,7 +643,7 @@ def test_evolve_speed_error_is_second_order(ground_eigen):
     speed by 2.25e-2 relative at h = 0.2 (dt = 0.5 / 7) and by 6.13e-3 at
     h = 0.1 (dt = 0.5 / 13)."""
     ell = 0.4
-    cfg = single_soliton_config(ell)
+    cfg = soliton_config("ground", [ell])
     errors = []
     for h in (0.2, 0.1):
         grid = default_grid_for(ell, 5.0, margin=10.0, h=h)
@@ -666,7 +662,7 @@ def test_grid_modulation_matches_quadrature_decomposition(W, ground_eigen):
     from wave4d.modulation import decompose, exp_direction_family
     from wave4d.quadrature import QuadratureSpec
 
-    cfg = single_soliton_config(0.0)
+    cfg = soliton_config("ground", [0.0])
     t = 10.0
     psi = traveling_pair(cfg.slow[0], 0.0, t, 1)
     base = traveling_pair(W, 0.0, t, 1)
@@ -744,7 +740,7 @@ def test_bootstrap_margins_start_after_t_one():
 
 def test_bootstrap_margins_on_evolved_run(W, ground_eigen):
     ell = 0.0
-    cfg = single_soliton_config(ell)
+    cfg = soliton_config("ground", [ell])
     grid = Grid2DCyl(-16.0, 16.0, 641, 16.0, 321)  # h = 0.05
     basis = GridBasis(cfg, grid, [ground_eigen])
     u0 = traveling_pair(W, ell, 10.0, 1)

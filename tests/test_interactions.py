@@ -7,11 +7,13 @@ import pytest
 
 from wave4d.fields import FormulaField
 from wave4d.fitting import fit_loglog
-from wave4d.interactions import (GAssembly, MultiSolitonConfig, cutoff_bump,
-                                 g_part_norms, interaction_integral,
+from wave4d.interactions import (PROFILES, GAssembly, MultiSolitonConfig,
+                                 cutoff_bump, g_part_norms,
+                                 interaction_integral,
                                  interaction_rate_table, pairwise_q_norm,
                                  sigma_rate, slow_pairing_lawcheck,
-                                 slow_pairing_series, two_soliton_config)
+                                 slow_pairing_series, soliton_config,
+                                 two_soliton_config, verify_G_norms)
 from wave4d.quadrature import QuadratureSpec, integrate_callable
 from wave4d.states import symmetry_generator
 
@@ -28,9 +30,18 @@ def surrogate_cfg(Qs):
 
 
 @pytest.fixture(scope="module")
-def ground_cfg(W):
-    return two_soliton_config(W, symmetry_generator(W, "scaling"),
-                              [symmetry_generator(W, "translation_1")])
+def ground_cfg():
+    return soliton_config("ground", (-0.5, 0.5))
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_each_profile_row_states_its_interaction_law(profile):
+    """The G1 norm of a row's two-soliton configuration decays at the row's
+    power p, within the interactions suite's window -p +- 0.5 at the
+    suite's settings (slopes -4.00 and -2.06)."""
+    cfg = soliton_config(profile, (-0.5, 0.5))
+    fit = verify_G_norms(cfg, (10.0, 20.0, 40.0, 80.0), SPEC)["g1_fit"]
+    assert abs(fit.slope + PROFILES[profile].g1_power) <= 0.5
 
 
 def test_config_validation(W):
@@ -111,11 +122,9 @@ def test_direct_total_matches_raw_fields(surrogate_cfg, rng):
         <= 1e-12 * np.max(np.abs(R + U + V))
 
 
-def test_zero_coefficient_corrections_are_not_sampled(Qs, rng):
+def test_zero_coefficient_corrections_are_not_sampled(rng):
     """With a = b = 0 the assembly never samples Psi or Phi."""
-    cfg = two_soliton_config(Qs, symmetry_generator(Qs, "conformal_4"),
-                             [symmetry_generator(Qs, g)
-                              for g in ("scaling", "translation_1")])
+    cfg = soliton_config("surrogate", (-0.5, 0.5))
 
     def refuse(X):
         raise AssertionError("a zero-coefficient field was sampled")
@@ -277,7 +286,7 @@ def _pairwise_per_pair(cfg, t, spec):
 
 
 @pytest.mark.parametrize("t", [10.0, 40.0])
-def test_fused_pairwise_equals_the_per_pair_passes(Qs, t):
+def test_fused_pairwise_equals_the_per_pair_passes(t):
     """At unequal speeds the two pairs' regions are no mirror images, so
     each region bound of one pair cuts the other pair's outer range; the
     fused windows still give every pair's inner and outer parts, and both
@@ -285,9 +294,7 @@ def test_fused_pairwise_equals_the_per_pair_passes(Qs, t):
     it falls in, which moves a part by that panel's quadrature error:
     1.2e-11 of the (1, 0) outer part at 8 nodes, round-off from 10 nodes
     on, so the comparison runs at 12."""
-    slow = symmetry_generator(Qs, "conformal_4")
-    kernels = [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")]
-    cfg = two_soliton_config(Qs, slow, kernels, speeds=(-0.3, 0.6))
+    cfg = soliton_config("surrogate", (-0.3, 0.6))
     spec = replace(SPEC, nodes=12)
     ref = _pairwise_per_pair(cfg, t, spec)
     total, details = pairwise_q_norm(cfg, t, spec, split=True)
@@ -357,12 +364,12 @@ def _factored_g_longdouble(q, w):
 @pytest.mark.parametrize("corrections,times", [
     (False, (10.0, 20.0, 40.0, 80.0)),  # the laws settings
     (True, (80.0,))])
-def test_g_norms_match_extended_precision_reference(Qs, surrogate_cfg,
+def test_g_norms_match_extended_precision_reference(surrogate_cfg,
                                                     corrections, times):
     """g and g1 equal an 80-bit evaluation of the factored G on the same
     nodes: the far nodes, where G << Q_n, keep their relative precision."""
-    cfg = surrogate_cfg if corrections else two_soliton_config(
-        Qs, surrogate_cfg.slow[0], surrogate_cfg.kernels[0])
+    cfg = surrogate_cfg if corrections else soliton_config(
+        "surrogate", (-0.5, 0.5))
     for t in times:
         row = g_part_norms(cfg, t, SPEC)
         asm = GAssembly(cfg, t)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wave4d.boosts import traveling_pair
 from wave4d.fields import (FieldPair, FormulaField, norm_pair, pairing_block,
                            sum_field, zero_field)
-from wave4d.interactions import two_soliton_config
+from wave4d.interactions import soliton_config
 from wave4d.modulation import (GramIllConditioned, ModulationState,
                                build_initial_data, compute_c, compute_z,
                                decompose, default_sigma, exp_direction_family,
@@ -20,11 +20,8 @@ SPEC = QuadratureSpec(nodes=6, r_max=25.0)
 
 
 @pytest.fixture(scope="module")
-def cfg(Qs):
-    slow = symmetry_generator(Qs, "conformal_4")
-    kernels = [symmetry_generator(Qs, g)
-               for g in ("scaling", "translation_1")]
-    return two_soliton_config(Qs, slow, kernels)
+def cfg():
+    return soliton_config("surrogate", (-0.5, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +139,10 @@ def test_compute_c_examples(cfg):
         compute_c(psi40, cfg, 0, 0.5, 0.1, SPEC)
 
 
-def test_default_sigma(cfg, W):
+def test_default_sigma(cfg):
     assert default_sigma(cfg) == pytest.approx(0.1)
-    single = two_soliton_config(W, symmetry_generator(W, "scaling"),
-                                [symmetry_generator(W, "translation_1")])
-    from wave4d.evolver import single_soliton_config
-
     with pytest.raises(ValueError):
-        default_sigma(single_soliton_config(0.0))
+        default_sigma(soliton_config("ground", [0.0]))
 
 
 def test_compute_z_identities(cfg, dirs, ground_eigen):
@@ -179,8 +172,7 @@ def test_compute_z_linear(a, b):
     from wave4d.states import ground_state
 
     W = ground_state()
-    cfg = two_soliton_config(W, symmetry_generator(W, "scaling"),
-                             [symmetry_generator(W, "translation_1")])
+    cfg = soliton_config("ground", (-0.5, 0.5))
     lamY = (0.7655585592, _cached_Y(W))
     dirs = exp_direction_family(cfg, [lamY])
     f = FormulaField(lambda X: np.exp(-np.sum(X * X, axis=1)),
@@ -411,16 +403,13 @@ def test_modulation_residuals_differencer():
 @settings(max_examples=6, deadline=None)
 @given(T=st.floats(20.0, 80.0), ell=st.floats(0.3, 0.7),
        size=st.floats(0.1, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
-def test_round_trip_recovers_z_over_the_ranges(Qs, ground_eigen, T, ell,
-                                               size, angle):
+def test_round_trip_recovers_z_over_the_ranges(ground_eigen, T, ell, size,
+                                               angle):
     """decompose(build_initial_data(z)) gives a = b = 0 and z_plus = z to
     criterion 8's 1e-8 |z|, for T in [20, 80], speeds -ell, ell with ell in
     [0.3, 0.7] and z of any direction with |z| in [0.1, 1] T^-7/2 (a and b
     are round-off, not proportional to z, hence the lower bound)."""
-    cfg = two_soliton_config(
-        Qs, symmetry_generator(Qs, "conformal_4"),
-        [symmetry_generator(Qs, g) for g in ("scaling", "translation_1")],
-        speeds=(-ell, ell))
+    cfg = soliton_config("surrogate", (-ell, ell))
     dirs = exp_direction_family(cfg, [ground_eigen])
     z = size * T**-3.5 * np.array([[math.cos(angle)], [math.sin(angle)]])
     st_ = decompose(build_initial_data(cfg, T, z, dirs, SPEC)["u"], cfg, T,
