@@ -8,8 +8,10 @@ it is, where each must pass.  Then, per defect, it copies the tree (src,
 tests and pyproject.toml) to a temporary directory, plants the defect in
 the copy and runs each named id there alone.  A defect is killed when
 every id it names fails (pytest exit status 1); an id that is not
-collected, or a copy that does not import, kills nothing.  The working
-tree is only read.
+collected, or a copy that does not import, kills nothing.  Every run
+selects the hypothesis profile "mutants" of tests/conftest.py, which
+neither shrinks nor explains a failing example: the first one kills.
+The working tree is only read.
 
 Usage: python scripts/mutants.py [defect name ...]   (default: all)
 Exit status 0 when every defect run is killed, 1 otherwise.
@@ -103,6 +105,14 @@ DEFECTS = {
         "exponential direction and its Z partner's constraint are dropped",
         ["tests/test_energy.py::test_projected_form_is_coercive_at_any_speed",
          "tests/test_acceptance.py::test_criterion_09_coercivity"]),
+    "exp_direction_speed_magnitude": (
+        "src/wave4d/boosts.py",
+        "(2, sign * lam * gamma, -ell * gamma)",
+        "(2, sign * lam * gamma, -abs(ell) * gamma)",
+        "an exponential direction's second component reads |ell| for ell: "
+        "the directions of a soliton moving towards -x1 are not the mirror "
+        "images of those moving towards +x1",
+        ["tests/test_modulation.py::test_mirror_image_swaps_the_solitons"]),
 }
 
 
@@ -129,8 +139,8 @@ def run_tests(dest: Path, ids) -> int:
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *ids], cwd=dest, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+         "--hypothesis-profile=mutants", *ids], cwd=dest, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def main(names) -> int:

@@ -38,6 +38,7 @@ from .fields import (
     ScalarField,
     inner_pair_l2,
     pair_sampler,
+    pair_sum,
     sum_field,
     zero_field,
 )
@@ -46,33 +47,22 @@ from .quadrature import SYM_CYL, QuadratureSpec, join_symmetry, node_set
 from .states import translate
 
 
-@dataclass(frozen=True)
-class Boost:
-    ell: float
-
-    def __post_init__(self):
-        if not abs(self.ell) < 1.0:
-            raise ValueError("boost speed must satisfy |ell| < 1")
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.ell**2)
-
-
-def boost_profile(f: ScalarField, ell: float) -> ScalarField:
-    """f_ell(x) = f(x1/sqrt(1-ell^2), x2, x3, x4), the traveling profile at
-    t = 0."""
-    return traveling_profile(f, ell, 0.0)
+def lorentz_gamma(ell: float) -> float:
+    """1 / sqrt(1 - ell^2) of a boost speed ell; |ell| >= 1 raises."""
+    if not abs(ell) < 1.0:
+        raise ValueError("boost speed must satisfy |ell| < 1")
+    return 1.0 / math.sqrt(1.0 - ell**2)
 
 
 def traveling_profile(f: ScalarField, ell: float, t: float,
                       tau: int = 1) -> ScalarField:
-    """tau * f_ell(x - ell t e1), the soliton profile at time t."""
-    b = Boost(ell)
+    """tau * f_ell(x - ell t e1), the soliton profile at time t; at t = 0,
+    f_ell(x) = f(x1 / sqrt(1 - ell^2), x2, x3, x4)."""
+    gamma = lorentz_gamma(ell)
     if ell == 0.0 and t == 0.0 and tau == 1:
         return f
-    scale = np.array([b.gamma, 1.0, 1.0, 1.0])
-    shift = np.array([-b.gamma * ell * t, 0.0, 0.0, 0.0])
+    scale = np.array([gamma, 1.0, 1.0, 1.0])
+    shift = np.array([-gamma * ell * t, 0.0, 0.0, 0.0])
     sym = f.symmetry if (ell == 0.0 and t == 0.0) else \
         join_symmetry(f.symmetry, SYM_CYL)
     ft = AffineField(f, scale, shift, symmetry=sym, decay=f.decay)
@@ -128,8 +118,7 @@ def apply_H_ell(v: FieldPair, ell: float, Q: ScalarField,
     The Laplacian uses 4th-order stencils with the given step, so kernel
     residuals shrink at that order under step refinement.
     """
-    Boost(ell)
-    Ql = boost_profile(Q, ell)
+    Ql = traveling_profile(Q, ell, 0.0)
     pot = FormulaField(
         lambda X: 3.0 * Ql.evaluate(X) ** 2 * v.first.evaluate(X),
         symmetry=join_symmetry(v.symmetry, Ql.symmetry))
@@ -156,7 +145,7 @@ class HForm:
     def __init__(self, ell: float, Q: ScalarField, symmetry: str,
                  spec: QuadratureSpec, zeta: ScalarField | None = None):
         self.ell = ell
-        Ql = boost_profile(Q, ell)
+        Ql = traveling_profile(Q, ell, 0.0)
         self.X, self.w = node_set(join_symmetry(symmetry, Ql.symmetry), spec)
         self.w_zeta = self.w if zeta is None else \
             self.w * zeta.evaluate(self.X) ** 2
@@ -208,7 +197,7 @@ def _direction_fields(Yj, lam, ell, sign):
     if not isinstance(Yj, RadialExpField):
         raise TypeError("exponential directions need a radial eigenfield "
                         "with radial_parts (spectrum.radial_eigenfield)")
-    gamma = Boost(ell).gamma
+    gamma = lorentz_gamma(ell)
     scale = np.array([gamma, 1.0, 1.0, 1.0])
     sym = join_symmetry(Yj.symmetry, SYM_CYL)
     return tuple(
@@ -231,7 +220,7 @@ def build_exp_directions(Yj: ScalarField, lam: float, ell: float) -> dict:
     """
     if lam <= 0:
         raise ValueError("need a positive rate lambda_j")
-    Boost(ell)
+    lorentz_gamma(ell)  # refuses |ell| >= 1
     rate = lam * math.sqrt(1.0 - ell**2)
     out = {}
     for sign in (+1, -1):
@@ -250,7 +239,7 @@ def z_identity_residual(direction: ExpDirection, Q: ScalarField,
     """Relative L2 gap between H_ell(pair) and the closed-form z_pair."""
     spec = spec or QuadratureSpec(r_max=25.0)
     Hp = apply_H_ell(direction.pair, direction.ell, Q, fd_step=fd_step)
-    diff = Hp.plus(direction.z_pair, -1.0)
+    diff = pair_sum([Hp, direction.z_pair], [1.0, -1.0])
     num = math.sqrt(max(inner_pair_l2(diff, diff, spec), 0.0))
     den = math.sqrt(max(inner_pair_l2(direction.z_pair, direction.z_pair,
                                       spec), 1e-300))

@@ -10,11 +10,12 @@ domain (an h, T, time, samples, t1, cadence or r_max that is not positive
 and finite, nodes below 2, a negative seed), ends the run before any work
 with a message on standard error and exit status 2.  So does input that a
 suite's own checks refuse with a ValueError, such as a gamma outside
-(0, 1), a speed |ell| >= 1, speeds not increasing, too few times for a
-rate fit, k below 1, a single grid size or a shooting bracket whose ends
-both persist or exit on the same side: one line on standard error, exit
-status 2.  Every other run exits nonzero iff an asserted criterion failed,
-and writes into the output directory
+(0, 1), a speed |ell| >= 1, speeds not increasing, a time at or below 0
+or too few times for a rate fit, k or a spectrum cell count n below 1, a
+single grid size or a shooting bracket whose ends both persist or exit on
+the same side: one line on standard error, exit status 2.  Every other
+run exits nonzero iff an asserted criterion failed, and writes into the
+output directory
 
 - ``<suite>_resolved_config.json``: the fully resolved configuration;
 - ``<suite>_results.json``: the machine-readable results;

@@ -291,12 +291,6 @@ class _Bump(ScalarField):
                 2.0 * self.beta - 2.0 * poly / self.b**2)[:, None]
         return (e * poly if value else None), g
 
-    def evaluate(self, X):
-        return self.jet(X, gradient=False)[0]
-
-    def gradient(self, X):
-        return self.jet(X, value=False)[1]
-
 
 def _random_bump_pair(rng, radius: float = 8.0) -> FieldPair:
     """Seeded smooth localized cylindrical pair."""

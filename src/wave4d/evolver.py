@@ -229,11 +229,6 @@ class GridBasis:
         self._times = list(times)
         self._kept.clear()
 
-    def drop_samplings(self):
-        """Forget the plan and every kept sampling; the next time samples
-        afresh."""
-        self.plan([])
-
     def sample(self, t: float) -> dict:
         """The grid sampling at t: the soliton sum q = (q1, q2); per basis
         pair its first component ("first", (n, N)) and its d/dx1, d/drbar
@@ -429,7 +424,7 @@ def evolve(u0: FieldPair, t0: float, t1: float, grid: Grid2DCyl,
             math.sqrt(max(grid_h_norm_sq(du, dv, e.grid), 0.0)))
 
     status = ev.run_until(t1, callback=monitor)
-    basis.drop_samplings()  # so no sampling outlives the run
+    basis.plan([])  # so no sampling outlives the run
     series.status = status
     return series
 
@@ -475,22 +470,22 @@ def default_grid_for(ell: float, t_span: float, margin: float = 12.0,
 
 
 def measure_mode_rates(ell: float, lam: float, Y: ScalarField,
-                       eps: float = 1e-3, h: float = 0.1,
-                       t_max: float | None = None, cadence: float = 0.25
-                       ) -> dict:
+                       h: float = 0.1) -> dict:
     """Fitted exponential rates of both direction pairings.
 
-    Seeds W_ell + eps * direction (8 eps for the decaying mode), subtracts
-    the unseeded baseline run (the grid's quasistatic drift carries its own
-    small pairings), and fits log |z| on the window between the baseline
-    floor and the nonlinear amplitude cap; a seeded run with no such window
-    raises RuntimeError.  The outgoing pairing decays at -rate and the
+    Seeds W_ell + eps * direction, eps = 1e-3 (8 eps for the decaying
+    mode), monitors every cadence 0.25 up to the first one past 4.2 / rate,
+    subtracts the unseeded baseline run (the grid's quasistatic drift
+    carries its own small pairings), and fits log |z| on the window between
+    the baseline floor and the nonlinear amplitude cap; a seeded run with
+    no such window raises RuntimeError.  The outgoing pairing decays at -rate and the
     incoming one grows at +rate, rate = lam sqrt(1 - ell^2); the seeded
     direction excites exactly the pairing of the opposite sign.
     """
+    eps, cadence = 1e-3, 0.25
     rate = lam * math.sqrt(1.0 - ell**2)
-    if t_max is None:  # whole cadences, so that the last monitor is on one
-        t_max = cadence * math.ceil(4.2 / rate / cadence)
+    # whole cadences, so that the last monitor is on one
+    t_max = cadence * math.ceil(4.2 / rate / cadence)
     grid = default_grid_for(ell, t_max, margin=10.0, h=h)
     cfg = soliton_config("ground", [ell])
     basis = GridBasis(cfg, grid, [(lam, Y)])

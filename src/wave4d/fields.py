@@ -4,11 +4,17 @@ Fields carry a symmetry tag (radial / cylindrical about e1 / bicylindrical /
 full), an optional pointwise decay exponent p (|f| <= C <x>^-p), and evaluate
 on (N, 4) arrays of points.  The tag picks the quadrature reduction of a
 pairing; a full field evaluates, but the quadrature has no pass for it, so
-pairing one outside the RationalRadial algebra raises ValueError.  Four
+pairing one outside the RationalRadial algebra raises ValueError.
+
+A family implements one method, ``jet(X, value, gradient)``, the value
+and the gradient at the points X, each only when asked for; ``evaluate``
+and ``gradient`` read it.  The two fields with no exact gradient take a
+4th-order finite difference of their values: a :class:`FormulaField`
+without ``grad`` and an :class:`AffineField` derivative leaf.  These
 families cover everything the laboratory needs:
 
-* :class:`FormulaField` wraps closed-form callables (optionally with an exact
-  gradient; otherwise a 4th-order finite-difference fallback is used).
+* :class:`FormulaField` wraps closed-form callables, optionally with an
+  exact gradient.
 * :class:`PolyRadialField` represents sums of monomial * radial(|x|) terms
   whose radial parts are :class:`RationalRadial` sums.  Products, gradients
   and gradient pairings keep every radial part in that algebra, and
@@ -90,7 +96,9 @@ def _as_points(x) -> np.ndarray:
 
 
 class ScalarField:
-    """A scalar function on R^4 with symmetry and decay metadata."""
+    """A scalar function on R^4 with symmetry and decay metadata.  A family
+    implements ``jet(X, value=True, gradient=True)``: (value, gradient) at
+    the (N, 4) points X, each None unless asked for."""
 
     symmetry: str = SYM_FULL
     decay: float | None = None
@@ -106,35 +114,18 @@ class ScalarField:
         return 0 if self.symmetry in (SYM_RADIAL, SYM_CYL) else None
 
     def evaluate(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x):
-        X = _as_points(x)
-        v = self.evaluate(X)
-        return v[0] if np.asarray(x).ndim == 1 else v
+        return self.jet(_as_points(x), gradient=False)[0]
 
     def gradient(self, x) -> np.ndarray:
-        """Gradient; finite-difference fallback (4th order, step 1e-3)."""
-        X = _as_points(x)
-        g = np.zeros_like(X)
-        for ax in range(4):
-            acc = np.zeros(X.shape[0])
-            for off, cf in zip(_FD4_OFFSETS, _FD4_COEFFS):
-                Xs = X.copy()
-                Xs[:, ax] += off * _FD_STEP
-                acc += cf * self.evaluate(Xs)
-            g[:, ax] = acc / _FD_STEP
-        return g
+        return self.jet(_as_points(x), value=False)[1]
+
+    def __call__(self, x):
+        v = self.evaluate(x)
+        return v[0] if np.asarray(x).ndim == 1 else v
 
     def poly_radial_terms(self):
         """Monomial-radial term list when the field has that structure."""
         return None
-
-    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
-        """(value, gradient) at the (N, 4) points X, each None unless asked
-        for; fields that share work between the two override this."""
-        return (self.evaluate(X) if value else None,
-                self.gradient(X) if gradient else None)
 
     # -- algebra: scalar multiples and sums are flat combinations -----------
 
@@ -153,6 +144,20 @@ class ScalarField:
         return sum_field([self, other], [1.0, -1.0])
 
 
+def _fd_gradient(f: ScalarField, X) -> np.ndarray:
+    """The 4th-order central-difference gradient of f (step 1e-3) at the
+    (N, 4) points X, for the fields that have no exact one."""
+    g = np.zeros_like(X)
+    for ax in range(4):
+        acc = np.zeros(X.shape[0])
+        for off, cf in zip(_FD4_OFFSETS, _FD4_COEFFS):
+            Xs = X.copy()
+            Xs[:, ax] += off * _FD_STEP
+            acc += cf * f.evaluate(Xs)
+        g[:, ax] = acc / _FD_STEP
+    return g
+
+
 @dataclass
 class FormulaField(ScalarField):
     """Closed-form field: fn maps (N, 4) points to N values."""
@@ -164,13 +169,14 @@ class FormulaField(ScalarField):
     asymptote: float | None = None
     name: str = ""
 
-    def evaluate(self, x):
-        return np.asarray(self.fn(_as_points(x)), dtype=float)
-
-    def gradient(self, x):
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """fn, and grad or else finite differences of fn."""
+        v = np.asarray(self.fn(X), dtype=float) if value else None
+        if not gradient:
+            return v, None
         if self.grad is None:
-            return super().gradient(x)
-        return np.asarray(self.grad(_as_points(x)), dtype=float)
+            return v, _fd_gradient(self, X)
+        return v, np.asarray(self.grad(X), dtype=float)
 
 
 @dataclass
@@ -230,16 +236,16 @@ class AffineField(ScalarField):
         j = self.derivative
         return g[:, j] * self.scale[j]
 
-    def evaluate(self, x):
-        Y = self._map(_as_points(x))
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """The base's jet at the mapped points through the chain rule; a
+        derivative leaf's value is the base's gradient there, and its own
+        gradient is taken by finite differences."""
         if self.derivative is None:
-            return self.base.evaluate(Y)
-        return self._directional(self.base.gradient(Y))
-
-    def gradient(self, x):
-        if self.derivative is not None:
-            return super().gradient(x)
-        return self._chain(self.base.gradient(self._map(_as_points(x))))
+            v, g = self.base.jet(self._map(X), value, gradient)
+            return v, (None if g is None else self._chain(g))
+        v = self._directional(self.base.gradient(self._map(X))) \
+            if value else None
+        return v, (_fd_gradient(self, X) if gradient else None)
 
 
 @dataclass
@@ -257,15 +263,17 @@ class Combination(ScalarField):
         """The largest degree among the leaves (0 with none)."""
         return sum_degree(*(leaf.x4_degree for _, leaf in self.terms))
 
-    def evaluate(self, x):
-        X = _as_points(x)
-        return sum((c * leaf.evaluate(X) for c, leaf in self.terms),
-                   np.zeros(X.shape[0]))
-
-    def gradient(self, x):
-        X = _as_points(x)
-        return sum((c * leaf.gradient(X) for c, leaf in self.terms),
-                   np.zeros_like(X))
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """sum_i c_i (jet of L_i), from zero in the order of the terms."""
+        v = np.zeros(X.shape[0]) if value else None
+        g = np.zeros_like(X) if gradient else None
+        for c, leaf in self.terms:
+            lv, lg = leaf.jet(X, value, gradient)
+            if value:
+                v = v + c * lv
+            if gradient:
+                g = g + c * lg
+        return v, g
 
 
 def _terms(f: ScalarField) -> tuple:
@@ -460,12 +468,6 @@ class PolyRadialField(ScalarField):
             v = np.zeros(X.shape[0])
         return v, g
 
-    def evaluate(self, x):
-        return self.jet(_as_points(x), gradient=False)[0]
-
-    def gradient(self, x):
-        return self.jet(_as_points(x), value=False)[1]
-
     def poly_radial_terms(self):
         return self.terms
 
@@ -600,12 +602,6 @@ class RadialExpField(ScalarField):
             v = _safe_exp_product(v, s) if value else None
             g = _safe_exp_product(g, s[:, None]) if gradient else None
         return (v if value else None), g
-
-    def evaluate(self, x):
-        return self.jet(_as_points(x), gradient=False)[0]
-
-    def gradient(self, x):
-        return self.jet(_as_points(x), value=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +852,6 @@ class SampledField(ScalarField):
     def _coords(X):
         return np.stack([X[:, 0], np.linalg.norm(X[:, 1:], axis=1)], axis=1)
 
-    def evaluate(self, x):
-        return self._interp(self._coords(_as_points(x)))
-
     def _ensure_grad(self):
         if self._grad_interp is not None:
             return
@@ -871,10 +864,14 @@ class SampledField(ScalarField):
         self._grad_interp = [self._interpolator(gv, parity) for gv, parity
                              in zip(self.gradient_values, (1.0, -1.0))]
 
-    def gradient(self, x):
-        X = _as_points(x)
-        self._ensure_grad()
+    def jet(self, X, value: bool = True, gradient: bool = True) -> tuple:
+        """The interpolated samples, and (d1, dr rbar-hat) from the
+        interpolated gradient grids."""
         C = self._coords(X)
+        v = self._interp(C) if value else None
+        if not gradient:
+            return v, None
+        self._ensure_grad()
         d1 = self._grad_interp[0](C)
         dr = self._grad_interp[1](C)
         rbar = C[:, 1]
@@ -884,7 +881,7 @@ class SampledField(ScalarField):
         out = np.zeros_like(X)
         out[:, 0] = d1
         out[:, 1:] = dr[:, None] * unit
-        return out
+        return v, out
 
 
 def save_field(path, f: SampledField):
@@ -978,9 +975,6 @@ class FieldPair:
 
     def __post_init__(self):
         self.symmetry = join_symmetry(self.first.symmetry, self.second.symmetry)
-
-    def plus(self, other: "FieldPair", coeff: float = 1.0) -> "FieldPair":
-        return pair_sum([self, other], [1.0, coeff])
 
 
 def pair_sum(pairs, coeffs=None) -> FieldPair:

@@ -276,6 +276,8 @@ def verify_G_norms(cfg: MultiSolitonConfig, times,
     and the fitted constant C in ||G3|| <= C (|a|^2 + |b|^3 + t^-4).
     """
     times = sorted(float(t) for t in times)
+    if not times[0] > 0.0:
+        raise ValueError("times must be positive")
     if times[-1] / times[0] < 4.0:
         raise ValueError("time window too small for a rate fit")
     a2b2 = float(np.linalg.norm(cfg.a) ** 2 + np.linalg.norm(cfg.b) ** 2)

@@ -88,18 +88,6 @@ class ModulationState:
     gram_cond: float
 
 
-@dataclass
-class GramSystem:
-    matrix: np.ndarray
-    cond: float
-
-    @classmethod
-    def of(cls, matrix: np.ndarray) -> "GramSystem":
-        """The system of matrix, with its condition number (1 when empty)."""
-        return cls(matrix,
-                   float(np.linalg.cond(matrix)) if matrix.size else 1.0)
-
-
 def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
     """(pairs, labels) of the basis at time t: the slow pairs ("a", n), then
     the kernel pairs ("b", n, k) row by row."""
@@ -113,11 +101,10 @@ def basis_pairs(cfg: MultiSolitonConfig, t: float) -> tuple:
 
 
 def gram_system(cfg: MultiSolitonConfig, t: float,
-                spec: QuadratureSpec | None = None) -> GramSystem:
+                spec: QuadratureSpec | None = None) -> np.ndarray:
     """Energy-pairing Gram matrix of the kernel-direction basis pairs."""
     fields, _ = basis_pairs(cfg, t)
-    return GramSystem.of(pairing_block(fields, fields, "h",
-                                       cfg.quad_spec(t, spec)))
+    return pairing_block(fields, fields, "h", cfg.quad_spec(t, spec))
 
 
 def exp_direction_family(cfg: MultiSolitonConfig, rates_fields,
@@ -204,12 +191,13 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     if dev_norm >= gamma0:
         raise ValueError(f"deviation {dev_norm:.3g} outside the gamma0 = "
                          f"{gamma0} tube; decomposition not attempted")
-    gram = GramSystem.of(H[1:, 1:])
-    if gram.cond > cond_threshold:
+    # an empty basis has condition number 1
+    cond = float(np.linalg.cond(H[1:, 1:])) if fields else 1.0
+    if cond > cond_threshold:
         raise GramIllConditioned(
-            f"Gram condition {gram.cond:.3g} exceeds {cond_threshold:.3g}; "
+            f"Gram condition {cond:.3g} exceeds {cond_threshold:.3g}; "
             "solitons too close or t too small")
-    coef = np.linalg.solve(gram.matrix, H[0, 1:]) if fields else np.zeros(0)
+    coef = np.linalg.solve(H[1:, 1:], H[0, 1:]) if fields else np.zeros(0)
 
     # the basis lists the slow directions, then the kernel rows
     a, b = coef[:cfg.n], coef[cfg.n:].reshape(cfg.n, cfg.n_kernel)
@@ -234,7 +222,7 @@ def decompose(u: FieldPair, cfg: MultiSolitonConfig, t: float,
     return ModulationState(t=t, a=a, b=b, remainder=phi, z_plus=zp,
                            z_minus=zm, c=cs,
                            remainder_norm=math.sqrt(max(phi_sq, 0.0)),
-                           gram_cond=gram.cond)
+                           gram_cond=cond)
 
 
 def build_initial_data(cfg: MultiSolitonConfig, T: float, z: np.ndarray,

@@ -111,9 +111,6 @@ class QuadratureResult:
     value: float
     error: float  # a pass's tail bound; quad's estimate on the exact path
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def moment(exponents, dim: int = 4) -> float:
     """Integral of x^m over the unit sphere S^(dim-1); zero for odd monomials."""

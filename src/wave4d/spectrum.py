@@ -17,8 +17,7 @@ deterministically: Sturm counts (:func:`sturm_count`, the inertia of an
 LDL^T factorization) bracket each wanted eigenvalue until it is alone, and
 Rayleigh-quotient iteration, one solve per step, converges its pair.
 :func:`negative_spectrum` keeps the negative modes among the k lowest and
-:func:`kernel_count` reads the near-zero window through
-:func:`eigenpairs_between`.  A radial eigenfield is a
+:func:`kernel_count` reads the near-zero window.  A radial eigenfield is a
 :class:`fields.RadialExpField` on its radial parts (Y, Y', Y''), the data
 the exponential directions of :mod:`boosts` are built from.  Inside its
 trusted radius they are the not-a-knot cubic spline through the eigenvector
@@ -95,6 +94,8 @@ def assemble_radial(q: ScalarField, r_max: float = 30.0,
     """Finite-volume radial operator; q must be radially symmetric."""
     if q.symmetry != SYM_RADIAL:
         raise ValueError("radial sector requires a radial profile")
+    if not n >= 1:
+        raise ValueError("need at least 1 cell")
     h = r_max / n
     r = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h
@@ -472,12 +473,6 @@ def negative_spectrum(op: RadialOperator, k: int = 4) -> SpectralResult:
                           residuals=resid, gram=U.T @ U)
 
 
-def eigenpairs_between(op: RadialOperator, lo: float, hi: float) -> tuple:
-    """(eigenvalues, vectors) of every eigenpair with eigenvalue in
-    (lo, hi], ascending, from the tridiagonal matrix."""
-    return tridiagonal_eigenpairs(op.main, op.off, lo, hi)
-
-
 def kernel_count(op: RadialOperator, near_zero_fields=None) -> dict:
     """Count near-zero modes and align them with supplied generator fields.
 
@@ -489,7 +484,7 @@ def kernel_count(op: RadialOperator, near_zero_fields=None) -> dict:
     wall visibly bends modes whose L2(ball) norm grows logarithmically.
     """
     eps = max(op.h * op.h, 10.0 / (op.r_max * op.r_max))
-    vals, vecs = eigenpairs_between(op, -eps, eps)
+    vals, vecs = tridiagonal_eigenpairs(op.main, op.off, -eps, eps)
     out = {"count": int(len(vals)), "eps": float(eps),
            "eigenvalues": [float(v) for v in vals], "alignments": []}
     window = op.r <= TRUSTED_FRACTION * op.r_max

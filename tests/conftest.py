@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from wave4d.quadrature import QuadratureSpec
 from wave4d.spectrum import assemble_radial, negative_spectrum
 from wave4d.states import ground_state, surrogate_excited_state
+
+# scripts/mutants.py runs under this profile (pytest's
+# --hypothesis-profile=mutants): a planted defect is killed by its first
+# failing example, so the runs skip shrinking and explaining it
+settings.register_profile(
+    "mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture(scope="session")

@@ -294,13 +294,15 @@ def test_out_of_domain_values_exit_2_before_any_work(tmp_path, capsys, suite,
     ["interactions", "--speeds", "0.5,-0.5"],
     ["interactions", "--times", "10,20"], ["spectrum", "--k", "0"],
     ["states", "--grid_sizes", "200"],
-    ["shoot", "--bracket", "0.001,0.002"]],
+    ["shoot", "--bracket", "0.001,0.002"], ["spectrum", "--n", "0"],
+    ["interactions", "--times", "0,1,4"]],
     ids=["missing_config", "malformed_config", "gamma", "ell", "speeds",
-         "times", "k", "grid_sizes", "bracket"])
+         "times", "k", "grid_sizes", "bracket", "cells", "time_zero"])
 def test_input_a_suite_refuses_exits_2_with_one_line(tmp_path, capsys, args):
     """A config file that cannot be opened or parsed, and input that a
-    suite's own checks refuse, each printed a traceback and exited 1, the
-    status of a failed criterion.  Each now ends as one message line and
+    suite's own checks refuse (among them a spectrum of 0 cells and an
+    interactions time of 0, which divided by zero), each printed a
+    traceback and exited 1, the status of a failed criterion.  Each now ends as one message line and
     exit status 2, with no summary written."""
     (tmp_path / "malformed.json").write_text("{bad")
     out = tmp_path / "o"

@@ -11,7 +11,7 @@ from wave4d.energy import (CutoffChiN, WeightZeta, _ProjectedForm,
                            energy_functionals, localized_norms,
                            omega_lower_bound_gap, weighted_form_identity_gap,
                            zeta_smallness)
-from wave4d.fields import FieldPair, FormulaField, zero_field
+from wave4d.fields import FieldPair, FormulaField, pair_sum, zero_field
 from wave4d.fitting import fit_loglog
 from wave4d.interactions import GAssembly, soliton_config, two_soliton_config
 from wave4d.quadrature import QuadratureSpec, integrate_callable, join_symmetry
@@ -292,7 +292,7 @@ def test_projected_form_blocks_match_explicit_projection(W, ground_eigen,
         Fp, Np, s, _ = proj(v)
         w = v
         for sk, c in zip(s, proj.correctors):
-            w = w.plus(c, -sk)
+            w = pair_sum([w, c], [1.0, -sk])
         F, N = proj.form_and_norm(w)
         assert Fp == pytest.approx(F, rel=1e-10)
         assert Np == pytest.approx(N, rel=1e-10)

@@ -395,7 +395,7 @@ def _serve_and_compare(monkeypatch, basis, times):
     ref = GridBasis(basis.cfg, basis.grid, basis.rates_fields)
     fresh = {}
     for t in dict.fromkeys(times):
-        ref.drop_samplings()  # a fresh sampling of the grid's rows alone
+        ref.plan([])  # a fresh sampling of the grid's rows alone
         fresh[t] = ref.sample(t)
     calls = _whole_grid_fills(monkeypatch)
     basis.plan(times)

@@ -199,3 +199,38 @@ def test_only_the_listed_definitions_are_reached_from_tests_alone():
     a listed definition that the entry points reach again, or that is
     deleted, leaves it."""
     assert unreached_definitions() == set(TEST_ONLY)
+
+
+def field_families() -> dict:
+    """{class name: names of the methods it defines} for every class of
+    the package that derives from fields.ScalarField, directly or through
+    other classes of the package."""
+    classes = {}
+    for path in (ROOT / "src" / "wave4d").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (
+                    {b.id for b in node.bases if isinstance(b, ast.Name)},
+                    {f.name for f in node.body
+                     if isinstance(f, ast.FunctionDef)})
+    families = {"ScalarField"}
+    while True:
+        more = {name for name, (bases, _) in classes.items()
+                if bases & families} - families
+        if not more:
+            return {name: classes[name][1]
+                    for name in families - {"ScalarField"}}
+        families |= more
+
+
+def test_every_field_family_implements_jet_alone():
+    """A field family states its rule once, in jet; evaluate and gradient
+    are ScalarField's, read off the jet, so no family keeps a second
+    protocol beside it."""
+    protocol = {"jet", "evaluate", "gradient"}
+    found = field_families()
+    assert {"FormulaField", "AffineField", "Combination", "SampledField",
+            "PolyRadialField", "RadialExpField", "_Bump"} <= set(found)
+    assert {name: sorted(methods & protocol)
+            for name, methods in found.items()
+            if methods & protocol != {"jet"}} == {}

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wave4d.boosts import traveling_pair
-from wave4d.fields import (FieldPair, FormulaField, norm_pair, pairing_block,
-                           sum_field, zero_field)
-from wave4d.interactions import soliton_config
+from wave4d.fields import (AffineField, FieldPair, FormulaField, norm_pair,
+                           pair_sum, pairing_block, sum_field, zero_field)
+from wave4d.interactions import PROFILES, soliton_config
 from wave4d.modulation import (GramIllConditioned, ModulationState,
-                               build_initial_data, compute_c, compute_z,
-                               decompose, default_sigma, exp_direction_family,
-                               gram_system, modulation_residuals, shift_pair)
+                               basis_pairs, build_initial_data, compute_c,
+                               compute_z, decompose, default_sigma,
+                               exp_direction_family, gram_system,
+                               modulation_residuals, shift_pair)
 from wave4d.quadrature import QuadratureSpec
 from wave4d.states import symmetry_generator
 
@@ -116,7 +117,7 @@ def test_gram_off_diagonal_decay(cfg):
         sp = QuadratureSpec(nodes=8, r_max=0.75 * t + 20.0)
         g = gram_system(cfg, t, sp)
         # entry pairing the two slow directions of different solitons
-        cross.append(abs(g.matrix[0, 1]))
+        cross.append(abs(g[0, 1]))
     fit = fit_loglog(times, cross)
     assert abs(fit.slope + 2.0) < 0.5
 
@@ -231,8 +232,8 @@ def test_decompose_matches_separate_pairings(cfg, dirs, data):
     zp, zm = compute_z(st_.remainder, cfg, dirs, t, SPEC)
     np.testing.assert_allclose(st_.z_plus, zp, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(st_.z_minus, zm, rtol=1e-12, atol=0.0)
-    assert st_.gram_cond == pytest.approx(gram_system(cfg, t, SPEC).cond,
-                                          rel=1e-12)
+    assert st_.gram_cond == pytest.approx(
+        np.linalg.cond(gram_system(cfg, t, SPEC)), rel=1e-12)
 
 
 @pytest.mark.parametrize("data, blocks", [("round_trip", 1),
@@ -417,6 +418,41 @@ def test_round_trip_recovers_z_over_the_ranges(ground_eigen, T, ell, size,
     worst = max(np.max(np.abs(st_.a)), np.max(np.abs(st_.b)),
                 np.max(np.abs(st_.z_plus - z)))
     assert worst <= 1e-8 * np.max(np.abs(z))
+
+
+def _mirror(f):
+    """f(-x1, x2, x3, x4): the reflection composes into each affine leaf's
+    map, and a derivative leaf along x1 changes sign under it."""
+    flip = np.array([-1.0, 1.0, 1.0, 1.0])
+    return sum_field([AffineField(g.base, g.scale * flip, g.shift, g.symmetry,
+                                  g.decay, g.derivative) for _, g in f.terms],
+                     [-c if g.derivative == 0 else c for c, g in f.terms])
+
+
+@settings(max_examples=5, deadline=None)
+@given(ell=st.floats(0.3, 0.7), angle=st.floats(0.0, 2.0 * math.pi))
+def test_mirror_image_swaps_the_solitons(ground_eigen, ell, angle):
+    """x1 -> -x1 maps the (-ell, ell) configuration onto itself with its
+    solitons swapped.  So on the mirror image of data at T = 20 with
+    nonzero a and b, a, z+-, c and b swap solitons, and b's translation_1
+    column, odd in x1, also flips sign, each to 1e-10 of its largest
+    entry."""
+    T = 20.0
+    cfg = soliton_config("surrogate", (-ell, ell))
+    dirs = exp_direction_family(cfg, [ground_eigen])
+    z = 0.5 * T**-3.5 * np.array([[math.cos(angle)], [math.sin(angle)]])
+    basis, _ = basis_pairs(cfg, T)
+    u = pair_sum([build_initial_data(cfg, T, z, dirs, SPEC)["u"]] + basis,
+                 [1.0] + list(1e-4 * np.arange(1, len(basis) + 1)))
+    mirror = FieldPair(_mirror(u.first), _mirror(u.second))
+    st_, im = (decompose(v, cfg, T, SPEC, directions=dirs)
+               for v in (u, mirror))
+    parity = np.ones(cfg.n_kernel)
+    parity[PROFILES["surrogate"].kernels.index("translation_1")] = -1.0
+    for got, want in ((im.a, st_.a[::-1]), (im.z_plus, st_.z_plus[::-1]),
+                      (im.z_minus, st_.z_minus[::-1]), (im.c, st_.c[::-1]),
+                      (im.b, st_.b[::-1] * parity)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_decompose_block_maps_each_leaf_once_per_batch(cfg, dirs,
